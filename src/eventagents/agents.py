@@ -2,9 +2,9 @@
 
 Each operation builds a prompt from the catalog, sends it through a
 backend, and normalizes the reply.  All of them are stateless except for
-the exemplar cache, which memoizes retrieval output per event type so a
-corpus run prompts for exemplars once per schema rather than once per
-document.
+the exemplar cache, which holds one future of retrieval output per event
+type: a corpus run prompts for exemplars once per schema rather than once
+per document, and different schemas can be retrieved concurrently.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -102,22 +103,36 @@ def run_retrieval_agent(backend, schema: EventSchema, k: int) -> ExemplarSet:
 class ExemplarCache:
     """Per-run exemplar memo, keyed by event type.
 
-    Reads vastly outnumber writes; population holds the lock through the
-    factory call, serializing retrieval for a given schema so it runs
-    exactly once even under concurrent documents.
+    Each event type gets one :class:`~concurrent.futures.Future`.  The
+    first caller for a type claims it under a short lock, runs the
+    factory outside that lock and resolves the future; concurrent callers
+    for the same type wait on it, so retrieval runs exactly once per
+    schema while different schemas are retrieved in parallel.  A factory
+    that raises hands the exception to its caller and to every waiter,
+    and the type's slot is dropped so a later call retries.
     """
 
     def __init__(self):
-        self._sets: dict[str, ExemplarSet] = {}
+        self._slots: dict[str, Future] = {}
         self._lock = threading.Lock()
 
     def get_or_create(self, schema: EventSchema, factory: Callable[[], ExemplarSet]) -> ExemplarSet:
         with self._lock:
-            cached = self._sets.get(schema.event_type)
-            if cached is None:
-                cached = factory()
-                self._sets[schema.event_type] = cached
-            return cached
+            slot = self._slots.get(schema.event_type)
+            claimed = slot is None
+            if claimed:
+                slot = self._slots[schema.event_type] = Future()
+        if not claimed:
+            return slot.result()
+        try:
+            exemplars = factory()
+        except BaseException as exc:
+            with self._lock:
+                del self._slots[schema.event_type]
+            slot.set_exception(exc)
+            raise
+        slot.set_result(exemplars)
+        return exemplars
 
 
 def flatten_exemplars(exemplars: Sequence[ExemplarSet]) -> tuple[str, ...]:
@@ -131,7 +146,7 @@ def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | No
     """None means the reply is malformed and a retry is warranted."""
     try:
         data = json.loads(extract_code_block(reply))
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # also oversized integers and deep nesting
         return None
     if not isinstance(data, list):
         return None
@@ -160,7 +175,8 @@ def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | No
         confidence = entry.get("confidence")
         if confidence is None:
             confidence = 1.0 - (rank - 1) / n
-        confidence = min(1.0, max(0.0, float(confidence)))
+        # Clamp before converting: float() overflows on huge integers.
+        confidence = float(min(1.0, max(0.0, confidence)))
         trigger = entry["trigger"]
         offset = text.lower().find(trigger.lower())
         hypotheses.append(

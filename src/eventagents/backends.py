@@ -156,7 +156,7 @@ class HttpBackend:
 def _extract_content(response) -> str:
     try:
         body = response.json()
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise BackendError(f"backend response is not valid JSON: {exc}") from exc
     try:
         content = body["choices"][0]["message"]["content"]

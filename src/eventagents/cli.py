@@ -34,7 +34,7 @@ from .errors import ConfigError, EventAgentsError
 from .events import EventObject, parse_event_code, serialize_event
 from .metrics import EvaluationError, MetricsReport, mean_of_reports, score
 from .refine import PipelineConfig, extract_document, trace_to_records
-from .schemas import SchemaRegistry, load_ontology, render_schema_as_code
+from .schemas import EventSchema, SchemaRegistry, load_ontology, render_schema_as_code
 from .verify import MODE_LLM, MODE_STRICT
 
 
@@ -313,10 +313,7 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
 
     for run_index in range(1, config.runs + 1):
         backend = ScriptedBackend(fixture) if fixture is not None else HttpBackend(config.backend_config())
-        cache = ExemplarCache()
-        for schema in registry:
-            cache.get_or_create(schema, lambda s=schema: run_retrieval_agent(backend, s, config.exemplar_k))
-        results = _run_documents(documents, registry, pipeline, backend, cache, config.workers, run_index)
+        results = _run_documents(documents, registry, pipeline, backend, config.workers, run_index)
 
         pred_path = _run_path(config.out, run_index, config.runs)
         trace_path = _trace_path(pred_path)
@@ -348,15 +345,22 @@ def _run_documents(
     registry: SchemaRegistry,
     pipeline: PipelineConfig,
     backend,
-    cache: ExemplarCache,
     workers: int,
     run_index: int,
 ):
     """Extract every document, in corpus order; failures become values.
 
-    A document whose extraction raises is skipped with a logged warning;
+    The exemplar cache is warmed first, one retrieval task per schema on
+    the same workers; a retrieval failure there aborts the run.  A
+    document whose extraction raises is skipped with a logged warning;
     the run continues.
     """
+    cache = ExemplarCache()
+
+    def warm(schema: EventSchema):
+        # One task per schema: its exemplar_k calls share a fingerprint
+        # and stay in order, so scripted reply lists replay the same way.
+        return cache.get_or_create(schema, lambda: run_retrieval_agent(backend, schema, pipeline.exemplar_k))
 
     def one(doc: Document):
         try:
@@ -366,8 +370,11 @@ def _run_documents(
             return exc
 
     if workers <= 1:
+        for schema in registry:
+            warm(schema)
         return [one(doc) for doc in documents]
     with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(warm, registry))
         return list(pool.map(one, documents))
 
 

@@ -153,6 +153,10 @@ def load_corpus(source: bytes | str | IO) -> list[Document]:
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CorpusError(f"line {line_no}: malformed record: {exc.msg}") from None
+        except ValueError:  # an integer with more digits than int() converts
+            raise CorpusError(f"line {line_no}: malformed record: number literal out of range") from None
+        except RecursionError:
+            raise CorpusError(f"line {line_no}: malformed record: nesting too deep") from None
         if not isinstance(raw, dict):
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         document = _load_record(line_no, raw)

@@ -24,6 +24,7 @@ is the type checker's job, not the parser's.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any
@@ -189,10 +190,15 @@ def _show(tok: _Token) -> str:
     return "end of input" if tok.kind == "eof" else repr(tok.text)
 
 
-def _as_number(text: str) -> int | float:
-    if "." in text or "e" in text or "E" in text:
-        return float(text)
-    return int(text)
+def _as_number(tok: _Token) -> int | float:
+    text = tok.text
+    try:
+        value = float(text) if "." in text or "e" in text or "E" in text else int(text)
+    except ValueError:  # more digits than int() converts
+        value = None
+    if not _is_scalar(value):
+        raise _ParseError("number literal out of range", tok.line, tok.col)
+    return value
 
 
 class _ConstructorParser:
@@ -262,7 +268,7 @@ class _ConstructorParser:
         if tok.kind == "string":
             return tok.text
         if tok.kind == "number":
-            return _as_number(tok.text)
+            return _as_number(tok)
         if tok.kind == "ident":
             if tok.text == "True":
                 return True
@@ -293,7 +299,10 @@ class _ConstructorParser:
 
 
 def _is_scalar(value: Any) -> bool:
-    return isinstance(value, (str, int, float, bool)) and value is not None
+    """A string, boolean or number JSON can carry (NaN and infinities cannot)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return isinstance(value, (str, int, bool))
 
 
 def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
@@ -301,6 +310,10 @@ def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
         raise _ParseError(f"malformed object notation: {exc.msg}", exc.lineno, exc.colno) from None
+    except ValueError:  # an integer with more digits than int() converts
+        raise _ParseError("malformed object notation: number literal out of range", 1, 1) from None
+    except RecursionError:
+        raise _ParseError("malformed object notation: nesting too deep", 1, 1) from None
     if not isinstance(data, dict):
         raise _ParseError("object notation must be a JSON object", 1, 1)
     for key in EVENT_FIELDS:
@@ -317,6 +330,8 @@ def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
         raise _ParseError("'arguments' must be an object", 1, 1)
     arguments: dict[str, list] = {}
     for role, value in raw_arguments.items():
+        if not role:
+            raise _ParseError("argument role names must be non-empty", 1, 1)
         if isinstance(value, list):
             for item in value:
                 if isinstance(item, list):

@@ -1,11 +1,16 @@
 """Prompt construction and the four agent operations over a scripted backend."""
 
 import json
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from conftest import script
 from eventagents import (
+    BackendError,
     ExemplarCache,
     ExemplarSet,
     ScriptedBackend,
@@ -173,6 +178,87 @@ class TestExemplarCache:
         assert first is second
         assert calls == [1]
 
+    def test_different_event_types_fill_concurrently(self, databreach_schema, ransom_schema):
+        # Each factory waits for the other at the barrier, which only
+        # works if neither lookup blocks the other.
+        cache = ExemplarCache()
+        barrier = threading.Barrier(2, timeout=5)
+        results = {}
+
+        def lookup(schema):
+            def factory():
+                barrier.wait()
+                return ExemplarSet((schema.event_type,), schema)
+
+            results[schema.event_type] = cache.get_or_create(schema, factory)
+
+        threads = [threading.Thread(target=lookup, args=(s,)) for s in (databreach_schema, ransom_schema)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert {k: v.sentences for k, v in results.items()} == {
+            "Databreach": ("Databreach",),
+            "Ransom": ("Ransom",),
+        }
+
+    def test_concurrent_lookups_of_one_type_share_one_factory_call(self, databreach_schema):
+        cache = ExemplarCache()
+        calls = []
+        start = threading.Barrier(8, timeout=5)
+
+        def factory():
+            calls.append(1)
+            time.sleep(0.05)
+            return ExemplarSet((EXAMPLE_SENTENCE,), databreach_schema)
+
+        def lookup():
+            start.wait()
+            return cache.get_or_create(databreach_schema, factory)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lookup) for _ in range(8)]
+                results = [future.result(timeout=10) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [1]
+        assert all(result is results[0] for result in results)
+
+    def test_failed_factory_is_not_memoized(self, databreach_schema):
+        cache = ExemplarCache()
+
+        def failing():
+            raise BackendError("retrieval down")
+
+        with pytest.raises(BackendError, match="retrieval down"):
+            cache.get_or_create(databreach_schema, failing)
+        recovered = ExemplarSet((EXAMPLE_SENTENCE,), databreach_schema)
+        assert cache.get_or_create(databreach_schema, lambda: recovered) is recovered
+
+    def test_waiters_see_the_factory_failure(self, databreach_schema):
+        cache = ExemplarCache()
+        entered = threading.Event()
+        release = threading.Event()
+
+        def failing():
+            entered.set()
+            release.wait(timeout=5)
+            raise BackendError("retrieval down")
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            claimer = pool.submit(cache.get_or_create, databreach_schema, failing)
+            assert entered.wait(timeout=5)
+            waiter = pool.submit(cache.get_or_create, databreach_schema, failing)
+            time.sleep(0.2)  # let the waiter block on the claimed slot
+            release.set()
+            for future in (claimer, waiter):
+                with pytest.raises(BackendError, match="retrieval down"):
+                    future.result(timeout=10)
+
     def test_flatten(self, databreach_schema, ransom_schema):
         sets = [
             ExemplarSet(("a", "b"), databreach_schema),
@@ -243,11 +329,15 @@ class TestPlanningAgent:
         reply = planning_reply(
             {"trigger": "demanded", "event_type": "Ransom", "confidence": 3.5},
             {"trigger": "ransom", "event_type": "Ransom", "confidence": -1},
+            {"trigger": "bank", "event_type": "Ransom", "confidence": 10**400},
         )
         backend = ScriptedBackend(script((planning_prompt(ransom_text, schemas), reply)))
         hypotheses = run_planning_agent(backend, ransom_text, schemas)
-        assert hypotheses[0].confidence == 1.0
-        assert hypotheses[1].confidence == 0.0
+        assert [(h.trigger, h.confidence) for h in hypotheses] == [
+            ("demanded", 1.0),
+            ("bank", 1.0),
+            ("ransom", 0.0),
+        ]
 
     def test_offset_is_case_insensitive_and_optional(self, databreach_schema, ransom_schema):
         text = "DEMANDED more."
@@ -284,6 +374,11 @@ class TestPlanningAgent:
             '[{"trigger": "demanded", "event_type": "Ransom", "confidence": "high"}]',
             '[{"trigger": "demanded", "event_type": "Ransom", "confidence": true}]',
             '[{"trigger": "demanded", "event_type": "Ransom", "rationale": 4}]',
+            pytest.param(
+                '[{"trigger": "demanded", "event_type": "Ransom", "confidence": 1%s}]' % ("0" * 5000),
+                id="integer-over-digit-limit",
+            ),
+            pytest.param("[" * 100000, id="deep-nesting"),
         ],
     )
     def test_malformed_reply_triggers_single_retry(

@@ -156,6 +156,12 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="not valid JSON"):
             backend.complete(make_request())
 
+    def test_deeply_nested_response_body(self, http_server):
+        _ScriptedHandler.script = [(200, "[" * 100000)]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=0))
+        with pytest.raises(BackendError, match="not valid JSON"):
+            backend.complete(make_request())
+
     def test_connection_failure_retries_then_raises(self):
         # Nothing listens on this port; both attempts are transport failures.
         backend = HttpBackend(

@@ -528,3 +528,53 @@ class TestExtract:
         )
         assert code == 1
         assert "declares no event types" in err
+
+
+RANSOM = EventSchema("Ransom", tuple(RoleSpec(n) for n in ("price", "victim")))
+PATCH_EXEMPLARS = [EXEMPLAR, "The maker patched two bugs.", "A fix was patched in."]
+RANSOM_EXEMPLARS = ["Attackers demanded a ransom.", "The firm paid a ransom.", "A ransom note arrived."]
+
+
+class TestExemplarWarmUp:
+    """Retrieval for every schema runs before the documents, across --workers."""
+
+    def setup_run(self, tmp_path, retrieval):
+        ontology = tmp_path / "ontology.json"
+        ransom = {"event_type": RANSOM.event_type, "roles": [{"name": r.name} for r in RANSOM.roles]}
+        ontology.write_text(json.dumps(ONTOLOGY + [ransom]), encoding="utf-8")
+        corpus = write_corpus(tmp_path, [TEXT_1, TEXT_2])
+        schemas = [SCHEMA, RANSOM]
+        sentences = tuple(PATCH_EXEMPLARS + RANSOM_EXEMPLARS)
+        pairs = [(retrieval_prompt(schema), reply) for schema in retrieval for reply in retrieval[schema]]
+        for text, planning_reply, coding_reply in (
+            (TEXT_1, PLANNING_1, CODING_1),
+            (TEXT_2, PLANNING_2, CODING_2),
+        ):
+            pairs.append((planning_prompt(text, schemas, sentences), planning_reply))
+            pairs.append((coding_prompt(SCHEMA, "patched", text), coding_reply))
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(script(*pairs)), encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        args = (
+            "extract", "--ontology", str(ontology), "--corpus", corpus,
+            "--scripted-fixture", str(fixture), "--out", str(out), "--runs", "1",
+        )
+        return args, out
+
+    def test_workers_replay_retrieval_reply_lists_identically(self, capsys, tmp_path):
+        # Each schema's exemplar_k calls share one fingerprint and consume
+        # its reply list in order; the planning fingerprints depend on it.
+        args, out = self.setup_run(tmp_path, {SCHEMA: PATCH_EXEMPLARS, RANSOM: RANSOM_EXEMPLARS})
+        assert run_cli(capsys, *args, "--workers", "1")[0] == 0
+        sequential = out.read_bytes()
+        assert [json.loads(line)["doc_id"] for line in sequential.decode().splitlines()] == ["d1", "d2"]
+        assert run_cli(capsys, *args, "--workers", "2")[0] == 0
+        assert out.read_bytes() == sequential
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_retrieval_failure_aborts_the_run(self, capsys, tmp_path, workers):
+        args, out = self.setup_run(tmp_path, {SCHEMA: PATCH_EXEMPLARS})
+        code, _, err = run_cli(capsys, *args, "--workers", workers)
+        assert code == 1
+        assert "error: no scripted reply for template 'retrieval'" in err
+        assert not out.exists()

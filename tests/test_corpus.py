@@ -119,6 +119,12 @@ class TestLoadCorpus:
                 ' "trigger": {"text": "ab", "start": 0, "end": 2}, "arguments": [{"text": "c"}]}]}',
                 "argument has no usable 'role'",
             ),
+            pytest.param(
+                '{"id": "d", "text": "x", "n": 1%s}' % ("0" * 5000),
+                "line 1: malformed record: number literal out of range",
+                id="long-integer",
+            ),
+            pytest.param("[" * 100000, "line 1: malformed record: nesting too deep", id="deep-nesting"),
         ],
     )
     def test_rejections(self, payload, fragment):

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventagents import (
     CodeObject,
@@ -119,6 +121,8 @@ class TestConstructorForm:
             ("A(mention=", "expected a value, got end of input"),
             ("", "empty input"),
             ("A", "expected '(', got end of input"),
+            pytest.param('A(mention="t", n=1%s)' % ("0" * 5000), "number literal out of range", id="long-integer"),
+            ('A(mention="t", x=[1e999])', "number literal out of range"),
         ],
     )
     def test_rejections(self, source, message):
@@ -174,6 +178,32 @@ class TestObjectNotationForm:
             (
                 '{"event_type": "A", "trigger": "t", "arguments": {"x": {"v": 1}}}',
                 "values of role 'x' must be strings, numbers or booleans",
+            ),
+            (
+                '{"event_type": "A", "trigger": "t", "arguments": {"x": [NaN]}}',
+                "values of role 'x' must be strings, numbers or booleans",
+            ),
+            (
+                '{"event_type": "A", "trigger": "t", "arguments": {"x": -Infinity}}',
+                "values of role 'x' must be strings, numbers or booleans",
+            ),
+            (
+                '{"event_type": "A", "trigger": "t", "arguments": {"x": 1e999}}',
+                "values of role 'x' must be strings, numbers or booleans",
+            ),
+            (
+                '{"event_type": "A", "trigger": "t", "arguments": {"": ["v"]}}',
+                "argument role names must be non-empty",
+            ),
+            pytest.param(
+                '{"event_type": "A", "trigger": "t", "arguments": {"n": 1%s}}' % ("0" * 5000),
+                "malformed object notation: number literal out of range",
+                id="long-integer",
+            ),
+            pytest.param(
+                '{"event_type": "A", "trigger": "t", "arguments": ' + "[" * 100000,
+                "malformed object notation: nesting too deep",
+                id="deep-nesting",
             ),
         ],
     )
@@ -256,3 +286,36 @@ class TestSurfaceFormAgreement:
             from_object = parse_ok(object_text)
             assert from_call == expected
             assert from_object == expected
+
+
+
+# Near-valid replies in both surface forms, with the literals and role
+# names that used to escape the parser or break serialization.
+_LITERALS = st.sampled_from(
+    ['"v"', "'w'", "7", "-2.5", "1e999", "1" * 4400, "NaN", "-Infinity", "True", "null", "[1, [2]]", "[" * 2000]
+)
+_ROLES = st.sampled_from(["x", "y", "", "mention"])
+
+
+@st.composite
+def _near_valid_replies(draw):
+    pairs = draw(st.lists(st.tuples(_ROLES, _LITERALS), max_size=3))
+    if draw(st.booleans()):
+        return 'A(mention="t"%s)' % "".join(f", {role}={value}" for role, value in pairs)
+    arguments = ", ".join(f'"{role}": {value}' for role, value in pairs)
+    return '{"event_type": "A", "trigger": "t", "arguments": {%s}}' % arguments
+
+
+class TestParserIsTotal:
+    @settings(deadline=None)
+    @given(st.one_of(st.text(), _near_valid_replies()))
+    def test_never_raises(self, source):
+        code = parse_event_code(source)
+        assert (code.parsed is None) != (code.failure is None)
+
+    @settings(deadline=None)
+    @given(_near_valid_replies())
+    def test_parsed_events_serialize_and_round_trip(self, source):
+        code = parse_event_code(source)
+        if code.parsed is not None:
+            assert parse_ok(serialize_event(code.parsed)) == code.parsed
