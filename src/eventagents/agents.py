@@ -24,17 +24,13 @@ from .prompts import (
     planning_retry_prompt,
     retrieval_prompt,
 )
-from .schemas import EventSchema
+from .schemas import EventSchema, SchemaRegistry
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
 
 class PlanningError(EventAgentsError):
     """The planning reply stayed unparseable after the one retry."""
-
-
-class CodingError(EventAgentsError):
-    """The coding agent returned nothing usable."""
 
 
 @dataclass(frozen=True)
@@ -194,7 +190,7 @@ def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | No
 def run_planning_agent(
     backend,
     text: str,
-    schemas: Sequence[EventSchema],
+    schemas: Sequence[EventSchema] | SchemaRegistry,
     exemplars: Sequence[ExemplarSet] = (),
     hypothesis_k: int = 3,
 ) -> list[TriggerHypothesis]:
@@ -235,7 +231,8 @@ def run_coding_agent(
 
     With a diagnostic, the prompt becomes a patch request embedding the
     diagnostic line verbatim.  Returns the reply's code text (first
-    fenced block if any, else the stripped reply).
+    fenced block if any, else the stripped reply).  An empty reply comes
+    back as empty text, which fails parsing and so costs one attempt.
     """
     request = coding_prompt(
         schema,
@@ -244,12 +241,7 @@ def run_coding_agent(
         rationale=hypothesis.rationale,
         diagnostic=diagnostic or "",
     )
-    code = extract_code_block(backend.complete(request))
-    if not code:
-        raise CodingError(
-            f"coding agent returned an empty reply for trigger {hypothesis.trigger!r}"
-        )
-    return code
+    return extract_code_block(backend.complete(request))
 
 
 def judge_semantic_compat(backend, trigger: str, event_type: str, text: str) -> JudgeResult:

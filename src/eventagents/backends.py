@@ -12,15 +12,20 @@ by a missing-fixture error naming the template.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
 import json
+import math
 import os
+import re
+import ssl
 import threading
 import time
-from dataclasses import dataclass, field
+import urllib.parse
+import urllib.request
+from dataclasses import dataclass
 from typing import IO, Any
-
-import requests
 
 from .errors import ConfigError, EventAgentsError
 
@@ -28,6 +33,9 @@ _ROLES = ("system", "user", "assistant")
 
 # Status codes worth retrying; everything else fails fast.
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+
+# Statuses whose Retry-After header sets a floor under the next backoff.
+_RETRY_AFTER_STATUSES = frozenset({429, 503})
 
 MAX_RETRIES = 5
 
@@ -48,6 +56,16 @@ class ChatMessage:
             raise ValueError(f"{self.role} message content must be non-empty")
 
 
+def _split_url(url: str) -> urllib.parse.SplitResult | None:
+    """``url`` split into parts; None unless it names a host and any port is numeric."""
+    parts = urllib.parse.urlsplit(url)
+    try:
+        parts.port
+    except ValueError:
+        return None
+    return parts if parts.hostname else None
+
+
 @dataclass(frozen=True)
 class BackendConfig:
     endpoint: str = "http://localhost:8000/v1"
@@ -61,12 +79,16 @@ class BackendConfig:
     def __post_init__(self):
         if not self.endpoint:
             raise ConfigError("backend endpoint must be non-empty")
-        if self.temperature < 0:
-            raise ConfigError("temperature must be >= 0")
+        parts = _split_url(self.endpoint)
+        if parts is None or parts.scheme not in ("http", "https"):
+            raise ConfigError(f"backend endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
+        # Negated comparisons so that NaN fails them too.
+        if not 0 <= self.temperature < math.inf:
+            raise ConfigError("temperature must be a finite number >= 0")
         if self.max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
-        if self.timeout <= 0:
-            raise ConfigError("timeout must be positive")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError("timeout must be a finite number > 0")
         if not 0 <= self.retries <= MAX_RETRIES:
             raise ConfigError(f"retries must be between 0 and {MAX_RETRIES}")
 
@@ -106,56 +128,157 @@ def fingerprint(template_id: str, bindings: dict[str, str]) -> str:
 class HttpBackend:
     """Client for an OpenAI-compatible chat-completions endpoint.
 
-    Retries connection failures and transient statuses (429/5xx) up to
-    the configured retry count with exponential backoff.  The credential
-    is read from the environment variable named in the config; naming a
-    variable that is unset is a configuration error raised before any
-    network traffic.
+    Each thread keeps one persistent HTTP/1.1 connection, opened on its
+    first call; :meth:`close` closes them all.  A reused connection that
+    the server closed while idle is reopened and the request resent once
+    without counting an attempt.  Other connection failures and the
+    transient statuses (429/5xx) are retried up to the configured count
+    with exponential backoff; a 429 or 503 carrying ``Retry-After``
+    (seconds) waits at least that long, capped at the timeout.
+    Redirects are not followed.  ``http_proxy``, ``https_proxy`` and
+    ``no_proxy`` are read once, when the backend is created.  The
+    credential is read from the environment variable named in the
+    config; naming a variable that is unset is a configuration error
+    raised before any network traffic.
     """
 
     def __init__(self, config: BackendConfig):
         self.config = config
+        self._url = config.endpoint.rstrip("/") + "/chat/completions"
+        parts = urllib.parse.urlsplit(self._url)
+        https = parts.scheme == "https"
+        host, port = parts.hostname, parts.port or (443 if https else 80)
+        self._address = (host, port)
+        self._target = parts.path + (f"?{parts.query}" if parts.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        self._tunnel = None
+        proxy = _proxy_for(parts.scheme, f"{host}:{port}")
+        if proxy is not None:
+            self._address = (proxy.hostname, proxy.port or 80)
+            proxy_headers = {}
+            if proxy.username is not None:
+                credentials = f"{urllib.parse.unquote(proxy.username)}:{urllib.parse.unquote(proxy.password or '')}"
+                token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+            if https:
+                self._tunnel = (host, port, proxy_headers)
+            else:
+                self._target = self._url  # absolute-form request target
+                self._headers.update(proxy_headers)
+        self._ssl = ssl.create_default_context() if https else None
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
     def complete(self, request: PromptRequest) -> str:
-        headers = {"Content-Type": "application/json"}
+        headers = dict(self._headers)
         if self.config.api_key_env is not None:
             key = os.environ.get(self.config.api_key_env)
             if not key:
                 raise ConfigError(
                     f"credential environment variable {self.config.api_key_env!r} is not set"
                 )
+            if not (key.isascii() and key.isprintable()):
+                raise ConfigError(
+                    f"credential environment variable {self.config.api_key_env!r} holds characters "
+                    "that cannot be sent in an HTTP header"
+                )
             headers["Authorization"] = f"Bearer {key}"
-        url = self.config.endpoint.rstrip("/") + "/chat/completions"
         payload = {
             "model": self.config.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": self.config.temperature if request.temperature is None else request.temperature,
             "max_tokens": self.config.max_tokens,
         }
+        body = json.dumps(payload).encode("utf-8")
+        connection = self._connection()
         attempts = self.config.retries + 1
         last_problem = "unknown failure"
+        retry_after = 0.0
         for attempt in range(attempts):
             if attempt:
-                time.sleep(min(0.1 * (2 ** (attempt - 1)), 2.0))
+                time.sleep(max(min(0.1 * (2 ** (attempt - 1)), 2.0), retry_after))
+            retry_after = 0.0
             try:
-                response = requests.post(url, json=payload, headers=headers, timeout=self.config.timeout)
-            except requests.RequestException as exc:
+                response = self._post(connection, body, headers)
+                data = response.read()
+            except (OSError, http.client.HTTPException) as exc:
+                connection.close()
                 last_problem = f"transport failure: {exc}"
                 continue
-            if response.status_code in RETRYABLE_STATUSES:
-                last_problem = f"status {response.status_code}"
+            if response.status in RETRYABLE_STATUSES:
+                last_problem = f"status {response.status}"
+                if response.status in _RETRY_AFTER_STATUSES:
+                    retry_after = _retry_after(response.getheader("Retry-After"), self.config.timeout)
                 continue
-            if response.status_code != 200:
-                raise BackendError(
-                    f"backend returned status {response.status_code}: {response.text[:200]}"
+            if response.status != 200:
+                text = data.decode("utf-8", errors="replace")
+                raise BackendError(f"backend returned status {response.status}: {text[:200]}")
+            return _extract_content(data)
+        raise BackendError(f"request to {self._url} failed after {attempts} attempts ({last_problem})")
+
+    def close(self) -> None:
+        """Close every connection this backend opened."""
+        with self._lock:
+            for connection in self._connections:
+                connection.close()
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """This thread's connection; it reconnects by itself once closed."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            if self._ssl is not None:
+                connection = http.client.HTTPSConnection(
+                    *self._address, timeout=self.config.timeout, context=self._ssl
                 )
-            return _extract_content(response)
-        raise BackendError(f"request to {url} failed after {attempts} attempts ({last_problem})")
+            else:
+                connection = http.client.HTTPConnection(*self._address, timeout=self.config.timeout)
+            if self._tunnel is not None:
+                host, port, proxy_headers = self._tunnel
+                connection.set_tunnel(host, port, headers=proxy_headers)
+            self._local.connection = connection
+            with self._lock:
+                self._connections.append(connection)
+        return connection
+
+    def _post(self, connection, body: bytes, headers: dict[str, str]) -> http.client.HTTPResponse:
+        reused = connection.sock is not None
+        try:
+            connection.request("POST", self._target, body, headers)
+            return connection.getresponse()
+        # http.client.RemoteDisconnected is a ConnectionResetError.
+        except (ConnectionResetError, BrokenPipeError):
+            if not reused:
+                raise
+        # No response on a reused connection: the server closed it while
+        # it sat idle.  Resend once on a new one.
+        connection.close()
+        connection.request("POST", self._target, body, headers)
+        return connection.getresponse()
 
 
-def _extract_content(response) -> str:
+def _proxy_for(scheme: str, host: str) -> urllib.parse.SplitResult | None:
+    """The proxy the environment names for this scheme and host, if any."""
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(host):
+        return None
+    parts = _split_url(proxy if "://" in proxy else f"http://{proxy}")
+    if parts is None:
+        raise ConfigError(f"{scheme} proxy {proxy!r} is not a valid URL")
+    return parts
+
+
+def _retry_after(value: str | None, cap: float) -> float:
+    """Delta-seconds of a Retry-After header, at most ``cap``; 0 when
+    absent or not a plain number of seconds (an HTTP-date, say)."""
+    if value is None or not re.fullmatch(r"[0-9]+", value.strip()):
+        return 0.0
+    return min(float(value), cap)
+
+
+def _extract_content(data: bytes) -> str:
     try:
-        body = response.json()
+        body = json.loads(data)
     except (ValueError, RecursionError) as exc:
         raise BackendError(f"backend response is not valid JSON: {exc}") from exc
     try:
@@ -217,11 +340,11 @@ def load_scripted_fixture(source: bytes | str | IO) -> dict[str, str | list[str]
     """Read a scripted-backend fixture document (JSON object)."""
     if hasattr(source, "read"):
         source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        source = bytes(source).decode("utf-8")
     try:
+        if isinstance(source, (bytes, bytearray)):
+            source = bytes(source).decode("utf-8")
         data = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, oversized integers, deep nesting
         raise ConfigError(f"malformed scripted fixture: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("scripted fixture must be a JSON object mapping fingerprints to replies")

@@ -184,11 +184,11 @@ def _check_file_value(key: str, field_name: str, value):
 def _load_config_file(path: str) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also oversized integers and deep nesting
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -313,7 +313,11 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
 
     for run_index in range(1, config.runs + 1):
         backend = ScriptedBackend(fixture) if fixture is not None else HttpBackend(config.backend_config())
-        results = _run_documents(documents, registry, pipeline, backend, config.workers, run_index)
+        try:
+            results = _run_documents(documents, registry, pipeline, backend, config.workers, run_index)
+        finally:
+            if isinstance(backend, HttpBackend):
+                backend.close()
 
         pred_path = _run_path(config.out, run_index, config.runs)
         trace_path = _trace_path(pred_path)
@@ -382,15 +386,16 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
     predictions: dict[str, list[EventObject]] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EvaluationError(f"cannot read predictions file {path}: {exc}") from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EvaluationError(f"{path}: line {line_no}: malformed record: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # also oversized integers and deep nesting
+            problem = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            raise EvaluationError(f"{path}: line {line_no}: malformed record: {problem}") from None
         if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
             raise EvaluationError(f"{path}: line {line_no}: record needs a string 'doc_id'")
         raw_events = record.get("events", [])

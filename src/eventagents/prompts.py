@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .backends import ChatMessage, PromptRequest
-from .schemas import EventSchema, render_schema_as_code
+from .schemas import EventSchema, SchemaRegistry, render_definitions, render_schema_as_code
 
 RETRIEVAL = "retrieval"
 PLANNING = "planning"
@@ -53,9 +53,12 @@ _PLANNING_REMINDER = (
 )
 
 
-def definitions_block(schemas: Sequence[EventSchema]) -> str:
-    """All schemas rendered as code, separated by blank lines."""
-    return "\n\n".join(render_schema_as_code(schema).rstrip("\n") for schema in schemas)
+def definitions_block(schemas: Sequence[EventSchema] | SchemaRegistry) -> str:
+    """All schemas rendered as code, separated by blank lines; a registry
+    renders its block once and reuses it for every document."""
+    if isinstance(schemas, SchemaRegistry):
+        return schemas.definitions
+    return render_definitions(schemas)
 
 
 def retrieval_prompt(schema: EventSchema) -> PromptRequest:
@@ -94,7 +97,7 @@ def _planning_bindings(text: str, definitions: str, exemplar_sentences: Sequence
 
 def planning_prompt(
     text: str,
-    schemas: Sequence[EventSchema],
+    schemas: Sequence[EventSchema] | SchemaRegistry,
     exemplar_sentences: Sequence[str] = (),
 ) -> PromptRequest:
     definitions = definitions_block(schemas)
@@ -111,7 +114,7 @@ def planning_prompt(
 
 def planning_retry_prompt(
     text: str,
-    schemas: Sequence[EventSchema],
+    schemas: Sequence[EventSchema] | SchemaRegistry,
     exemplar_sentences: Sequence[str] = (),
 ) -> PromptRequest:
     """The single-reprompt variant appended with a format reminder."""

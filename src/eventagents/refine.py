@@ -215,7 +215,7 @@ def extract_document(
         if exemplar_set.warning:
             trace.notes.append(exemplar_set.warning)
     hypotheses = run_planning_agent(
-        backend, text, list(registry), exemplars, hypothesis_k=config.hypothesis_k
+        backend, text, registry, exemplars, hypothesis_k=config.hypothesis_k
     )
     if not hypotheses:
         trace.notes.append("planning produced no hypotheses")

@@ -34,6 +34,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Any, Iterable, Iterator
 
 from .errors import EventAgentsError
@@ -158,6 +159,11 @@ class SchemaRegistry:
     def event_types(self) -> tuple[str, ...]:
         return tuple(self._schemas)
 
+    @cached_property
+    def definitions(self) -> str:
+        """Every schema rendered by :func:`render_definitions`, once per registry."""
+        return render_definitions(self)
+
 
 def load_ontology(source: bytes | str | Any) -> SchemaRegistry:
     """Load an ontology document into a registry.
@@ -174,7 +180,7 @@ def load_ontology(source: bytes | str | Any) -> SchemaRegistry:
             raise OntologyError(f"ontology document is not valid UTF-8: {exc}") from exc
     try:
         document = json.loads(source)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also oversized integers and deep nesting
         raise OntologyError(f"malformed ontology document: {exc}") from exc
     if not isinstance(document, list):
         raise OntologyError("ontology document must be an array of event type declarations")
@@ -244,6 +250,11 @@ def render_schema_as_code(schema: EventSchema) -> str:
     for role in schema.roles:
         lines.append(f"    {role.name}: {_annotation(role)}")
     return "\n".join(lines) + "\n"
+
+
+def render_definitions(schemas: Iterable[EventSchema]) -> str:
+    """Schemas rendered as code, separated by blank lines."""
+    return "\n\n".join(render_schema_as_code(schema).rstrip("\n") for schema in schemas)
 
 
 def _parse_annotation(text: str, line_no: int, col: int) -> tuple[ValueType, Multiplicity]:

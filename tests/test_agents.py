@@ -20,7 +20,7 @@ from eventagents import (
     run_planning_agent,
     run_retrieval_agent,
 )
-from eventagents.agents import CodingError, PlanningError, extract_code_block, flatten_exemplars
+from eventagents.agents import PlanningError, extract_code_block, flatten_exemplars
 from eventagents.prompts import (
     coding_prompt,
     judge_prompt,
@@ -67,6 +67,22 @@ class TestPrompts:
         assert f"Text:\n{ransom_text}\n" in user
         assert "Example sentences:" not in user
         assert user.rstrip().endswith("and a short 'rationale'.")
+
+    def test_registry_renders_its_definitions_once(self, monkeypatch, ransom_text, databreach_schema, ransom_schema):
+        from eventagents import SchemaRegistry, schemas
+
+        rendered = []
+        render = schemas.render_schema_as_code
+        monkeypatch.setattr(schemas, "render_schema_as_code", lambda s: rendered.append(s) or render(s))
+        registry = SchemaRegistry([databreach_schema, ransom_schema])
+        for text in (ransom_text, "Another document.", ransom_text):
+            from_registry = planning_prompt(text, registry)
+            from_list = planning_prompt(text, [databreach_schema, ransom_schema])
+            assert from_registry == from_list
+            assert from_registry.fingerprint() == from_list.fingerprint()
+            assert planning_retry_prompt(text, registry) == planning_retry_prompt(text, list(registry))
+        # Two schemas rendered once for the registry, then per call for each list.
+        assert len(rendered) == 2 + 3 * 2 * 2
 
     def test_planning_prompt_with_exemplars(self, ransom_text, databreach_schema):
         request = planning_prompt(ransom_text, [databreach_schema], [EXAMPLE_SENTENCE, "Second."])
@@ -440,14 +456,13 @@ class TestCodingAgent:
         run_coding_agent(backend, hypothesis, patchvuln_schema, tuesday_text, diagnostic=diagnostic)
         assert diagnostic in backend.calls[0].messages[1].content
 
-    def test_empty_reply_raises(self, patchvuln_schema, tuesday_text):
+    def test_empty_reply_returns_empty_code(self, patchvuln_schema, tuesday_text):
         hypothesis = self.hypothesis()
         request = coding_prompt(
             patchvuln_schema, "patched", tuesday_text, rationale="names the fix"
         )
         backend = ScriptedBackend(script((request, "   \n")))
-        with pytest.raises(CodingError, match="empty reply for trigger 'patched'"):
-            run_coding_agent(backend, hypothesis, patchvuln_schema, tuesday_text)
+        assert run_coding_agent(backend, hypothesis, patchvuln_schema, tuesday_text) == ""
 
 
 class TestSemanticJudge:

@@ -578,3 +578,41 @@ class TestExemplarWarmUp:
         assert code == 1
         assert "error: no scripted reply for template 'retrieval'" in err
         assert not out.exists()
+
+
+class TestHostileJsonFiles:
+    """Every JSON file reader exits with a message, never a traceback."""
+
+    PAYLOADS = {
+        "deep-nesting": b"[" * 100_000,
+        "huge-integer": b'{"n": ' + b"7" * 5_000 + b"}",
+        "bad-utf8": b'{"n": "\xff"}',
+    }
+
+    @pytest.mark.parametrize("payload", sorted(PAYLOADS))
+    @pytest.mark.parametrize(
+        "reader, code, fragment",
+        [
+            ("ontology", 1, "ontology document"),
+            ("predictions", 1, "hostile-predictions.json"),
+            ("fixture", 2, "malformed scripted fixture"),
+            ("config", 2, "config file"),
+        ],
+    )
+    def test_reader_fails_cleanly(self, capsys, tmp_path, reader, code, fragment, payload):
+        hostile = tmp_path / f"hostile-{reader}.json"
+        hostile.write_bytes(self.PAYLOADS[payload])
+        ontology = write_ontology(tmp_path)
+        corpus = write_corpus(tmp_path, [TEXT_1])
+        argv = {
+            "ontology": ("schema", "list", "--ontology", str(hostile)),
+            "predictions": ("eval", str(hostile), "--corpus", corpus),
+            "fixture": (
+                "extract", "--ontology", ontology, "--corpus", corpus, "--runs", "1",
+                "--scripted-fixture", str(hostile), "--out", str(tmp_path / "preds.jsonl"),
+            ),
+            "config": ("extract", "--print-config", "--config", str(hostile)),
+        }[reader]
+        status, _, err = run_cli(capsys, *argv)
+        assert status == code
+        assert err.startswith("error: ") and fragment in err

@@ -169,6 +169,26 @@ class TestRefine:
         assert trace.attempts[0].result.diagnostic.as_line() == BROKEN_DIAGNOSTIC
         assert BROKEN_DIAGNOSTIC in backend.calls[1].messages[1].content
 
+    def test_empty_reply_is_a_failed_attempt(self, patch_registry, patchvuln_schema, tuesday_text):
+        empty_diagnostic = "[T3] line 1, col 1: empty input (at source)"
+        backend = ScriptedBackend(
+            script(
+                self.coding(patchvuln_schema, tuesday_text, "patched", "  \n"),
+                self.coding(
+                    patchvuln_schema, tuesday_text, "patched", VALID_REPLY,
+                    diagnostic=empty_diagnostic,
+                ),
+            )
+        )
+        trace = RefinementTrace()
+        outcome = refine(
+            HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace
+        )
+        assert isinstance(outcome, EventObject)
+        assert trace.outcome == "accepted"
+        assert [(a.attempt, a.result.verdict) for a in trace.attempts] == [(1, False), (2, True)]
+        assert trace.attempts[0].result.diagnostic.as_line() == empty_diagnostic
+
     def test_backtracks_to_next_hypothesis(self, patch_registry, patchvuln_schema, tuesday_text):
         first = hyp("patched", confidence=0.9)
         second = hyp("vulnerability", confidence=0.5)
