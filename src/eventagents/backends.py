@@ -302,9 +302,7 @@ class ScriptedBackend:
     """
 
     def __init__(self, mapping: dict[str, str | list[str]]):
-        for key, value in mapping.items():
-            if not _valid_reply(value):
-                raise ConfigError(f"scripted fixture entry {key!r} must be a string or list of strings")
+        _check_replies(mapping)
         self._mapping = dict(mapping)
         self._counters: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -330,10 +328,11 @@ class ScriptedBackend:
             return value
 
 
-def _valid_reply(value: Any) -> bool:
-    if isinstance(value, str):
-        return True
-    return isinstance(value, list) and all(isinstance(item, str) for item in value)
+def _check_replies(mapping: dict[str, Any]) -> None:
+    for key, value in mapping.items():
+        replies = value if isinstance(value, list) else [value]
+        if not all(isinstance(reply, str) for reply in replies):
+            raise ConfigError(f"scripted fixture entry {key!r} must be a string or list of strings")
 
 
 def load_scripted_fixture(source: bytes | str | IO) -> dict[str, str | list[str]]:
@@ -348,7 +347,5 @@ def load_scripted_fixture(source: bytes | str | IO) -> dict[str, str | list[str]
         raise ConfigError(f"malformed scripted fixture: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("scripted fixture must be a JSON object mapping fingerprints to replies")
-    for key, value in data.items():
-        if not _valid_reply(value):
-            raise ConfigError(f"scripted fixture entry {key!r} must be a string or list of strings")
+    _check_replies(data)
     return data

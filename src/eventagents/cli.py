@@ -23,157 +23,107 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, get_args, get_type_hints
 
 from .agents import ExemplarCache, run_retrieval_agent
 from .backends import BackendConfig, HttpBackend, ScriptedBackend, load_scripted_fixture
 from .corpus import Document, dataset_stats, load_corpus, sample_split
 from .errors import ConfigError, EventAgentsError
-from .events import EventObject, parse_event_code, serialize_event
+from .events import EventObject, event_payload, parse_event_code
 from .metrics import EvaluationError, MetricsReport, mean_of_reports, score
 from .refine import PipelineConfig, extract_document, trace_to_records
 from .schemas import EventSchema, SchemaRegistry, load_ontology, render_schema_as_code
-from .verify import MODE_LLM, MODE_STRICT
+from .verify import MODES
+
+
+def _option(default, help: str | None = None, **metadata):
+    return field(default=default, metadata={"help": help, **metadata})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    ontology: str | None = None
-    corpus: str | None = None
-    out: str | None = None
-    backend_endpoint: str = "http://localhost:8000/v1"
-    model: str = "llama3-8b-instruct"
-    temperature: float = 0.7
-    max_tokens: int = 1024
-    api_key_env: str | None = None
-    timeout: float = 30.0
-    retries: int = 2
-    exemplar_k: int = 3
-    hypothesis_k: int = 3
-    patch_attempts: int = 3
-    mode: str = MODE_STRICT
-    workers: int = 1
-    seed: int = 0
-    runs: int = 3
-    sample: int | None = None
-    scripted_fixture: str | None = None
-    multi_event: bool = False
-    event_cap: int = 5
+    """The run configuration: each field declares its option once.
+
+    Flag ``--<name-with-dashes>``, variable ``EVENTAGENTS_<NAME>``, config
+    file key ``<name>`` or, with ``backend`` metadata, ``backend.<key>``.
+    ``file_only`` fields have neither flag nor variable.
+    """
+
+    ontology: str | None = _option(None, "path to the ontology JSON document")
+    corpus: str | None = _option(None, "path to the newline-delimited corpus")
+    out: str | None = _option(None, "output path")
+    backend_endpoint: str = _option(BackendConfig.endpoint, "chat-completions base URL", backend="endpoint")
+    model: str = _option(BackendConfig.model, "model name sent to the backend", backend="model")
+    temperature: float = _option(BackendConfig.temperature, "default sampling temperature", backend="temperature")
+    max_tokens: int = _option(BackendConfig.max_tokens, "completion token limit", backend="max_tokens")
+    api_key_env: str | None = _option(
+        BackendConfig.api_key_env, "environment variable holding the bearer token", backend="api_key_env"
+    )
+    timeout: float = _option(BackendConfig.timeout, "request timeout in seconds", backend="timeout")
+    retries: int = _option(BackendConfig.retries, "retry count for transient backend failures", backend="retries")
+    exemplar_k: int = _option(PipelineConfig.exemplar_k, "exemplar sentences per schema")
+    hypothesis_k: int = _option(PipelineConfig.hypothesis_k, "planning hypotheses kept per document")
+    patch_attempts: int = _option(PipelineConfig.patch_attempts, "coding attempts per hypothesis")
+    mode: str = _option(PipelineConfig.mode, "verification mode")
+    workers: int = _option(1, "concurrent documents")
+    seed: int = _option(0, "random seed for sampling")
+    runs: int = _option(3, "number of extraction runs")
+    sample: int | None = _option(None, "uniformly subsample the corpus to this many documents")
+    scripted_fixture: str | None = _option(None, "scripted-backend fixture file (offline deterministic runs)")
+    multi_event: bool = _option(PipelineConfig.multi_event, file_only=True)
+    event_cap: int = _option(PipelineConfig.event_cap, file_only=True)
 
     def __post_init__(self):
-        for name in ("exemplar_k", "hypothesis_k", "patch_attempts", "workers", "runs", "event_cap"):
+        # Pipeline and backend ranges are checked by PipelineConfig and BackendConfig.
+        self.pipeline_config()
+        for name in ("workers", "runs"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.mode not in (MODE_STRICT, MODE_LLM):
-            raise ConfigError(f"mode must be '{MODE_STRICT}' or '{MODE_LLM}', got {self.mode!r}")
         if self.sample is not None and self.sample < 0:
             raise ConfigError("sample must be >= 0")
-        # Backend value ranges are enforced by BackendConfig itself.
         self.backend_config()
 
     def backend_config(self) -> BackendConfig:
         return BackendConfig(
-            endpoint=self.backend_endpoint,
-            model=self.model,
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            api_key_env=self.api_key_env,
-            timeout=self.timeout,
-            retries=self.retries,
+            **{f.metadata["backend"]: getattr(self, f.name) for f in fields(self) if "backend" in f.metadata}
         )
 
     def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            hypothesis_k=self.hypothesis_k,
-            patch_attempts=self.patch_attempts,
-            mode=self.mode,
-            exemplar_k=self.exemplar_k,
-            multi_event=self.multi_event,
-            event_cap=self.event_cap,
-        )
+        try:
+            return PipelineConfig(**{f.name: getattr(self, f.name) for f in fields(PipelineConfig)})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def as_dict(self) -> dict:
-        return {
-            "ontology": self.ontology,
-            "corpus": self.corpus,
-            "out": self.out,
-            "backend": {
-                "endpoint": self.backend_endpoint,
-                "model": self.model,
-                "temperature": self.temperature,
-                "max_tokens": self.max_tokens,
-                "api_key_env": self.api_key_env,
-                "timeout": self.timeout,
-                "retries": self.retries,
-            },
-            "exemplar_k": self.exemplar_k,
-            "hypothesis_k": self.hypothesis_k,
-            "patch_attempts": self.patch_attempts,
-            "mode": self.mode,
-            "workers": self.workers,
-            "seed": self.seed,
-            "runs": self.runs,
-            "sample": self.sample,
-            "scripted_fixture": self.scripted_fixture,
-            "multi_event": self.multi_event,
-            "event_cap": self.event_cap,
-        }
+        data: dict = {}
+        for f in fields(self):
+            if "backend" in f.metadata:
+                data.setdefault("backend", {})[f.metadata["backend"]] = getattr(self, f.name)
+            else:
+                data[f.name] = getattr(self, f.name)
+        return data
 
 
-_INT_FIELDS = {
-    "max_tokens", "retries", "exemplar_k", "hypothesis_k", "patch_attempts",
-    "workers", "seed", "runs", "sample", "event_cap",
-}
-_FLOAT_FIELDS = {"temperature", "timeout"}
-_STR_FIELDS = {
-    "ontology", "corpus", "out", "backend_endpoint", "model", "api_key_env",
-    "mode", "scripted_fixture",
-}
-_BOOL_FIELDS = {"multi_event"}
-
-# Fields settable through EVENTAGENTS_* environment variables (everything
-# except the config-file-only multi-event knobs).
-_ENV_FIELDS = (_INT_FIELDS | _FLOAT_FIELDS | _STR_FIELDS) - {"event_cap"}
-
-_BACKEND_FILE_KEYS = {
-    "endpoint": "backend_endpoint",
-    "model": "model",
-    "temperature": "temperature",
-    "max_tokens": "max_tokens",
-    "api_key_env": "api_key_env",
-    "timeout": "timeout",
-    "retries": "retries",
-}
-
-_TOP_FILE_KEYS = {
-    "ontology", "corpus", "out", "exemplar_k", "hypothesis_k", "patch_attempts",
-    "mode", "workers", "seed", "runs", "sample", "scripted_fixture",
-    "multi_event", "event_cap",
-}
+def _value_type(hint) -> type:
+    """``int | None`` is int; a plain type is itself."""
+    return next((t for t in get_args(hint) if t is not type(None)), hint)
 
 
-def _cast_env(name: str, raw: str):
-    source = f"environment variable EVENTAGENTS_{name.upper()}"
-    try:
-        if name in _INT_FIELDS:
-            return int(raw)
-        if name in _FLOAT_FIELDS:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"{source}: invalid value {raw!r}") from None
-    return raw
+# Each field's value type (int, float, str or bool), from its annotation.
+_TYPES = {name: _value_type(hint) for name, hint in get_type_hints(RunConfig).items()}
 
 
 def _check_file_value(key: str, field_name: str, value):
-    if field_name in _INT_FIELDS:
+    kind = _TYPES[field_name]
+    if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config file key {key!r} must be an integer")
-    elif field_name in _FLOAT_FIELDS:
+    elif kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config file key {key!r} must be a number")
-    elif field_name in _BOOL_FIELDS:
+    elif kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"config file key {key!r} must be a boolean")
     elif value is not None and not isinstance(value, str):
@@ -192,17 +142,19 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
+    top_keys = {f.name for f in fields(RunConfig) if "backend" not in f.metadata}
+    backend_keys = {f.metadata["backend"]: f.name for f in fields(RunConfig) if "backend" in f.metadata}
     overrides: dict = {}
     for key, value in data.items():
         if key == "backend":
             if not isinstance(value, dict):
                 raise ConfigError("config file key 'backend' must be an object")
             for sub_key, sub_value in value.items():
-                field_name = _BACKEND_FILE_KEYS.get(sub_key)
+                field_name = backend_keys.get(sub_key)
                 if field_name is None:
                     raise ConfigError(f"unknown config file key 'backend.{sub_key}'")
                 overrides[field_name] = _check_file_value(f"backend.{sub_key}", field_name, sub_value)
-        elif key in _TOP_FILE_KEYS:
+        elif key in top_keys:
             overrides[key] = _check_file_value(key, key, value)
         else:
             raise ConfigError(f"unknown config file key {key!r}")
@@ -212,18 +164,22 @@ def _load_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, environment, config file and flags, in that order."""
     overrides: dict = {}
-    for name in sorted(_ENV_FIELDS):
-        env_name = f"EVENTAGENTS_{name.upper()}"
-        if env_name in os.environ:
-            overrides[name] = _cast_env(name, os.environ[env_name])
+    for f in fields(RunConfig):
+        env_name = f"EVENTAGENTS_{f.name.upper()}"
+        if f.metadata.get("file_only") or env_name not in os.environ:
+            continue
+        raw = os.environ[env_name]
+        try:
+            overrides[f.name] = _TYPES[f.name](raw)
+        except ValueError:
+            raise ConfigError(f"environment variable {env_name}: invalid value {raw!r}") from None
     config_path = getattr(args, "config", None)
     if config_path:
         overrides.update(_load_config_file(config_path))
-    all_fields = {f.name for f in fields(RunConfig)}
-    for name in all_fields:
-        value = getattr(args, name, None)
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[name] = value
+            overrides[f.name] = value
     return RunConfig(**overrides)
 
 
@@ -231,25 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file mirroring the run configuration")
     common.add_argument("--print-config", action="store_true", help="print the resolved configuration and exit")
-    common.add_argument("--ontology", help="path to the ontology JSON document")
-    common.add_argument("--corpus", help="path to the newline-delimited corpus")
-    common.add_argument("--out", help="output path")
-    common.add_argument("--backend-endpoint", help="chat-completions base URL")
-    common.add_argument("--model", help="model name sent to the backend")
-    common.add_argument("--temperature", type=float, help="default sampling temperature")
-    common.add_argument("--max-tokens", type=int, help="completion token limit")
-    common.add_argument("--api-key-env", help="environment variable holding the bearer token")
-    common.add_argument("--timeout", type=float, help="request timeout in seconds")
-    common.add_argument("--retries", type=int, help="retry count for transient backend failures")
-    common.add_argument("--exemplar-k", type=int, help="exemplar sentences per schema")
-    common.add_argument("--hypothesis-k", type=int, help="planning hypotheses kept per document")
-    common.add_argument("--patch-attempts", type=int, help="coding attempts per hypothesis")
-    common.add_argument("--mode", choices=[MODE_STRICT, MODE_LLM], help="verification mode")
-    common.add_argument("--workers", type=int, help="concurrent documents")
-    common.add_argument("--seed", type=int, help="random seed for sampling")
-    common.add_argument("--runs", type=int, help="number of extraction runs")
-    common.add_argument("--sample", type=int, help="uniformly subsample the corpus to this many documents")
-    common.add_argument("--scripted-fixture", help="scripted-backend fixture file (offline deterministic runs)")
+    for f in fields(RunConfig):
+        if not f.metadata.get("file_only"):
+            common.add_argument(
+                "--" + f.name.replace("_", "-"),
+                type=_TYPES[f.name],
+                choices=MODES if f.name == "mode" else None,
+                help=f.metadata["help"],
+            )
 
     parser = argparse.ArgumentParser(
         prog="eventagents",
@@ -294,10 +239,6 @@ def _trace_path(pred_path: Path) -> Path:
     return pred_path.with_name(f"{pred_path.stem}.trace{pred_path.suffix}")
 
 
-def _event_payload(event: EventObject, registry: SchemaRegistry) -> dict:
-    return json.loads(serialize_event(event, registry.get(event.event_type)))
-
-
 def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
     _require_paths(config, "extract")
     registry = load_ontology(_read_bytes(config.ontology))
@@ -335,7 +276,7 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
                 events_written += len(events)
                 payload = {
                     "doc_id": doc.id,
-                    "events": [_event_payload(event, registry) for event in events],
+                    "events": [event_payload(event, registry.get(event.event_type)) for event in events],
                 }
                 pred_file.write(json.dumps(payload, ensure_ascii=False) + "\n")
                 for record in trace_to_records(trace, doc.id):

@@ -410,6 +410,11 @@ def serialize_event(event: EventObject, schema: EventSchema | None = None) -> st
     return json.dumps(payload, ensure_ascii=False, allow_nan=False)
 
 
+def event_payload(event: EventObject, schema: EventSchema | None = None) -> dict:
+    """:func:`serialize_event`'s canonical form as a JSON-ready dict."""
+    return json.loads(serialize_event(event, schema))
+
+
 def render_constructor_call(event: EventObject) -> str:
     """Render an event as constructor-call text (the prompts' code shape).
 

@@ -14,7 +14,6 @@ refine call.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -28,9 +27,9 @@ from .agents import (
     run_retrieval_agent,
 )
 from .errors import EventAgentsError
-from .events import CodeObject, EventObject, parse_event_code, serialize_event
+from .events import CodeObject, EventObject, event_payload, parse_event_code
 from .schemas import SchemaRegistry
-from .verify import MODE_LLM, MODE_STRICT, VerificationResult, verify
+from .verify import MODE_LLM, MODE_STRICT, MODES, VerificationResult, verify
 
 
 class PoolExhausted(EventAgentsError):
@@ -44,12 +43,11 @@ class RefinementConfig:
     mode: str = MODE_STRICT
 
     def __post_init__(self):
-        if self.hypothesis_k < 1:
-            raise ValueError("hypothesis_k must be >= 1")
-        if self.patch_attempts < 1:
-            raise ValueError("patch_attempts must be >= 1")
-        if self.mode not in (MODE_STRICT, MODE_LLM):
-            raise ValueError(f"unknown verification mode {self.mode!r}")
+        for name in ("hypothesis_k", "patch_attempts"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be '{MODE_STRICT}' or '{MODE_LLM}', got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +60,9 @@ class PipelineConfig(RefinementConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.exemplar_k < 1:
-            raise ValueError("exemplar_k must be >= 1")
-        if self.event_cap < 1:
-            raise ValueError("event_cap must be >= 1")
+        for name in ("exemplar_k", "event_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class HypothesisPool:
@@ -260,7 +257,7 @@ def trace_to_records(trace: RefinementTrace, doc_id: str) -> list[dict]:
                 "confidence": record.hypothesis.confidence,
                 "attempt": record.attempt,
                 "code": record.code.raw_source,
-                "event": None if event is None else _event_payload(event),
+                "event": None if event is None else event_payload(event),
                 "verdict": record.result.verdict,
                 "diagnostic": None
                 if record.result.diagnostic is None
@@ -269,7 +266,3 @@ def trace_to_records(trace: RefinementTrace, doc_id: str) -> list[dict]:
         )
     records.append({"doc_id": doc_id, "outcome": trace.outcome})
     return records
-
-
-def _event_payload(event: EventObject) -> dict:
-    return json.loads(serialize_event(event))

@@ -35,6 +35,7 @@ from .schemas import EventSchema, Multiplicity, SCALAR_TYPE_NAMES, ValueType
 
 MODE_STRICT = "strict"
 MODE_LLM = "llm"
+MODES = (MODE_STRICT, MODE_LLM)
 
 _WORD_RE = re.compile(r"[^\W_]+")
 
@@ -195,15 +196,12 @@ def verify(
     _require_mode(mode)
     if code.failure is not None:
         return VerificationResult(False, check_structure(code))
-    for check in (
-        lambda: check_semantic(code, text, mode=mode, backend=backend),
-        lambda: check_types(code, schema),
-        lambda: check_structure(code),
-    ):
-        diagnostic = check()
-        if diagnostic is not None:
-            return VerificationResult(False, diagnostic)
-    return VerificationResult(True)
+    diagnostic = (
+        check_semantic(code, text, mode=mode, backend=backend)
+        or check_types(code, schema)
+        or check_structure(code)
+    )
+    return VerificationResult(diagnostic is None, diagnostic)
 
 
 def _require_parsed(code: CodeObject) -> None:
@@ -212,5 +210,5 @@ def _require_parsed(code: CodeObject) -> None:
 
 
 def _require_mode(mode: str) -> None:
-    if mode not in (MODE_STRICT, MODE_LLM):
+    if mode not in MODES:
         raise ValueError(f"unknown verification mode {mode!r}; expected '{MODE_STRICT}' or '{MODE_LLM}'")

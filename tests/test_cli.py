@@ -1,13 +1,16 @@
 """Command-line behavior: configuration precedence, subcommands, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
 from conftest import script
 from eventagents import EventSchema, RoleSpec
-from eventagents.cli import main
+from eventagents.backends import BackendConfig
+from eventagents.cli import RunConfig, main
 from eventagents.prompts import coding_prompt, planning_prompt, retrieval_prompt
+from eventagents.refine import PipelineConfig
 
 SCHEMA = EventSchema(
     "PatchVulnerability",
@@ -189,6 +192,71 @@ class TestConfigResolution:
         code, out, _ = run_cli(capsys, "extract", "--print-config")
         assert code == 0
         assert json.loads(out)["ontology"] is None
+
+    # Every run-configuration field: its key path in --print-config (and
+    # in the config file) and a valid non-default value.
+    FIELDS = [
+        ("ontology", ("ontology",), "o.json"),
+        ("corpus", ("corpus",), "c.jsonl"),
+        ("out", ("out",), "p.jsonl"),
+        ("backend_endpoint", ("backend", "endpoint"), "http://example.test:9000/v1"),
+        ("model", ("backend", "model"), "other-model"),
+        ("temperature", ("backend", "temperature"), 0.25),
+        ("max_tokens", ("backend", "max_tokens"), 77),
+        ("api_key_env", ("backend", "api_key_env"), "LLM_KEY"),
+        ("timeout", ("backend", "timeout"), 12.5),
+        ("retries", ("backend", "retries"), 4),
+        ("exemplar_k", ("exemplar_k",), 2),
+        ("hypothesis_k", ("hypothesis_k",), 4),
+        ("patch_attempts", ("patch_attempts",), 5),
+        ("mode", ("mode",), "llm"),
+        ("workers", ("workers",), 3),
+        ("seed", ("seed",), 7),
+        ("runs", ("runs",), 2),
+        ("sample", ("sample",), 10),
+        ("scripted_fixture", ("scripted_fixture",), "f.json"),
+        ("multi_event", ("multi_event",), True),
+        ("event_cap", ("event_cap",), 2),
+    ]
+    FILE_ONLY = {"multi_event", "event_cap"}
+
+    @pytest.mark.parametrize("name, path, value", FIELDS, ids=[f[0] for f in FIELDS])
+    def test_each_field_is_set_by_flag_environment_and_file(
+        self, capsys, monkeypatch, tmp_path, name, path, value
+    ):
+        def lookup(data):
+            for key in path:
+                data = data[key]
+            return data
+
+        flag = "--" + name.replace("_", "-")
+        env_name = "EVENTAGENTS_" + name.upper()
+        default = lookup(self.print_config(capsys))
+        assert default != value
+
+        nested = value
+        for key in reversed(path):
+            nested = {key: nested}
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(nested))
+        assert lookup(self.print_config(capsys, "--config", str(config_path))) == value
+
+        monkeypatch.setenv(env_name, str(value))
+        if name in self.FILE_ONLY:
+            assert lookup(self.print_config(capsys)) == default
+            code, _, _ = run_cli(capsys, "extract", "--print-config", flag, str(value))
+            assert code == 2
+        else:
+            assert lookup(self.print_config(capsys)) == value
+            monkeypatch.delenv(env_name)
+            assert lookup(self.print_config(capsys, flag, str(value))) == value
+
+    def test_all_fields_are_covered(self):
+        assert [f[0] for f in self.FIELDS] == [f.name for f in dataclasses.fields(RunConfig)]
+
+    def test_run_defaults_build_default_backend_and_pipeline(self):
+        assert RunConfig().backend_config() == BackendConfig()
+        assert RunConfig().pipeline_config() == PipelineConfig()
 
 
 class TestStats:
