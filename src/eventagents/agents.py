@@ -191,7 +191,7 @@ def run_planning_agent(
     backend,
     text: str,
     schemas: Sequence[EventSchema] | SchemaRegistry,
-    exemplars: Sequence[ExemplarSet] = (),
+    exemplar_sentences: Sequence[str] = (),
     hypothesis_k: int = 3,
 ) -> list[TriggerHypothesis]:
     """Produce the ranked hypothesis list for one document.
@@ -206,11 +206,10 @@ def run_planning_agent(
         raise ValueError("text must be non-empty")
     if hypothesis_k < 1:
         raise ValueError("hypothesis_k must be >= 1")
-    sentences = flatten_exemplars(exemplars)
-    reply = backend.complete(planning_prompt(text, schemas, sentences))
+    reply = backend.complete(planning_prompt(text, schemas, exemplar_sentences))
     hypotheses = _parse_planning_reply(reply, text)
     if hypotheses is None:
-        reply = backend.complete(planning_retry_prompt(text, schemas, sentences))
+        reply = backend.complete(planning_retry_prompt(text, schemas, exemplar_sentences))
         hypotheses = _parse_planning_reply(reply, text)
         if hypotheses is None:
             raise PlanningError(

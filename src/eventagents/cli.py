@@ -27,14 +27,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence, get_args, get_type_hints
 
-from .agents import ExemplarCache, run_retrieval_agent
 from .backends import BackendConfig, HttpBackend, ScriptedBackend, load_scripted_fixture
 from .corpus import Document, dataset_stats, load_corpus, sample_split
 from .errors import ConfigError, EventAgentsError
 from .events import EventObject, event_payload, parse_event_code
-from .metrics import EvaluationError, MetricsReport, mean_of_reports, score
-from .refine import PipelineConfig, extract_document, trace_to_records
-from .schemas import EventSchema, SchemaRegistry, load_ontology, render_schema_as_code
+from .metrics import EvaluationError, MetricsReport, mean_of_reports, mean_table, score
+from .refine import PipelineConfig, build_run_context, extract_document, trace_to_records
+from .schemas import SchemaRegistry, load_ontology, render_schema_as_code
 from .verify import MODES
 
 
@@ -114,8 +113,13 @@ def _value_type(hint) -> type:
 # Each field's value type (int, float, str or bool), from its annotation.
 _TYPES = {name: _value_type(hint) for name, hint in get_type_hints(RunConfig).items()}
 
+# The fields annotated ``X | None``: the only ones a config file may set to null.
+_NULLABLE = {name for name, hint in get_type_hints(RunConfig).items() if type(None) in get_args(hint)}
+
 
 def _check_file_value(key: str, field_name: str, value):
+    if value is None and field_name in _NULLABLE:
+        return value
     kind = _TYPES[field_name]
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -126,7 +130,7 @@ def _check_file_value(key: str, field_name: str, value):
     elif kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"config file key {key!r} must be a boolean")
-    elif value is not None and not isinstance(value, str):
+    elif not isinstance(value, str):
         raise ConfigError(f"config file key {key!r} must be a string")
     return value
 
@@ -295,32 +299,28 @@ def _run_documents(
 ):
     """Extract every document, in corpus order; failures become values.
 
-    The exemplar cache is warmed first, one retrieval task per schema on
-    the same workers; a retrieval failure there aborts the run.  A
-    document whose extraction raises is skipped with a logged warning;
-    the run continues.
+    The run context is built first, one retrieval task per schema on the
+    same workers; a retrieval failure there aborts the run.  A document
+    whose extraction raises is skipped with a logged warning; the run
+    continues.
     """
-    cache = ExemplarCache()
 
-    def warm(schema: EventSchema):
-        # One task per schema: its exemplar_k calls share a fingerprint
-        # and stay in order, so scripted reply lists replay the same way.
-        return cache.get_or_create(schema, lambda: run_retrieval_agent(backend, schema, pipeline.exemplar_k))
+    def run(map):
+        context = build_run_context(registry, backend, pipeline.exemplar_k, map=map)
 
-    def one(doc: Document):
-        try:
-            return extract_document(doc.text, registry, pipeline, backend, exemplar_cache=cache)
-        except EventAgentsError as exc:
-            print(f"run {run_index}: document {doc.id} skipped: {exc}", file=sys.stderr)
-            return exc
+        def one(doc: Document):
+            try:
+                return extract_document(doc.text, registry, pipeline, backend, context=context)
+            except EventAgentsError as exc:
+                print(f"run {run_index}: document {doc.id} skipped: {exc}", file=sys.stderr)
+                return exc
+
+        return list(map(one, documents))
 
     if workers <= 1:
-        for schema in registry:
-            warm(schema)
-        return [one(doc) for doc in documents]
+        return run(map)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(warm, registry))
-        return list(pool.map(one, documents))
+        return run(pool.map)
 
 
 def _load_predictions(path: str) -> dict[str, list[EventObject]]:
@@ -367,18 +367,13 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
         if len(reports) > 1:
             print(f"# {path}")
         print(report.as_table())
-    if len(reports) > 1:
-        mean = mean_of_reports(reports)
-        print(f"# mean over {len(reports)} runs")
-        print(f"{'Metric':<8}{'Precision':>10}{'Recall':>10}{'F1':>10}")
-        for name in ("TI", "TC", "AI", "AC"):
-            row = mean[name]
-            print(f"{name:<8}{row['precision']:>10.4f}{row['recall']:>10.4f}{row['f1']:>10.4f}")
-
     if len(reports) == 1:
         document = reports[0].as_dict()
     else:
-        document = {"runs": [report.as_dict() for report in reports], "mean": mean_of_reports(reports)}
+        mean = mean_of_reports(reports)
+        print(f"# mean over {len(reports)} runs")
+        print(mean_table(mean))
+        document = {"runs": [report.as_dict() for report in reports], "mean": mean}
     rendered = json.dumps(document, indent=2)
     if config.out:
         Path(config.out).write_text(rendered + "\n", encoding="utf-8")

@@ -42,6 +42,13 @@ class MetricScores:
     num_correct: int
 
 
+_SCORE_HEADER = f"{'Metric':<8}{'Precision':>10}{'Recall':>10}{'F1':>10}"
+
+
+def _score_row(name: str, precision: float, recall: float, f1: float) -> str:
+    return f"{name:<8}{precision:>10.4f}{recall:>10.4f}{f1:>10.4f}"
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     ti: MetricScores
@@ -53,13 +60,11 @@ class MetricsReport:
         return {name: vars(scores) for name, scores in self._rows()}
 
     def as_table(self) -> str:
-        lines = [
-            f"{'Metric':<8}{'Precision':>10}{'Recall':>10}{'F1':>10}{'Pred':>8}{'Gold':>8}{'Correct':>9}"
-        ]
+        lines = [_SCORE_HEADER + f"{'Pred':>8}{'Gold':>8}{'Correct':>9}"]
         for name, s in self._rows():
             lines.append(
-                f"{name:<8}{s.precision:>10.4f}{s.recall:>10.4f}{s.f1:>10.4f}"
-                f"{s.num_pred:>8}{s.num_gold:>8}{s.num_correct:>9}"
+                _score_row(name, s.precision, s.recall, s.f1)
+                + f"{s.num_pred:>8}{s.num_gold:>8}{s.num_correct:>9}"
             )
         return "\n".join(lines)
 
@@ -157,3 +162,9 @@ def mean_of_reports(reports: Sequence[MetricsReport]) -> dict:
             for key in ("precision", "recall", "f1")
         }
     return out
+
+
+def mean_table(mean: Mapping[str, Mapping[str, float]]) -> str:
+    """The :func:`mean_of_reports` result in :meth:`MetricsReport.as_table`'s
+    layout, without the count columns."""
+    return "\n".join([_SCORE_HEADER] + [_score_row(name, **row) for name, row in mean.items()])

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .agents import (
     ExemplarCache,
     ExemplarSet,
+    JudgeResult,
     TriggerHypothesis,
+    flatten_exemplars,
     run_coding_agent,
     run_planning_agent,
     run_retrieval_agent,
@@ -140,16 +142,21 @@ def refine(
     config: RefinementConfig,
     backend,
     trace: RefinementTrace | None = None,
+    judge_memo: dict[tuple[str, str], JudgeResult] | None = None,
 ) -> EventObject | ExtractionFailed:
     """Run the dual loop until an event verifies or the pool runs out.
 
     Hypotheses whose event type is not in the registry are consumed
     without costing any coding calls.  Backend failures abort with the
     partial trace attached to the exception, which is an operational
-    error distinct from ExtractionFailed.
+    error distinct from ExtractionFailed.  ``judge_memo`` holds the
+    semantic judge's answers for ``text`` (see :func:`verify`); without
+    one, each call starts a fresh memo.
     """
     if trace is None:
         trace = RefinementTrace()
+    if judge_memo is None:
+        judge_memo = {}
     hypotheses_tried = 0
     while not pool.is_empty() and hypotheses_tried < config.hypothesis_k:
         hypothesis = select_best(pool)
@@ -168,7 +175,7 @@ def refine(
                     backend, hypothesis, schema, text, diagnostic=diagnostic_line
                 )
                 code = parse_event_code(code_text, registry=registry, origin_hypothesis=hypothesis)
-                result = verify(code, text, schema, mode=config.mode, backend=backend)
+                result = verify(code, text, schema, mode=config.mode, backend=backend, judge_memo=judge_memo)
             except EventAgentsError as exc:
                 trace.outcome = "aborted"
                 exc.trace = trace
@@ -183,36 +190,66 @@ def refine(
     return ExtractionFailed(trace)
 
 
+@dataclass(frozen=True)
+class RunContext:
+    """What every document of a run shares, built once per run."""
+
+    exemplars: tuple[ExemplarSet, ...]  # in registry order
+    sentences: tuple[str, ...]  # the exemplar sentences, flattened
+    warnings: tuple[str, ...]  # one per schema whose retrieval came back empty
+
+
+def build_run_context(
+    registry: SchemaRegistry,
+    backend,
+    exemplar_k: int,
+    map: Callable = map,
+) -> RunContext:
+    """Retrieve every schema's exemplars and assemble the run context.
+
+    ``map`` runs one retrieval task per schema; pass an executor's
+    ``map`` to retrieve schemas concurrently.  Each task keeps its
+    schema's ``exemplar_k`` calls in order, so scripted reply lists
+    replay the same way at any concurrency.  A retrieval failure raises.
+    """
+    cache = ExemplarCache()
+
+    def retrieve(schema):
+        return cache.get_or_create(schema, lambda: run_retrieval_agent(backend, schema, exemplar_k))
+
+    exemplars = tuple(map(retrieve, registry))
+    return RunContext(
+        exemplars,
+        flatten_exemplars(exemplars),
+        tuple(exemplar_set.warning for exemplar_set in exemplars if exemplar_set.warning),
+    )
+
+
 def extract_document(
     text: str,
     registry: SchemaRegistry,
     config: PipelineConfig,
     backend,
-    exemplar_cache: ExemplarCache | None = None,
+    context: RunContext | None = None,
 ) -> tuple[list[EventObject], RefinementTrace]:
-    """Full per-document pipeline: retrieval, planning, refinement.
+    """Full per-document pipeline: planning and refinement.
 
+    ``context`` comes from :func:`build_run_context` over the same
+    registry; without one, retrieval runs first for this document alone.
     Returns at most one event unless the multi-event extension is on, in
     which case refinement re-runs with accepted (trigger, type) pairs
     excluded until the pool empties or the event cap is reached.  Empty
-    planning output is a normal empty extraction, not an error.
+    planning output is a normal empty extraction, not an error.  The
+    semantic judge is asked each (trigger, event type) question at most
+    once per call.
     """
     if len(registry) == 0:
         raise EventAgentsError("no schemas loaded")
-    cache = exemplar_cache if exemplar_cache is not None else ExemplarCache()
-    exemplars: list[ExemplarSet] = []
-    for schema in registry:
-        exemplars.append(
-            cache.get_or_create(
-                schema, lambda s=schema: run_retrieval_agent(backend, s, config.exemplar_k)
-            )
-        )
-    trace = RefinementTrace()
-    for exemplar_set in exemplars:
-        if exemplar_set.warning:
-            trace.notes.append(exemplar_set.warning)
+    if context is None:
+        context = build_run_context(registry, backend, config.exemplar_k)
+    trace = RefinementTrace(notes=list(context.warnings))
     hypotheses = run_planning_agent(
-        backend, text, registry, exemplars, hypothesis_k=config.hypothesis_k
+        backend, text, registry, context.sentences, hypothesis_k=config.hypothesis_k
     )
     if not hypotheses:
         trace.notes.append("planning produced no hypotheses")
@@ -220,8 +257,9 @@ def extract_document(
         return [], trace
     pool = HypothesisPool(hypotheses)
     events: list[EventObject] = []
+    judge_memo: dict[tuple[str, str], JudgeResult] = {}
     while True:
-        outcome = refine(pool, text, registry, config, backend, trace=trace)
+        outcome = refine(pool, text, registry, config, backend, trace=trace, judge_memo=judge_memo)
         if isinstance(outcome, ExtractionFailed):
             break
         events.append(outcome)

@@ -87,8 +87,13 @@ def check_semantic(
     text: str,
     mode: str = MODE_STRICT,
     backend=None,
+    judge_memo: dict | None = None,
 ) -> Diagnostic | None:
-    """T1: trigger occurrence, plus the compatibility judge in llm mode."""
+    """T1: trigger occurrence, plus the compatibility judge in llm mode.
+
+    ``judge_memo`` maps (trigger, event type) to the judge's answer for
+    this ``text``; a question already in it is not asked again.
+    """
     _require_parsed(code)
     _require_mode(mode)
     event = code.parsed
@@ -99,8 +104,11 @@ def check_semantic(
             raise EventAgentsError("llm mode requires a backend for the semantic judge")
         from .agents import judge_semantic_compat
 
-        outcome = judge_semantic_compat(backend, event.trigger, event.event_type, text)
-        if not outcome.compatible:
+        memo = {} if judge_memo is None else judge_memo
+        key = (event.trigger, event.event_type)
+        if key not in memo:
+            memo[key] = judge_semantic_compat(backend, event.trigger, event.event_type, text)
+        if not memo[key].compatible:
             return Diagnostic(
                 "T1",
                 f"trigger {event.trigger!r} judged not semantically compatible with event type {event.event_type!r}",
@@ -186,18 +194,20 @@ def verify(
     schema: EventSchema,
     mode: str = MODE_STRICT,
     backend=None,
+    judge_memo: dict | None = None,
 ) -> VerificationResult:
     """Run T1, T2, T3 in order and stop at the first failure.
 
     Unparsed source returns a T3 diagnostic immediately.  In llm mode a
     backend failure during the judge call propagates as an exception; it
-    is an operational problem, not a verdict.
+    is an operational problem, not a verdict.  ``judge_memo`` is passed
+    to :func:`check_semantic`.
     """
     _require_mode(mode)
     if code.failure is not None:
         return VerificationResult(False, check_structure(code))
     diagnostic = (
-        check_semantic(code, text, mode=mode, backend=backend)
+        check_semantic(code, text, mode=mode, backend=backend, judge_memo=judge_memo)
         or check_types(code, schema)
         or check_structure(code)
     )

@@ -167,6 +167,10 @@ class TestConfigResolution:
             ({"runs": True}, "config file key 'runs' must be an integer"),
             ({"multi_event": "yes"}, "config file key 'multi_event' must be a boolean"),
             ({"mode": 3}, "config file key 'mode' must be a string"),
+            ({"mode": None}, "config file key 'mode' must be a string"),
+            ({"runs": None}, "config file key 'runs' must be an integer"),
+            ({"backend": {"model": None}}, "config file key 'backend.model' must be a string"),
+            ({"backend": {"endpoint": None}}, "config file key 'backend.endpoint' must be a string"),
         ],
     )
     def test_config_file_validation(self, capsys, tmp_path, payload, fragment):
@@ -175,6 +179,24 @@ class TestConfigResolution:
         code, _, err = run_cli(capsys, "extract", "--print-config", "--config", str(config_path))
         assert code == 2
         assert fragment in err
+
+    def test_null_is_accepted_for_optional_fields(self, capsys, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"sample": None, "corpus": None, "backend": {"api_key_env": None}}))
+        data = self.print_config(capsys, "--config", str(config_path), "--sample", "4")
+        assert data["sample"] == 4  # the flag still wins
+        data = self.print_config(capsys, "--config", str(config_path))
+        assert data["sample"] is None and data["corpus"] is None
+        assert data["backend"]["api_key_env"] is None
+
+    @pytest.mark.parametrize("argv", [(), ("--sample", "4", "--mode", "llm", "--api-key-env", "LLM_KEY")])
+    def test_print_config_round_trips_through_config_file(self, capsys, tmp_path, argv):
+        printed = run_cli(capsys, "extract", "--print-config", *argv)[1]
+        config_path = tmp_path / "run.json"
+        config_path.write_text(printed)
+        code, reprinted, err = run_cli(capsys, "extract", "--print-config", "--config", str(config_path))
+        assert code == 0, err
+        assert reprinted == printed
 
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -385,6 +407,28 @@ PERFECT_EVENT = {
     "arguments": {"time": ["Tuesday"]},
 }
 
+# The whole standard output of a two-file eval with --out, byte for byte.
+EVAL_GOLDEN = """\
+# {run1}
+Metric   Precision    Recall        F1    Pred    Gold  Correct
+TI          0.5000    1.0000    0.6667       2       1        1
+TC          0.5000    1.0000    0.6667       2       1        1
+AI          0.5000    1.0000    0.6667       2       1        1
+AC          0.5000    1.0000    0.6667       2       1        1
+# {run2}
+Metric   Precision    Recall        F1    Pred    Gold  Correct
+TI          1.0000    1.0000    1.0000       1       1        1
+TC          1.0000    1.0000    1.0000       1       1        1
+AI          0.5000    1.0000    0.6667       2       1        1
+AC          0.5000    1.0000    0.6667       2       1        1
+# mean over 2 runs
+Metric   Precision    Recall        F1
+TI          0.7500    1.0000    0.8333
+TC          0.7500    1.0000    0.8333
+AI          0.5000    1.0000    0.6667
+AC          0.5000    1.0000    0.6667
+"""
+
 
 class TestEval:
     def test_single_run_table_and_json(self, capsys, tmp_path):
@@ -427,6 +471,18 @@ class TestEval:
         report = json.loads(out_path.read_text())
         assert len(report["runs"]) == 2
         assert report["mean"]["TI"]["f1"] == 0.5
+
+    def test_two_run_stdout_is_golden(self, capsys, tmp_path):
+        gold = gold_eval_corpus(tmp_path)
+        wrong = {"event_type": "PatchVulnerability", "trigger": "vulnerability", "arguments": {"time": ["Monday"]}}
+        extra_role = dict(PERFECT_EVENT, arguments={"time": ["Tuesday"], "cve": ["CVE-1"]})
+        run1 = write_predictions(tmp_path, "run1.jsonl", {"d1": [PERFECT_EVENT, wrong]})
+        run2 = write_predictions(tmp_path, "run2.jsonl", {"d1": [extra_role]})
+        code, out, _ = run_cli(
+            capsys, "eval", run1, run2, "--corpus", gold, "--out", str(tmp_path / "report.json")
+        )
+        assert code == 0
+        assert out == EVAL_GOLDEN.format(run1=run1, run2=run2)
 
     def test_empty_predictions_for_missing_docs(self, capsys, tmp_path):
         gold = gold_eval_corpus(tmp_path)

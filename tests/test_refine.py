@@ -1,5 +1,7 @@
 """The dual-loop search: selection order, patching, backtracking, budget."""
 
+from collections import Counter
+
 import pytest
 
 from conftest import script
@@ -7,7 +9,6 @@ from eventagents import (
     BackendError,
     EventAgentsError,
     EventObject,
-    ExemplarCache,
     ExtractionFailed,
     HypothesisPool,
     PipelineConfig,
@@ -20,8 +21,11 @@ from eventagents import (
     refine,
     select_best,
 )
-from eventagents.prompts import coding_prompt, planning_prompt, retrieval_prompt
-from eventagents.refine import trace_to_records
+from eventagents.agents import ExemplarCache
+from eventagents.cli import _run_documents
+from eventagents.corpus import Document
+from eventagents.prompts import coding_prompt, judge_prompt, planning_prompt, retrieval_prompt
+from eventagents.refine import build_run_context, trace_to_records
 
 VALID_REPLY = 'PatchVulnerability(mention="patched", time=["Tuesday"])'
 BROKEN_REPLY = 'PatchVulnerability(mention="patched", vulnerable_system=[1234])'
@@ -419,9 +423,9 @@ class TestExtractDocument:
             [("patched", VALID_REPLY, "")],
         )
         backend = ScriptedBackend(fixture)
-        cache = ExemplarCache()
-        extract_document(tuesday_text, patch_registry, self.config(), backend, cache)
-        extract_document(tuesday_text, patch_registry, self.config(), backend, cache)
+        context = build_run_context(patch_registry, backend, exemplar_k=1)
+        extract_document(tuesday_text, patch_registry, self.config(), backend, context=context)
+        extract_document(tuesday_text, patch_registry, self.config(), backend, context=context)
         retrievals = [c for c in backend.calls if c.template_id == "retrieval"]
         assert len(retrievals) == 1
 
@@ -469,6 +473,197 @@ class TestExtractDocument:
         )
         events, _ = extract_document(tuesday_text, patch_registry, self.config(), backend)
         assert len(events) == 1
+
+
+def template_counts(backend) -> Counter:
+    return Counter(call.template_id for call in backend.calls)
+
+
+def judge(trigger, text, reply, event_type="PatchVulnerability"):
+    return (judge_prompt(trigger, event_type, text), reply)
+
+
+class TestJudgeMemo:
+    """In llm mode the judge is asked each (trigger, event type) once per document."""
+
+    REJECTED = (
+        "[T1] trigger 'patched' judged not semantically compatible with event type "
+        "'PatchVulnerability' (at patched)"
+    )
+
+    def config(self, **kwargs):
+        return RefinementConfig(mode="llm", **kwargs)
+
+    def coding(self, schema, text, trigger, reply, diagnostic=""):
+        return (coding_prompt(schema, trigger, text, diagnostic=diagnostic), reply)
+
+    def test_rejected_trigger_is_judged_once_over_all_attempts(
+        self, patch_registry, patchvuln_schema, tuesday_text
+    ):
+        backend = ScriptedBackend(
+            script(
+                self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY),
+                self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY, diagnostic=self.REJECTED),
+                judge("patched", tuesday_text, "no"),
+            )
+        )
+        trace = RefinementTrace()
+        outcome = refine(
+            HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace
+        )
+        assert isinstance(outcome, ExtractionFailed)
+        assert [a.result.diagnostic.as_line() for a in trace.attempts] == [self.REJECTED] * 3
+        assert template_counts(backend) == {"coding": 3, "semantic_judge": 1}
+
+    def test_type_patch_reuses_the_judge_answer(self, patch_registry, patchvuln_schema, tuesday_text):
+        backend = ScriptedBackend(
+            script(
+                self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY),
+                self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY, diagnostic=BROKEN_DIAGNOSTIC),
+                judge("patched", tuesday_text, "yes"),
+            )
+        )
+        trace = RefinementTrace()
+        outcome = refine(
+            HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace
+        )
+        assert isinstance(outcome, EventObject)
+        assert trace.attempts[0].result.diagnostic.as_line() == BROKEN_DIAGNOSTIC
+        assert template_counts(backend) == {"coding": 2, "semantic_judge": 1}
+
+    def test_memo_is_shared_only_when_passed(self, patch_registry, patchvuln_schema, tuesday_text):
+        fixture = script(
+            self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY),
+            judge("patched", tuesday_text, "yes"),
+        )
+
+        def two_refines(**kwargs):
+            backend = ScriptedBackend(fixture)
+            for _ in range(2):
+                pool = HypothesisPool([hyp("patched")])
+                refine(pool, tuesday_text, patch_registry, self.config(), backend, **kwargs)
+            return template_counts(backend)["semantic_judge"]
+
+        memo = {}
+        assert two_refines(judge_memo=memo) == 1
+        assert list(memo) == [("patched", "PatchVulnerability")]
+        assert two_refines() == 2
+
+    def test_each_document_asks_the_judge(self, patch_registry, patchvuln_schema, tuesday_text):
+        fixture = single_schema_fixture(
+            patchvuln_schema,
+            tuesday_text,
+            TestExtractDocument.EXEMPLAR,
+            TestExtractDocument.PLANNING,
+            [("patched", VALID_REPLY, "")],
+        )
+        fixture.update(script(judge("patched", tuesday_text, "yes")))
+        backend = ScriptedBackend(fixture)
+        config = PipelineConfig(exemplar_k=1, mode="llm")
+        context = build_run_context(patch_registry, backend, exemplar_k=1)
+        for _ in range(2):
+            events, _ = extract_document(tuesday_text, patch_registry, config, backend, context=context)
+            assert [e.trigger for e in events] == ["patched"]
+        assert template_counts(backend) == {"retrieval": 1, "planning": 2, "coding": 2, "semantic_judge": 2}
+
+    def test_dual_loop_coding_calls_unchanged(self, patch_registry, patchvuln_schema, tuesday_text):
+        # Acceptance criterion 2's scenarios in llm mode: the coding-call
+        # accounting stays 4 and 9; each trigger is judged once.
+        schema, text = patchvuln_schema, tuesday_text
+        rescue = 'PatchVulnerability(mention="vulnerability", time=["Tuesday"])'
+        triggers = ["patched", "vulnerability", "company"]
+        judges = [judge(trigger, text, "yes") for trigger in triggers]
+        backend = ScriptedBackend(
+            script(
+                self.coding(schema, text, "patched", BROKEN_REPLY),
+                self.coding(schema, text, "patched", BROKEN_REPLY, diagnostic=BROKEN_DIAGNOSTIC),
+                self.coding(schema, text, "vulnerability", rescue),
+                *judges,
+            )
+        )
+        pool = HypothesisPool([hyp("patched", confidence=0.9), hyp("vulnerability", confidence=0.5)])
+        trace = RefinementTrace()
+        outcome = refine(pool, text, patch_registry, self.config(), backend, trace)
+        assert isinstance(outcome, EventObject) and outcome.trigger == "vulnerability"
+        assert trace.coding_calls == 4
+        assert template_counts(backend) == {"coding": 4, "semantic_judge": 2}
+
+        entries = []
+        for trigger in triggers:
+            entries.append(self.coding(schema, text, trigger, BROKEN_REPLY.replace('"patched"', f'"{trigger}"')))
+            entries.append(
+                self.coding(
+                    schema, text, trigger, BROKEN_REPLY.replace('"patched"', f'"{trigger}"'),
+                    diagnostic=BROKEN_DIAGNOSTIC,
+                )
+            )
+        backend = ScriptedBackend(script(*entries, *judges))
+        pool = HypothesisPool([hyp(t, confidence=0.9 - 0.1 * i) for i, t in enumerate(triggers)])
+        trace = RefinementTrace()
+        outcome = refine(pool, text, patch_registry, self.config(), backend, trace)
+        assert isinstance(outcome, ExtractionFailed)
+        assert trace.coding_calls == 9
+        assert template_counts(backend) == {"coding": 9, "semantic_judge": 3}
+
+
+RUN_TEXTS = (
+    "On Tuesday the company patched a vulnerability in its web server.",
+    "Hackers demanded a million dollar ransom after infiltrating the bank's servers on Friday.",
+    "The vendor patched its mail gateway overnight.",
+)
+
+# Planning fingerprints of RUN_TEXTS over the breach registry with
+# TestRunContext.EXEMPLARS, pinned: any drift in how the exemplar block
+# reaches the planning prompt changes them.
+RUN_PLANNING_FINGERPRINTS = (
+    "planning:14140026b5b4add692a8d0a17e9740dac1b0fb716daa0951c45528a656368887",
+    "planning:4b62209f8bea0074f62f771d8366f3d5459b2efcdff803372a1e1827b4367a02",
+    "planning:4676e392d22e38442820cb631dd5cb7ae4598cbb7920897aa10c3d02d8694a59",
+)
+
+
+class TestRunContext:
+    """The run's exemplars are retrieved once and shared by every document."""
+
+    EXEMPLARS = {
+        "Databreach": ["Thieves stole a customer database.", "A breach exposed records.", "Records leaked."],
+        "Ransom": ["Attackers demanded a ransom.", "The firm paid a ransom.", "A ransom note arrived."],
+    }
+
+    def test_context_contents(self, breach_registry):
+        pairs = [(retrieval_prompt(schema), self.EXEMPLARS[schema.event_type]) for schema in breach_registry]
+        pairs[1] = (pairs[1][0], "  ")
+        context = build_run_context(breach_registry, ScriptedBackend(script(*pairs)), exemplar_k=3)
+        assert [s.schema_ref.event_type for s in context.exemplars] == ["Databreach", "Ransom"]
+        assert context.sentences == tuple(self.EXEMPLARS["Databreach"])
+        assert context.warnings == ("retrieval produced no usable sentences for Ransom",)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_schema_is_fetched_once_per_run(self, monkeypatch, breach_registry, workers):
+        lookups = []
+        original = ExemplarCache.get_or_create
+
+        def counting(cache, schema, factory):
+            lookups.append(schema.event_type)
+            return original(cache, schema, factory)
+
+        monkeypatch.setattr(ExemplarCache, "get_or_create", counting)
+        pairs = [
+            (retrieval_prompt(schema), reply)
+            for schema in breach_registry
+            for reply in self.EXEMPLARS[schema.event_type]
+        ]
+        sentences = tuple(s for schema in breach_registry for s in self.EXEMPLARS[schema.event_type])
+        pairs += [(planning_prompt(text, breach_registry, sentences), "[]") for text in RUN_TEXTS]
+        backend = ScriptedBackend(script(*pairs))
+        documents = [Document(f"d{i}", text, ()) for i, text in enumerate(RUN_TEXTS)]
+
+        results = _run_documents(documents, breach_registry, PipelineConfig(), backend, workers, 1)
+
+        assert sorted(lookups) == ["Databreach", "Ransom"]
+        assert [trace.outcome for _, trace in results] == ["no-hypotheses"] * 3
+        planning = sorted(c.fingerprint() for c in backend.calls if c.template_id == "planning")
+        assert planning == sorted(RUN_PLANNING_FINGERPRINTS)
 
 
 class TestTraceRecords:
