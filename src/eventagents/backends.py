@@ -82,6 +82,8 @@ class BackendConfig:
         parts = _split_url(self.endpoint)
         if parts is None or parts.scheme not in ("http", "https"):
             raise ConfigError(f"backend endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
+        if not re.fullmatch(r"[!-~]+", self.endpoint):
+            raise ConfigError(f"backend endpoint must be printable ASCII without spaces, got {self.endpoint!r}")
         # Negated comparisons so that NaN fails them too.
         if not 0 <= self.temperature < math.inf:
             raise ConfigError("temperature must be a finite number >= 0")
@@ -129,17 +131,19 @@ class HttpBackend:
     """Client for an OpenAI-compatible chat-completions endpoint.
 
     Each thread keeps one persistent HTTP/1.1 connection, opened on its
-    first call; :meth:`close` closes them all.  A reused connection that
-    the server closed while idle is reopened and the request resent once
-    without counting an attempt.  Other connection failures and the
-    transient statuses (429/5xx) are retried up to the configured count
-    with exponential backoff; a 429 or 503 carrying ``Retry-After``
-    (seconds) waits at least that long, capped at the timeout.
-    Redirects are not followed.  ``http_proxy``, ``https_proxy`` and
-    ``no_proxy`` are read once, when the backend is created.  The
-    credential is read from the environment variable named in the
-    config; naming a variable that is unset is a configuration error
-    raised before any network traffic.
+    first call; :meth:`close` closes them all.  ``http.client`` only
+    opens a connection (TCP, proxy tunnel, TLS); each request goes out
+    in one write, and :func:`_read_response` frames the reply.  A reused
+    connection that the server closed while idle is reopened and the
+    request resent once without counting an attempt.  Other connection
+    failures and the transient statuses (429/5xx) are retried up to the
+    configured count with exponential backoff; a 429 or 503 carrying
+    ``Retry-After`` (seconds) waits at least that long, capped at the
+    timeout.  Redirects are not followed.  ``http_proxy``,
+    ``https_proxy`` and ``no_proxy`` are read once, when the backend is
+    created.  The credential is read from the environment variable named
+    in the config; naming a variable that is unset is a configuration
+    error raised before any network traffic.
     """
 
     def __init__(self, config: BackendConfig):
@@ -149,8 +153,11 @@ class HttpBackend:
         https = parts.scheme == "https"
         host, port = parts.hostname, parts.port or (443 if https else 80)
         self._address = (host, port)
-        self._target = parts.path + (f"?{parts.query}" if parts.query else "")
-        self._headers = {"Content-Type": "application/json"}
+        target = parts.path + (f"?{parts.query}" if parts.query else "")
+        authority = f"[{host}]" if ":" in host else host
+        if parts.port not in (None, 443 if https else 80):
+            authority += f":{port}"
+        fields = [f"Host: {authority}", "Accept-Encoding: identity", "Content-Type: application/json"]
         self._tunnel = None
         proxy = _proxy_for(parts.scheme, f"{host}:{port}")
         if proxy is not None:
@@ -163,15 +170,16 @@ class HttpBackend:
             if https:
                 self._tunnel = (host, port, proxy_headers)
             else:
-                self._target = self._url  # absolute-form request target
-                self._headers.update(proxy_headers)
+                target = self._url  # absolute-form request target
+                fields.extend(f"{name}: {value}" for name, value in proxy_headers.items())
+        self._head = "".join(f"{line}\r\n" for line in (f"POST {target} HTTP/1.1", *fields)).encode("ascii")
         self._ssl = ssl.create_default_context() if https else None
         self._local = threading.local()
-        self._connections: list[http.client.HTTPConnection] = []
+        self._connections: list[_Connection] = []
         self._lock = threading.Lock()
 
     def complete(self, request: PromptRequest) -> str:
-        headers = dict(self._headers)
+        head = self._head
         if self.config.api_key_env is not None:
             key = os.environ.get(self.config.api_key_env)
             if not key:
@@ -183,7 +191,7 @@ class HttpBackend:
                     f"credential environment variable {self.config.api_key_env!r} holds characters "
                     "that cannot be sent in an HTTP header"
                 )
-            headers["Authorization"] = f"Bearer {key}"
+            head += f"Authorization: Bearer {key}\r\n".encode("ascii")
         payload = {
             "model": self.config.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
@@ -191,6 +199,7 @@ class HttpBackend:
             "max_tokens": self.config.max_tokens,
         }
         body = json.dumps(payload).encode("utf-8")
+        message = b"%sContent-Length: %d\r\n\r\n%s" % (head, len(body), body)
         connection = self._connection()
         attempts = self.config.retries + 1
         last_problem = "unknown failure"
@@ -200,20 +209,19 @@ class HttpBackend:
                 time.sleep(max(min(0.1 * (2 ** (attempt - 1)), 2.0), retry_after))
             retry_after = 0.0
             try:
-                response = self._post(connection, body, headers)
-                data = response.read()
+                status, headers, data = connection.exchange(message)
             except (OSError, http.client.HTTPException) as exc:
                 connection.close()
                 last_problem = f"transport failure: {exc}"
                 continue
-            if response.status in RETRYABLE_STATUSES:
-                last_problem = f"status {response.status}"
-                if response.status in _RETRY_AFTER_STATUSES:
-                    retry_after = _retry_after(response.getheader("Retry-After"), self.config.timeout)
+            if status in RETRYABLE_STATUSES:
+                last_problem = f"status {status}"
+                if status in _RETRY_AFTER_STATUSES:
+                    retry_after = _retry_after(headers.get("retry-after"), self.config.timeout)
                 continue
-            if response.status != 200:
+            if status != 200:
                 text = data.decode("utf-8", errors="replace")
-                raise BackendError(f"backend returned status {response.status}: {text[:200]}")
+                raise BackendError(f"backend returned status {status}: {text[:200]}")
             return _extract_content(data)
         raise BackendError(f"request to {self._url} failed after {attempts} attempts ({last_problem})")
 
@@ -223,38 +231,178 @@ class HttpBackend:
             for connection in self._connections:
                 connection.close()
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         """This thread's connection; it reconnects by itself once closed."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
             if self._ssl is not None:
-                connection = http.client.HTTPSConnection(
+                opener = http.client.HTTPSConnection(
                     *self._address, timeout=self.config.timeout, context=self._ssl
                 )
             else:
-                connection = http.client.HTTPConnection(*self._address, timeout=self.config.timeout)
+                opener = http.client.HTTPConnection(*self._address, timeout=self.config.timeout)
             if self._tunnel is not None:
                 host, port, proxy_headers = self._tunnel
-                connection.set_tunnel(host, port, headers=proxy_headers)
-            self._local.connection = connection
+                opener.set_tunnel(host, port, headers=proxy_headers)
+            connection = self._local.connection = _Connection(opener)
             with self._lock:
                 self._connections.append(connection)
         return connection
 
-    def _post(self, connection, body: bytes, headers: dict[str, str]) -> http.client.HTTPResponse:
-        reused = connection.sock is not None
+
+class _Connection:
+    """One thread's keep-alive connection.
+
+    ``opener`` connects (TCP, ``TCP_NODELAY``, a proxy's CONNECT tunnel,
+    TLS); after that this class sends each request as one write and reads
+    the reply through one buffered reader, open while ``reader`` is set.
+    """
+
+    def __init__(self, opener: http.client.HTTPConnection):
+        self.opener = opener
+        self.reader: IO[bytes] | None = None
+
+    def exchange(self, message: bytes) -> tuple[int, dict[str, str], bytes]:
+        """Send one request; the reply's status, headers and body."""
+        reused = self.reader is not None
         try:
-            connection.request("POST", self._target, body, headers)
-            return connection.getresponse()
+            line = self._send(message)
         # http.client.RemoteDisconnected is a ConnectionResetError.
         except (ConnectionResetError, BrokenPipeError):
             if not reused:
                 raise
-        # No response on a reused connection: the server closed it while
-        # it sat idle.  Resend once on a new one.
-        connection.close()
-        connection.request("POST", self._target, body, headers)
-        return connection.getresponse()
+            # No status line on a reused connection: the server closed it
+            # while it sat idle.  Resend once on a new one.
+            self.close()
+            line = self._send(message)
+        status, headers, body, keep_alive = _read_response(self.reader, line)
+        if not keep_alive:
+            self.close()
+        return status, headers, body
+
+    def close(self) -> None:
+        if self.reader is not None:
+            self.reader.close()
+            self.reader = None
+        self.opener.close()
+
+    def _send(self, message: bytes) -> bytes:
+        """Write ``message``, opening the connection first if need be; the
+        first status line of the reply."""
+        if self.reader is None:
+            self.opener.connect()
+            self.reader = self.opener.sock.makefile("rb")
+        self.opener.sock.sendall(message)
+        return _read_status_line(self.reader)
+
+
+# Response framing (RFC 9112), with the limits http.client applies.
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_MAX_READ = 1 << 20  # bytes asked of the reader at once, so a huge length allocates nothing up front
+_STATUS = re.compile(rb"(HTTP/1\.[0-9]+)[ \t]+([1-9][0-9]{2})(?:[ \t].*)?\r?\n?", re.DOTALL)
+_CONTENT_LENGTH = re.compile(r"[0-9]{1,18}")
+_CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,15}")
+_NO_BODY_STATUSES = frozenset({204, 304})
+
+
+def _read_line(reader: IO[bytes], what: str) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_status_line(reader: IO[bytes]) -> bytes:
+    line = _read_line(reader, "status line")
+    if not line:
+        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+    return line
+
+
+def _read_response(reader: IO[bytes], line: bytes) -> tuple[int, dict[str, str], bytes, bool]:
+    """Read the reply whose first status line is ``line``.
+
+    Returns the status, the headers (lower-cased names, first value
+    kept), the body, and whether the connection can carry another
+    request.  1xx interim replies are skipped.  Every framing fault
+    raises an ``http.client.HTTPException`` or an ``OSError``.
+    """
+    while True:
+        match = _STATUS.fullmatch(line)
+        if match is None:
+            raise http.client.BadStatusLine(repr(line[:100]))
+        status = int(match[2])
+        headers = _read_headers(reader)
+        if status >= 200:
+            break
+        line = _read_status_line(reader)
+    framed = True
+    if status in _NO_BODY_STATUSES:
+        body = b""
+    elif "transfer-encoding" in headers:
+        # Chunked framing wins over Content-Length (RFC 9112, section 6.3).
+        if headers["transfer-encoding"].rpartition(",")[2].strip().lower() == "chunked":
+            body = _read_chunked(reader)
+        else:
+            body, framed = reader.read(), False
+    elif "content-length" in headers:
+        length = headers["content-length"]
+        if not _CONTENT_LENGTH.fullmatch(length):
+            raise http.client.HTTPException(f"invalid Content-Length {length[:100]!r}")
+        body = _read_exact(reader, int(length))
+    else:
+        body, framed = reader.read(), False
+    keep_alive = (
+        framed
+        and match[1] != b"HTTP/1.0"
+        and "close" not in (token.strip().lower() for token in headers.get("connection", "").split(","))
+    )
+    return status, headers, body, keep_alive
+
+
+def _read_headers(reader: IO[bytes]) -> dict[str, str]:
+    """Header (or trailer) lines up to the blank line, at most ``_MAX_HEADERS``."""
+    headers: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _read_line(reader, "header line")
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            raise http.client.IncompleteRead(b"")
+        name, colon, value = line.partition(b":")
+        if colon:
+            headers.setdefault(name.strip().lower().decode("latin-1"), value.strip().decode("latin-1"))
+    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+
+
+def _read_chunked(reader: IO[bytes]) -> bytes:
+    """A chunked body; chunk extensions and the trailer are read and dropped."""
+    chunks = []
+    while True:
+        size = _read_line(reader, "chunk size").partition(b";")[0].strip()
+        if not _CHUNK_SIZE.fullmatch(size):
+            raise http.client.HTTPException(f"invalid chunk size {size[:100]!r}")
+        size = int(size, 16)
+        if not size:
+            break
+        chunks.append(_read_exact(reader, size))
+        if _read_exact(reader, 2) != b"\r\n":
+            raise http.client.HTTPException("chunk data not followed by CRLF")
+    _read_headers(reader)
+    return b"".join(chunks)
+
+
+def _read_exact(reader: IO[bytes], size: int) -> bytes:
+    """``size`` bytes; fewer before EOF is an ``IncompleteRead``."""
+    parts = []
+    while size:
+        part = reader.read(min(size, _MAX_READ))
+        if not part:
+            raise http.client.IncompleteRead(b"".join(parts), size)
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
 
 
 def _proxy_for(scheme: str, host: str) -> urllib.parse.SplitResult | None:

@@ -266,12 +266,17 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
 
         pred_path = _run_path(config.out, run_index, config.runs)
         trace_path = _trace_path(pred_path)
-        events_written = 0
+        events_written = skipped = 0
         with open(pred_path, "w", encoding="utf-8", newline="\n") as pred_file, open(
             trace_path, "w", encoding="utf-8", newline="\n"
         ) as trace_file:
             for doc, outcome in zip(documents, results):
                 if isinstance(outcome, EventAgentsError):
+                    skipped += 1
+                    # refine attaches the partial trace of a document it aborted.
+                    if hasattr(outcome, "trace"):
+                        for record in trace_to_records(outcome.trace, doc.id):
+                            trace_file.write(json.dumps(record, ensure_ascii=False) + "\n")
                     trace_file.write(
                         json.dumps({"doc_id": doc.id, "note": f"document skipped: {outcome}"}) + "\n"
                     )
@@ -285,7 +290,8 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
                 pred_file.write(json.dumps(payload, ensure_ascii=False) + "\n")
                 for record in trace_to_records(trace, doc.id):
                     trace_file.write(json.dumps(record, ensure_ascii=False) + "\n")
-        print(f"run {run_index}: {len(documents)} documents, {events_written} events -> {pred_path}")
+        skips = f", {skipped} skipped" if skipped else ""
+        print(f"run {run_index}: {len(documents)} documents, {events_written} events{skips} -> {pred_path}")
     return 0
 
 

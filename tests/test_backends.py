@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -14,6 +15,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eventagents
 from eventagents import (
@@ -424,6 +427,237 @@ class TestTransport:
         assert result.returncode == 0
 
 
+class _RawServer:
+    """Loopback server that answers with scripted bytes.
+
+    ``script`` holds one list per connection, in accept order: the
+    replies to that connection's requests, one per request read.  After
+    its last reply the server closes the connection; an empty reply
+    closes it without answering.  Connections beyond the script are
+    closed at once.  ``requests`` records each request's raw bytes and
+    ``accepted`` counts connections.
+    """
+
+    def __init__(self, host="127.0.0.1"):
+        self.script = []
+        self.requests = []
+        self.accepted = 0
+        self._listener = socket.create_server((host, 0), family=socket.AF_INET6 if ":" in host else socket.AF_INET)
+        self._listener.settimeout(0.01)
+        self.port = self._listener.getsockname()[1]
+        self.endpoint = f"http://{f'[{host}]' if ':' in host else host}:{self.port}/v1"
+        self._stopped = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stopped.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            self.accepted += 1
+            replies = self.script.pop(0) if self.script else []
+            with conn, conn.makefile("rb") as reader:
+                conn.settimeout(5)
+                for reply in replies:
+                    request = self._read_request(reader)
+                    if request is None:
+                        break
+                    self.requests.append(request)
+                    if not reply:
+                        break
+                    conn.sendall(reply)
+
+    @staticmethod
+    def _read_request(reader):
+        head = b""
+        while not head.endswith(b"\r\n\r\n"):
+            line = reader.readline()
+            if not line:
+                return None
+            head += line
+        length = next(
+            (int(line.split(b":")[1]) for line in head.split(b"\r\n") if line.lower().startswith(b"content-length:")),
+            0,
+        )
+        return head + reader.read(length)
+
+    def stop(self):
+        self._stopped.set()
+        self._thread.join(timeout=5)
+        self._listener.close()
+
+
+@pytest.fixture
+def raw_server():
+    server = _RawServer()
+    yield server
+    server.stop()
+
+
+def ok_reply(content="ok", version=b"HTTP/1.1", reason=b" OK", headers=b""):
+    body = completion_body(content).encode("utf-8")
+    return b"%s 200%s\r\n%sContent-Length: %d\r\n\r\n%s" % (version, reason, headers, len(body), body)
+
+
+def chunked_reply(content):
+    body = completion_body(content).encode("utf-8")
+    return (
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n"
+        + b"%x;name=value\r\n%s\r\n" % (10, body[:10])
+        + b"%x\r\n%s\r\n" % (len(body) - 10, body[10:])
+        + b"0\r\nX-Trailer: t\r\n\r\n"
+    )
+
+
+class TestResponseFraming:
+    """The request writer and response reader, byte for byte."""
+
+    def backend(self, server, **kwargs):
+        return HttpBackend(BackendConfig(endpoint=server.endpoint, retries=0, timeout=2, **kwargs))
+
+    def test_chunked_reply_with_extension_and_trailer(self, raw_server):
+        # Chunked framing wins over Content-Length; the second reply on the
+        # same connection shows the reader stopped exactly at the trailer's end.
+        raw_server.script = [[chunked_reply("chunked"), ok_reply("after")]]
+        backend = self.backend(raw_server)
+        assert [backend.complete(make_request()) for _ in range(2)] == ["chunked", "after"]
+        backend.close()
+        assert raw_server.accepted == 1
+
+    def test_connection_close_opens_a_fresh_connection_without_a_resend(self, raw_server):
+        # The first connection would answer a second request; the client
+        # must not send one there.  The second connection dies unanswered,
+        # and, being new, that costs the only attempt.
+        raw_server.script = [[ok_reply("first", headers=b"Connection: close\r\n"), ok_reply("reused")], [b""]]
+        backend = self.backend(raw_server)
+        assert backend.complete(make_request()) == "first"
+        with pytest.raises(BackendError, match=r"failed after 1 attempts \(transport failure: Remote end closed"):
+            backend.complete(make_request())
+        backend.close()
+        assert raw_server.accepted == 2
+        assert len(raw_server.requests) == 2
+
+    def test_interim_continue_is_skipped(self, raw_server):
+        raw_server.script = [[b"HTTP/1.1 100 Continue\r\n\r\n" + ok_reply("final")]]
+        assert self.backend(raw_server).complete(make_request()) == "final"
+
+    def test_http10_body_runs_to_end_of_stream(self, raw_server):
+        body = completion_body("until close").encode("utf-8")
+        reply = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + body
+        raw_server.script = [[reply], [reply]]
+        backend = self.backend(raw_server)
+        assert [backend.complete(make_request()) for _ in range(2)] == ["until close"] * 2
+        assert raw_server.accepted == 2
+
+    def test_status_line_without_reason(self, raw_server):
+        raw_server.script = [[ok_reply("no reason", reason=b"")]]
+        assert self.backend(raw_server).complete(make_request()) == "no reason"
+
+    def test_request_bytes_with_a_non_default_port(self, raw_server):
+        raw_server.script = [[ok_reply()]]
+        self.backend(raw_server).complete(make_request())
+        head, _, body = raw_server.requests[0].partition(b"\r\n\r\n")
+        assert head.decode("ascii").split("\r\n") == [
+            "POST /v1/chat/completions HTTP/1.1",
+            f"Host: 127.0.0.1:{raw_server.port}",
+            "Accept-Encoding: identity",
+            "Content-Type: application/json",
+            f"Content-Length: {len(body)}",
+        ]
+        assert json.loads(body)["messages"][1] == {"role": "user", "content": "usr"}
+
+    def test_host_omits_the_default_port(self, raw_server, monkeypatch):
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{raw_server.port}")
+        raw_server.script = [[ok_reply("proxied")]]
+        backend = HttpBackend(BackendConfig(endpoint="http://backend.invalid/v1", retries=0, timeout=2))
+        assert backend.complete(make_request()) == "proxied"
+        lines = raw_server.requests[0].split(b"\r\n")
+        assert lines[:2] == [b"POST http://backend.invalid/v1/chat/completions HTTP/1.1", b"Host: backend.invalid"]
+
+    def test_host_brackets_an_ipv6_literal(self):
+        try:
+            server = _RawServer("::1")
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        try:
+            server.script = [[ok_reply("v6")]]
+            assert self.backend(server).complete(make_request()) == "v6"
+            assert server.requests[0].split(b"\r\n")[1] == f"Host: [::1]:{server.port}".encode("ascii")
+        finally:
+            server.stop()
+
+    def test_one_write_per_request(self, raw_server, monkeypatch):
+        writes = []
+        sendall = socket.socket.sendall
+
+        def counting_sendall(sock, data, *args):
+            if sock.getpeername()[1] == raw_server.port:
+                writes.append(bytes(data))
+            return sendall(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+        raw_server.script = [[ok_reply()] * 3]
+        backend = self.backend(raw_server)
+        assert [backend.complete(make_request()) for _ in range(3)] == ["ok"] * 3
+        backend.close()
+        assert writes == raw_server.requests
+
+    def test_any_reply_gives_text_or_a_backend_error(self, raw_server):
+        @settings(max_examples=200, deadline=None)
+        @given(st.one_of(st.binary(max_size=400), _near_valid_replies()))
+        def check(reply):
+            raw_server.script = [[reply]]
+            backend = self.backend(raw_server)
+            try:
+                assert isinstance(backend.complete(make_request()), str)
+            except BackendError:
+                pass
+            finally:
+                backend.close()
+
+        check()
+
+
+def _near_valid_replies():
+    """Replies one fault away from a good one."""
+    body = completion_body("fine").encode("utf-8")
+    head = b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+    faults = st.sampled_from(
+        [
+            b"HTTP/1.1 2x0 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body),
+            b"HTTP/2 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body),
+            b"ICY 200 OK\r\n\r\n" + body,
+            head + b"X-Filler: y\r\n" * 101 + b"Content-Length: %d\r\n\r\n%s" % (len(body), body),
+            head + b"X-Long: " + b"y" * 70000 + b"\r\nContent-Length: %d\r\n\r\n%s" % (len(body), body),
+            head + b"Content-Length: -5\r\n\r\n" + body,
+            head + b"Content-Length: 1e2\r\n\r\n" + body,
+            head + b"Content-Length: \xb2\r\n\r\n" + body,
+            head + b"Content-Length: 99999999999999999999999\r\n\r\n" + body,
+            head + b"Content-Length: 1000000\r\n\r\n" + body,
+            head + b"Transfer-Encoding: chunked\r\n\r\nzz\r\n" + body,
+            head + b"Transfer-Encoding: chunked\r\n\r\n-1\r\n" + body,
+            head + b"Transfer-Encoding: chunked\r\n\r\nffffffffffff\r\n" + body,
+            head + b"Transfer-Encoding: chunked\r\n\r\n%x\r\n%s0\r\n\r\n" % (len(body), body),
+            head + b"Transfer-Encoding: gzip\r\n\r\n" + body,
+            b"HTTP/1.1 100 Continue\r\n\r\n",
+            b"HTTP/1.1 204 No Content\r\n\r\n",
+            b"HTTP/1.1 429 Slow Down\r\nRetry-After: 1\r\nContent-Length: 0\r\n\r\n",
+            chunked_reply("chunked"),
+            ok_reply("fine"),
+        ]
+    )
+    # Each fault as is, cut short, or with bytes spliced in.
+    return st.one_of(
+        faults,
+        st.tuples(faults, st.integers(0, 400)).map(lambda pair: pair[0][: pair[1]]),
+        st.tuples(faults, st.integers(0, 400), st.binary(min_size=1, max_size=8)).map(
+            lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
+        ),
+    )
+
+
 class TestBackendConfig:
     def test_defaults(self):
         config = BackendConfig()
@@ -456,6 +690,11 @@ class TestBackendConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             BackendConfig(**kwargs)
+
+    @pytest.mark.parametrize("endpoint", ["http://localhost/a b/v1", "http://localhost/v\u00fc", "http://b\u00fccher.example/v1"])
+    def test_endpoint_unfit_for_a_request_line(self, endpoint):
+        with pytest.raises(ConfigError, match="backend endpoint must be printable ASCII without spaces"):
+            BackendConfig(endpoint=endpoint)
 
 
 class TestFingerprint:

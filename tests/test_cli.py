@@ -606,10 +606,30 @@ class TestExtract:
         )
         assert code == 0
         assert "document d2 skipped" in stderr
+        assert stdout.strip() == f"run 1: 2 documents, 1 events, 1 skipped -> {out}"
         lines = out.read_text().splitlines()
         assert [json.loads(l)["doc_id"] for l in lines] == ["d1"]
         trace_text = (tmp_path / "preds.trace.jsonl").read_text()
         assert "document skipped: no scripted reply for template 'planning'" in trace_text
+
+    def test_aborted_document_keeps_its_partial_trace(self, capsys, tmp_path):
+        # The first coding reply fails verification; the patch prompt that
+        # follows carries the diagnostic, has no scripted reply, and aborts
+        # the document after one recorded attempt.
+        docs = [(TEXT_1, PLANNING_1, [("patched", 'PatchVulnerability(mention="patched", weapon=["a knife"])')])]
+        ontology, corpus, fixture, out = self.setup_run(tmp_path, docs=docs)
+        code, stdout, stderr = run_cli(
+            capsys, *self.extract_args(ontology, corpus, fixture, out, "--runs", "1")
+        )
+        assert code == 0
+        assert stdout.strip() == f"run 1: 1 documents, 0 events, 1 skipped -> {out}"
+        assert "document d1 skipped" in stderr
+        assert out.read_text() == ""
+        records = [json.loads(line) for line in (tmp_path / "preds.trace.jsonl").read_text().splitlines()]
+        assert [record.get("attempt") for record in records] == [1, None, None]
+        assert records[0]["verdict"] is False and records[0]["diagnostic"]
+        assert records[1] == {"doc_id": "d1", "outcome": "aborted"}
+        assert records[2]["note"].startswith("document skipped: no scripted reply for template 'coding'")
 
     def test_workers_preserve_document_order(self, capsys, tmp_path):
         docs = [
