@@ -514,8 +514,17 @@ def chunked_reply(content):
 class TestResponseFraming:
     """The request writer and response reader, byte for byte."""
 
-    def backend(self, server, **kwargs):
-        return HttpBackend(BackendConfig(endpoint=server.endpoint, retries=0, timeout=2, **kwargs))
+    @pytest.fixture(autouse=True)
+    def _close_backends(self):
+        self.opened = []
+        yield
+        for backend in self.opened:
+            backend.close()
+
+    def backend(self, server, endpoint=None):
+        backend = HttpBackend(BackendConfig(endpoint=endpoint or server.endpoint, retries=0, timeout=2))
+        self.opened.append(backend)
+        return backend
 
     def test_chunked_reply_with_extension_and_trailer(self, raw_server):
         # Chunked framing wins over Content-Length; the second reply on the
@@ -523,7 +532,6 @@ class TestResponseFraming:
         raw_server.script = [[chunked_reply("chunked"), ok_reply("after")]]
         backend = self.backend(raw_server)
         assert [backend.complete(make_request()) for _ in range(2)] == ["chunked", "after"]
-        backend.close()
         assert raw_server.accepted == 1
 
     def test_connection_close_opens_a_fresh_connection_without_a_resend(self, raw_server):
@@ -535,7 +543,6 @@ class TestResponseFraming:
         assert backend.complete(make_request()) == "first"
         with pytest.raises(BackendError, match=r"failed after 1 attempts \(transport failure: Remote end closed"):
             backend.complete(make_request())
-        backend.close()
         assert raw_server.accepted == 2
         assert len(raw_server.requests) == 2
 
@@ -571,7 +578,7 @@ class TestResponseFraming:
     def test_host_omits_the_default_port(self, raw_server, monkeypatch):
         monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{raw_server.port}")
         raw_server.script = [[ok_reply("proxied")]]
-        backend = HttpBackend(BackendConfig(endpoint="http://backend.invalid/v1", retries=0, timeout=2))
+        backend = self.backend(raw_server, endpoint="http://backend.invalid/v1")
         assert backend.complete(make_request()) == "proxied"
         lines = raw_server.requests[0].split(b"\r\n")
         assert lines[:2] == [b"POST http://backend.invalid/v1/chat/completions HTTP/1.1", b"Host: backend.invalid"]
@@ -601,7 +608,6 @@ class TestResponseFraming:
         raw_server.script = [[ok_reply()] * 3]
         backend = self.backend(raw_server)
         assert [backend.complete(make_request()) for _ in range(3)] == ["ok"] * 3
-        backend.close()
         assert writes == raw_server.requests
 
     def test_any_reply_gives_text_or_a_backend_error(self, raw_server):
