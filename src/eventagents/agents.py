@@ -25,6 +25,7 @@ from .prompts import (
     retrieval_prompt,
 )
 from .schemas import EventSchema, SchemaRegistry
+from .verify import JudgeResult
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
 
@@ -59,12 +60,6 @@ class TriggerHypothesis:
             raise ValueError("hypothesis event_type must be non-empty")
         if not 0.0 <= self.confidence <= 1.0:
             raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-
-
-@dataclass(frozen=True)
-class JudgeResult:
-    compatible: bool
-    warning: str | None = None
 
 
 def extract_code_block(reply: str) -> str:
@@ -190,7 +185,7 @@ def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | No
 def run_planning_agent(
     backend,
     text: str,
-    schemas: Sequence[EventSchema] | SchemaRegistry,
+    registry: SchemaRegistry,
     exemplar_sentences: Sequence[str] = (),
     hypothesis_k: int = 3,
 ) -> list[TriggerHypothesis]:
@@ -206,10 +201,10 @@ def run_planning_agent(
         raise ValueError("text must be non-empty")
     if hypothesis_k < 1:
         raise ValueError("hypothesis_k must be >= 1")
-    reply = backend.complete(planning_prompt(text, schemas, exemplar_sentences))
+    reply = backend.complete(planning_prompt(text, registry, exemplar_sentences))
     hypotheses = _parse_planning_reply(reply, text)
     if hypotheses is None:
-        reply = backend.complete(planning_retry_prompt(text, schemas, exemplar_sentences))
+        reply = backend.complete(planning_retry_prompt(text, registry, exemplar_sentences))
         hypotheses = _parse_planning_reply(reply, text)
         if hypotheses is None:
             raise PlanningError(

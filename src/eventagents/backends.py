@@ -84,6 +84,8 @@ class BackendConfig:
             raise ConfigError(f"backend endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
         if not re.fullmatch(r"[!-~]+", self.endpoint):
             raise ConfigError(f"backend endpoint must be printable ASCII without spaces, got {self.endpoint!r}")
+        if "#" in self.endpoint:
+            raise ConfigError(f"backend endpoint must not have a fragment, got {self.endpoint!r}")
         # Negated comparisons so that NaN fails them too.
         if not 0 <= self.temperature < math.inf:
             raise ConfigError("temperature must be a finite number >= 0")
@@ -148,7 +150,8 @@ class HttpBackend:
 
     def __init__(self, config: BackendConfig):
         self.config = config
-        self._url = config.endpoint.rstrip("/") + "/chat/completions"
+        base, _, query = config.endpoint.partition("?")
+        self._url = base.rstrip("/") + "/chat/completions" + (f"?{query}" if query else "")
         parts = urllib.parse.urlsplit(self._url)
         https = parts.scheme == "https"
         host, port = parts.hostname, parts.port or (443 if https else 80)

@@ -32,9 +32,8 @@ from .corpus import Document, dataset_stats, load_corpus, sample_split
 from .errors import ConfigError, EventAgentsError
 from .events import EventObject, event_payload, parse_event_code
 from .metrics import EvaluationError, MetricsReport, mean_of_reports, mean_table, score
-from .refine import PipelineConfig, build_run_context, extract_document, trace_to_records
+from .refine import MODES, PipelineConfig, build_run_context, extract_document, trace_to_records
 from .schemas import SchemaRegistry, load_ontology, render_schema_as_code
-from .verify import MODES
 
 
 def _option(default, help: str | None = None, **metadata):
@@ -250,7 +249,10 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
         raise EventAgentsError(f"ontology {config.ontology} declares no event types")
     documents = load_corpus(_read_bytes(config.corpus))
     if config.sample is not None:
-        documents = sample_split(documents, config.sample, config.seed)
+        try:
+            documents = sample_split(documents, config.sample, config.seed)
+        except ValueError as exc:  # a sample larger than the corpus
+            raise ConfigError(str(exc)) from None
     pipeline = config.pipeline_config()
     fixture = None
     if config.scripted_fixture is not None:
@@ -292,6 +294,8 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
                     trace_file.write(json.dumps(record, ensure_ascii=False) + "\n")
         skips = f", {skipped} skipped" if skipped else ""
         print(f"run {run_index}: {len(documents)} documents, {events_written} events{skips} -> {pred_path}")
+        if documents and skipped == len(documents):
+            raise EventAgentsError(f"run {run_index}: every document was skipped")
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .backends import ChatMessage, PromptRequest
-from .schemas import EventSchema, SchemaRegistry, render_definitions, render_schema_as_code
+from .schemas import EventSchema, SchemaRegistry, render_schema_as_code
 
 RETRIEVAL = "retrieval"
 PLANNING = "planning"
@@ -51,14 +51,6 @@ _PLANNING_REMINDER = (
     "Your previous reply could not be parsed. Return only a JSON array of "
     "{'trigger': str, 'event_type': str} objects, with no surrounding prose."
 )
-
-
-def definitions_block(schemas: Sequence[EventSchema] | SchemaRegistry) -> str:
-    """All schemas rendered as code, separated by blank lines; a registry
-    renders its block once and reuses it for every document."""
-    if isinstance(schemas, SchemaRegistry):
-        return schemas.definitions
-    return render_definitions(schemas)
 
 
 def retrieval_prompt(schema: EventSchema) -> PromptRequest:
@@ -97,10 +89,10 @@ def _planning_bindings(text: str, definitions: str, exemplar_sentences: Sequence
 
 def planning_prompt(
     text: str,
-    schemas: Sequence[EventSchema] | SchemaRegistry,
+    registry: SchemaRegistry,
     exemplar_sentences: Sequence[str] = (),
 ) -> PromptRequest:
-    definitions = definitions_block(schemas)
+    definitions = registry.definitions
     return PromptRequest(
         template_id=PLANNING,
         bindings=_planning_bindings(text, definitions, exemplar_sentences),
@@ -114,11 +106,11 @@ def planning_prompt(
 
 def planning_retry_prompt(
     text: str,
-    schemas: Sequence[EventSchema] | SchemaRegistry,
+    registry: SchemaRegistry,
     exemplar_sentences: Sequence[str] = (),
 ) -> PromptRequest:
     """The single-reprompt variant appended with a format reminder."""
-    definitions = definitions_block(schemas)
+    definitions = registry.definitions
     user = _planning_user(text, definitions, exemplar_sentences) + "\n\n" + _PLANNING_REMINDER
     return PromptRequest(
         template_id=PLANNING_RETRY,

@@ -14,6 +14,7 @@ refine call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -21,9 +22,9 @@ from typing import Callable, Iterable
 from .agents import (
     ExemplarCache,
     ExemplarSet,
-    JudgeResult,
     TriggerHypothesis,
     flatten_exemplars,
+    judge_semantic_compat,
     run_coding_agent,
     run_planning_agent,
     run_retrieval_agent,
@@ -31,7 +32,11 @@ from .agents import (
 from .errors import EventAgentsError
 from .events import CodeObject, EventObject, event_payload, parse_event_code
 from .schemas import SchemaRegistry
-from .verify import MODE_LLM, MODE_STRICT, MODES, VerificationResult, verify
+from .verify import JudgeResult, VerificationResult, verify
+
+MODE_STRICT = "strict"
+MODE_LLM = "llm"
+MODES = (MODE_STRICT, MODE_LLM)
 
 
 class PoolExhausted(EventAgentsError):
@@ -135,6 +140,23 @@ class ExtractionFailed:
     trace: RefinementTrace
 
 
+def document_judge(mode: str, backend, text: str) -> Callable[[str, str], JudgeResult] | None:
+    """The T1 semantic judge for one document: None in strict mode.
+
+    In llm mode it asks :func:`judge_semantic_compat` about ``text`` and
+    remembers each (trigger, event type) answer, so a question is put to
+    the backend at most once however often refinement verifies it.
+    """
+    if mode == MODE_STRICT:
+        return None
+
+    @functools.cache
+    def judge(trigger: str, event_type: str) -> JudgeResult:
+        return judge_semantic_compat(backend, trigger, event_type, text)
+
+    return judge
+
+
 def refine(
     pool: HypothesisPool,
     text: str,
@@ -142,21 +164,21 @@ def refine(
     config: RefinementConfig,
     backend,
     trace: RefinementTrace | None = None,
-    judge_memo: dict[tuple[str, str], JudgeResult] | None = None,
+    judge: Callable[[str, str], JudgeResult] | None = None,
 ) -> EventObject | ExtractionFailed:
     """Run the dual loop until an event verifies or the pool runs out.
 
     Hypotheses whose event type is not in the registry are consumed
     without costing any coding calls.  Backend failures abort with the
     partial trace attached to the exception, which is an operational
-    error distinct from ExtractionFailed.  ``judge_memo`` holds the
-    semantic judge's answers for ``text`` (see :func:`verify`); without
-    one, each call starts a fresh memo.
+    error distinct from ExtractionFailed.  ``judge`` is the document's
+    T1 judge from :func:`document_judge`; without one, each call builds
+    its own.
     """
     if trace is None:
         trace = RefinementTrace()
-    if judge_memo is None:
-        judge_memo = {}
+    if judge is None:
+        judge = document_judge(config.mode, backend, text)
     hypotheses_tried = 0
     while not pool.is_empty() and hypotheses_tried < config.hypothesis_k:
         hypothesis = select_best(pool)
@@ -175,7 +197,7 @@ def refine(
                     backend, hypothesis, schema, text, diagnostic=diagnostic_line
                 )
                 code = parse_event_code(code_text, registry=registry, origin_hypothesis=hypothesis)
-                result = verify(code, text, schema, mode=config.mode, backend=backend, judge_memo=judge_memo)
+                result = verify(code, text, schema, judge)
             except EventAgentsError as exc:
                 trace.outcome = "aborted"
                 exc.trace = trace
@@ -257,9 +279,9 @@ def extract_document(
         return [], trace
     pool = HypothesisPool(hypotheses)
     events: list[EventObject] = []
-    judge_memo: dict[tuple[str, str], JudgeResult] = {}
+    judge = document_judge(config.mode, backend, text)
     while True:
-        outcome = refine(pool, text, registry, config, backend, trace=trace, judge_memo=judge_memo)
+        outcome = refine(pool, text, registry, config, backend, trace=trace, judge=judge)
         if isinstance(outcome, ExtractionFailed):
             break
         events.append(outcome)

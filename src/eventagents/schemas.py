@@ -161,8 +161,9 @@ class SchemaRegistry:
 
     @cached_property
     def definitions(self) -> str:
-        """Every schema rendered by :func:`render_definitions`, once per registry."""
-        return render_definitions(self)
+        """Every schema rendered as code, separated by blank lines; the
+        planning prompts of a run all reuse this one rendering."""
+        return "\n\n".join(render_schema_as_code(schema).rstrip("\n") for schema in self)
 
 
 def load_ontology(source: bytes | str | Any) -> SchemaRegistry:
@@ -250,11 +251,6 @@ def render_schema_as_code(schema: EventSchema) -> str:
     for role in schema.roles:
         lines.append(f"    {role.name}: {_annotation(role)}")
     return "\n".join(lines) + "\n"
-
-
-def render_definitions(schemas: Iterable[EventSchema]) -> str:
-    """Schemas rendered as code, separated by blank lines."""
-    return "\n\n".join(render_schema_as_code(schema).rstrip("\n") for schema in schemas)
 
 
 def _parse_annotation(text: str, line_no: int, col: int) -> tuple[ValueType, Multiplicity]:

@@ -4,8 +4,11 @@ The verdict is the conjunction of three checks, reported with the first
 failure only:
 
 * T1 (semantic): the trigger occurs in the input text as a contiguous,
-  case-insensitive token subsequence; in llm mode an additional yes/no
-  judge call must agree the trigger fits the event type.
+  case-insensitive token subsequence; when a judge is given, it must
+  also agree the trigger fits the event type.  The judge is any
+  ``judge(trigger, event_type) -> JudgeResult`` callable; refinement
+  passes one that asks the backend in llm mode, so this module itself
+  never calls a model.
 * T2 (type): every argument role is declared by the schema, every value
   matches the role's value type, and multiplicity constraints hold.
 * T3 (structural): the source parsed, the object carries exactly the
@@ -28,14 +31,10 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import EventAgentsError
 from .events import CodeObject, serialize_event
 from .schemas import EventSchema, Multiplicity, SCALAR_TYPE_NAMES, ValueType
-
-MODE_STRICT = "strict"
-MODE_LLM = "llm"
-MODES = (MODE_STRICT, MODE_LLM)
 
 _WORD_RE = re.compile(r"[^\W_]+")
 
@@ -55,6 +54,14 @@ class Diagnostic:
     def as_line(self) -> str:
         """Single-line rendering consumed verbatim by the patch prompt."""
         return f"[{self.failed_check}] {self.message} (at {self.locus})"
+
+
+@dataclass(frozen=True)
+class JudgeResult:
+    """The semantic judge's answer for one (trigger, event type) question."""
+
+    compatible: bool
+    warning: str | None = None
 
 
 @dataclass(frozen=True)
@@ -85,35 +92,23 @@ def contains_token_subsequence(haystack: list[str], needle: list[str]) -> bool:
 def check_semantic(
     code: CodeObject,
     text: str,
-    mode: str = MODE_STRICT,
-    backend=None,
-    judge_memo: dict | None = None,
+    judge: Callable[[str, str], JudgeResult] | None = None,
 ) -> Diagnostic | None:
-    """T1: trigger occurrence, plus the compatibility judge in llm mode.
+    """T1: trigger occurrence, then the compatibility judge if one is given.
 
-    ``judge_memo`` maps (trigger, event type) to the judge's answer for
-    this ``text``; a question already in it is not asked again.
+    ``judge(trigger, event_type)`` answers for this ``text``; it is only
+    asked once the trigger has been found in the text.
     """
     _require_parsed(code)
-    _require_mode(mode)
     event = code.parsed
     if not contains_token_subsequence(tokenize(text), tokenize(event.trigger)):
         return Diagnostic("T1", f"trigger {event.trigger!r} not found in text", event.trigger or "trigger")
-    if mode == MODE_LLM:
-        if backend is None:
-            raise EventAgentsError("llm mode requires a backend for the semantic judge")
-        from .agents import judge_semantic_compat
-
-        memo = {} if judge_memo is None else judge_memo
-        key = (event.trigger, event.event_type)
-        if key not in memo:
-            memo[key] = judge_semantic_compat(backend, event.trigger, event.event_type, text)
-        if not memo[key].compatible:
-            return Diagnostic(
-                "T1",
-                f"trigger {event.trigger!r} judged not semantically compatible with event type {event.event_type!r}",
-                event.trigger,
-            )
+    if judge is not None and not judge(event.trigger, event.event_type).compatible:
+        return Diagnostic(
+            "T1",
+            f"trigger {event.trigger!r} judged not semantically compatible with event type {event.event_type!r}",
+            event.trigger,
+        )
     return None
 
 
@@ -192,22 +187,19 @@ def verify(
     code: CodeObject,
     text: str,
     schema: EventSchema,
-    mode: str = MODE_STRICT,
-    backend=None,
-    judge_memo: dict | None = None,
+    judge: Callable[[str, str], JudgeResult] | None = None,
 ) -> VerificationResult:
     """Run T1, T2, T3 in order and stop at the first failure.
 
-    Unparsed source returns a T3 diagnostic immediately.  In llm mode a
-    backend failure during the judge call propagates as an exception; it
-    is an operational problem, not a verdict.  ``judge_memo`` is passed
-    to :func:`check_semantic`.
+    Unparsed source returns a T3 diagnostic immediately.  ``judge`` is
+    passed to :func:`check_semantic`; an exception it raises, such as a
+    backend failure, propagates: it is an operational problem, not a
+    verdict.
     """
-    _require_mode(mode)
     if code.failure is not None:
         return VerificationResult(False, check_structure(code))
     diagnostic = (
-        check_semantic(code, text, mode=mode, backend=backend, judge_memo=judge_memo)
+        check_semantic(code, text, judge)
         or check_types(code, schema)
         or check_structure(code)
     )
@@ -217,8 +209,3 @@ def verify(
 def _require_parsed(code: CodeObject) -> None:
     if code.parsed is None:
         raise ValueError("check requires a parsed CodeObject; unparsed source belongs to check_structure")
-
-
-def _require_mode(mode: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown verification mode {mode!r}; expected '{MODE_STRICT}' or '{MODE_LLM}'")

@@ -27,6 +27,7 @@ from eventagents import (
     RefinementConfig,
     RefinementTrace,
     RoleSpec,
+    SchemaRegistry,
     ScriptedBackend,
     Span,
     TriggerHypothesis,
@@ -413,9 +414,9 @@ def write_run_inputs(tmp_path):
     fixture = tmp_path / "fixture.json"
     fixture.write_text(json.dumps(script(
         (retrieval_prompt(SCHEMA), EXEMPLAR),
-        (planning_prompt(TEXT_1, [SCHEMA], (EXEMPLAR,)), PLANNING_REPLY),
+        (planning_prompt(TEXT_1, SchemaRegistry([SCHEMA]), (EXEMPLAR,)), PLANNING_REPLY),
         (coding_prompt(SCHEMA, "patched", TEXT_1), 'PatchVulnerability(mention="patched", time=["Tuesday"])'),
-        (planning_prompt(TEXT_2, [SCHEMA], (EXEMPLAR,)), PLANNING_REPLY),
+        (planning_prompt(TEXT_2, SchemaRegistry([SCHEMA]), (EXEMPLAR,)), PLANNING_REPLY),
         (coding_prompt(SCHEMA, "patched", TEXT_2), 'PatchVulnerability(mention="patched")'),
     )), encoding="utf-8")
     return ontology, corpus, fixture

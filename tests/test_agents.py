@@ -13,6 +13,7 @@ from eventagents import (
     BackendError,
     ExemplarCache,
     ExemplarSet,
+    SchemaRegistry,
     ScriptedBackend,
     TriggerHypothesis,
     judge_semantic_compat,
@@ -57,7 +58,7 @@ class TestPrompts:
         assert dict(request.bindings)["roles"] == "none"
 
     def test_planning_prompt_layout(self, ransom_text, databreach_schema, ransom_schema):
-        request = planning_prompt(ransom_text, [databreach_schema, ransom_schema])
+        request = planning_prompt(ransom_text, SchemaRegistry([databreach_schema, ransom_schema]))
         assert request.template_id == "planning"
         assert request.temperature == 0.0
         user = request.messages[1].content
@@ -69,30 +70,28 @@ class TestPrompts:
         assert user.rstrip().endswith("and a short 'rationale'.")
 
     def test_registry_renders_its_definitions_once(self, monkeypatch, ransom_text, databreach_schema, ransom_schema):
-        from eventagents import SchemaRegistry, schemas
+        from eventagents import schemas
 
         rendered = []
         render = schemas.render_schema_as_code
         monkeypatch.setattr(schemas, "render_schema_as_code", lambda s: rendered.append(s) or render(s))
         registry = SchemaRegistry([databreach_schema, ransom_schema])
         for text in (ransom_text, "Another document.", ransom_text):
-            from_registry = planning_prompt(text, registry)
-            from_list = planning_prompt(text, [databreach_schema, ransom_schema])
-            assert from_registry == from_list
-            assert from_registry.fingerprint() == from_list.fingerprint()
-            assert planning_retry_prompt(text, registry) == planning_retry_prompt(text, list(registry))
-        # Two schemas rendered once for the registry, then per call for each list.
-        assert len(rendered) == 2 + 3 * 2 * 2
+            planning_prompt(text, registry)
+            planning_retry_prompt(text, registry)
+        # Two schemas, each rendered once for 3 documents x (planning, retry).
+        assert rendered == [databreach_schema, ransom_schema]
 
     def test_planning_prompt_with_exemplars(self, ransom_text, databreach_schema):
-        request = planning_prompt(ransom_text, [databreach_schema], [EXAMPLE_SENTENCE, "Second."])
+        request = planning_prompt(ransom_text, SchemaRegistry([databreach_schema]), [EXAMPLE_SENTENCE, "Second."])
         user = request.messages[1].content
         assert f"Example sentences:\n- {EXAMPLE_SENTENCE}\n- Second.\n" in user
         assert dict(request.bindings)["exemplars"] == f"{EXAMPLE_SENTENCE}\nSecond."
 
     def test_planning_retry_adds_reminder_and_new_template(self, ransom_text, databreach_schema):
-        first = planning_prompt(ransom_text, [databreach_schema])
-        retry = planning_retry_prompt(ransom_text, [databreach_schema])
+        registry = SchemaRegistry([databreach_schema])
+        first = planning_prompt(ransom_text, registry)
+        retry = planning_retry_prompt(ransom_text, registry)
         assert retry.template_id == "planning_retry"
         assert retry.fingerprint() != first.fingerprint()
         assert retry.messages[1].content.startswith(first.messages[1].content)
@@ -289,17 +288,17 @@ def planning_reply(*items):
 
 
 class TestPlanningAgent:
-    def schemas(self, databreach_schema, ransom_schema):
-        return [databreach_schema, ransom_schema]
+    def registry(self, databreach_schema, ransom_schema):
+        return SchemaRegistry([databreach_schema, ransom_schema])
 
     def test_worked_reply(self, ransom_text, databreach_schema, ransom_schema):
-        schemas = self.schemas(databreach_schema, ransom_schema)
+        registry = self.registry(databreach_schema, ransom_schema)
         reply = (
             '[{"trigger": "demanded", "event_type": "Ransom"},'
             ' {"trigger": "infiltrating", "event_type": "Databreach"}]'
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, schemas), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, schemas)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, registry)
         assert [(h.trigger, h.event_type) for h in hypotheses] == [
             ("demanded", "Ransom"),
             ("infiltrating", "Databreach"),
@@ -310,45 +309,45 @@ class TestPlanningAgent:
         assert hypotheses[1].char_offset == ransom_text.index("infiltrating")
 
     def test_explicit_confidence_and_sorting(self, ransom_text, databreach_schema, ransom_schema):
-        schemas = self.schemas(databreach_schema, ransom_schema)
+        registry = self.registry(databreach_schema, ransom_schema)
         reply = planning_reply(
             {"trigger": "demanded", "event_type": "Ransom", "confidence": 0.4},
             {"trigger": "infiltrating", "event_type": "Databreach", "confidence": 0.8},
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, schemas), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, schemas)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, registry)
         assert [h.trigger for h in hypotheses] == ["infiltrating", "demanded"]
 
     def test_sort_is_stable_on_ties(self, ransom_text, databreach_schema, ransom_schema):
-        schemas = self.schemas(databreach_schema, ransom_schema)
+        registry = self.registry(databreach_schema, ransom_schema)
         reply = planning_reply(
             {"trigger": "demanded", "event_type": "Ransom", "confidence": 0.7},
             {"trigger": "ransom", "event_type": "Ransom", "confidence": 0.7},
             {"trigger": "infiltrating", "event_type": "Databreach", "confidence": 0.7},
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, schemas), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, schemas)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, registry)
         assert [h.trigger for h in hypotheses] == ["demanded", "ransom", "infiltrating"]
 
     def test_truncates_to_hypothesis_k(self, ransom_text, databreach_schema, ransom_schema):
-        schemas = self.schemas(databreach_schema, ransom_schema)
+        registry = self.registry(databreach_schema, ransom_schema)
         reply = planning_reply(
             *[{"trigger": t, "event_type": "Ransom"} for t in ("demanded", "ransom", "servers", "hackers")]
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, schemas), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, schemas, hypothesis_k=2)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, registry, hypothesis_k=2)
         assert len(hypotheses) == 2
         assert [h.trigger for h in hypotheses] == ["demanded", "ransom"]
 
     def test_confidence_clamped(self, ransom_text, databreach_schema, ransom_schema):
-        schemas = self.schemas(databreach_schema, ransom_schema)
+        registry = self.registry(databreach_schema, ransom_schema)
         reply = planning_reply(
             {"trigger": "demanded", "event_type": "Ransom", "confidence": 3.5},
             {"trigger": "ransom", "event_type": "Ransom", "confidence": -1},
             {"trigger": "bank", "event_type": "Ransom", "confidence": 10**400},
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, schemas), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, schemas)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, registry)
         assert [(h.trigger, h.confidence) for h in hypotheses] == [
             ("demanded", 1.0),
             ("bank", 1.0),
@@ -357,26 +356,26 @@ class TestPlanningAgent:
 
     def test_offset_is_case_insensitive_and_optional(self, databreach_schema, ransom_schema):
         text = "DEMANDED more."
-        schemas = self.schemas(databreach_schema, ransom_schema)
+        registry = self.registry(databreach_schema, ransom_schema)
         reply = planning_reply(
             {"trigger": "demanded", "event_type": "Ransom"},
             {"trigger": "paid", "event_type": "Ransom"},
         )
-        backend = ScriptedBackend(script((planning_prompt(text, schemas), reply)))
-        hypotheses = run_planning_agent(backend, text, schemas)
+        backend = ScriptedBackend(script((planning_prompt(text, registry), reply)))
+        hypotheses = run_planning_agent(backend, text, registry)
         assert hypotheses[0].char_offset == 0
         assert hypotheses[1].char_offset is None
 
     def test_fenced_reply_accepted(self, ransom_text, databreach_schema, ransom_schema):
-        schemas = self.schemas(databreach_schema, ransom_schema)
+        registry = self.registry(databreach_schema, ransom_schema)
         reply = '```json\n[{"trigger": "demanded", "event_type": "Ransom"}]\n```'
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, schemas), reply)))
-        assert len(run_planning_agent(backend, ransom_text, schemas)) == 1
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
+        assert len(run_planning_agent(backend, ransom_text, registry)) == 1
 
     def test_empty_array_is_a_valid_answer(self, ransom_text, databreach_schema, ransom_schema):
-        schemas = self.schemas(databreach_schema, ransom_schema)
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, schemas), "[]")))
-        assert run_planning_agent(backend, ransom_text, schemas) == []
+        registry = self.registry(databreach_schema, ransom_schema)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), "[]")))
+        assert run_planning_agent(backend, ransom_text, registry) == []
         assert len(backend.calls) == 1
 
     @pytest.mark.parametrize(
@@ -400,35 +399,35 @@ class TestPlanningAgent:
     def test_malformed_reply_triggers_single_retry(
         self, bad_reply, ransom_text, databreach_schema, ransom_schema
     ):
-        schemas = self.schemas(databreach_schema, ransom_schema)
+        registry = self.registry(databreach_schema, ransom_schema)
         good = planning_reply({"trigger": "demanded", "event_type": "Ransom"})
         backend = ScriptedBackend(
             script(
-                (planning_prompt(ransom_text, schemas), bad_reply),
-                (planning_retry_prompt(ransom_text, schemas), good),
+                (planning_prompt(ransom_text, registry), bad_reply),
+                (planning_retry_prompt(ransom_text, registry), good),
             )
         )
-        hypotheses = run_planning_agent(backend, ransom_text, schemas)
+        hypotheses = run_planning_agent(backend, ransom_text, registry)
         assert [h.trigger for h in hypotheses] == ["demanded"]
         assert [c.template_id for c in backend.calls] == ["planning", "planning_retry"]
 
     def test_two_malformed_replies_fail(self, ransom_text, databreach_schema, ransom_schema):
-        schemas = self.schemas(databreach_schema, ransom_schema)
+        registry = self.registry(databreach_schema, ransom_schema)
         backend = ScriptedBackend(
             script(
-                (planning_prompt(ransom_text, schemas), "junk"),
-                (planning_retry_prompt(ransom_text, schemas), "more junk"),
+                (planning_prompt(ransom_text, registry), "junk"),
+                (planning_retry_prompt(ransom_text, registry), "more junk"),
             )
         )
         with pytest.raises(PlanningError, match="not a JSON array"):
-            run_planning_agent(backend, ransom_text, schemas)
+            run_planning_agent(backend, ransom_text, registry)
         assert len(backend.calls) == 2
 
     def test_input_validation(self, databreach_schema):
         with pytest.raises(ValueError):
-            run_planning_agent(ScriptedBackend({}), "", [databreach_schema])
+            run_planning_agent(ScriptedBackend({}), "", SchemaRegistry([databreach_schema]))
         with pytest.raises(ValueError):
-            run_planning_agent(ScriptedBackend({}), "text", [databreach_schema], hypothesis_k=0)
+            run_planning_agent(ScriptedBackend({}), "text", SchemaRegistry([databreach_schema]), hypothesis_k=0)
 
 
 class TestCodingAgent:

@@ -583,6 +583,20 @@ class TestResponseFraming:
         lines = raw_server.requests[0].split(b"\r\n")
         assert lines[:2] == [b"POST http://backend.invalid/v1/chat/completions HTTP/1.1", b"Host: backend.invalid"]
 
+    def test_endpoint_query_follows_the_path(self, raw_server):
+        raw_server.script = [[ok_reply()]]
+        self.backend(raw_server, endpoint=raw_server.endpoint + "/?api-version=2024").complete(make_request())
+        assert raw_server.requests[0].split(b"\r\n")[0] == b"POST /v1/chat/completions?api-version=2024 HTTP/1.1"
+
+    def test_endpoint_query_follows_the_path_through_a_proxy(self, raw_server, monkeypatch):
+        monkeypatch.setenv("http_proxy", f"http://127.0.0.1:{raw_server.port}")
+        raw_server.script = [[ok_reply("proxied")]]
+        backend = self.backend(raw_server, endpoint="http://backend.invalid/v1?api-version=2024")
+        assert backend.complete(make_request()) == "proxied"
+        assert raw_server.requests[0].split(b"\r\n")[0] == (
+            b"POST http://backend.invalid/v1/chat/completions?api-version=2024 HTTP/1.1"
+        )
+
     def test_host_brackets_an_ipv6_literal(self):
         try:
             server = _RawServer("::1")
@@ -691,6 +705,8 @@ class TestBackendConfig:
             {"endpoint": "ftp://localhost/v1"},
             {"endpoint": "http://localhost:port/v1"},
             {"endpoint": "http:///v1"},
+            {"endpoint": "http://localhost/v1#x"},
+            {"endpoint": "http://localhost/v1?api-version=2024#"},
         ],
     )
     def test_validation(self, kwargs):

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import script
-from eventagents import EventSchema, RoleSpec
+from eventagents import EventSchema, RoleSpec, SchemaRegistry
 from eventagents.backends import BackendConfig
 from eventagents.cli import RunConfig, main
 from eventagents.prompts import coding_prompt, planning_prompt, retrieval_prompt
@@ -51,7 +51,7 @@ def write_fixture(tmp_path, docs):
     """docs: list of (text, planning_reply, [(trigger, coding_reply)])."""
     pairs = [(retrieval_prompt(SCHEMA), EXEMPLAR)]
     for text, planning_reply, codings in docs:
-        pairs.append((planning_prompt(text, [SCHEMA], (EXEMPLAR,)), planning_reply))
+        pairs.append((planning_prompt(text, SchemaRegistry([SCHEMA]), (EXEMPLAR,)), planning_reply))
         for trigger, reply in codings:
             pairs.append((coding_prompt(SCHEMA, trigger, text), reply))
     path = tmp_path / "fixture.json"
@@ -621,15 +621,30 @@ class TestExtract:
         code, stdout, stderr = run_cli(
             capsys, *self.extract_args(ontology, corpus, fixture, out, "--runs", "1")
         )
-        assert code == 0
+        assert code == 1
         assert stdout.strip() == f"run 1: 1 documents, 0 events, 1 skipped -> {out}"
         assert "document d1 skipped" in stderr
+        assert stderr.splitlines()[-1] == "error: run 1: every document was skipped"
         assert out.read_text() == ""
         records = [json.loads(line) for line in (tmp_path / "preds.trace.jsonl").read_text().splitlines()]
         assert [record.get("attempt") for record in records] == [1, None, None]
         assert records[0]["verdict"] is False and records[0]["diagnostic"]
         assert records[1] == {"doc_id": "d1", "outcome": "aborted"}
         assert records[2]["note"].startswith("document skipped: no scripted reply for template 'coding'")
+
+    def test_run_that_skips_every_document_stops_later_runs(self, capsys, tmp_path):
+        # The fixture has no planning reply for the only document.
+        ontology, corpus, fixture, out = self.setup_run(tmp_path, texts=(TEXT_2,))
+        code, stdout, stderr = run_cli(
+            capsys, *self.extract_args(ontology, corpus, fixture, out, "--runs", "2")
+        )
+        assert code == 1
+        run1 = tmp_path / "preds.run1.jsonl"
+        assert stdout.strip() == f"run 1: 1 documents, 0 events, 1 skipped -> {run1}"
+        assert stderr.splitlines()[-1] == "error: run 1: every document was skipped"
+        assert run1.read_text() == ""
+        assert (tmp_path / "preds.run1.trace.jsonl").exists()
+        assert not (tmp_path / "preds.run2.jsonl").exists()
 
     def test_workers_preserve_document_order(self, capsys, tmp_path):
         docs = [
@@ -656,6 +671,16 @@ class TestExtract:
         assert code == 0
         assert "1 documents" in stdout
         assert len(out.read_text().splitlines()) == 1
+
+    def test_sample_larger_than_corpus_is_a_usage_error(self, capsys, tmp_path):
+        ontology, corpus, fixture, out = self.setup_run(tmp_path, texts=(TEXT_1, TEXT_2))
+        code, stdout, stderr = run_cli(
+            capsys, *self.extract_args(ontology, corpus, fixture, out, "--runs", "1", "--sample", "5")
+        )
+        assert code == 2
+        assert stdout == ""
+        assert stderr == "error: sample size 5 exceeds corpus size 2\n"
+        assert not out.exists()
 
     def test_missing_required_options(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "extract", "--corpus", "x", "--out", "y")
@@ -687,14 +712,14 @@ class TestExemplarWarmUp:
         ransom = {"event_type": RANSOM.event_type, "roles": [{"name": r.name} for r in RANSOM.roles]}
         ontology.write_text(json.dumps(ONTOLOGY + [ransom]), encoding="utf-8")
         corpus = write_corpus(tmp_path, [TEXT_1, TEXT_2])
-        schemas = [SCHEMA, RANSOM]
+        registry = SchemaRegistry([SCHEMA, RANSOM])
         sentences = tuple(PATCH_EXEMPLARS + RANSOM_EXEMPLARS)
         pairs = [(retrieval_prompt(schema), reply) for schema in retrieval for reply in retrieval[schema]]
         for text, planning_reply, coding_reply in (
             (TEXT_1, PLANNING_1, CODING_1),
             (TEXT_2, PLANNING_2, CODING_2),
         ):
-            pairs.append((planning_prompt(text, schemas, sentences), planning_reply))
+            pairs.append((planning_prompt(text, registry, sentences), planning_reply))
             pairs.append((coding_prompt(SCHEMA, "patched", text), coding_reply))
         fixture = tmp_path / "fixture.json"
         fixture.write_text(json.dumps(script(*pairs)), encoding="utf-8")

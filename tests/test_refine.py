@@ -15,6 +15,7 @@ from eventagents import (
     PoolExhausted,
     RefinementConfig,
     RefinementTrace,
+    SchemaRegistry,
     ScriptedBackend,
     TriggerHypothesis,
     extract_document,
@@ -25,7 +26,7 @@ from eventagents.agents import ExemplarCache
 from eventagents.cli import _run_documents
 from eventagents.corpus import Document
 from eventagents.prompts import coding_prompt, judge_prompt, planning_prompt, retrieval_prompt
-from eventagents.refine import build_run_context, trace_to_records
+from eventagents.refine import build_run_context, document_judge, trace_to_records
 
 VALID_REPLY = 'PatchVulnerability(mention="patched", time=["Tuesday"])'
 BROKEN_REPLY = 'PatchVulnerability(mention="patched", vulnerable_system=[1234])'
@@ -350,7 +351,7 @@ class TestRefine:
 def single_schema_fixture(schema, text, exemplar, planning_reply, coding_replies):
     """Scripted mapping for one extract_document run over one schema."""
     pairs = [(retrieval_prompt(schema), exemplar)]
-    pairs.append((planning_prompt(text, [schema], (exemplar,) if exemplar else ()), planning_reply))
+    pairs.append((planning_prompt(text, SchemaRegistry([schema]), (exemplar,) if exemplar else ()), planning_reply))
     for trigger, reply, diagnostic in coding_replies:
         pairs.append((coding_prompt(schema, trigger, text, diagnostic=diagnostic), reply))
     return script(*pairs)
@@ -407,8 +408,6 @@ class TestExtractDocument:
         assert "Example sentences:" not in planning_call.messages[1].content
 
     def test_empty_registry_rejected(self, tuesday_text):
-        from eventagents import SchemaRegistry
-
         with pytest.raises(EventAgentsError, match="no schemas loaded"):
             extract_document(tuesday_text, SchemaRegistry(), self.config(), ScriptedBackend({}))
 
@@ -537,17 +536,19 @@ class TestJudgeMemo:
             judge("patched", tuesday_text, "yes"),
         )
 
-        def two_refines(**kwargs):
+        def two_refines(share):
             backend = ScriptedBackend(fixture)
+            judge = document_judge("llm", backend, tuesday_text) if share else None
             for _ in range(2):
                 pool = HypothesisPool([hyp("patched")])
-                refine(pool, tuesday_text, patch_registry, self.config(), backend, **kwargs)
+                refine(pool, tuesday_text, patch_registry, self.config(), backend, judge=judge)
             return template_counts(backend)["semantic_judge"]
 
-        memo = {}
-        assert two_refines(judge_memo=memo) == 1
-        assert list(memo) == [("patched", "PatchVulnerability")]
-        assert two_refines() == 2
+        assert two_refines(share=True) == 1
+        assert two_refines(share=False) == 2
+
+    def test_strict_mode_has_no_judge(self, tuesday_text):
+        assert document_judge("strict", ScriptedBackend({}), tuesday_text) is None
 
     def test_each_document_asks_the_judge(self, patch_registry, patchvuln_schema, tuesday_text):
         fixture = single_schema_fixture(

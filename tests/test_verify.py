@@ -9,9 +9,9 @@ import pytest
 from eventagents import (
     CodeObject,
     Diagnostic,
-    EventAgentsError,
     EventObject,
     EventSchema,
+    JudgeResult,
     Multiplicity,
     ParseFailure,
     RoleSpec,
@@ -35,16 +35,16 @@ def as_code(event: EventObject, **kwargs) -> CodeObject:
     return CodeObject(raw_source="<built in test>", parsed=event, **kwargs)
 
 
-class _StubJudge:
-    """Backend double that answers the judge with a fixed reply."""
+class _FakeJudge:
+    """Semantic judge that gives one fixed answer and records each question."""
 
-    def __init__(self, reply):
-        self.reply = reply
-        self.requests = []
+    def __init__(self, compatible):
+        self.compatible = compatible
+        self.questions = []
 
-    def complete(self, request):
-        self.requests.append(request)
-        return self.reply
+    def __call__(self, trigger, event_type):
+        self.questions.append((trigger, event_type))
+        return JudgeResult(self.compatible)
 
 
 class TestTokenize:
@@ -114,36 +114,25 @@ class TestSemanticCheck:
         event = EventObject("Ransom", "bank", {})
         assert check_semantic(as_code(event), self.TEXT) is None
 
-    def test_llm_mode_consults_judge(self):
-        event = EventObject("Ransom", "demanded", {})
-        backend = _StubJudge("Yes, it is.")
-        assert check_semantic(as_code(event), self.TEXT, mode="llm", backend=backend) is None
-        assert len(backend.requests) == 1
+    def test_judge_is_asked_once_with_trigger_and_type(self):
+        judge = _FakeJudge(True)
+        assert check_semantic(as_code(EventObject("Ransom", "demanded", {})), self.TEXT, judge) is None
+        assert judge.questions == [("demanded", "Ransom")]
 
-    def test_llm_mode_judge_rejection(self):
-        event = EventObject("Databreach", "demanded", {})
-        diagnostic = check_semantic(
-            as_code(event), self.TEXT, mode="llm", backend=_StubJudge("no")
+    def test_judge_rejection(self):
+        judge = _FakeJudge(False)
+        diagnostic = check_semantic(as_code(EventObject("Databreach", "demanded", {})), self.TEXT, judge)
+        assert diagnostic.as_line() == (
+            "[T1] trigger 'demanded' judged not semantically compatible with event type 'Databreach'"
+            " (at demanded)"
         )
-        assert diagnostic.message == (
-            "trigger 'demanded' judged not semantically compatible with event type 'Databreach'"
-        )
+        assert judge.questions == [("demanded", "Databreach")]
 
-    def test_llm_mode_skips_judge_when_trigger_absent(self):
-        backend = _StubJudge("yes")
-        diagnostic = check_semantic(
-            as_code(EventObject("Ransom", "paid", {})), self.TEXT, mode="llm", backend=backend
-        )
-        assert diagnostic.failed_check == "T1"
-        assert backend.requests == []
-
-    def test_llm_mode_requires_backend(self):
-        with pytest.raises(EventAgentsError, match="requires a backend"):
-            check_semantic(as_code(EventObject("Ransom", "demanded", {})), self.TEXT, mode="llm")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown verification mode"):
-            check_semantic(as_code(EventObject("Ransom", "demanded", {})), self.TEXT, mode="loose")
+    def test_judge_skipped_when_trigger_absent(self):
+        judge = _FakeJudge(True)
+        diagnostic = check_semantic(as_code(EventObject("Ransom", "paid", {})), self.TEXT, judge)
+        assert diagnostic.as_line() == "[T1] trigger 'paid' not found in text (at paid)"
+        assert judge.questions == []
 
     def test_unparsed_code_is_a_usage_error(self):
         broken = CodeObject("x(", failure=ParseFailure("boom", 1, 1))
@@ -355,10 +344,13 @@ class TestVerify:
         assert result.diagnostic.failed_check == "T3"
         assert result.diagnostic.message == "unexpected field 'note'"
 
-    def test_unknown_mode_rejected_before_any_check(self):
-        code = parse_event_code('PatchVulnerability(mention="patched")')
-        with pytest.raises(ValueError, match="unknown verification mode"):
-            verify(code, self.TEXT, self.SCHEMA, mode="fast")
+    def test_judge_rejection_stops_before_t2(self):
+        code = parse_event_code('PatchVulnerability(mention="patched", vulnerable_system=[1234])')
+        result = verify(code, self.TEXT, self.SCHEMA, judge=_FakeJudge(False))
+        assert result.diagnostic.as_line() == (
+            "[T1] trigger 'patched' judged not semantically compatible with event type "
+            "'PatchVulnerability' (at patched)"
+        )
 
 
 class TestResultShapes:
