@@ -3,8 +3,9 @@
 Each operation builds a prompt from the catalog, sends it through a
 backend, and normalizes the reply.  All of them are stateless except for
 the exemplar cache, which holds one future of retrieval output per event
-type: a corpus run prompts for exemplars once per schema rather than once
-per document, and different schemas can be retrieved concurrently.
+type so that concurrent lookups of one schema share a single retrieval.
+Running retrieval once per run rather than once per document is
+``refine.build_run_context``'s job.
 """
 
 from __future__ import annotations
@@ -141,41 +142,32 @@ def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | No
         return None
     if not isinstance(data, list):
         return None
-    items: list[dict] = []
-    for entry in data:
+    hypotheses = []
+    for rank, entry in enumerate(data, start=1):
         if not isinstance(entry, dict):
             return None
         trigger = entry.get("trigger")
         event_type = entry.get("event_type")
+        confidence = entry.get("confidence")
+        rationale = entry.get("rationale", "")
         if not isinstance(trigger, str) or not trigger:
             return None
         if not isinstance(event_type, str) or not event_type:
             return None
-        confidence = entry.get("confidence")
-        if confidence is not None and (
-            isinstance(confidence, bool) or not isinstance(confidence, (int, float))
-        ):
-            return None
-        rationale = entry.get("rationale", "")
         if not isinstance(rationale, str):
             return None
-        items.append(entry)
-    n = len(items)
-    hypotheses = []
-    for rank, entry in enumerate(items, start=1):
-        confidence = entry.get("confidence")
         if confidence is None:
-            confidence = 1.0 - (rank - 1) / n
-        # Clamp before converting: float() overflows on huge integers.
-        confidence = float(min(1.0, max(0.0, confidence)))
-        trigger = entry["trigger"]
+            confidence = 1.0 - (rank - 1) / len(data)
+        elif isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
+            return None
         offset = text.lower().find(trigger.lower())
         hypotheses.append(
             TriggerHypothesis(
                 trigger=trigger,
-                event_type=entry["event_type"],
-                confidence=confidence,
-                rationale=entry.get("rationale", ""),
+                event_type=event_type,
+                # Clamp before converting: float() overflows on huge integers.
+                confidence=float(min(1.0, max(0.0, confidence))),
+                rationale=rationale,
                 char_offset=None if offset < 0 else offset,
             )
         )

@@ -26,10 +26,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-from .schemas import EventSchema, SchemaRegistry
+from .schemas import _IDENT_RE, EventSchema, SchemaRegistry
 
 Scalar = str | int | float | bool
 
@@ -79,15 +79,12 @@ class CodeObject:
 
     ``extra_fields`` records unexpected top-level keys seen in object
     notation; they parse fine but fail the structural check later.
-    ``origin_hypothesis`` points back at the trigger hypothesis the code
-    was generated for, when known.
     """
 
     raw_source: str
     parsed: EventObject | None = None
     failure: ParseFailure | None = None
     extra_fields: tuple[str, ...] = ()
-    origin_hypothesis: Any = None
 
     def __post_init__(self):
         if (self.parsed is None) == (self.failure is None):
@@ -112,7 +109,6 @@ class _Token:
 
 _PUNCT = {"(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket", ",": "comma", "=": "equals"}
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
 _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
 _REVERSE_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
@@ -358,11 +354,7 @@ def order_arguments(arguments: dict[str, list], schema: EventSchema) -> dict[str
     return {name: arguments[name] for name in [*known, *unknown]}
 
 
-def parse_event_code(
-    source: str,
-    registry: SchemaRegistry | None = None,
-    origin_hypothesis: Any = None,
-) -> CodeObject:
+def parse_event_code(source: str, registry: SchemaRegistry | None = None) -> CodeObject:
     """Parse generated code text into a :class:`CodeObject`; never raises.
 
     A registry is only consulted to put a recognized event type's
@@ -379,25 +371,16 @@ def parse_event_code(
             event = _ConstructorParser(_scan(source)).parse()
             extras = ()
     except _ParseError as exc:
-        return CodeObject(
-            raw_source=source,
-            failure=ParseFailure(exc.message, exc.line, exc.col),
-            origin_hypothesis=origin_hypothesis,
-        )
+        return CodeObject(raw_source=source, failure=ParseFailure(exc.message, exc.line, exc.col))
     if registry is not None:
         schema = registry.get(event.event_type)
         if schema is not None:
             event = EventObject(event.event_type, event.trigger, order_arguments(event.arguments, schema))
-    return CodeObject(
-        raw_source=source,
-        parsed=event,
-        extra_fields=extras,
-        origin_hypothesis=origin_hypothesis,
-    )
+    return CodeObject(raw_source=source, parsed=event, extra_fields=extras)
 
 
-def serialize_event(event: EventObject, schema: EventSchema | None = None) -> str:
-    """Render an event in canonical object notation (one line, valid JSON).
+def event_payload(event: EventObject, schema: EventSchema | None = None) -> dict:
+    """An event's canonical object notation as a JSON-ready dict.
 
     Key order is fixed: ``event_type``, ``trigger``, ``arguments``.  With
     a schema, argument roles come out in declaration order followed by
@@ -405,14 +388,14 @@ def serialize_event(event: EventObject, schema: EventSchema | None = None) -> st
     (parsing puts arguments into canonical order whenever the event type
     is known, so pipeline output is canonical either way).
     """
-    arguments = order_arguments(event.arguments, schema) if schema is not None else dict(event.arguments)
-    payload = {"event_type": event.event_type, "trigger": event.trigger, "arguments": arguments}
-    return json.dumps(payload, ensure_ascii=False, allow_nan=False)
+    arguments = order_arguments(event.arguments, schema) if schema is not None else event.arguments
+    copied = {role: list(values) for role, values in arguments.items()}
+    return {"event_type": event.event_type, "trigger": event.trigger, "arguments": copied}
 
 
-def event_payload(event: EventObject, schema: EventSchema | None = None) -> dict:
-    """:func:`serialize_event`'s canonical form as a JSON-ready dict."""
-    return json.loads(serialize_event(event, schema))
+def serialize_event(event: EventObject, schema: EventSchema | None = None) -> str:
+    """Render :func:`event_payload` as one line of valid JSON."""
+    return json.dumps(event_payload(event, schema), ensure_ascii=False, allow_nan=False)
 
 
 def render_constructor_call(event: EventObject) -> str:

@@ -72,10 +72,6 @@ class MetricsReport:
         return (("TI", self.ti), ("TC", self.tc), ("AI", self.ai), ("AC", self.ac))
 
 
-def _value_text(value) -> str:
-    return value if isinstance(value, str) else str(value)
-
-
 def _greedy_correct(pred_keys: Sequence, gold_keys: Sequence) -> int:
     """One-to-one matching, predictions claiming gold items in order."""
     remaining = Counter(gold_keys)
@@ -115,13 +111,13 @@ def score(predictions: Mapping[str, Sequence[EventObject]], gold: Sequence[Docum
         ]
 
         pred_args = [
-            (event.event_type, _value_text(value))
+            (event.event_type, str(value))
             for event in doc_predictions
             for values in event.arguments.values()
             for value in values
         ]
         pred_args_typed = [
-            (event.event_type, role, _value_text(value))
+            (event.event_type, role, str(value))
             for event in doc_predictions
             for role, values in event.arguments.items()
             for value in values

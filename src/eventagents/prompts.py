@@ -69,55 +69,37 @@ def retrieval_prompt(schema: EventSchema) -> PromptRequest:
     )
 
 
-def _planning_user(text: str, definitions: str, exemplar_sentences: Sequence[str]) -> str:
+def _planning_request(
+    template_id: str, text: str, registry: SchemaRegistry, exemplar_sentences: Sequence[str], reminder: str = ""
+) -> PromptRequest:
+    definitions = registry.definitions
     parts = [f"Event definitions:\n{definitions}\n"]
     if exemplar_sentences:
         listed = "\n".join(f"- {sentence}" for sentence in exemplar_sentences)
         parts.append(f"Example sentences:\n{listed}\n")
     parts.append(f"Text:\n{text}\n")
     parts.append(_PLANNING_FORMAT)
-    return "\n".join(parts)
-
-
-def _planning_bindings(text: str, definitions: str, exemplar_sentences: Sequence[str]):
-    return (
-        ("definitions", definitions),
-        ("exemplars", "\n".join(exemplar_sentences)),
-        ("text", text),
+    if reminder:
+        parts.append(f"\n{reminder}")
+    return PromptRequest(
+        template_id=template_id,
+        bindings=(("definitions", definitions), ("exemplars", "\n".join(exemplar_sentences)), ("text", text)),
+        messages=(ChatMessage("system", _PLANNING_SYSTEM), ChatMessage("user", "\n".join(parts))),
+        temperature=0.0,
     )
 
 
 def planning_prompt(
-    text: str,
-    registry: SchemaRegistry,
-    exemplar_sentences: Sequence[str] = (),
+    text: str, registry: SchemaRegistry, exemplar_sentences: Sequence[str] = ()
 ) -> PromptRequest:
-    definitions = registry.definitions
-    return PromptRequest(
-        template_id=PLANNING,
-        bindings=_planning_bindings(text, definitions, exemplar_sentences),
-        messages=(
-            ChatMessage("system", _PLANNING_SYSTEM),
-            ChatMessage("user", _planning_user(text, definitions, exemplar_sentences)),
-        ),
-        temperature=0.0,
-    )
+    return _planning_request(PLANNING, text, registry, exemplar_sentences)
 
 
 def planning_retry_prompt(
-    text: str,
-    registry: SchemaRegistry,
-    exemplar_sentences: Sequence[str] = (),
+    text: str, registry: SchemaRegistry, exemplar_sentences: Sequence[str] = ()
 ) -> PromptRequest:
     """The single-reprompt variant appended with a format reminder."""
-    definitions = registry.definitions
-    user = _planning_user(text, definitions, exemplar_sentences) + "\n\n" + _PLANNING_REMINDER
-    return PromptRequest(
-        template_id=PLANNING_RETRY,
-        bindings=_planning_bindings(text, definitions, exemplar_sentences),
-        messages=(ChatMessage("system", _PLANNING_SYSTEM), ChatMessage("user", user)),
-        temperature=0.0,
-    )
+    return _planning_request(PLANNING_RETRY, text, registry, exemplar_sentences, _PLANNING_REMINDER)
 
 
 def coding_prompt(

@@ -77,26 +77,24 @@ class HypothesisPool:
 
     def __init__(self, hypotheses: Iterable[TriggerHypothesis]):
         self._entries = list(hypotheses)
-        self._consumed: set[int] = set()
 
     def available(self) -> list[TriggerHypothesis]:
-        return [h for i, h in enumerate(self._entries) if i not in self._consumed]
+        return list(self._entries)
 
     def is_empty(self) -> bool:
-        return len(self._consumed) >= len(self._entries)
+        return not self._entries
 
     def remove(self, hypothesis: TriggerHypothesis) -> None:
-        for i, entry in enumerate(self._entries):
-            if i not in self._consumed and entry == hypothesis:
-                self._consumed.add(i)
-                return
-        raise ValueError("hypothesis not present in pool")
+        """Consume the first entry equal to ``hypothesis``."""
+        if hypothesis not in self._entries:
+            raise ValueError("hypothesis not present in pool")
+        self._entries.remove(hypothesis)
 
     def discard_pair(self, trigger: str, event_type: str) -> None:
         """Consume every entry carrying this (trigger, event type) pair."""
-        for i, entry in enumerate(self._entries):
-            if i not in self._consumed and entry.trigger == trigger and entry.event_type == event_type:
-                self._consumed.add(i)
+        self._entries = [
+            entry for entry in self._entries if (entry.trigger, entry.event_type) != (trigger, event_type)
+        ]
 
 
 def select_best(pool: HypothesisPool) -> TriggerHypothesis:
@@ -196,7 +194,7 @@ def refine(
                 code_text = run_coding_agent(
                     backend, hypothesis, schema, text, diagnostic=diagnostic_line
                 )
-                code = parse_event_code(code_text, registry=registry, origin_hypothesis=hypothesis)
+                code = parse_event_code(code_text, registry=registry)
                 result = verify(code, text, schema, judge)
             except EventAgentsError as exc:
                 trace.outcome = "aborted"

@@ -77,7 +77,8 @@ SCALAR_TYPE_NAMES = {
 
 _NAME_BY_SCALAR = {v: k for k, v in SCALAR_TYPE_NAMES.items()}
 
-# Identifiers may contain interior hyphens ("number-of-data").
+# Identifiers may contain interior hyphens ("number-of-data"); the
+# schema-code grammar and the event-construction scanner share this.
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
 
 # The first body field of every rendered class; reserved, never a role name.
@@ -197,14 +198,10 @@ def load_ontology(source: bytes | str | Any) -> SchemaRegistry:
         if not isinstance(raw_roles, list):
             raise OntologyError(f"'roles' of event type {event_type!r} must be an array")
         roles = []
-        seen = set()
         for raw in raw_roles:
             if not isinstance(raw, dict) or not isinstance(raw.get("name"), str) or not raw["name"]:
                 raise OntologyError(f"event type {event_type!r} has a role without a usable 'name'")
             name = raw["name"]
-            if name in seen:
-                raise OntologyError(f"duplicate role name {name!r} in event type {event_type!r}")
-            seen.add(name)
             vt_name = raw.get("value_type", ValueType.STRING.value)
             try:
                 value_type = ValueType(vt_name)
@@ -274,8 +271,8 @@ def _parse_annotation(text: str, line_no: int, col: int) -> tuple[ValueType, Mul
     raise SchemaCodeError(f"unknown field type {text!r}", line_no, col)
 
 
-_CLASS_RE = re.compile(r"class\s+([A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)\s*:\s*$")
-_FIELD_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*)\s*:\s*(.+?)\s*$")
+_CLASS_RE = re.compile(rf"class\s+({_IDENT_RE.pattern})\s*:\s*$")
+_FIELD_RE = re.compile(rf"({_IDENT_RE.pattern})\s*:\s*(.+?)\s*$")
 
 
 def parse_schema_code(source: str) -> EventSchema:

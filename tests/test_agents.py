@@ -354,6 +354,27 @@ class TestPlanningAgent:
             ("ransom", 0.0),
         ]
 
+    def test_missing_and_null_confidences_get_the_rank_default(self, ransom_text, databreach_schema, ransom_schema):
+        registry = self.registry(databreach_schema, ransom_schema)
+        reply = planning_reply(
+            {"trigger": "demanded", "event_type": "Ransom", "confidence": 0.2},
+            {"trigger": "ransom", "event_type": "Ransom"},
+            {"trigger": "servers", "event_type": "Databreach", "confidence": None},
+            {"trigger": "infiltrating", "event_type": "Databreach", "confidence": 0.9},
+            {"trigger": "hackers", "event_type": "Databreach"},
+        )
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, registry, hypothesis_k=5)
+        # 1 - (rank-1)/n over all five entries, whichever are explicit.
+        assert [(h.trigger, h.confidence) for h in hypotheses] == [
+            ("infiltrating", 0.9),
+            ("ransom", 0.8),
+            ("servers", 0.6),
+            ("demanded", 0.2),
+            ("hackers", 1.0 - 4 / 5),
+        ]
+        assert len(backend.calls) == 1
+
     def test_offset_is_case_insensitive_and_optional(self, databreach_schema, ransom_schema):
         text = "DEMANDED more."
         registry = self.registry(databreach_schema, ransom_schema)

@@ -2,12 +2,13 @@
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
 from conftest import script
 from eventagents import EventSchema, RoleSpec, SchemaRegistry
-from eventagents.backends import BackendConfig
+from eventagents.backends import BackendConfig, ScriptedBackend
 from eventagents.cli import RunConfig, main
 from eventagents.prompts import coding_prompt, planning_prompt, retrieval_prompt
 from eventagents.refine import PipelineConfig
@@ -681,6 +682,69 @@ class TestExtract:
         assert stdout == ""
         assert stderr == "error: sample size 5 exceeds corpus size 2\n"
         assert not out.exists()
+
+    @pytest.fixture
+    def backend_calls(self, monkeypatch):
+        """Every backend call of the runs, as (template id, thread id)."""
+        calls = []
+
+        class RecordingBackend(ScriptedBackend):
+            def complete(self, request):
+                calls.append((request.template_id, threading.get_ident()))
+                return super().complete(request)
+
+        monkeypatch.setattr("eventagents.cli.ScriptedBackend", RecordingBackend)
+        return calls
+
+    TWO_DOCS = [
+        (TEXT_1, PLANNING_1, [("patched", CODING_1)]),
+        (TEXT_2, PLANNING_2, [("patched", CODING_2)]),
+    ]
+
+    @pytest.mark.parametrize("runs, first_path", [("1", "preds.jsonl"), ("2", "preds.run1.jsonl")])
+    def test_missing_out_directory_fails_before_any_backend_call(
+        self, capsys, tmp_path, backend_calls, runs, first_path
+    ):
+        ontology, corpus, fixture, _ = self.setup_run(tmp_path, texts=(TEXT_1, TEXT_2), docs=self.TWO_DOCS)
+        before = sorted(tmp_path.rglob("*"))
+        missing = tmp_path / "missing_dir"
+        code, stdout, stderr = run_cli(
+            capsys, *self.extract_args(ontology, corpus, fixture, missing / "preds.jsonl", "--runs", runs)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: cannot write {missing / first_path}: {missing} is not a directory\n"
+        assert backend_calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("runs, blocked", [("1", "preds.jsonl"), ("2", "preds.run2.trace.jsonl")])
+    def test_out_path_that_is_a_directory_fails_before_any_backend_call(
+        self, capsys, tmp_path, backend_calls, runs, blocked
+    ):
+        ontology, corpus, fixture, out = self.setup_run(tmp_path, texts=(TEXT_1, TEXT_2), docs=self.TWO_DOCS)
+        (tmp_path / blocked).mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, stderr = run_cli(
+            capsys, *self.extract_args(ontology, corpus, fixture, out, "--runs", runs)
+        )
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: cannot write {tmp_path / blocked}: it is a directory\n"
+        assert backend_calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("workers, on_calling_thread", [("1", True), ("2", False)])
+    def test_one_worker_makes_every_call_on_the_calling_thread(
+        self, capsys, tmp_path, backend_calls, workers, on_calling_thread
+    ):
+        ontology, corpus, fixture, out = self.setup_run(tmp_path, texts=(TEXT_1, TEXT_2), docs=self.TWO_DOCS)
+        args = self.extract_args(ontology, corpus, fixture, out, "--runs", "1", "--workers", workers)
+        assert run_cli(capsys, *args)[0] == 0
+        assert sorted(template for template, _ in backend_calls) == [
+            "coding", "coding", "planning", "planning", "retrieval", "retrieval", "retrieval",
+        ]
+        caller = threading.get_ident()
+        assert [ident == caller for _, ident in backend_calls] == [on_calling_thread] * len(backend_calls)
 
     def test_missing_required_options(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "extract", "--corpus", "x", "--out", "y")

@@ -1,0 +1,172 @@
+"""Readers of untrusted input are total: each returns a value or raises
+its own error, whatever JSON it is given.
+
+Documents are built from the keys each reader knows, so the examples
+reach the checks behind the first few, and any key may instead hold an
+arbitrary JSON value or be missing.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eventagents import SchemaRegistry, TriggerHypothesis
+from eventagents.agents import PlanningError, run_planning_agent
+from eventagents.backends import load_scripted_fixture
+from eventagents.cli import _load_predictions
+from eventagents.corpus import CorpusError, load_corpus
+from eventagents.errors import ConfigError
+from eventagents.metrics import EvaluationError
+from eventagents.schemas import EventSchema, OntologyError, RoleSpec, load_ontology
+
+TEXT = "Hackers demanded a ransom."
+REGISTRY = SchemaRegistry([EventSchema("Ransom", (RoleSpec("victim"),))])
+
+# Few distinct names, so they collide; the invalid ones come last
+# because hypothesis favours early entries.
+NAMES = st.sampled_from(["A", "B", "a-b", "demanded", "ransom", "mention", "x y", ""])
+VALUE_TYPES = st.sampled_from(["string", "integer", "number", "boolean"])
+MULTIPLICITIES = st.sampled_from(["list", "optional-scalar", "required-scalar"])
+WORDS = NAMES | VALUE_TYPES | MULTIPLICITIES | st.just(TEXT)
+SMALL_INTS = st.integers(min_value=-2, max_value=len(TEXT) + 2)
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | WORDS,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(WORDS, children, max_size=3),
+    max_leaves=8,
+)
+HOSTILE_BYTES = st.sampled_from([b"[" * 100_000, b'{"n": ' + b"7" * 5_000 + b"}", b'"\xff"', b""])
+
+
+def mostly(common, rare):
+    """Draw mostly from ``common`` (three entries in four), else from ``rare``."""
+    return st.sampled_from([common, common, common, rare]).flatmap(lambda strategy: strategy)
+
+
+def shaped(fields):
+    """JSON objects with a plausible value under every known key, or with
+    each key missing, plausible or holding any JSON value."""
+    return mostly(
+        st.fixed_dictionaries(fields),
+        st.fixed_dictionaries({}, optional={key: value | ANY_JSON for key, value in fields.items()}),
+    )
+
+
+def as_bytes(documents):
+    """A JSON document's bytes, mostly shaped like ``documents``."""
+    return mostly(
+        documents.map(lambda document: json.dumps(document).encode("utf-8")),
+        st.one_of(ANY_JSON.map(lambda value: json.dumps(value).encode("utf-8")), st.binary(), HOSTILE_BYTES),
+    )
+
+
+def as_lines(records):
+    """Newline-delimited JSON records, mostly shaped like ``records``."""
+    lines = st.lists(mostly(records, ANY_JSON), max_size=3)
+    return mostly(
+        lines.map(lambda items: "\n".join(json.dumps(item) for item in items).encode("utf-8")),
+        st.binary() | HOSTILE_BYTES,
+    )
+
+
+ROLE = shaped({"name": NAMES, "value_type": VALUE_TYPES, "multiplicity": MULTIPLICITIES})
+ONTOLOGIES = as_bytes(st.lists(shaped({"event_type": NAMES, "roles": st.lists(ROLE, max_size=4)}), max_size=3))
+
+SPAN_TEXTS = st.sampled_from(["demanded", "ransom", ""])
+SPAN = shaped({"text": SPAN_TEXTS, "start": SMALL_INTS, "end": SMALL_INTS})
+GOLD_EVENT = shaped({
+    "event_type": NAMES,
+    "trigger": SPAN,
+    "arguments": st.lists(shaped({"role": NAMES, "text": SPAN_TEXTS, "start": SMALL_INTS, "end": SMALL_INTS}), max_size=2),
+})
+CORPORA = as_lines(shaped({
+    "id": NAMES,
+    "text": st.sampled_from([TEXT, "x y", ""]),
+    "tokens": st.lists(st.lists(SMALL_INTS, min_size=2, max_size=2), max_size=3),
+    "events": st.lists(GOLD_EVENT, max_size=2),
+}))
+
+FIXTURES = as_bytes(st.dictionaries(NAMES, NAMES | st.lists(NAMES, max_size=3), max_size=3))
+
+EVENT = shaped({
+    "event_type": NAMES,
+    "trigger": SPAN_TEXTS,
+    "arguments": st.dictionaries(NAMES, WORDS | st.lists(WORDS | st.integers() | st.floats(), max_size=3), max_size=3),
+})
+PREDICTIONS = as_lines(shaped({"doc_id": NAMES, "events": st.lists(EVENT, max_size=2)}))
+
+HYPOTHESIS = shaped({
+    "trigger": st.sampled_from(["demanded", "RANSOM", "absent", ""]),
+    "event_type": NAMES,
+    "confidence": st.none() | st.floats() | st.integers(),
+    "rationale": st.sampled_from(["", "the verb"]),
+})
+PLANNING_REPLIES = mostly(
+    st.lists(HYPOTHESIS, max_size=5).map(json.dumps),
+    st.one_of(
+        st.lists(HYPOTHESIS, max_size=5).map(lambda items: "```json\n%s\n```" % json.dumps(items)),
+        ANY_JSON.map(json.dumps),
+        st.text(max_size=20),
+    ),
+)
+
+
+@settings(deadline=None)
+@given(ONTOLOGIES)
+def test_load_ontology_is_total(source):
+    try:
+        assert isinstance(load_ontology(source), SchemaRegistry)
+    except OntologyError:
+        pass
+
+
+@settings(deadline=None)
+@given(CORPORA)
+def test_load_corpus_is_total(source):
+    try:
+        assert isinstance(load_corpus(source), list)
+    except CorpusError:
+        pass
+
+
+@settings(deadline=None)
+@given(FIXTURES)
+def test_load_scripted_fixture_is_total(source):
+    try:
+        assert isinstance(load_scripted_fixture(source), dict)
+    except ConfigError:
+        pass
+
+
+def test_load_predictions_is_total(tmp_path):
+    path = tmp_path / "predictions.jsonl"
+
+    @settings(deadline=None)
+    @given(PREDICTIONS)
+    def check(source):
+        path.write_bytes(source)
+        try:
+            assert isinstance(_load_predictions(str(path)), dict)
+        except EvaluationError:
+            pass
+
+    check()
+
+
+@settings(deadline=None)
+@given(PLANNING_REPLIES, PLANNING_REPLIES, st.integers(min_value=1, max_value=4))
+def test_planning_returns_bounded_ranked_hypotheses_or_fails(reply, retry_reply, hypothesis_k):
+    replies = iter([reply, retry_reply])
+
+    class Backend:
+        def complete(self, request):
+            return next(replies)
+
+    try:
+        hypotheses = run_planning_agent(Backend(), TEXT, REGISTRY, hypothesis_k=hypothesis_k)
+    except PlanningError:
+        return
+    assert len(hypotheses) <= hypothesis_k
+    assert all(isinstance(h, TriggerHypothesis) and 0.0 <= h.confidence <= 1.0 for h in hypotheses)
+    confidences = [h.confidence for h in hypotheses]
+    assert confidences == sorted(confidences, reverse=True)
