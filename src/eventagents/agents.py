@@ -1,9 +1,7 @@
 """The retrieval, planning, coding and judging operations.
 
 Each operation builds a prompt from the catalog, sends it through a
-backend, and normalizes the reply.  All of them are stateless except for
-the exemplar cache, which holds one future of retrieval output per event
-type so that concurrent lookups of one schema share a single retrieval.
+backend, and normalizes the reply; none keeps state between calls.
 Running retrieval once per run rather than once per document is
 ``refine.build_run_context``'s job.
 """
@@ -12,9 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-import threading
-from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import EventAgentsError
@@ -40,7 +36,6 @@ class ExemplarSet:
     """Self-generated example sentences illustrating one schema."""
 
     sentences: tuple[str, ...]
-    schema_ref: EventSchema
     warning: str | None = None
 
 
@@ -89,49 +84,28 @@ def run_retrieval_agent(backend, schema: EventSchema, k: int) -> ExemplarSet:
     warning = None
     if not sentences:
         warning = f"retrieval produced no usable sentences for {schema.event_type}"
-    return ExemplarSet(tuple(sentences), schema, warning)
+    return ExemplarSet(tuple(sentences), warning)
 
 
 class ExemplarCache:
     """Per-run exemplar memo, keyed by event type.
 
-    Each event type gets one :class:`~concurrent.futures.Future`.  The
-    first caller for a type claims it under a short lock, runs the
-    factory outside that lock and resolves the future; concurrent callers
-    for the same type wait on it, so retrieval runs exactly once per
-    schema while different schemas are retrieved in parallel.  A factory
-    that raises hands the exception to its caller and to every waiter,
-    and the type's slot is dropped so a later call retries.
+    The first lookup of a type runs the factory and keeps its result;
+    later lookups of that type return it.  A factory that raises stores
+    nothing, so a later lookup runs it again.  Lookups are not
+    synchronised: concurrent lookups of one type may each run the
+    factory, which cannot happen in a run, because a registry holds
+    each event type once.
     """
 
     def __init__(self):
-        self._slots: dict[str, Future] = {}
-        self._lock = threading.Lock()
+        self._sets: dict[str, ExemplarSet] = {}
 
     def get_or_create(self, schema: EventSchema, factory: Callable[[], ExemplarSet]) -> ExemplarSet:
-        with self._lock:
-            slot = self._slots.get(schema.event_type)
-            claimed = slot is None
-            if claimed:
-                slot = self._slots[schema.event_type] = Future()
-        if not claimed:
-            return slot.result()
-        try:
-            exemplars = factory()
-        except BaseException as exc:
-            with self._lock:
-                del self._slots[schema.event_type]
-            slot.set_exception(exc)
-            raise
-        slot.set_result(exemplars)
+        exemplars = self._sets.get(schema.event_type)
+        if exemplars is None:
+            exemplars = self._sets[schema.event_type] = factory()
         return exemplars
-
-
-def flatten_exemplars(exemplars: Sequence[ExemplarSet]) -> tuple[str, ...]:
-    out: list[str] = []
-    for exemplar_set in exemplars:
-        out.extend(exemplar_set.sentences)
-    return tuple(out)
 
 
 def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | None:

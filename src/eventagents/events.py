@@ -31,8 +31,6 @@ from typing import Any
 
 from .schemas import _IDENT_RE, EventSchema, SchemaRegistry
 
-Scalar = str | int | float | bool
-
 EVENT_FIELDS = ("event_type", "trigger", "arguments")
 
 
@@ -110,7 +108,6 @@ class _Token:
 _PUNCT = {"(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket", ",": "comma", "=": "equals"}
 _NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
-_REVERSE_ESCAPES = {"\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
 
 def _scan(source: str) -> list[_Token]:
@@ -397,36 +394,3 @@ def serialize_event(event: EventObject, schema: EventSchema | None = None) -> st
     """Render :func:`event_payload` as one line of valid JSON."""
     return json.dumps(event_payload(event, schema), ensure_ascii=False, allow_nan=False)
 
-
-def render_constructor_call(event: EventObject) -> str:
-    """Render an event as constructor-call text (the prompts' code shape).
-
-    Inverse-compatible with :func:`parse_event_code`'s constructor form
-    for events whose strings avoid unprintable characters outside the
-    supported escape set.
-    """
-    parts = [f"mention={_quote(event.trigger)}"]
-    for role, values in event.arguments.items():
-        rendered = ", ".join(_literal(v) for v in values)
-        parts.append(f"{role}=[{rendered}]")
-    return f"{event.event_type}({', '.join(parts)})"
-
-
-def _quote(text: str) -> str:
-    out = []
-    for ch in text:
-        if ch in _REVERSE_ESCAPES:
-            out.append(_REVERSE_ESCAPES[ch])
-        elif ch == '"':
-            out.append('\\"')
-        else:
-            out.append(ch)
-    return '"' + "".join(out) + '"'
-
-
-def _literal(value: Scalar) -> str:
-    if isinstance(value, bool):
-        return "True" if value else "False"
-    if isinstance(value, str):
-        return _quote(value)
-    return repr(value)

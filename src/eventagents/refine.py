@@ -21,9 +21,7 @@ from typing import Callable, Iterable
 
 from .agents import (
     ExemplarCache,
-    ExemplarSet,
     TriggerHypothesis,
-    flatten_exemplars,
     judge_semantic_compat,
     run_coding_agent,
     run_planning_agent,
@@ -214,8 +212,7 @@ def refine(
 class RunContext:
     """What every document of a run shares, built once per run."""
 
-    exemplars: tuple[ExemplarSet, ...]  # in registry order
-    sentences: tuple[str, ...]  # the exemplar sentences, flattened
+    sentences: tuple[str, ...]  # every schema's exemplar sentences, in registry order
     warnings: tuple[str, ...]  # one per schema whose retrieval came back empty
 
 
@@ -239,8 +236,7 @@ def build_run_context(
 
     exemplars = tuple(map(retrieve, registry))
     return RunContext(
-        exemplars,
-        flatten_exemplars(exemplars),
+        tuple(sentence for exemplar_set in exemplars for sentence in exemplar_set.sentences),
         tuple(exemplar_set.warning for exemplar_set in exemplars if exemplar_set.warning),
     )
 

@@ -15,7 +15,6 @@ from eventagents import (
     SchemaRegistry,
     order_arguments,
     parse_event_code,
-    render_constructor_call,
     serialize_event,
 )
 from oracles import random_event, random_surface_pair
@@ -269,12 +268,6 @@ class TestSerialize:
         for _ in range(200):
             event = random_event(rng)
             assert parse_ok(serialize_event(event)) == event
-
-    def test_round_trip_through_constructor_rendering(self):
-        rng = random.Random(12)
-        for _ in range(200):
-            event = random_event(rng)
-            assert parse_ok(render_constructor_call(event)) == event
 
 
 class TestSurfaceFormAgreement:

@@ -632,10 +632,19 @@ class TestRunContext:
     }
 
     def test_context_contents(self, breach_registry):
+        pairs = [
+            (retrieval_prompt(schema), reply)
+            for schema in breach_registry
+            for reply in self.EXEMPLARS[schema.event_type]
+        ]
+        context = build_run_context(breach_registry, ScriptedBackend(script(*pairs)), exemplar_k=3)
+        assert context.sentences == (*self.EXEMPLARS["Databreach"], *self.EXEMPLARS["Ransom"])
+        assert context.warnings == ()
+
+    def test_empty_retrieval_leaves_a_warning(self, breach_registry):
         pairs = [(retrieval_prompt(schema), self.EXEMPLARS[schema.event_type]) for schema in breach_registry]
         pairs[1] = (pairs[1][0], "  ")
         context = build_run_context(breach_registry, ScriptedBackend(script(*pairs)), exemplar_k=3)
-        assert [s.schema_ref.event_type for s in context.exemplars] == ["Databreach", "Ransom"]
         assert context.sentences == tuple(self.EXEMPLARS["Databreach"])
         assert context.warnings == ("retrieval produced no usable sentences for Ransom",)
 
