@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import EventAgentsError
+from .errors import EventAgentsError, has_surrogate
 from .prompts import (
     coding_prompt,
     judge_prompt,
@@ -129,6 +129,8 @@ def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | No
         if not isinstance(event_type, str) or not event_type:
             return None
         if not isinstance(rationale, str):
+            return None
+        if any(map(has_surrogate, (trigger, event_type, rationale))):
             return None
         if confidence is None:
             confidence = 1.0 - (rank - 1) / len(data)

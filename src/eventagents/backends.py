@@ -27,7 +27,7 @@ import urllib.request
 from dataclasses import dataclass
 from typing import IO, Any
 
-from .errors import ConfigError, EventAgentsError
+from .errors import ConfigError, EventAgentsError, has_surrogate
 
 _ROLES = ("system", "user", "assistant")
 
@@ -438,6 +438,8 @@ def _extract_content(data: bytes) -> str:
         raise BackendError("backend response is missing choices[0].message.content") from None
     if not isinstance(content, str):
         raise BackendError("backend response content is not text")
+    if has_surrogate(content):
+        raise BackendError("backend response content holds a lone surrogate, which UTF-8 cannot encode")
     return content
 
 
@@ -484,6 +486,8 @@ def _check_replies(mapping: dict[str, Any]) -> None:
         replies = value if isinstance(value, list) else [value]
         if not all(isinstance(reply, str) for reply in replies):
             raise ConfigError(f"scripted fixture entry {key!r} must be a string or list of strings")
+        if any(map(has_surrogate, replies)):
+            raise ConfigError(f"scripted fixture entry {key!r} holds a lone surrogate, which UTF-8 cannot encode")
 
 
 def load_scripted_fixture(source: bytes | str | IO) -> dict[str, str | list[str]]:

@@ -242,6 +242,11 @@ def _trace_path(pred_path: Path) -> Path:
     return pred_path.with_name(f"{pred_path.stem}.trace{pred_path.suffix}")
 
 
+def _write_line(file, record: dict) -> None:
+    """One record of a prediction or trace file, non-ASCII text unescaped."""
+    file.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
 def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
     _require_paths(config, "extract")
     registry = load_ontology(_read_bytes(config.ontology))
@@ -283,19 +288,16 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
                 if isinstance(outcome, EventAgentsError):
                     skipped += 1
                     # refine attaches the partial trace of a document it aborted.
-                    if hasattr(outcome, "trace"):
-                        for record in trace_to_records(outcome.trace, doc.id):
-                            trace_file.write(json.dumps(record, ensure_ascii=False) + "\n")
-                    trace_file.write(
-                        json.dumps({"doc_id": doc.id, "note": f"document skipped: {outcome}"}) + "\n"
-                    )
-                    continue
-                events, trace = outcome
-                events_written += len(events)
-                payload = {"doc_id": doc.id, "events": [event_payload(event) for event in events]}
-                pred_file.write(json.dumps(payload, ensure_ascii=False) + "\n")
-                for record in trace_to_records(trace, doc.id):
-                    trace_file.write(json.dumps(record, ensure_ascii=False) + "\n")
+                    trace = getattr(outcome, "trace", None)
+                    records = [] if trace is None else trace_to_records(trace, doc.id)
+                    records.append({"doc_id": doc.id, "note": f"document skipped: {outcome}"})
+                else:
+                    events, trace = outcome
+                    events_written += len(events)
+                    _write_line(pred_file, {"doc_id": doc.id, "events": [event_payload(e) for e in events]})
+                    records = trace_to_records(trace, doc.id)
+                for record in records:
+                    _write_line(trace_file, record)
         skips = f", {skipped} skipped" if skipped else ""
         print(f"run {run_index}: {len(documents)} documents, {events_written} events{skips} -> {pred_path}")
         if documents and skipped == len(documents):

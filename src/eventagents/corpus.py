@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import IO, Sequence
 
-from .errors import EventAgentsError
+from .errors import EventAgentsError, has_surrogate
 
 _WHITESPACE_TOKEN_RE = re.compile(r"\S+")
 
@@ -67,23 +67,36 @@ def _check_span(doc_id: str, what: str, start, end, text: str) -> None:
         raise CorpusError(f"record {doc_id!r}: {what} span [{start}, {end}) out of bounds")
 
 
+def _check_text(doc_id: str, what: str, value: str) -> None:
+    if has_surrogate(value):
+        raise CorpusError(f"record {doc_id!r}: {what} holds a lone surrogate, which UTF-8 cannot encode")
+
+
 def _load_span(doc_id: str, what: str, raw, text: str) -> Span:
     if not isinstance(raw, dict):
         raise CorpusError(f"record {doc_id!r}: {what} must be an object")
     span_text = raw.get("text")
     if not isinstance(span_text, str) or not span_text:
         raise CorpusError(f"record {doc_id!r}: {what} needs a non-empty 'text'")
-    _check_span(doc_id, what, raw.get("start"), raw.get("end"), text)
-    return Span(span_text, raw["start"], raw["end"])
+    start, end = raw.get("start"), raw.get("end")
+    _check_span(doc_id, what, start, end, text)
+    if span_text != text[start:end]:
+        raise CorpusError(
+            f"record {doc_id!r}: {what} text {span_text!r} does not match the document text "
+            f"{text[start:end]!r} at [{start}, {end})"
+        )
+    return Span(span_text, start, end)
 
 
 def _load_record(line_no: int, raw: dict) -> Document:
     doc_id = raw.get("id")
     if not isinstance(doc_id, str) or not doc_id:
         raise CorpusError(f"line {line_no}: record has no usable 'id'")
+    _check_text(doc_id, "'id'", doc_id)
     text = raw.get("text")
     if not isinstance(text, str):
         raise CorpusError(f"record {doc_id!r}: 'text' must be a string")
+    _check_text(doc_id, "'text'", text)
 
     raw_tokens = raw.get("tokens")
     if raw_tokens is None:
@@ -114,6 +127,7 @@ def _load_record(line_no: int, raw: dict) -> Document:
         event_type = raw_event.get("event_type")
         if not isinstance(event_type, str) or not event_type:
             raise CorpusError(f"record {doc_id!r}: event has no usable 'event_type'")
+        _check_text(doc_id, "'event_type'", event_type)
         trigger = _load_span(doc_id, "trigger", raw_event.get("trigger"), text)
         arguments = []
         raw_arguments = raw_event.get("arguments", [])
@@ -125,6 +139,7 @@ def _load_record(line_no: int, raw: dict) -> Document:
             role = raw_argument.get("role")
             if not isinstance(role, str) or not role:
                 raise CorpusError(f"record {doc_id!r}: argument has no usable 'role'")
+            _check_text(doc_id, "'role'", role)
             arguments.append((role, _load_span(doc_id, f"argument {role!r}", raw_argument, text)))
         events.append(GoldEvent(event_type, trigger, tuple(arguments)))
     return Document(doc_id, text, tokens, tuple(events))

@@ -29,6 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Any
 
+from .errors import has_surrogate
 from .schemas import _IDENT_RE, EventSchema, SchemaRegistry
 
 EVENT_FIELDS = ("event_type", "trigger", "arguments")
@@ -340,6 +341,11 @@ def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
             raise _ParseError(
                 f"values of role {role!r} must be strings, numbers or booleans", 1, 1
             )
+    strings = [*data, event_type, trigger, *arguments]
+    strings += [value for values in arguments.values() for value in values if isinstance(value, str)]
+    for value in strings:
+        if has_surrogate(value):
+            raise _ParseError(f"string {value!r} holds a lone surrogate, which UTF-8 cannot encode", 1, 1)
     extras = tuple(k for k in data if k not in EVENT_FIELDS)
     return EventObject(event_type=event_type, trigger=trigger, arguments=arguments), extras
 

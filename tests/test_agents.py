@@ -353,6 +353,9 @@ class TestPlanningAgent:
             '[{"trigger": "demanded", "event_type": "Ransom", "confidence": "high"}]',
             '[{"trigger": "demanded", "event_type": "Ransom", "confidence": true}]',
             '[{"trigger": "demanded", "event_type": "Ransom", "rationale": 4}]',
+            '[{"trigger": "demanded\\ud800", "event_type": "Ransom"}]',
+            '[{"trigger": "demanded", "event_type": "Ransom\\udfff"}]',
+            '[{"trigger": "demanded", "event_type": "Ransom", "rationale": "\\ud800"}]',
             pytest.param(
                 '[{"trigger": "demanded", "event_type": "Ransom", "confidence": 1%s}]' % ("0" * 5000),
                 id="integer-over-digit-limit",

@@ -273,6 +273,12 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="not valid JSON"):
             backend.complete(make_request())
 
+    def test_content_with_a_lone_surrogate(self, http_server):
+        _ScriptedHandler.script = [(200, '{"choices": [{"message": {"content": "ok \\ud800"}}]}')]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=0))
+        with pytest.raises(BackendError, match="content holds a lone surrogate"):
+            backend.complete(make_request())
+
     def test_deeply_nested_response_body(self, http_server):
         _ScriptedHandler.script = [(200, "[" * 100000)]
         backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=0))
@@ -823,7 +829,9 @@ class TestFixtureLoading:
         assert load_scripted_fixture('{"k": "v"}') == {"k": "v"}
         assert load_scripted_fixture(b'{"k": "v"}') == {"k": "v"}
 
-    @pytest.mark.parametrize("payload", ["[]", "{", '{"k": 5}', '{"k": [1]}'])
+    @pytest.mark.parametrize(
+        "payload", ["[]", "{", '{"k": 5}', '{"k": [1]}', '{"k": "\\ud800"}', '{"k": ["v", "\\udfff"]}']
+    )
     def test_rejects_bad_documents(self, payload):
         with pytest.raises(ConfigError):
             load_scripted_fixture(payload)

@@ -10,7 +10,7 @@ from conftest import script
 from eventagents import EventSchema, RoleSpec, SchemaRegistry
 from eventagents.backends import BackendConfig, ScriptedBackend
 from eventagents.cli import RunConfig, main
-from eventagents.prompts import coding_prompt, planning_prompt, retrieval_prompt
+from eventagents.prompts import coding_prompt, planning_prompt, planning_retry_prompt, retrieval_prompt
 from eventagents.refine import PipelineConfig
 
 SCHEMA = EventSchema(
@@ -849,3 +849,157 @@ class TestHostileJsonFiles:
         status, _, err = run_cli(capsys, *argv)
         assert status == code
         assert err.startswith("error: ") and fragment in err
+
+
+class TestUnencodableText:
+    """Text UTF-8 cannot encode (a lone surrogate, from a ``\\ud800``
+    escape) is rejected where it enters; it costs at most its own
+    document, and the other documents are written."""
+
+    REGISTRY = SchemaRegistry([SCHEMA])
+    # JSON text whose escape decodes to a lone surrogate.
+    SURROGATE_CODING = (
+        '{"event_type": "PatchVulnerability", "trigger": "patched", "arguments": {"time": ["\\ud800"]}}'
+    )
+
+    def run(self, capsys, tmp_path, pairs, *extra, records=None):
+        ontology = write_ontology(tmp_path)
+        corpus = tmp_path / "corpus.jsonl"
+        if records is None:
+            records = [{"id": "d1", "text": TEXT_1}, {"id": "d2", "text": TEXT_2}]
+        corpus.write_text("".join(json.dumps(record) + "\n" for record in records), encoding="utf-8")
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(script((retrieval_prompt(SCHEMA), EXEMPLAR), *pairs)), encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        argv = (
+            "extract", "--ontology", ontology, "--corpus", str(corpus),
+            "--scripted-fixture", str(fixture), "--out", str(out), "--runs", "1", *extra,
+        )
+        code, stdout, stderr = run_cli(capsys, *argv)
+        return code, stderr, out
+
+    def doc_two(self):
+        return [
+            (planning_prompt(TEXT_2, self.REGISTRY, (EXEMPLAR,)), PLANNING_2),
+            (coding_prompt(SCHEMA, "patched", TEXT_2), CODING_2),
+        ]
+
+    @staticmethod
+    def lines(path):
+        return [json.loads(line) for line in path.read_bytes().decode("utf-8").splitlines()]
+
+    def test_object_notation_reply_costs_one_attempt(self, capsys, tmp_path):
+        diagnostic = (
+            "[T3] line 1, col 1: string '\\ud800' holds a lone surrogate, which UTF-8 cannot encode (at source)"
+        )
+        pairs = [
+            (planning_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), PLANNING_1),
+            (coding_prompt(SCHEMA, "patched", TEXT_1), self.SURROGATE_CODING),
+            (coding_prompt(SCHEMA, "patched", TEXT_1, diagnostic=diagnostic), CODING_1),
+            *self.doc_two(),
+        ]
+        code, _, out = self.run(capsys, tmp_path, pairs)
+        assert code == 0
+        assert [record["doc_id"] for record in self.lines(out)] == ["d1", "d2"]
+        trace = self.lines(tmp_path / "preds.trace.jsonl")
+        attempts = [(r["attempt"], r["verdict"], r["diagnostic"]) for r in trace if "attempt" in r]
+        assert [r["doc_id"] for r in trace if "attempt" in r] == ["d1", "d1", "d2"]
+        assert attempts == [(1, False, diagnostic), (2, True, None), (1, True, None)]
+
+    def test_planning_trigger_earns_the_retry(self, capsys, tmp_path):
+        malformed = '[{"trigger": "patched\\ud800", "event_type": "PatchVulnerability"}]'
+        pairs = [
+            (planning_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), malformed),
+            (planning_retry_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), PLANNING_1),
+            (coding_prompt(SCHEMA, "patched", TEXT_1), CODING_1),
+            *self.doc_two(),
+        ]
+        code, _, out = self.run(capsys, tmp_path, pairs)
+        assert code == 0
+        assert [(r["doc_id"], len(r["events"])) for r in self.lines(out)] == [("d1", 1), ("d2", 1)]
+
+    def test_planning_retry_with_a_lone_surrogate_skips_only_its_document(self, capsys, tmp_path):
+        malformed = '[{"trigger": "patched\\ud800", "event_type": "PatchVulnerability"}]'
+        pairs = [
+            (planning_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), malformed),
+            (planning_retry_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), malformed),
+            *self.doc_two(),
+        ]
+        code, stderr, out = self.run(capsys, tmp_path, pairs)
+        assert code == 0
+        assert "document d1 skipped: planning reply is not a JSON array" in stderr
+        assert [record["doc_id"] for record in self.lines(out)] == ["d2"]
+        assert self.lines(tmp_path / "preds.trace.jsonl")[0]["note"].startswith("document skipped: planning reply")
+
+    def test_corpus_id_is_a_corpus_error(self, capsys, tmp_path):
+        records = [{"id": "d\ud800", "text": TEXT_1}, {"id": "d2", "text": TEXT_2}]
+        code, stderr, out = self.run(capsys, tmp_path, self.doc_two(), records=records)
+        assert code == 1
+        assert stderr == "error: record 'd\\ud800': 'id' holds a lone surrogate, which UTF-8 cannot encode\n"
+        assert not out.exists()
+
+    def test_fixture_reply_is_a_config_error(self, capsys, tmp_path):
+        pairs = [(planning_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), "\ud800"), *self.doc_two()]
+        code, stderr, out = self.run(capsys, tmp_path, pairs)
+        assert code == 2
+        assert stderr.startswith("error: scripted fixture entry 'planning:")
+        assert stderr.endswith("holds a lone surrogate, which UTF-8 cannot encode\n")
+        assert not out.exists()
+
+    def test_http_reply_skips_only_its_document(self, capsys, tmp_path):
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+                prompt = payload["messages"][-1]["content"]
+                if TEXT_1 in prompt:
+                    body = '{"choices": [{"message": {"content": "\\ud800"}}]}'
+                else:
+                    content = "[]" if TEXT_2 in prompt else EXEMPLAR
+                    body = json.dumps({"choices": [{"message": {"content": content}}]})
+                encoded = body.encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(encoded)))
+                self.end_headers()
+                self.wfile.write(encoded)
+
+            def log_message(self, *args):
+                pass
+
+        server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+        thread.start()
+        try:
+            host, port = server.server_address
+            corpus = write_corpus(tmp_path, [TEXT_1, TEXT_2])
+            out = tmp_path / "preds.jsonl"
+            code, _, stderr = run_cli(
+                capsys, "extract", "--ontology", write_ontology(tmp_path), "--corpus", corpus,
+                "--out", str(out), "--runs", "1", "--retries", "0", "--exemplar-k", "1",
+                "--backend-endpoint", f"http://{host}:{port}/v1",
+            )
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert code == 0
+        assert "document d1 skipped: backend response content holds a lone surrogate" in stderr
+        assert self.lines(out) == [{"doc_id": "d2", "events": []}]
+
+
+def test_every_trace_line_writes_non_ascii_ids_unescaped(capsys, tmp_path):
+    # The fixture has no planning reply, so the document is skipped and
+    # its trace is the skip note alone.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"id": "文-1", "text": TEXT_1}) + "\n", encoding="utf-8")
+    fixture = tmp_path / "fixture.json"
+    fixture.write_text(json.dumps(script((retrieval_prompt(SCHEMA), EXEMPLAR))), encoding="utf-8")
+    out = tmp_path / "preds.jsonl"
+    code, _, _ = run_cli(
+        capsys, "extract", "--ontology", write_ontology(tmp_path), "--corpus", str(corpus),
+        "--scripted-fixture", str(fixture), "--out", str(out), "--runs", "1",
+    )
+    assert code == 1
+    trace = (tmp_path / "preds.trace.jsonl").read_text(encoding="utf-8")
+    assert trace.startswith('{"doc_id": "文-1", "note": "document skipped: ')

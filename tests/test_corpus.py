@@ -119,6 +119,27 @@ class TestLoadCorpus:
                 ' "trigger": {"text": "ab", "start": 0, "end": 2}, "arguments": [{"text": "c"}]}]}',
                 "argument has no usable 'role'",
             ),
+            (
+                '{"id": "d", "text": "abc", "events": [{"event_type": "A",'
+                ' "trigger": {"text": "bc", "start": 0, "end": 2}}]}',
+                "record 'd': trigger text 'bc' does not match the document text 'ab' at [0, 2)",
+            ),
+            (
+                '{"id": "d", "text": "abc", "events": [{"event_type": "A", "trigger": {"text": "ab", "start": 0,'
+                ' "end": 2}, "arguments": [{"role": "r", "text": "b", "start": 2, "end": 3}]}]}',
+                "record 'd': argument 'r' text 'b' does not match the document text 'c' at [2, 3)",
+            ),
+            ('{"id": "d", "text": "a\\udfffb"}', "record 'd': 'text' holds a lone surrogate"),
+            (
+                '{"id": "d", "text": "ab", "events": [{"event_type": "A\\ud800",'
+                ' "trigger": {"text": "ab", "start": 0, "end": 2}}]}',
+                "record 'd': 'event_type' holds a lone surrogate",
+            ),
+            (
+                '{"id": "d", "text": "ab", "events": [{"event_type": "A", "trigger": {"text": "ab", "start": 0,'
+                ' "end": 2}, "arguments": [{"role": "\\ud800", "text": "a", "start": 0, "end": 1}]}]}',
+                "record 'd': 'role' holds a lone surrogate",
+            ),
             pytest.param(
                 '{"id": "d", "text": "x", "n": 1%s}' % ("0" * 5000),
                 "line 1: malformed record: number literal out of range",

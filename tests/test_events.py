@@ -194,6 +194,22 @@ class TestObjectNotationForm:
                 '{"event_type": "A", "trigger": "t", "arguments": {"": ["v"]}}',
                 "argument role names must be non-empty",
             ),
+            (
+                '{"event_type": "A", "trigger": "t\\ud800", "arguments": {}}',
+                "string 't\\ud800' holds a lone surrogate, which UTF-8 cannot encode",
+            ),
+            (
+                '{"event_type": "A", "trigger": "t", "arguments": {"x": ["v", "\\udc00"]}}',
+                "string '\\udc00' holds a lone surrogate, which UTF-8 cannot encode",
+            ),
+            (
+                '{"event_type": "A", "trigger": "t", "arguments": {"\\ud800": "v"}}',
+                "string '\\ud800' holds a lone surrogate, which UTF-8 cannot encode",
+            ),
+            (
+                '{"event_type": "A", "trigger": "t", "arguments": {}, "\\ud800": 1}',
+                "string '\\ud800' holds a lone surrogate, which UTF-8 cannot encode",
+            ),
             pytest.param(
                 '{"event_type": "A", "trigger": "t", "arguments": {"n": 1%s}}' % ("0" * 5000),
                 "malformed object notation: number literal out of range",
@@ -208,6 +224,10 @@ class TestObjectNotationForm:
     )
     def test_rejections(self, source, message):
         assert parse_fail(source).message == message
+
+    def test_escaped_surrogate_pair_is_text(self):
+        event = parse_ok('{"event_type": "A", "trigger": "t", "arguments": {"x": "\\ud83d\\ude00"}}')
+        assert event.arguments == {"x": ["\U0001F600"]}
 
     def test_malformed_json_reports_position(self):
         failure = parse_fail('{"event_type": "A",\n "trigger": }')

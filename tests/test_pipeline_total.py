@@ -1,0 +1,178 @@
+"""The whole per-document pipeline stays total and bounded under hostile replies.
+
+``extract_document`` is driven with random and near-valid replies for
+every prompt template, in strict and llm mode, with the multi-event
+extension on and off.  Replies are valid text, as every backend
+guarantees, but the JSON inside them may carry ``\\ud800``-style
+escapes that decode to lone surrogates.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eventagents import (
+    BackendError,
+    EventAgentsError,
+    EventSchema,
+    Multiplicity,
+    PipelineConfig,
+    RoleSpec,
+    SchemaRegistry,
+    ValueType,
+    extract_document,
+)
+from eventagents.events import event_payload
+from eventagents.refine import trace_to_records
+
+TEXT = "Hackers demanded a ransom of 500 coins after the breach on Friday."
+REGISTRY = SchemaRegistry([
+    EventSchema("Ransom", (
+        RoleSpec("price", ValueType.INTEGER, Multiplicity.OPTIONAL_SCALAR),
+        RoleSpec("victim"),
+    )),
+    EventSchema("Databreach", (RoleSpec("time", multiplicity=Multiplicity.REQUIRED_SCALAR),)),
+])
+
+# Strings that json.dumps writes with a lone-surrogate escape come last,
+# because hypothesis favours early entries.
+TRIGGERS = st.sampled_from(["demanded", "breach", "ransom", "absent", "", "demanded\ud800"])
+# Names a constructor call spells out as they are, so they hold no surrogate.
+TYPE_NAMES = ["Ransom", "Databreach", "Unknown", ""]
+ROLE_NAMES = ["price", "victim", "time", "extra", ""]
+EVENT_TYPES = st.sampled_from([*TYPE_NAMES, "Ransom\udfff"])
+ROLES = st.sampled_from([*ROLE_NAMES, "\ud800"])
+VALUES = st.sampled_from(["Friday", 500, 2.5, True, None, [1, [2]], float("nan"), "\udc00"])
+LITERALS = st.sampled_from(['"Friday"', "500", "-2.5", "True", "[1, 2]", '"\\q"', "1e999", '"\\ud800"'])
+
+RETRIEVAL = st.sampled_from(["", "  ", "Attackers demanded a ransom."]) | st.text(max_size=20)
+HYPOTHESIS = st.fixed_dictionaries(
+    {"trigger": TRIGGERS, "event_type": EVENT_TYPES},
+    optional={
+        "confidence": st.none() | st.floats() | st.integers(),
+        "rationale": st.sampled_from(["", "why\ud800"]),
+    },
+)
+# One bad entry makes the whole planning reply malformed, so most
+# replies hold only usable entries.
+USABLE_HYPOTHESIS = st.fixed_dictionaries(
+    {
+        "trigger": st.sampled_from(["demanded", "breach", "ransom", "absent"]),
+        "event_type": st.sampled_from(TYPE_NAMES[:3]),
+    },
+    optional={"confidence": st.floats(0, 1)},
+)
+PLANNING = st.one_of(
+    st.lists(USABLE_HYPOTHESIS, min_size=1, max_size=4).map(json.dumps),
+    st.lists(USABLE_HYPOTHESIS, max_size=4).map(lambda items: "```json\n%s\n```" % json.dumps(items)),
+    st.lists(USABLE_HYPOTHESIS | HYPOTHESIS, min_size=1, max_size=3).map(json.dumps),
+    st.sampled_from(["[]", "no events here"]) | st.text(max_size=20),
+)
+# Replies that verify for a matching hypothesis, and one that would if
+# a lone surrogate counted as text.
+VALID_CODING = st.sampled_from([
+    'Ransom(mention="demanded", price=500, victim=["the bank"])',
+    'Databreach(mention="breach", time="Friday")',
+    '{"event_type": "Ransom", "trigger": "ransom", "arguments": {"price": 500}}',
+    '{"event_type": "Ransom", "trigger": "demanded", "arguments": {"victim": ["\\ud800"]}}',
+])
+OBJECT_NOTATION = st.builds(
+    lambda event_type, trigger, arguments: json.dumps(
+        {"event_type": event_type, "trigger": trigger, "arguments": arguments}
+    ),
+    EVENT_TYPES,
+    TRIGGERS,
+    st.dictionaries(ROLES, VALUES | st.lists(VALUES, max_size=2), max_size=3),
+)
+CONSTRUCTOR = st.builds(
+    lambda event_type, trigger, pairs: "%s(mention=%s%s)" % (
+        event_type,
+        json.dumps(trigger),
+        "".join(f", {role}={literal}" for role, literal in pairs),
+    ),
+    st.sampled_from(TYPE_NAMES),
+    TRIGGERS,
+    st.lists(st.tuples(st.sampled_from(ROLE_NAMES), LITERALS), max_size=3),
+)
+CODING = st.one_of(
+    VALID_CODING,
+    VALID_CODING,
+    VALID_CODING,
+    OBJECT_NOTATION,
+    CONSTRUCTOR,
+    CONSTRUCTOR.map(lambda code: f"```python\n{code}\n```"),
+    st.text(max_size=30),
+)
+JUDGE = st.sampled_from(["yes", "no", "Yes, it fits.", "maybe", ""])
+REPLIES = {
+    "retrieval": RETRIEVAL,
+    "planning": PLANNING,
+    "planning_retry": PLANNING,
+    "coding": CODING,
+    "semantic_judge": JUDGE,
+}
+
+CONFIGS = st.builds(
+    PipelineConfig,
+    hypothesis_k=st.integers(1, 3),
+    patch_attempts=st.integers(1, 3),
+    mode=st.sampled_from(["strict", "llm"]),
+    exemplar_k=st.integers(1, 2),
+    multi_event=st.booleans(),
+    event_cap=st.integers(1, 3),
+)
+
+
+class DrawingBackend:
+    """Answers each request with a reply drawn for its template; now and
+    then the call fails instead.  Records the template of every answer,
+    and of the failed call."""
+
+    def __init__(self, data):
+        self.data = data
+        self.answered: list[str] = []
+        self.failed: str | None = None
+
+    def complete(self, request):
+        if self.data.draw(st.integers(0, 49)) == 0:
+            self.failed = request.template_id
+            raise BackendError("backend down")
+        reply = self.data.draw(REPLIES[request.template_id])
+        self.answered.append(request.template_id)
+        return reply
+
+
+def encodes(record) -> None:
+    json.dumps(record, ensure_ascii=False, allow_nan=False).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(CONFIGS, st.data())
+def test_extract_document_is_total_and_bounded(config, data):
+    backend = DrawingBackend(data)
+    events = []
+    try:
+        events, trace = extract_document(TEXT, REGISTRY, config, backend)
+    except EventAgentsError as exc:
+        # Refinement attaches its partial trace; a failure before it has none.
+        trace = getattr(exc, "trace", None)
+
+    attempts = [] if trace is None else trace.attempts
+    coding_calls = backend.answered.count("coding")
+    # A failed judge call aborts the attempt whose coding reply it verifies.
+    assert coding_calls == len(attempts) + (backend.failed == "semantic_judge")
+    refine_calls = config.event_cap if config.multi_event else 1
+    assert coding_calls <= config.hypothesis_k * config.patch_attempts * refine_calls
+    # The judge is asked about the (trigger, type) pairs of parsed events, each at most once.
+    pairs = {(a.code.parsed.trigger, a.code.parsed.event_type) for a in attempts if a.code.parsed is not None}
+    judge_calls = backend.answered.count("semantic_judge")
+    assert judge_calls <= len(pairs)
+    if config.mode == "strict":
+        assert judge_calls == 0
+
+    for event in events:
+        encodes(event_payload(event))
+    if trace is not None:
+        for record in trace_to_records(trace, "doc-1"):
+            encodes(record)

@@ -25,7 +25,7 @@ REGISTRY = SchemaRegistry([EventSchema("Ransom", (RoleSpec("victim"),))])
 
 # Few distinct names, so they collide; the invalid ones come last
 # because hypothesis favours early entries.
-NAMES = st.sampled_from(["A", "B", "a-b", "demanded", "ransom", "mention", "x y", ""])
+NAMES = st.sampled_from(["A", "B", "a-b", "demanded", "ransom", "mention", "x y", "", "d\ud800"])
 VALUE_TYPES = st.sampled_from(["string", "integer", "number", "boolean"])
 MULTIPLICITIES = st.sampled_from(["list", "optional-scalar", "required-scalar"])
 WORDS = NAMES | VALUE_TYPES | MULTIPLICITIES | st.just(TEXT)
@@ -73,16 +73,32 @@ ROLE = shaped({"name": NAMES, "value_type": VALUE_TYPES, "multiplicity": MULTIPL
 ONTOLOGIES = as_bytes(st.lists(shaped({"event_type": NAMES, "roles": st.lists(ROLE, max_size=4)}), max_size=3))
 
 SPAN_TEXTS = st.sampled_from(["demanded", "ransom", ""])
-SPAN = shaped({"text": SPAN_TEXTS, "start": SMALL_INTS, "end": SMALL_INTS})
+SPAN_FIELDS = {"text": SPAN_TEXTS, "start": SMALL_INTS, "end": SMALL_INTS}
+# Spans over TEXT: two aligned with their text, two one character off.
+TEXT_SPANS = st.sampled_from([
+    {"text": "demanded", "start": 8, "end": 16},
+    {"text": "ransom", "start": 19, "end": 25},
+    {"text": "demanded", "start": 9, "end": 17},
+    {"text": "ransom", "start": 18, "end": 24},
+])
+ARGUMENT = mostly(
+    st.tuples(NAMES, TEXT_SPANS).map(lambda pair: {"role": pair[0], **pair[1]}),
+    shaped({"role": NAMES, **SPAN_FIELDS}),
+)
 GOLD_EVENT = shaped({
     "event_type": NAMES,
-    "trigger": SPAN,
-    "arguments": st.lists(shaped({"role": NAMES, "text": SPAN_TEXTS, "start": SMALL_INTS, "end": SMALL_INTS}), max_size=2),
+    "trigger": mostly(TEXT_SPANS, shaped(SPAN_FIELDS)),
+    "arguments": st.lists(ARGUMENT, max_size=2),
 })
+# Records mostly carry a usable id, TEXT and its tokens, so that most
+# examples reach the gold spans.
 CORPORA = as_lines(shaped({
-    "id": NAMES,
-    "text": st.sampled_from([TEXT, "x y", ""]),
-    "tokens": st.lists(st.lists(SMALL_INTS, min_size=2, max_size=2), max_size=3),
+    "id": mostly(st.sampled_from(["d1", "d2"]), NAMES),
+    "text": mostly(st.just(TEXT), st.sampled_from(["x y", "", "x\udfff"])),
+    "tokens": mostly(
+        st.just([[0, 7], [8, 16], [17, 18], [19, 26]]),
+        st.lists(st.lists(SMALL_INTS, min_size=2, max_size=2), max_size=3),
+    ),
     "events": st.lists(GOLD_EVENT, max_size=2),
 }))
 
@@ -124,18 +140,25 @@ def test_load_ontology_is_total(source):
 @given(CORPORA)
 def test_load_corpus_is_total(source):
     try:
-        assert isinstance(load_corpus(source), list)
+        documents = load_corpus(source)
     except CorpusError:
-        pass
+        return
+    for document in documents:
+        (document.id + document.text).encode("utf-8")
+        for event in document.gold_events:
+            for span in (event.trigger, *(span for _, span in event.arguments)):
+                assert span.text == document.text[span.start : span.end]
 
 
 @settings(deadline=None)
 @given(FIXTURES)
 def test_load_scripted_fixture_is_total(source):
     try:
-        assert isinstance(load_scripted_fixture(source), dict)
+        fixture = load_scripted_fixture(source)
     except ConfigError:
-        pass
+        return
+    for replies in fixture.values():
+        "".join(replies).encode("utf-8")
 
 
 def test_load_predictions_is_total(tmp_path):
