@@ -29,7 +29,7 @@ from typing import Callable, Sequence, get_args, get_type_hints
 
 from .backends import BackendConfig, HttpBackend, ScriptedBackend, load_scripted_fixture
 from .corpus import Document, dataset_stats, load_corpus, sample_split
-from .errors import ConfigError, EventAgentsError
+from .errors import ConfigError, EventAgentsError, has_surrogate
 from .events import EventObject, event_payload, parse_event_code
 from .metrics import EvaluationError, MetricsReport, mean_of_reports, mean_table, score
 from .refine import MODES, PipelineConfig, build_run_context, extract_document, trace_to_records
@@ -131,6 +131,8 @@ def _check_file_value(key: str, field_name: str, value):
             raise ConfigError(f"config file key {key!r} must be a boolean")
     elif not isinstance(value, str):
         raise ConfigError(f"config file key {key!r} must be a string")
+    elif has_surrogate(value):
+        raise ConfigError(f"config file key {key!r} holds a lone surrogate, which UTF-8 cannot encode")
     return value
 
 

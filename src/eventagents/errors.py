@@ -18,5 +18,6 @@ def has_surrogate(text: str) -> bool:
 
     A JSON ``\\ud800``-style escape outside a surrogate pair decodes to
     one, so text decoded from outside JSON is checked before it is kept.
+    ASCII text, the common case, is answered without a scan.
     """
-    return _SURROGATE.search(text) is not None
+    return not text.isascii() and _SURROGATE.search(text) is not None

@@ -172,6 +172,7 @@ class TestConfigResolution:
             ({"runs": None}, "config file key 'runs' must be an integer"),
             ({"backend": {"model": None}}, "config file key 'backend.model' must be a string"),
             ({"backend": {"endpoint": None}}, "config file key 'backend.endpoint' must be a string"),
+            ({"out": "p\ud800.jsonl"}, "config file key 'out' holds a lone surrogate, which UTF-8 cannot encode"),
         ],
     )
     def test_config_file_validation(self, capsys, tmp_path, payload, fragment):
