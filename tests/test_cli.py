@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -948,8 +949,6 @@ class TestUnencodableText:
         assert not out.exists()
 
     def test_http_reply_skips_only_its_document(self, capsys, tmp_path):
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
         class Handler(BaseHTTPRequestHandler):
             def do_POST(self):
                 payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
