@@ -16,11 +16,7 @@ so they can be embedded verbatim in prompts::
         place: List
 
 The ``mention`` field is always first and holds the trigger span.  Role
-names may contain hyphens; the rendered text keeps them verbatim and the
-parser treats a hyphenated name as a single token.  ``render_schema_as_code``
-and ``parse_schema_code`` are mutual inverses: parsing a rendered schema
-yields an equal schema, and rendering a parsed schema yields a canonical
-reformatting of the source.
+names may contain hyphens; the rendered text keeps them verbatim.
 
 Ontologies are UTF-8 JSON documents: an array of objects with keys
 ``event_type`` and ``roles``, where each role object has ``name`` plus
@@ -32,7 +28,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Any, Iterable, Iterator
@@ -42,16 +38,6 @@ from .errors import EventAgentsError
 
 class OntologyError(EventAgentsError):
     """Raised when an ontology document cannot be loaded."""
-
-
-class SchemaCodeError(EventAgentsError):
-    """Raised when class-definition text does not conform to the grammar."""
-
-    def __init__(self, message: str, line: int, col: int = 1):
-        super().__init__(f"line {line}, col {col}: {message}")
-        self.message = message
-        self.line = line
-        self.col = col
 
 
 class ValueType(str, Enum):
@@ -67,7 +53,7 @@ class Multiplicity(str, Enum):
     REQUIRED_SCALAR = "required-scalar"
 
 
-# Grammar type names used in rendered annotations and diagnostics.
+# Type names used in rendered annotations and diagnostics.
 SCALAR_TYPE_NAMES = {
     ValueType.STRING: "str",
     ValueType.INTEGER: "int",
@@ -75,10 +61,8 @@ SCALAR_TYPE_NAMES = {
     ValueType.BOOLEAN: "bool",
 }
 
-_NAME_BY_SCALAR = {v: k for k, v in SCALAR_TYPE_NAMES.items()}
-
-# Identifiers may contain interior hyphens ("number-of-data"); the
-# schema-code grammar and the event-construction scanner share this.
+# Identifiers may contain interior hyphens ("number-of-data"); schema
+# names and the event-construction scanner share this.
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:-[A-Za-z0-9_]+)*")
 
 # The first body field of every rendered class; reserved, never a role name.
@@ -148,17 +132,11 @@ class SchemaRegistry:
     def get(self, event_type: str) -> EventSchema | None:
         return self._schemas.get(event_type)
 
-    def __contains__(self, event_type: str) -> bool:
-        return event_type in self._schemas
-
     def __iter__(self) -> Iterator[EventSchema]:
         return iter(self._schemas.values())
 
     def __len__(self) -> int:
         return len(self._schemas)
-
-    def event_types(self) -> tuple[str, ...]:
-        return tuple(self._schemas)
 
     @cached_property
     def definitions(self) -> str:
@@ -249,86 +227,3 @@ def render_schema_as_code(schema: EventSchema) -> str:
         lines.append(f"    {role.name}: {_annotation(role)}")
     return "\n".join(lines) + "\n"
 
-
-def _parse_annotation(text: str, line_no: int, col: int) -> tuple[ValueType, Multiplicity]:
-    text = text.strip()
-    if text == "List":
-        return ValueType.STRING, Multiplicity.LIST
-    m = re.fullmatch(r"List\[\s*(\w+)\s*\]", text)
-    if m:
-        scalar = _NAME_BY_SCALAR.get(m.group(1))
-        if scalar is None:
-            raise SchemaCodeError(f"unknown field type {m.group(1)!r}", line_no, col)
-        return scalar, Multiplicity.LIST
-    m = re.fullmatch(r"Optional\[\s*(\w+)\s*\]", text)
-    if m:
-        scalar = _NAME_BY_SCALAR.get(m.group(1))
-        if scalar is None:
-            raise SchemaCodeError(f"unknown field type {m.group(1)!r}", line_no, col)
-        return scalar, Multiplicity.OPTIONAL_SCALAR
-    if text in _NAME_BY_SCALAR:
-        return _NAME_BY_SCALAR[text], Multiplicity.REQUIRED_SCALAR
-    raise SchemaCodeError(f"unknown field type {text!r}", line_no, col)
-
-
-_CLASS_RE = re.compile(rf"class\s+({_IDENT_RE.pattern})\s*:\s*$")
-_FIELD_RE = re.compile(rf"({_IDENT_RE.pattern})\s*:\s*(.+?)\s*$")
-
-
-def parse_schema_code(source: str) -> EventSchema:
-    """Parse class-definition text back into an :class:`EventSchema`.
-
-    Accepts the output of :func:`render_schema_as_code` plus cosmetic
-    variation (blank lines, arbitrary indentation width, optional
-    decorator line).  Exactly one class definition is expected.
-    """
-    lines = source.splitlines()
-    event_type: str | None = None
-    class_line = 0
-    roles: list[RoleSpec] = []
-    saw_mention = False
-
-    for line_no, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        if event_type is None:
-            if stripped.startswith("@"):
-                if not re.fullmatch(r"@\w+", stripped):
-                    raise SchemaCodeError(f"unexpected decorator {stripped!r}", line_no)
-                continue
-            m = _CLASS_RE.fullmatch(stripped)
-            if not m:
-                raise SchemaCodeError("expected a class definition header", line_no)
-            event_type = m.group(1)
-            class_line = line_no
-            continue
-        if not raw[:1].isspace():
-            raise SchemaCodeError("unexpected text after class body; expected a single class definition", line_no)
-        indent = len(raw) - len(raw.lstrip())
-        m = _FIELD_RE.fullmatch(stripped)
-        if not m:
-            raise SchemaCodeError(f"expected 'name: type' field, got {stripped!r}", line_no, indent + 1)
-        name, annotation = m.group(1), m.group(2)
-        col = indent + 1
-        if not saw_mention:
-            if name != MENTION_FIELD:
-                raise SchemaCodeError(
-                    f"first field must be {MENTION_FIELD!r}, got {name!r}", line_no, col
-                )
-            if annotation.strip() != "str":
-                raise SchemaCodeError(f"field {MENTION_FIELD!r} must be of type str", line_no, col)
-            saw_mention = True
-            continue
-        if name == MENTION_FIELD:
-            raise SchemaCodeError(f"duplicate field {MENTION_FIELD!r}", line_no, col)
-        if any(role.name == name for role in roles):
-            raise SchemaCodeError(f"duplicate field {name!r}", line_no, col)
-        value_type, multiplicity = _parse_annotation(annotation, line_no, col + len(name))
-        roles.append(RoleSpec(name, value_type, multiplicity))
-
-    if event_type is None:
-        raise SchemaCodeError("no class definition found", max(len(lines), 1))
-    if not saw_mention:
-        raise SchemaCodeError(f"class {event_type!r} is missing the {MENTION_FIELD!r} field", class_line)
-    return EventSchema(event_type, tuple(roles))
