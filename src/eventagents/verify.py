@@ -66,14 +66,13 @@ class JudgeResult:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    verdict: bool
+    """The first failure's diagnostic, or None when every check passed."""
+
     diagnostic: Diagnostic | None = None
 
-    def __post_init__(self):
-        if self.verdict and self.diagnostic is not None:
-            raise ValueError("a passing result carries no diagnostic")
-        if not self.verdict and self.diagnostic is None:
-            raise ValueError("a failing result must carry a diagnostic")
+    @property
+    def verdict(self) -> bool:
+        return self.diagnostic is None
 
 
 def tokenize(text: str) -> list[str]:
@@ -197,13 +196,13 @@ def verify(
     verdict.
     """
     if code.failure is not None:
-        return VerificationResult(False, check_structure(code))
+        return VerificationResult(check_structure(code))
     diagnostic = (
         check_semantic(code, text, judge)
         or check_types(code, schema)
         or check_structure(code)
     )
-    return VerificationResult(diagnostic is None, diagnostic)
+    return VerificationResult(diagnostic)
 
 
 def _require_parsed(code: CodeObject) -> None:
