@@ -113,7 +113,7 @@ class AttemptRecord:
     hypothesis: TriggerHypothesis
     attempt: int
     code: CodeObject
-    result: VerificationResult
+    result: VerificationResult | None = None  # None when verification aborted
 
 
 @dataclass
@@ -193,16 +193,19 @@ def refine(
                     backend, hypothesis, schema, text, diagnostic=diagnostic_line
                 )
                 code = parse_event_code(code_text, registry=registry)
-                result = verify(code, text, schema, judge)
+                # Recorded before verification, so a failed judge call
+                # still leaves the paid coding reply in the trace.
+                record = AttemptRecord(hypothesis, attempt, code)
+                trace.attempts.append(record)
+                record.result = verify(code, text, schema, judge)
             except EventAgentsError as exc:
                 trace.outcome = "aborted"
                 exc.trace = trace
                 raise
-            trace.attempts.append(AttemptRecord(hypothesis, attempt, code, result))
-            if result.verdict:
+            if record.result.verdict:
                 trace.outcome = "accepted"
                 return code.parsed
-            diagnostic_line = result.diagnostic.as_line()
+            diagnostic_line = record.result.diagnostic.as_line()
         pool.remove(hypothesis)
     trace.outcome = "exhausted"
     return ExtractionFailed(trace)
@@ -303,6 +306,7 @@ def trace_to_records(trace: RefinementTrace, doc_id: str) -> list[dict]:
         records.append({"doc_id": doc_id, "note": note})
     for record in trace.attempts:
         event = record.code.parsed
+        result = record.result
         records.append(
             {
                 "doc_id": doc_id,
@@ -312,10 +316,10 @@ def trace_to_records(trace: RefinementTrace, doc_id: str) -> list[dict]:
                 "attempt": record.attempt,
                 "code": record.code.raw_source,
                 "event": None if event is None else event_payload(event),
-                "verdict": record.result.verdict,
+                "verdict": None if result is None else result.verdict,
                 "diagnostic": None
-                if record.result.diagnostic is None
-                else record.result.diagnostic.as_line(),
+                if result is None or result.diagnostic is None
+                else result.diagnostic.as_line(),
             }
         )
     records.append({"doc_id": doc_id, "outcome": trace.outcome})

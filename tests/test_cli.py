@@ -635,6 +635,23 @@ class TestExtract:
         assert records[1] == {"doc_id": "d1", "outcome": "aborted"}
         assert records[2]["note"].startswith("document skipped: no scripted reply for template 'coding'")
 
+    def test_failed_judge_call_keeps_the_coding_reply_in_the_trace(self, capsys, tmp_path):
+        # In llm mode the coding reply is scripted but the judge prompt that
+        # verifies it is not: the document aborts with that attempt recorded.
+        ontology, corpus, fixture, out = self.setup_run(tmp_path)
+        code, _, stderr = run_cli(
+            capsys, *self.extract_args(ontology, corpus, fixture, out, "--runs", "1", "--mode", "llm")
+        )
+        assert code == 1
+        assert "document d1 skipped" in stderr
+        records = [json.loads(line) for line in (tmp_path / "preds.trace.jsonl").read_text().splitlines()]
+        assert [record.get("attempt") for record in records] == [1, None, None]
+        assert records[0]["code"] == CODING_1
+        assert records[0]["event"] == PERFECT_EVENT
+        assert records[0]["verdict"] is None and records[0]["diagnostic"] is None
+        assert records[1] == {"doc_id": "d1", "outcome": "aborted"}
+        assert records[2]["note"].startswith("document skipped: no scripted reply for template 'semantic_judge'")
+
     def test_run_that_skips_every_document_stops_later_runs(self, capsys, tmp_path):
         # The fixture has no planning reply for the only document.
         ontology, corpus, fixture, out = self.setup_run(tmp_path, texts=(TEXT_2,))

@@ -160,8 +160,8 @@ def test_extract_document_is_total_and_bounded(config, data):
 
     attempts = [] if trace is None else trace.attempts
     coding_calls = backend.answered.count("coding")
-    # A failed judge call aborts the attempt whose coding reply it verifies.
-    assert coding_calls == len(attempts) + (backend.failed == "semantic_judge")
+    # Every paid coding reply is in the trace, even one whose judge call failed.
+    assert coding_calls == len(attempts)
     refine_calls = config.event_cap if config.multi_event else 1
     assert coding_calls <= config.hypothesis_k * config.patch_attempts * refine_calls
     # The judge is asked about the (trigger, type) pairs of parsed events, each at most once.
