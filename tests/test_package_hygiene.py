@@ -46,19 +46,35 @@ def _referenced_names(tree: ast.AST) -> set[str]:
     return names
 
 
-def test_every_private_module_name_has_a_reader():
-    # Each private definition must be read by some statement other than
-    # the one that defines it, in its own module or another.
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each private module-level definition that no
+    statement other than its own reads, in its own module or another."""
     statements = [
-        (path.name, statement)
-        for path in sorted(PACKAGE_DIR.glob("*.py"))
-        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        (module, statement) for module, source in sources.items() for statement in ast.parse(source).body
     ]
     references = [_referenced_names(statement) for _, statement in statements]
-    unread = [
+    return [
         f"{module}:{name}"
         for index, (module, statement) in enumerate(statements)
         for name in filter(_is_private, _defined_names(statement))
         if not any(name in names for position, names in enumerate(references) if position != index)
     ]
-    assert unread == []
+
+
+def test_every_private_module_name_has_a_reader():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _unread_private_names(sources) == []
+
+
+def test_scan_flags_a_private_name_left_without_a_reader():
+    # A self-reference inside the defining statement does not count as a reader.
+    source = "import re\n_PATTERN = re.compile('x')\n_LEFT = _LEFT_TOO = 1\ndef _walk(n):\n    return _walk(n - 1)\n"
+    assert _unread_private_names({"m.py": source}) == ["m.py:_PATTERN", "m.py:_LEFT", "m.py:_LEFT_TOO", "m.py:_walk"]
+
+
+def test_scan_finds_readers_across_modules_and_inside_blocks():
+    sources = {
+        "a.py": "try:\n    _FAST = 1\nexcept ImportError:\n    _FAST = 0\nif True:\n    _CHOSEN: int = 2\n",
+        "b.py": "from .a import _FAST\nimport a\nvalue = a._CHOSEN\n__dunder__ = 3\n",
+    }
+    assert _unread_private_names(sources) == []

@@ -547,6 +547,38 @@ class TestJudgeMemo:
         assert two_refines(share=True) == 1
         assert two_refines(share=False) == 2
 
+    def test_failed_judge_call_keeps_the_paid_attempt(self, patch_registry, patchvuln_schema, tuesday_text):
+        # The coding reply is scripted, the judge prompt that verifies it is not.
+        backend = ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY)))
+        trace = RefinementTrace()
+        with pytest.raises(BackendError) as exc_info:
+            refine(HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace)
+        assert exc_info.value.trace is trace
+        assert trace.outcome == "aborted"
+        assert [(a.attempt, a.code.raw_source, a.result) for a in trace.attempts] == [(1, VALID_REPLY, None)]
+        assert trace.attempts[0].code.parsed.arguments == {"time": ["Tuesday"]}
+        assert template_counts(backend) == {"coding": 1, "semantic_judge": 1}
+
+    def test_failed_judge_call_after_a_patch_keeps_both_attempts(
+        self, patch_registry, patchvuln_schema, tuesday_text
+    ):
+        # An empty reply fails T3 without a judge call; the patched reply's judge call fails.
+        empty_diagnostic = "[T3] line 1, col 1: empty input (at source)"
+        backend = ScriptedBackend(
+            script(
+                self.coding(patchvuln_schema, tuesday_text, "patched", "  \n"),
+                self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY, diagnostic=empty_diagnostic),
+            )
+        )
+        trace = RefinementTrace()
+        with pytest.raises(BackendError):
+            refine(HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace)
+        assert template_counts(backend) == {"coding": 2, "semantic_judge": 1}
+        assert len(trace.attempts) == 2
+        assert trace.attempts[0].result.diagnostic.as_line() == empty_diagnostic
+        assert trace.attempts[1].result is None
+        assert [record.get("verdict", "-") for record in trace_to_records(trace, "d")] == [False, None, "-"]
+
     def test_strict_mode_has_no_judge(self, tuesday_text):
         assert document_judge("strict", ScriptedBackend({}), tuesday_text) is None
 
@@ -714,3 +746,22 @@ class TestTraceRecords:
         assert second_attempt["verdict"] is True
         assert second_attempt["diagnostic"] is None
         assert records[-1] == {"doc_id": "doc-7", "outcome": "accepted"}
+
+    def test_aborted_attempt_flattens_with_null_verdict(self, patch_registry, patchvuln_schema, tuesday_text):
+        backend = ScriptedBackend(script((coding_prompt(patchvuln_schema, "patched", tuesday_text), VALID_REPLY)))
+        trace = RefinementTrace()
+        with pytest.raises(BackendError):
+            refine(
+                HypothesisPool([hyp("patched")]),
+                tuesday_text,
+                patch_registry,
+                RefinementConfig(mode="llm"),
+                backend,
+                trace,
+            )
+        records = trace_to_records(trace, "doc-8")
+        assert records[0]["attempt"] == 1
+        assert records[0]["code"] == VALID_REPLY
+        assert records[0]["event"]["arguments"] == {"time": ["Tuesday"]}
+        assert records[0]["verdict"] is None and records[0]["diagnostic"] is None
+        assert records[1:] == [{"doc_id": "doc-8", "outcome": "aborted"}]

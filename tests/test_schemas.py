@@ -131,6 +131,23 @@ class TestSchemaObjects:
         assert registry.get("C") is None
         assert list(registry) == [a, b]
 
+    def test_registry_rejects_duplicate_event_types(self):
+        with pytest.raises(OntologyError, match="duplicate event type 'A'"):
+            SchemaRegistry([EventSchema("A"), EventSchema("A", (RoleSpec("x"),))])
+
+    def test_event_type_validation(self):
+        for bad in ("", "9A", "A B", "A-"):
+            with pytest.raises(ValueError):
+                EventSchema(bad)
+        assert EventSchema("A", [RoleSpec("x")]).roles == (RoleSpec("x"),)
+
+    def test_find_role(self):
+        role = RoleSpec("number-of-data", ValueType.INTEGER)
+        schema = EventSchema("A", (RoleSpec("x"), role))
+        assert schema.find_role("number-of-data") is role
+        assert schema.find_role("mention") is None
+        assert schema.find_role("y") is None
+
 
 DATABREACH = EventSchema(
     "Databreach",
@@ -189,6 +206,16 @@ class TestRender:
                 *(f"    {role.name}: {ANNOTATIONS[role.value_type, role.multiplicity]}" for role in schema.roles),
                 "",
             ]
+
+    def test_schema_without_roles_renders_only_the_mention(self):
+        assert render_schema_as_code(EventSchema("Empty")) == "@dataclass\nclass Empty:\n    mention: str\n"
+
+    def test_definitions_join_renderings_with_one_blank_line(self):
+        empty, registry = EventSchema("Empty"), SchemaRegistry([DATABREACH, EventSchema("Empty")])
+        assert registry.definitions == (
+            render_schema_as_code(DATABREACH) + "\n" + render_schema_as_code(empty).rstrip("\n")
+        )
+        assert SchemaRegistry().definitions == ""
 
     def test_render_is_deterministic_and_newline_terminated(self):
         one = render_schema_as_code(DATABREACH)

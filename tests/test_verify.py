@@ -1,5 +1,6 @@
 """The three-stage verifier: check behavior, ordering, and the verdict."""
 
+import dataclasses
 import importlib
 import json
 import random
@@ -361,3 +362,16 @@ class TestResultShapes:
     def test_diagnostic_check_name_validated(self):
         with pytest.raises(ValueError):
             Diagnostic("T4", "message", "locus")
+
+    def test_verdict_follows_the_diagnostic(self):
+        diagnostic = Diagnostic("T1", "m", "l")
+        assert VerificationResult().verdict is True
+        assert VerificationResult(diagnostic).verdict is False
+        assert VerificationResult(diagnostic) == VerificationResult(Diagnostic("T1", "m", "l"))
+        assert VerificationResult(diagnostic) != VerificationResult()
+
+    def test_verdict_is_not_a_stored_field(self):
+        # Only the diagnostic is stored, so no result can disagree with it.
+        assert [field.name for field in dataclasses.fields(VerificationResult)] == ["diagnostic"]
+        with pytest.raises(AttributeError):
+            VerificationResult().verdict = False
