@@ -11,17 +11,18 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import EventAgentsError, has_surrogate
 from .prompts import (
+    PlanningHead,
     coding_prompt,
     judge_prompt,
     planning_prompt,
     planning_retry_prompt,
     retrieval_prompt,
 )
-from .schemas import EventSchema, SchemaRegistry
+from .schemas import EventSchema
 from .verify import JudgeResult
 
 _FENCE_RE = re.compile(r"```[^\n`]*\n(.*?)```", re.DOTALL)
@@ -153,26 +154,27 @@ def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | No
 def run_planning_agent(
     backend,
     text: str,
-    registry: SchemaRegistry,
-    exemplar_sentences: Sequence[str] = (),
+    head: PlanningHead,
     hypothesis_k: int = 3,
 ) -> list[TriggerHypothesis]:
     """Produce the ranked hypothesis list for one document.
 
-    Missing confidences default to 1 - (rank-1)/n in reply order, which
-    preserves the model's implicit ranking.  The result is sorted by
-    confidence (stable, so reply order breaks ties) and truncated to
-    hypothesis_k.  A malformed reply earns exactly one retry with a
-    format reminder before the call fails.
+    ``head`` is the run's definitions and exemplar block, from
+    :func:`~eventagents.prompts.planning_head`.  Missing confidences
+    default to 1 - (rank-1)/n in reply order, which preserves the
+    model's implicit ranking.  The result is sorted by confidence
+    (stable, so reply order breaks ties) and truncated to hypothesis_k.
+    A malformed reply earns exactly one retry with a format reminder
+    before the call fails.
     """
     if not text:
         raise ValueError("text must be non-empty")
     if hypothesis_k < 1:
         raise ValueError("hypothesis_k must be >= 1")
-    reply = backend.complete(planning_prompt(text, registry, exemplar_sentences))
+    reply = backend.complete(planning_prompt(text, head))
     hypotheses = _parse_planning_reply(reply, text)
     if hypotheses is None:
-        reply = backend.complete(planning_retry_prompt(text, registry, exemplar_sentences))
+        reply = backend.complete(planning_retry_prompt(text, head))
         hypotheses = _parse_planning_reply(reply, text)
         if hypotheses is None:
             raise PlanningError(

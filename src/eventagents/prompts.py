@@ -9,10 +9,16 @@ were designed around: role-setting system message, context blocks with
 Retrieval runs at the backend's default temperature for exemplar variety.
 Planning, coding and the semantic judge pin temperature to 0: the
 refinement loop depends on reproducible replies for the same prompt.
+
+The planning prompts start with the definitions and exemplar block,
+which are the same for every document of a run: that front is a
+:class:`PlanningHead`, built once per run, and each planning request
+names it as its ``head`` so an HTTP backend encodes it once per run.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from .backends import ChatMessage, PromptRequest
@@ -69,37 +75,50 @@ def retrieval_prompt(schema: EventSchema) -> PromptRequest:
     )
 
 
-def _planning_request(
-    template_id: str, text: str, registry: SchemaRegistry, exemplar_sentences: Sequence[str], reminder: str = ""
-) -> PromptRequest:
+@dataclass(frozen=True)
+class PlanningHead:
+    """The part of every planning request that is the same for a whole run.
+
+    ``text`` is the front of the user message, up to the document text;
+    ``definitions`` and ``exemplars`` are the matching bindings.  Built
+    once per run by :func:`planning_head`, so no document joins the
+    definitions and exemplar block again.
+    """
+
+    definitions: str
+    exemplars: str  # the exemplar sentences, one per line
+    text: str
+
+
+def planning_head(registry: SchemaRegistry, exemplar_sentences: Sequence[str] = ()) -> PlanningHead:
     definitions = registry.definitions
-    parts = [f"Event definitions:\n{definitions}\n"]
+    text = f"Event definitions:\n{definitions}\n\n"
     if exemplar_sentences:
         listed = "\n".join(f"- {sentence}" for sentence in exemplar_sentences)
-        parts.append(f"Example sentences:\n{listed}\n")
-    parts.append(f"Text:\n{text}\n")
-    parts.append(_PLANNING_FORMAT)
+        text += f"Example sentences:\n{listed}\n\n"
+    return PlanningHead(definitions, "\n".join(exemplar_sentences), text)
+
+
+def _planning_request(template_id: str, text: str, head: PlanningHead, reminder: str = "") -> PromptRequest:
+    user = f"{head.text}Text:\n{text}\n\n{_PLANNING_FORMAT}"
     if reminder:
-        parts.append(f"\n{reminder}")
+        user += f"\n\n{reminder}"
     return PromptRequest(
         template_id=template_id,
-        bindings=(("definitions", definitions), ("exemplars", "\n".join(exemplar_sentences)), ("text", text)),
-        messages=(ChatMessage("system", _PLANNING_SYSTEM), ChatMessage("user", "\n".join(parts))),
+        bindings=(("definitions", head.definitions), ("exemplars", head.exemplars), ("text", text)),
+        messages=(ChatMessage("system", _PLANNING_SYSTEM), ChatMessage("user", user)),
         temperature=0.0,
+        head=head.text,
     )
 
 
-def planning_prompt(
-    text: str, registry: SchemaRegistry, exemplar_sentences: Sequence[str] = ()
-) -> PromptRequest:
-    return _planning_request(PLANNING, text, registry, exemplar_sentences)
+def planning_prompt(text: str, head: PlanningHead) -> PromptRequest:
+    return _planning_request(PLANNING, text, head)
 
 
-def planning_retry_prompt(
-    text: str, registry: SchemaRegistry, exemplar_sentences: Sequence[str] = ()
-) -> PromptRequest:
+def planning_retry_prompt(text: str, head: PlanningHead) -> PromptRequest:
     """The single-reprompt variant appended with a format reminder."""
-    return _planning_request(PLANNING_RETRY, text, registry, exemplar_sentences, _PLANNING_REMINDER)
+    return _planning_request(PLANNING_RETRY, text, head, _PLANNING_REMINDER)
 
 
 def coding_prompt(

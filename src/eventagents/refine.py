@@ -29,6 +29,7 @@ from .agents import (
 )
 from .errors import EventAgentsError
 from .events import CodeObject, EventObject, event_payload, parse_event_code
+from .prompts import PlanningHead, planning_head
 from .schemas import SchemaRegistry
 from .verify import JudgeResult, VerificationResult, verify
 
@@ -215,7 +216,7 @@ def refine(
 class RunContext:
     """What every document of a run shares, built once per run."""
 
-    sentences: tuple[str, ...]  # every schema's exemplar sentences, in registry order
+    planning: PlanningHead  # definitions and every schema's exemplar sentences, in registry order
     warnings: tuple[str, ...]  # one per schema whose retrieval came back empty
 
 
@@ -226,6 +227,9 @@ def build_run_context(
     map: Callable = map,
 ) -> RunContext:
     """Retrieve every schema's exemplars and assemble the run context.
+
+    The context's planning head joins the definitions and the exemplar
+    block once; every planning request of the run reuses it.
 
     ``map`` runs one retrieval task per schema; pass an executor's
     ``map`` to retrieve schemas concurrently.  Each task keeps its
@@ -239,7 +243,7 @@ def build_run_context(
 
     exemplars = tuple(map(retrieve, registry))
     return RunContext(
-        tuple(sentence for exemplar_set in exemplars for sentence in exemplar_set.sentences),
+        planning_head(registry, [sentence for exemplar_set in exemplars for sentence in exemplar_set.sentences]),
         tuple(exemplar_set.warning for exemplar_set in exemplars if exemplar_set.warning),
     )
 
@@ -267,9 +271,7 @@ def extract_document(
     if context is None:
         context = build_run_context(registry, backend, config.exemplar_k)
     trace = RefinementTrace(notes=list(context.warnings))
-    hypotheses = run_planning_agent(
-        backend, text, registry, context.sentences, hypothesis_k=config.hypothesis_k
-    )
+    hypotheses = run_planning_agent(backend, text, context.planning, hypothesis_k=config.hypothesis_k)
     if not hypotheses:
         trace.notes.append("planning produced no hypotheses")
         trace.outcome = "no-hypotheses"

@@ -39,7 +39,7 @@ from eventagents import (
     verify,
 )
 from eventagents.cli import main
-from eventagents.prompts import coding_prompt, planning_prompt, retrieval_prompt
+from eventagents.prompts import coding_prompt, planning_head, planning_prompt, retrieval_prompt
 from eventagents.verify import Diagnostic, check_types
 from oracles import (
     brute_force_type_check,
@@ -414,9 +414,9 @@ def write_run_inputs(tmp_path):
     fixture = tmp_path / "fixture.json"
     fixture.write_text(json.dumps(script(
         (retrieval_prompt(SCHEMA), EXEMPLAR),
-        (planning_prompt(TEXT_1, SchemaRegistry([SCHEMA]), (EXEMPLAR,)), PLANNING_REPLY),
+        (planning_prompt(TEXT_1, planning_head(SchemaRegistry([SCHEMA]), (EXEMPLAR,))), PLANNING_REPLY),
         (coding_prompt(SCHEMA, "patched", TEXT_1), 'PatchVulnerability(mention="patched", time=["Tuesday"])'),
-        (planning_prompt(TEXT_2, SchemaRegistry([SCHEMA]), (EXEMPLAR,)), PLANNING_REPLY),
+        (planning_prompt(TEXT_2, planning_head(SchemaRegistry([SCHEMA]), (EXEMPLAR,))), PLANNING_REPLY),
         (coding_prompt(SCHEMA, "patched", TEXT_2), 'PatchVulnerability(mention="patched")'),
     )), encoding="utf-8")
     return ontology, corpus, fixture

@@ -22,6 +22,7 @@ from eventagents.agents import PlanningError, extract_code_block
 from eventagents.prompts import (
     coding_prompt,
     judge_prompt,
+    planning_head,
     planning_prompt,
     planning_retry_prompt,
     retrieval_prompt,
@@ -55,7 +56,7 @@ class TestPrompts:
         assert dict(request.bindings)["roles"] == "none"
 
     def test_planning_prompt_layout(self, ransom_text, databreach_schema, ransom_schema):
-        request = planning_prompt(ransom_text, SchemaRegistry([databreach_schema, ransom_schema]))
+        request = planning_prompt(ransom_text, planning_head(SchemaRegistry([databreach_schema, ransom_schema])))
         assert request.template_id == "planning"
         assert request.temperature == 0.0
         user = request.messages[1].content
@@ -74,21 +75,21 @@ class TestPrompts:
         monkeypatch.setattr(schemas, "render_schema_as_code", lambda s: rendered.append(s) or render(s))
         registry = SchemaRegistry([databreach_schema, ransom_schema])
         for text in (ransom_text, "Another document.", ransom_text):
-            planning_prompt(text, registry)
-            planning_retry_prompt(text, registry)
+            planning_prompt(text, planning_head(registry))
+            planning_retry_prompt(text, planning_head(registry))
         # Two schemas, each rendered once for 3 documents x (planning, retry).
         assert rendered == [databreach_schema, ransom_schema]
 
     def test_planning_prompt_with_exemplars(self, ransom_text, databreach_schema):
-        request = planning_prompt(ransom_text, SchemaRegistry([databreach_schema]), [EXAMPLE_SENTENCE, "Second."])
+        request = planning_prompt(ransom_text, planning_head(SchemaRegistry([databreach_schema]), [EXAMPLE_SENTENCE, "Second."]))
         user = request.messages[1].content
         assert f"Example sentences:\n- {EXAMPLE_SENTENCE}\n- Second.\n" in user
         assert dict(request.bindings)["exemplars"] == f"{EXAMPLE_SENTENCE}\nSecond."
 
     def test_planning_retry_adds_reminder_and_new_template(self, ransom_text, databreach_schema):
         registry = SchemaRegistry([databreach_schema])
-        first = planning_prompt(ransom_text, registry)
-        retry = planning_retry_prompt(ransom_text, registry)
+        first = planning_prompt(ransom_text, planning_head(registry))
+        retry = planning_retry_prompt(ransom_text, planning_head(registry))
         assert retry.template_id == "planning_retry"
         assert retry.fingerprint() != first.fingerprint()
         assert retry.messages[1].content.startswith(first.messages[1].content)
@@ -240,8 +241,8 @@ class TestPlanningAgent:
             '[{"trigger": "demanded", "event_type": "Ransom"},'
             ' {"trigger": "infiltrating", "event_type": "Databreach"}]'
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, registry)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry))
         assert [(h.trigger, h.event_type) for h in hypotheses] == [
             ("demanded", "Ransom"),
             ("infiltrating", "Databreach"),
@@ -257,8 +258,8 @@ class TestPlanningAgent:
             {"trigger": "demanded", "event_type": "Ransom", "confidence": 0.4},
             {"trigger": "infiltrating", "event_type": "Databreach", "confidence": 0.8},
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, registry)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry))
         assert [h.trigger for h in hypotheses] == ["infiltrating", "demanded"]
 
     def test_sort_is_stable_on_ties(self, ransom_text, databreach_schema, ransom_schema):
@@ -268,8 +269,8 @@ class TestPlanningAgent:
             {"trigger": "ransom", "event_type": "Ransom", "confidence": 0.7},
             {"trigger": "infiltrating", "event_type": "Databreach", "confidence": 0.7},
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, registry)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry))
         assert [h.trigger for h in hypotheses] == ["demanded", "ransom", "infiltrating"]
 
     def test_truncates_to_hypothesis_k(self, ransom_text, databreach_schema, ransom_schema):
@@ -277,8 +278,8 @@ class TestPlanningAgent:
         reply = planning_reply(
             *[{"trigger": t, "event_type": "Ransom"} for t in ("demanded", "ransom", "servers", "hackers")]
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, registry, hypothesis_k=2)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry), hypothesis_k=2)
         assert len(hypotheses) == 2
         assert [h.trigger for h in hypotheses] == ["demanded", "ransom"]
 
@@ -289,8 +290,8 @@ class TestPlanningAgent:
             {"trigger": "ransom", "event_type": "Ransom", "confidence": -1},
             {"trigger": "bank", "event_type": "Ransom", "confidence": 10**400},
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, registry)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry))
         assert [(h.trigger, h.confidence) for h in hypotheses] == [
             ("demanded", 1.0),
             ("bank", 1.0),
@@ -306,8 +307,8 @@ class TestPlanningAgent:
             {"trigger": "infiltrating", "event_type": "Databreach", "confidence": 0.9},
             {"trigger": "hackers", "event_type": "Databreach"},
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
-        hypotheses = run_planning_agent(backend, ransom_text, registry, hypothesis_k=5)
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry), hypothesis_k=5)
         # 1 - (rank-1)/n over all five entries, whichever are explicit.
         assert [(h.trigger, h.confidence) for h in hypotheses] == [
             ("infiltrating", 0.9),
@@ -325,21 +326,21 @@ class TestPlanningAgent:
             {"trigger": "demanded", "event_type": "Ransom"},
             {"trigger": "paid", "event_type": "Ransom"},
         )
-        backend = ScriptedBackend(script((planning_prompt(text, registry), reply)))
-        hypotheses = run_planning_agent(backend, text, registry)
+        backend = ScriptedBackend(script((planning_prompt(text, planning_head(registry)), reply)))
+        hypotheses = run_planning_agent(backend, text, planning_head(registry))
         assert hypotheses[0].char_offset == 0
         assert hypotheses[1].char_offset is None
 
     def test_fenced_reply_accepted(self, ransom_text, databreach_schema, ransom_schema):
         registry = self.registry(databreach_schema, ransom_schema)
         reply = '```json\n[{"trigger": "demanded", "event_type": "Ransom"}]\n```'
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), reply)))
-        assert len(run_planning_agent(backend, ransom_text, registry)) == 1
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply)))
+        assert len(run_planning_agent(backend, ransom_text, planning_head(registry))) == 1
 
     def test_empty_array_is_a_valid_answer(self, ransom_text, databreach_schema, ransom_schema):
         registry = self.registry(databreach_schema, ransom_schema)
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, registry), "[]")))
-        assert run_planning_agent(backend, ransom_text, registry) == []
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), "[]")))
+        assert run_planning_agent(backend, ransom_text, planning_head(registry)) == []
         assert len(backend.calls) == 1
 
     @pytest.mark.parametrize(
@@ -370,11 +371,11 @@ class TestPlanningAgent:
         good = planning_reply({"trigger": "demanded", "event_type": "Ransom"})
         backend = ScriptedBackend(
             script(
-                (planning_prompt(ransom_text, registry), bad_reply),
-                (planning_retry_prompt(ransom_text, registry), good),
+                (planning_prompt(ransom_text, planning_head(registry)), bad_reply),
+                (planning_retry_prompt(ransom_text, planning_head(registry)), good),
             )
         )
-        hypotheses = run_planning_agent(backend, ransom_text, registry)
+        hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry))
         assert [h.trigger for h in hypotheses] == ["demanded"]
         assert [c.template_id for c in backend.calls] == ["planning", "planning_retry"]
 
@@ -382,19 +383,19 @@ class TestPlanningAgent:
         registry = self.registry(databreach_schema, ransom_schema)
         backend = ScriptedBackend(
             script(
-                (planning_prompt(ransom_text, registry), "junk"),
-                (planning_retry_prompt(ransom_text, registry), "more junk"),
+                (planning_prompt(ransom_text, planning_head(registry)), "junk"),
+                (planning_retry_prompt(ransom_text, planning_head(registry)), "more junk"),
             )
         )
         with pytest.raises(PlanningError, match="not a JSON array"):
-            run_planning_agent(backend, ransom_text, registry)
+            run_planning_agent(backend, ransom_text, planning_head(registry))
         assert len(backend.calls) == 2
 
     def test_input_validation(self, databreach_schema):
         with pytest.raises(ValueError):
-            run_planning_agent(ScriptedBackend({}), "", SchemaRegistry([databreach_schema]))
+            run_planning_agent(ScriptedBackend({}), "", planning_head(SchemaRegistry([databreach_schema])))
         with pytest.raises(ValueError):
-            run_planning_agent(ScriptedBackend({}), "text", SchemaRegistry([databreach_schema]), hypothesis_k=0)
+            run_planning_agent(ScriptedBackend({}), "text", planning_head(SchemaRegistry([databreach_schema])), hypothesis_k=0)
 
 
 class TestCodingAgent:

@@ -3,6 +3,7 @@ replay backend, and prompt fingerprinting."""
 
 import base64
 import dataclasses
+import importlib
 import itertools
 import json
 import os
@@ -30,6 +31,17 @@ from eventagents import (
     fingerprint,
     load_scripted_fixture,
 )
+from eventagents.cli import _run_documents
+from eventagents.corpus import Document
+from eventagents.prompts import (
+    coding_prompt,
+    judge_prompt,
+    planning_head,
+    planning_prompt,
+    planning_retry_prompt,
+    retrieval_prompt,
+)
+from eventagents.refine import PipelineConfig
 
 
 def make_request(template_id="planning", bindings=(("text", "hello"),), temperature=None):
@@ -843,3 +855,178 @@ class TestPromptRequest:
             PromptRequest("", (), (ChatMessage("user", "x"),))
         with pytest.raises(ValueError):
             PromptRequest("planning", (), ())
+
+    def test_head_must_begin_the_last_message(self):
+        messages = (ChatMessage("system", "sys"), ChatMessage("user", "head, then tail"))
+        assert PromptRequest("planning", (), messages, head="head, ").head == "head, "
+        with pytest.raises(ValueError, match="head must begin its last message"):
+            PromptRequest("planning", (), messages, head="sys")
+
+
+# Characters JSON escapes in different ways: quote, backslash, controls,
+# non-ASCII, astral-plane (a surrogate pair in \u escapes) and line separators.
+AWKWARD = 'q"b\\s\x00\x07\x1f\x7f\n\t café €   \U0001f642 \U0010ffff'
+
+
+def expected_body(backend, request):
+    """The body as json.dumps writes the chat-completions payload."""
+    temperature = backend.config.temperature if request.temperature is None else request.temperature
+    payload = {
+        "model": backend.config.model,
+        "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+        "temperature": temperature,
+        "max_tokens": backend.config.max_tokens,
+    }
+    return json.dumps(payload).encode("utf-8")
+
+
+class TestRequestBody:
+    """Bodies are exactly json.dumps(payload), however the head is encoded."""
+
+    @pytest.fixture
+    def backend(self):
+        # Never connects: only the body is built.
+        return HttpBackend(BackendConfig(endpoint="http://127.0.0.1:9/v1", model=f"m{AWKWARD}"))
+
+    def test_every_template(self, backend, breach_registry, databreach_schema):
+        head = planning_head(breach_registry, (f"one {AWKWARD}", f"two {AWKWARD}"))
+        text = f"Text {AWKWARD}"
+        requests = [
+            retrieval_prompt(databreach_schema),
+            planning_prompt(text, head),
+            planning_retry_prompt(text, head),
+            coding_prompt(databreach_schema, f"t{AWKWARD}", text, rationale=AWKWARD, diagnostic=AWKWARD),
+            judge_prompt(f"t{AWKWARD}", "Databreach", text),
+        ]
+        assert [r.head == head.text for r in requests] == [False, True, True, False, False]
+        for request in requests:
+            assert backend._body(request) == expected_body(backend, request)
+
+    def test_heads_of_two_runs_on_one_backend(self, backend, breach_registry):
+        first = planning_head(breach_registry, (f"first {AWKWARD}",))
+        # Same length as the first, one character apart; then one extending it.
+        second = planning_head(breach_registry, (f"firsT {AWKWARD}",))
+        third = planning_head(breach_registry, (f"first {AWKWARD}", "more"))
+        for head in (first, second, first, third, second, third):
+            for prompt in (planning_prompt, planning_retry_prompt):
+                request = prompt(f"Doc {AWKWARD}", head)
+                assert backend._body(request) == expected_body(backend, request)
+            assert backend._head_memo[0] == head.text  # only the live head is kept
+
+    def test_threads_sharing_the_memo(self, backend, breach_registry):
+        # Two heads in turn make every thread replace the memo's one entry.
+        heads = [planning_head(breach_registry, (f"run {i} {AWKWARD}",)) for i in range(2)]
+        requests = [planning_prompt(f"Doc {i} {AWKWARD}", heads[i % 2]) for i in range(8)]
+        expected = [expected_body(backend, request) for request in requests]
+        wrong = []
+
+        def work(offset):
+            for i in range(200):
+                k = (i + offset) % len(requests)
+                if backend._body(requests[k]) != expected[k]:
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.text(min_size=1), st.one_of(st.none(), st.floats(0, 2)))
+    def test_any_split(self, head, tail, temperature):
+        backend = HttpBackend(BackendConfig(endpoint="http://127.0.0.1:9/v1"))
+        for text in (head, head + AWKWARD):
+            request = PromptRequest(
+                "planning", (), (ChatMessage("system", AWKWARD), ChatMessage("user", text + tail)), temperature, text
+            )
+            assert backend._body(request) == expected_body(backend, request)
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    """A loopback model: a retrieval prompt gets an exemplar naming the
+    type and ``run``, any other prompt "[]".  Records every raw body."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+    run = 1
+    bodies = []
+    lock = threading.Lock()
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        with self.lock:
+            type(self).bodies.append(body)
+        user = json.loads(body)["messages"][-1]["content"]
+        reply = "[]"
+        if user.startswith("Event type: "):
+            reply = exemplar(user.split()[2], type(self).run)
+        encoded = completion_body(reply).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(encoded)))
+        self.end_headers()
+        self.wfile.write(encoded)
+
+    def log_message(self, *args):
+        pass
+
+
+def exemplar(event_type, run):
+    return f"Run {run}: a {event_type} {AWKWARD.strip()} example."
+
+
+class TestRunHeadOverHttp:
+    """Two runs on one backend, as ``--runs 2`` makes, at one and two workers."""
+
+    TEXTS = (f"First {AWKWARD}", f"Second {AWKWARD}", f"Third {AWKWARD}")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_head_is_built_and_encoded_once_per_run(self, serve, monkeypatch, breach_registry, workers):
+        # The package's name "refine" is the function, so fetch the module.
+        refine = importlib.import_module("eventagents.refine")
+        backends = importlib.import_module("eventagents.backends")
+        builds, encodes = [], []
+        build, encode = refine.planning_head, backends._encode
+
+        def counting_build(*args):
+            builds.append(args)
+            return build(*args)
+
+        def counting_encode(value):
+            if isinstance(value, str) and value.startswith("Event definitions:"):
+                encodes.append(value)
+            return encode(value)
+
+        monkeypatch.setattr(refine, "planning_head", counting_build)
+        monkeypatch.setattr(backends, "_encode", counting_encode)
+        _ChatHandler.bodies = []
+        server = serve(_ChatHandler)
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(server), retries=0))
+        documents = [Document(f"d{i}", text, ()) for i, text in enumerate(self.TEXTS)]
+        try:
+            for run in (1, 2):
+                _ChatHandler.run = run
+                start = len(_ChatHandler.bodies)
+                results = _run_documents(documents, breach_registry, PipelineConfig(exemplar_k=1), backend, workers, run)
+                assert [trace.outcome for _, trace in results] == ["no-hypotheses"] * 3
+                head = planning_head(breach_registry, [exemplar(s.event_type, run) for s in breach_registry])
+                planning = [
+                    json.loads(body)["messages"] for body in _ChatHandler.bodies[start:] if b"Event definitions:" in body
+                ]
+                assert sorted(m[-1]["content"] for m in planning) == sorted(
+                    planning_prompt(text, head).messages[-1].content for text in self.TEXTS
+                )
+                assert len(builds) == len(encodes) == run
+                assert encodes[-1] == head.text
+        finally:
+            backend.close()
+        assert len(_ChatHandler.bodies) == 2 * (2 + 3)
+        for body in _ChatHandler.bodies:
+            assert body == json.dumps(json.loads(body)).encode("utf-8")

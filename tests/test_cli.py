@@ -11,7 +11,7 @@ from conftest import script
 from eventagents import EventSchema, RoleSpec, SchemaRegistry
 from eventagents.backends import BackendConfig, ScriptedBackend
 from eventagents.cli import RunConfig, main
-from eventagents.prompts import coding_prompt, planning_prompt, planning_retry_prompt, retrieval_prompt
+from eventagents.prompts import coding_prompt, planning_head, planning_prompt, planning_retry_prompt, retrieval_prompt
 from eventagents.refine import PipelineConfig
 
 SCHEMA = EventSchema(
@@ -53,7 +53,7 @@ def write_fixture(tmp_path, docs):
     """docs: list of (text, planning_reply, [(trigger, coding_reply)])."""
     pairs = [(retrieval_prompt(SCHEMA), EXEMPLAR)]
     for text, planning_reply, codings in docs:
-        pairs.append((planning_prompt(text, SchemaRegistry([SCHEMA]), (EXEMPLAR,)), planning_reply))
+        pairs.append((planning_prompt(text, planning_head(SchemaRegistry([SCHEMA]), (EXEMPLAR,))), planning_reply))
         for trigger, reply in codings:
             pairs.append((coding_prompt(SCHEMA, trigger, text), reply))
     path = tmp_path / "fixture.json"
@@ -802,7 +802,7 @@ class TestExemplarWarmUp:
             (TEXT_1, PLANNING_1, CODING_1),
             (TEXT_2, PLANNING_2, CODING_2),
         ):
-            pairs.append((planning_prompt(text, registry, sentences), planning_reply))
+            pairs.append((planning_prompt(text, planning_head(registry, sentences)), planning_reply))
             pairs.append((coding_prompt(SCHEMA, "patched", text), coding_reply))
         fixture = tmp_path / "fixture.json"
         fixture.write_text(json.dumps(script(*pairs)), encoding="utf-8")
@@ -899,7 +899,7 @@ class TestUnencodableText:
 
     def doc_two(self):
         return [
-            (planning_prompt(TEXT_2, self.REGISTRY, (EXEMPLAR,)), PLANNING_2),
+            (planning_prompt(TEXT_2, planning_head(self.REGISTRY, (EXEMPLAR,))), PLANNING_2),
             (coding_prompt(SCHEMA, "patched", TEXT_2), CODING_2),
         ]
 
@@ -912,7 +912,7 @@ class TestUnencodableText:
             "[T3] line 1, col 1: string '\\ud800' holds a lone surrogate, which UTF-8 cannot encode (at source)"
         )
         pairs = [
-            (planning_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), PLANNING_1),
+            (planning_prompt(TEXT_1, planning_head(self.REGISTRY, (EXEMPLAR,))), PLANNING_1),
             (coding_prompt(SCHEMA, "patched", TEXT_1), self.SURROGATE_CODING),
             (coding_prompt(SCHEMA, "patched", TEXT_1, diagnostic=diagnostic), CODING_1),
             *self.doc_two(),
@@ -928,8 +928,8 @@ class TestUnencodableText:
     def test_planning_trigger_earns_the_retry(self, capsys, tmp_path):
         malformed = '[{"trigger": "patched\\ud800", "event_type": "PatchVulnerability"}]'
         pairs = [
-            (planning_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), malformed),
-            (planning_retry_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), PLANNING_1),
+            (planning_prompt(TEXT_1, planning_head(self.REGISTRY, (EXEMPLAR,))), malformed),
+            (planning_retry_prompt(TEXT_1, planning_head(self.REGISTRY, (EXEMPLAR,))), PLANNING_1),
             (coding_prompt(SCHEMA, "patched", TEXT_1), CODING_1),
             *self.doc_two(),
         ]
@@ -940,8 +940,8 @@ class TestUnencodableText:
     def test_planning_retry_with_a_lone_surrogate_skips_only_its_document(self, capsys, tmp_path):
         malformed = '[{"trigger": "patched\\ud800", "event_type": "PatchVulnerability"}]'
         pairs = [
-            (planning_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), malformed),
-            (planning_retry_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), malformed),
+            (planning_prompt(TEXT_1, planning_head(self.REGISTRY, (EXEMPLAR,))), malformed),
+            (planning_retry_prompt(TEXT_1, planning_head(self.REGISTRY, (EXEMPLAR,))), malformed),
             *self.doc_two(),
         ]
         code, stderr, out = self.run(capsys, tmp_path, pairs)
@@ -958,7 +958,7 @@ class TestUnencodableText:
         assert not out.exists()
 
     def test_fixture_reply_is_a_config_error(self, capsys, tmp_path):
-        pairs = [(planning_prompt(TEXT_1, self.REGISTRY, (EXEMPLAR,)), "\ud800"), *self.doc_two()]
+        pairs = [(planning_prompt(TEXT_1, planning_head(self.REGISTRY, (EXEMPLAR,))), "\ud800"), *self.doc_two()]
         code, stderr, out = self.run(capsys, tmp_path, pairs)
         assert code == 2
         assert stderr.startswith("error: scripted fixture entry 'planning:")

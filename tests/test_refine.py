@@ -25,7 +25,7 @@ from eventagents import (
 from eventagents.agents import ExemplarCache
 from eventagents.cli import _run_documents
 from eventagents.corpus import Document
-from eventagents.prompts import coding_prompt, judge_prompt, planning_prompt, retrieval_prompt
+from eventagents.prompts import coding_prompt, judge_prompt, planning_head, planning_prompt, retrieval_prompt
 from eventagents.refine import build_run_context, document_judge, trace_to_records
 
 VALID_REPLY = 'PatchVulnerability(mention="patched", time=["Tuesday"])'
@@ -351,7 +351,7 @@ class TestRefine:
 def single_schema_fixture(schema, text, exemplar, planning_reply, coding_replies):
     """Scripted mapping for one extract_document run over one schema."""
     pairs = [(retrieval_prompt(schema), exemplar)]
-    pairs.append((planning_prompt(text, SchemaRegistry([schema]), (exemplar,) if exemplar else ()), planning_reply))
+    pairs.append((planning_prompt(text, planning_head(SchemaRegistry([schema]), (exemplar,) if exemplar else ())), planning_reply))
     for trigger, reply, diagnostic in coding_replies:
         pairs.append((coding_prompt(schema, trigger, text, diagnostic=diagnostic), reply))
     return script(*pairs)
@@ -670,14 +670,16 @@ class TestRunContext:
             for reply in self.EXEMPLARS[schema.event_type]
         ]
         context = build_run_context(breach_registry, ScriptedBackend(script(*pairs)), exemplar_k=3)
-        assert context.sentences == (*self.EXEMPLARS["Databreach"], *self.EXEMPLARS["Ransom"])
+        sentences = (*self.EXEMPLARS["Databreach"], *self.EXEMPLARS["Ransom"])
+        assert context.planning == planning_head(breach_registry, sentences)
+        assert context.planning.exemplars == "\n".join(sentences)
         assert context.warnings == ()
 
     def test_empty_retrieval_leaves_a_warning(self, breach_registry):
         pairs = [(retrieval_prompt(schema), self.EXEMPLARS[schema.event_type]) for schema in breach_registry]
         pairs[1] = (pairs[1][0], "  ")
         context = build_run_context(breach_registry, ScriptedBackend(script(*pairs)), exemplar_k=3)
-        assert context.sentences == tuple(self.EXEMPLARS["Databreach"])
+        assert context.planning == planning_head(breach_registry, self.EXEMPLARS["Databreach"])
         assert context.warnings == ("retrieval produced no usable sentences for Ransom",)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -696,7 +698,7 @@ class TestRunContext:
             for reply in self.EXEMPLARS[schema.event_type]
         ]
         sentences = tuple(s for schema in breach_registry for s in self.EXEMPLARS[schema.event_type])
-        pairs += [(planning_prompt(text, breach_registry, sentences), "[]") for text in RUN_TEXTS]
+        pairs += [(planning_prompt(text, planning_head(breach_registry, sentences)), "[]") for text in RUN_TEXTS]
         backend = ScriptedBackend(script(*pairs))
         documents = [Document(f"d{i}", text, ()) for i, text in enumerate(RUN_TEXTS)]
 

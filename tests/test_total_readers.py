@@ -18,6 +18,7 @@ from eventagents.cli import _load_predictions
 from eventagents.corpus import CorpusError, load_corpus
 from eventagents.errors import ConfigError
 from eventagents.metrics import EvaluationError
+from eventagents.prompts import planning_head
 from eventagents.schemas import EventSchema, OntologyError, RoleSpec, load_ontology
 
 TEXT = "Hackers demanded a ransom."
@@ -186,7 +187,7 @@ def test_planning_returns_bounded_ranked_hypotheses_or_fails(reply, retry_reply,
             return next(replies)
 
     try:
-        hypotheses = run_planning_agent(Backend(), TEXT, REGISTRY, hypothesis_k=hypothesis_k)
+        hypotheses = run_planning_agent(Backend(), TEXT, planning_head(REGISTRY), hypothesis_k=hypothesis_k)
     except PlanningError:
         return
     assert len(hypotheses) <= hypothesis_k
