@@ -8,8 +8,10 @@ import pytest
 from conftest import script
 from eventagents import (
     BackendError,
+    EventSchema,
     ExemplarCache,
     ExemplarSet,
+    RoleSpec,
     SchemaRegistry,
     ScriptedBackend,
     TriggerHypothesis,
@@ -85,6 +87,61 @@ class TestPrompts:
         user = request.messages[1].content
         assert f"Example sentences:\n- {EXAMPLE_SENTENCE}\n- Second.\n" in user
         assert dict(request.bindings)["exemplars"] == f"{EXAMPLE_SENTENCE}\nSecond."
+
+    @pytest.mark.parametrize(
+        "text, sentences, front, fingerprint",
+        [
+            (
+                "Hackers demanded a ransom.",
+                ("Attackers demanded a ransom.", "The firm paid."),
+                "Example sentences:\n- Attackers demanded a ransom.\n- The firm paid.\n\n"
+                "Text:\nHackers demanded a ransom.\n\n",
+                "e8d4468e2474ef6bc931ea1d6d087049448c5b91da2c9becb7c7bf7ce7053f76",
+            ),
+            (
+                "Hackers demanded a ransom.",
+                (),
+                "Text:\nHackers demanded a ransom.\n\n",
+                "c6d13a0a84c0ad1d87b26102b14e295cff8aba2c2897ef42564f41d10907d712",
+            ),
+            (
+                "Des pirates ont exig\u00e9 5 000 \u20ac \u00e0 Z\u00fcrich \u2014 \u201cpayez\u201d \U0001f680.",
+                ("Die Firma zahlte 1 \u20ac \U0001f642.", "Ransomware \u00abLockBit\u00bb frappe."),
+                "Example sentences:\n- Die Firma zahlte 1 \u20ac \U0001f642.\n"
+                "- Ransomware \u00abLockBit\u00bb frappe.\n\n"
+                "Text:\nDes pirates ont exig\u00e9 5 000 \u20ac \u00e0 Z\u00fcrich \u2014 \u201cpayez\u201d \U0001f680.\n\n",
+                "07a4dda83b2831d06763e191c38df33f725b1423fbfb3e34c8b2917074de63ff",
+            ),
+        ],
+        ids=["exemplars", "no-exemplars", "non-ascii"],
+    )
+    def test_planning_messages_are_pinned(self, text, sentences, front, fingerprint):
+        # Fingerprints hash only the bindings, so the message text is pinned here.
+        roles = tuple(RoleSpec(name) for name in ("tool", "price", "victim"))
+        head = planning_head(SchemaRegistry([EventSchema("Ransom", roles)]), sentences)
+        message = (
+            "Event definitions:\n@dataclass\nclass Ransom:\n    mention: str\n    tool: List\n"
+            "    price: List\n    victim: List\n\n"
+            + front
+            + "Return a JSON array of {'trigger': str, 'event_type': str} objects. Each object may also "
+            "include 'confidence' (a number between 0 and 1) and a short 'rationale'."
+        )
+        system = (
+            "You are an assistant for event extraction. Given a piece of text and definitions of event "
+            "types (as Python dataclasses), produce a JSON array of objects where each object has keys "
+            "'trigger' and 'event_type'."
+        )
+        reminder = (
+            "\n\nYour previous reply could not be parsed. Return only a JSON array of "
+            "{'trigger': str, 'event_type': str} objects, with no surrounding prose."
+        )
+        for request, expected in (
+            (planning_prompt(text, head), message),
+            (planning_retry_prompt(text, head), message + reminder),
+        ):
+            assert [m.content for m in request.messages] == [system, expected]
+            assert request.fingerprint() == f"{request.template_id}:{fingerprint}"
+            assert expected.startswith(request.head) and expected[len(request.head) :].startswith("Text:\n")
 
     def test_planning_retry_adds_reminder_and_new_template(self, ransom_text, databreach_schema):
         registry = SchemaRegistry([databreach_schema])
