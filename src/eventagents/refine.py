@@ -137,19 +137,26 @@ class ExtractionFailed:
     trace: RefinementTrace
 
 
-def document_judge(mode: str, backend, text: str) -> Callable[[str, str], JudgeResult] | None:
+def document_judge(
+    mode: str, backend, text: str, notes: list[str]
+) -> Callable[[str, str], JudgeResult] | None:
     """The T1 semantic judge for one document: None in strict mode.
 
     In llm mode it asks :func:`judge_semantic_compat` about ``text`` and
     remembers each (trigger, event type) answer, so a question is put to
-    the backend at most once however often refinement verifies it.
+    the backend at most once however often refinement verifies it.  An
+    answer's warning (an unparseable reply, which counts as no) is
+    appended to ``notes``, so once per question.
     """
     if mode == MODE_STRICT:
         return None
 
     @functools.cache
     def judge(trigger: str, event_type: str) -> JudgeResult:
-        return judge_semantic_compat(backend, trigger, event_type, text)
+        result = judge_semantic_compat(backend, trigger, event_type, text)
+        if result.warning:
+            notes.append(f"semantic judge on ({trigger!r}, {event_type!r}): {result.warning}")
+        return result
 
     return judge
 
@@ -175,7 +182,7 @@ def refine(
     if trace is None:
         trace = RefinementTrace()
     if judge is None:
-        judge = document_judge(config.mode, backend, text)
+        judge = document_judge(config.mode, backend, text, trace.notes)
     hypotheses_tried = 0
     while not pool.is_empty() and hypotheses_tried < config.hypothesis_k:
         hypothesis = select_best(pool)
@@ -278,7 +285,7 @@ def extract_document(
         return [], trace
     pool = HypothesisPool(hypotheses)
     events: list[EventObject] = []
-    judge = document_judge(config.mode, backend, text)
+    judge = document_judge(config.mode, backend, text, trace.notes)
     while True:
         outcome = refine(pool, text, registry, config, backend, trace=trace, judge=judge)
         if isinstance(outcome, ExtractionFailed):

@@ -514,6 +514,37 @@ class TestJudgeMemo:
         assert [a.result.diagnostic.as_line() for a in trace.attempts] == [self.REJECTED] * 3
         assert template_counts(backend) == {"coding": 3, "semantic_judge": 1}
 
+    @pytest.mark.parametrize(
+        "reply, notes",
+        [
+            (
+                "hmm, unclear",
+                ["semantic judge on ('patched', 'PatchVulnerability'): unparseable judge reply: 'hmm, unclear'"],
+            ),
+            ("no", []),
+        ],
+    )
+    def test_unparseable_judge_reply_leaves_one_note(
+        self, patch_registry, patchvuln_schema, tuesday_text, reply, notes
+    ):
+        fixture = single_schema_fixture(
+            patchvuln_schema,
+            tuesday_text,
+            TestExtractDocument.EXEMPLAR,
+            '[{"trigger": "patched", "event_type": "PatchVulnerability"}]',
+            [("patched", VALID_REPLY, ""), ("patched", VALID_REPLY, self.REJECTED)],
+        )
+        fixture.update(script(judge("patched", tuesday_text, reply)))
+        backend = ScriptedBackend(fixture)
+        events, trace = extract_document(
+            tuesday_text, patch_registry, PipelineConfig(exemplar_k=1, mode="llm"), backend
+        )
+        assert events == []
+        assert [a.result.diagnostic.as_line() for a in trace.attempts] == [self.REJECTED] * 3
+        assert template_counts(backend)["semantic_judge"] == 1
+        assert trace.notes == notes
+        assert [r["note"] for r in trace_to_records(trace, "d") if "note" in r] == notes
+
     def test_type_patch_reuses_the_judge_answer(self, patch_registry, patchvuln_schema, tuesday_text):
         backend = ScriptedBackend(
             script(
@@ -538,7 +569,7 @@ class TestJudgeMemo:
 
         def two_refines(share):
             backend = ScriptedBackend(fixture)
-            judge = document_judge("llm", backend, tuesday_text) if share else None
+            judge = document_judge("llm", backend, tuesday_text, []) if share else None
             for _ in range(2):
                 pool = HypothesisPool([hyp("patched")])
                 refine(pool, tuesday_text, patch_registry, self.config(), backend, judge=judge)
@@ -580,7 +611,7 @@ class TestJudgeMemo:
         assert [record.get("verdict", "-") for record in trace_to_records(trace, "d")] == [False, None, "-"]
 
     def test_strict_mode_has_no_judge(self, tuesday_text):
-        assert document_judge("strict", ScriptedBackend({}), tuesday_text) is None
+        assert document_judge("strict", ScriptedBackend({}), tuesday_text, []) is None
 
     def test_each_document_asks_the_judge(self, patch_registry, patchvuln_schema, tuesday_text):
         fixture = single_schema_fixture(
