@@ -83,7 +83,8 @@ class TestPrompts:
         assert rendered == [databreach_schema, ransom_schema]
 
     def test_planning_prompt_with_exemplars(self, ransom_text, databreach_schema):
-        request = planning_prompt(ransom_text, planning_head(SchemaRegistry([databreach_schema]), [EXAMPLE_SENTENCE, "Second."]))
+        head = planning_head(SchemaRegistry([databreach_schema]), [EXAMPLE_SENTENCE, "Second."])
+        request = planning_prompt(ransom_text, head)
         user = request.messages[1].content
         assert f"Example sentences:\n- {EXAMPLE_SENTENCE}\n- Second.\n" in user
         assert dict(request.bindings)["exemplars"] == f"{EXAMPLE_SENTENCE}\nSecond."
@@ -109,7 +110,8 @@ class TestPrompts:
                 ("Die Firma zahlte 1 \u20ac \U0001f642.", "Ransomware \u00abLockBit\u00bb frappe."),
                 "Example sentences:\n- Die Firma zahlte 1 \u20ac \U0001f642.\n"
                 "- Ransomware \u00abLockBit\u00bb frappe.\n\n"
-                "Text:\nDes pirates ont exig\u00e9 5 000 \u20ac \u00e0 Z\u00fcrich \u2014 \u201cpayez\u201d \U0001f680.\n\n",
+                "Text:\nDes pirates ont exig\u00e9 5 000 \u20ac \u00e0 Z\u00fcrich "
+                "\u2014 \u201cpayez\u201d \U0001f680.\n\n",
                 "07a4dda83b2831d06763e191c38df33f725b1423fbfb3e34c8b2917074de63ff",
             ),
         ],
@@ -449,10 +451,11 @@ class TestPlanningAgent:
         assert len(backend.calls) == 2
 
     def test_input_validation(self, databreach_schema):
+        head = planning_head(SchemaRegistry([databreach_schema]))
         with pytest.raises(ValueError):
-            run_planning_agent(ScriptedBackend({}), "", planning_head(SchemaRegistry([databreach_schema])))
+            run_planning_agent(ScriptedBackend({}), "", head)
         with pytest.raises(ValueError):
-            run_planning_agent(ScriptedBackend({}), "text", planning_head(SchemaRegistry([databreach_schema])), hypothesis_k=0)
+            run_planning_agent(ScriptedBackend({}), "text", head, hypothesis_k=0)
 
 
 class TestCodingAgent:

@@ -1014,12 +1014,12 @@ class TestRunHeadOverHttp:
             for run in (1, 2):
                 _ChatHandler.run = run
                 start = len(_ChatHandler.bodies)
-                results = _run_documents(documents, breach_registry, PipelineConfig(exemplar_k=1), backend, workers, run)
+                config = PipelineConfig(exemplar_k=1)
+                results = _run_documents(documents, breach_registry, config, backend, workers, run)
                 assert [trace.outcome for _, trace in results] == ["no-hypotheses"] * 3
                 head = planning_head(breach_registry, [exemplar(s.event_type, run) for s in breach_registry])
-                planning = [
-                    json.loads(body)["messages"] for body in _ChatHandler.bodies[start:] if b"Event definitions:" in body
-                ]
+                bodies = _ChatHandler.bodies[start:]
+                planning = [json.loads(body)["messages"] for body in bodies if b"Event definitions:" in body]
                 assert sorted(m[-1]["content"] for m in planning) == sorted(
                     planning_prompt(text, head).messages[-1].content for text in self.TEXTS
                 )

@@ -351,7 +351,8 @@ class TestRefine:
 def single_schema_fixture(schema, text, exemplar, planning_reply, coding_replies):
     """Scripted mapping for one extract_document run over one schema."""
     pairs = [(retrieval_prompt(schema), exemplar)]
-    pairs.append((planning_prompt(text, planning_head(SchemaRegistry([schema]), (exemplar,) if exemplar else ())), planning_reply))
+    head = planning_head(SchemaRegistry([schema]), (exemplar,) if exemplar else ())
+    pairs.append((planning_prompt(text, head), planning_reply))
     for trigger, reply, diagnostic in coding_replies:
         pairs.append((coding_prompt(schema, trigger, text, diagnostic=diagnostic), reply))
     return script(*pairs)
