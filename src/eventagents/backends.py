@@ -250,7 +250,8 @@ class HttpBackend:
         *earlier, last = request.messages
         temperature = self.config.temperature if request.temperature is None else request.temperature
         # One join of all the pieces: formatting with bytes % over-allocates,
-        # which raised a perfbench run's peak RSS by about 0.3 MB.
+        # which raised the peak RSS of a perfbench refine_llm run by about
+        # 0.3 MB (2-vCPU VM).
         parts = [b'{"model": ', _encode(self.config.model), b', "messages": [']
         for message in earlier:
             parts += [b'{"role": ', _encode(message.role), b', "content": ', _encode(message.content), b"}, "]
