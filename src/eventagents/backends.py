@@ -13,21 +13,22 @@ by a missing-fixture error naming the template.
 from __future__ import annotations
 
 import base64
-import hashlib
-import http.client
 import json
 import math
 import os
 import re
-import ssl
+import socket
+import sys
 import threading
 import time
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass
-from typing import IO, Any
+from typing import IO, TYPE_CHECKING, Any
 
 from .errors import ConfigError, EventAgentsError, has_surrogate
+
+if TYPE_CHECKING:
+    import ssl
 
 _ROLES = ("system", "user", "assistant")
 
@@ -131,6 +132,8 @@ class PromptRequest:
 
 def fingerprint(template_id: str, bindings: dict[str, str]) -> str:
     """Stable identity of a prompt: template id plus a bindings digest."""
+    import hashlib  # loads OpenSSL's digests, which only scripted runs use
+
     canonical = json.dumps(bindings, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
     digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return f"{template_id}:{digest}"
@@ -140,9 +143,9 @@ class HttpBackend:
     """Client for an OpenAI-compatible chat-completions endpoint.
 
     Each thread keeps one persistent HTTP/1.1 connection, opened on its
-    first call; :meth:`close` closes them all.  ``http.client`` only
-    opens a connection (TCP, proxy tunnel, TLS); each request goes out
-    in one write, and :func:`_read_response` frames the reply.  A reused
+    first call; :meth:`close` closes them all.  :class:`_Connection`
+    opens the socket itself (TCP, proxy tunnel, TLS); each request goes
+    out in one write, and :func:`_read_response` frames the reply.  A reused
     connection that the server closed while idle is reopened and the
     request resent once without counting an attempt.  Other connection
     failures and the transient statuses (429/5xx) are retried up to the
@@ -150,9 +153,10 @@ class HttpBackend:
     ``Retry-After`` (seconds) waits at least that long, capped at the
     timeout.  Redirects are not followed.  ``http_proxy``,
     ``https_proxy`` and ``no_proxy`` are read once, when the backend is
-    created.  The credential is read from the environment variable named
-    in the config; naming a variable that is unset is a configuration
-    error raised before any network traffic.
+    created; ``ssl`` is loaded only for an ``https://`` endpoint.  The
+    credential is read from the environment variable named in the
+    config; naming a variable that is unset is a configuration error
+    raised before any network traffic.
 
     A request's ``head`` is JSON-encoded once and kept in a memo of one
     entry, keyed by the head string: the planning head of the run in
@@ -175,22 +179,28 @@ class HttpBackend:
         if parts.port not in (None, 443 if https else 80):
             authority += f":{port}"
         fields = [f"Host: {authority}", "Accept-Encoding: identity", "Content-Type: application/json"]
-        self._tunnel = None
+        self._tunnel = None  # the CONNECT request that opens a proxy tunnel
         proxy = _proxy_for(parts.scheme, f"{host}:{port}")
         if proxy is not None:
             self._address = (proxy.hostname, proxy.port or 80)
-            proxy_headers = {}
+            proxy_fields = []
             if proxy.username is not None:
                 credentials = f"{urllib.parse.unquote(proxy.username)}:{urllib.parse.unquote(proxy.password or '')}"
                 token = base64.b64encode(credentials.encode("utf-8")).decode("ascii")
-                proxy_headers["Proxy-Authorization"] = f"Basic {token}"
+                proxy_fields.append(f"Proxy-Authorization: Basic {token}")
             if https:
-                self._tunnel = (host, port, proxy_headers)
+                self._tunnel = _lines(f"CONNECT {host}:{port} HTTP/1.0", *proxy_fields, "")
             else:
                 target = self._url  # absolute-form request target
-                fields.extend(f"{name}: {value}" for name, value in proxy_headers.items())
-        self._head = "".join(f"{line}\r\n" for line in (f"POST {target} HTTP/1.1", *fields)).encode("ascii")
-        self._ssl = ssl.create_default_context() if https else None
+                fields.extend(proxy_fields)
+        self._head = _lines(f"POST {target} HTTP/1.1", *fields)
+        self._tls: tuple[ssl.SSLContext, str] | None = None
+        if https:
+            import ssl  # loads OpenSSL, which plain-HTTP runs never need
+
+            self._tls = (ssl.create_default_context(), host)
+        self._body_prefix = b'{"model": %s, "messages": [' % json.dumps(config.model).encode("ascii")
+        self._body_suffix = b', "max_tokens": %s}' % json.dumps(config.max_tokens).encode("ascii")
         self._local = threading.local()
         self._connections: list[_Connection] = []
         self._lock = threading.Lock()
@@ -222,7 +232,7 @@ class HttpBackend:
             retry_after = 0.0
             try:
                 status, headers, data = connection.exchange(message)
-            except (OSError, http.client.HTTPException) as exc:
+            except (OSError, _FramingError) as exc:
                 connection.close()
                 last_problem = f"transport failure: {exc}"
                 continue
@@ -252,12 +262,12 @@ class HttpBackend:
         # One join of all the pieces: formatting with bytes % over-allocates,
         # which raised the peak RSS of a perfbench refine_llm run by about
         # 0.3 MB (2-vCPU VM).
-        parts = [b'{"model": ', _encode(self.config.model), b', "messages": [']
+        parts = [self._body_prefix]
         for message in earlier:
-            parts += [b'{"role": ', _encode(message.role), b', "content": ', _encode(message.content), b"}, "]
-        parts += [b'{"role": ', _encode(last.role), b', "content": ', self._encoded_head(head)]
-        parts += [_encode(last.content[len(head) :])[1:], b'}], "temperature": ', _encode(temperature)]
-        parts += [b', "max_tokens": ', _encode(self.config.max_tokens), b"}"]
+            parts += [_MESSAGE_OPENERS[message.role], _json_string(message.content).encode("ascii"), b"}, "]
+        parts += [_MESSAGE_OPENERS[last.role], self._encoded_head(head)]
+        parts += [_json_string(last.content[len(head) :])[1:].encode("ascii"), b'}], "temperature": ']
+        parts += [json.dumps(temperature).encode("ascii"), self._body_suffix]
         return b"".join(parts)
 
     def _encoded_head(self, head: str) -> bytes:
@@ -274,7 +284,7 @@ class HttpBackend:
             with self._lock:
                 memo = self._head_memo
                 if memo[0] != head:
-                    memo = self._head_memo = (head, _encode(head)[:-1])
+                    memo = self._head_memo = (head, _json_string(head)[:-1].encode("ascii"))
         return memo[1]
 
     def close(self) -> None:
@@ -287,36 +297,48 @@ class HttpBackend:
         """This thread's connection; it reconnects by itself once closed."""
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            if self._ssl is not None:
-                opener = http.client.HTTPSConnection(
-                    *self._address, timeout=self.config.timeout, context=self._ssl
-                )
-            else:
-                opener = http.client.HTTPConnection(*self._address, timeout=self.config.timeout)
-            if self._tunnel is not None:
-                host, port, proxy_headers = self._tunnel
-                opener.set_tunnel(host, port, headers=proxy_headers)
-            connection = self._local.connection = _Connection(opener)
+            connection = self._local.connection = _Connection(
+                self._address, self.config.timeout, self._tunnel, self._tls
+            )
             with self._lock:
                 self._connections.append(connection)
         return connection
 
 
-def _encode(value) -> bytes:
-    """``value`` as JSON, as ``json.dumps`` writes it (pure ASCII)."""
-    return json.dumps(value).encode("ascii")
+def _lines(*lines: str) -> bytes:
+    """``lines`` as an HTTP head: each one ended by CRLF, in ASCII."""
+    return "".join(f"{line}\r\n" for line in lines).encode("ascii")
+
+
+# A string as json.dumps writes it: quoted, with ASCII escapes.
+_json_string = json.encoder.encode_basestring_ascii
+
+# The start of each message object in a request body, by role.
+_MESSAGE_OPENERS = {role: b'{"role": %s, "content": ' % _json_string(role).encode("ascii") for role in _ROLES}
 
 
 class _Connection:
     """One thread's keep-alive connection.
 
-    ``opener`` connects (TCP, ``TCP_NODELAY``, a proxy's CONNECT tunnel,
-    TLS); after that this class sends each request as one write and reads
-    the reply through one buffered reader, open while ``reader`` is set.
+    It opens its socket on first use: TCP with ``TCP_NODELAY``, then the
+    proxy's CONNECT tunnel when ``tunnel`` holds that request, then TLS
+    when ``tls`` holds a context and the server's host name.  Each
+    request goes out as one write and the reply is read through one
+    buffered reader, open while ``reader`` is set.
     """
 
-    def __init__(self, opener: http.client.HTTPConnection):
-        self.opener = opener
+    def __init__(
+        self,
+        address: tuple[str, int],
+        timeout: float,
+        tunnel: bytes | None,
+        tls: tuple[ssl.SSLContext, str] | None,
+    ):
+        self.address = address
+        self.timeout = timeout
+        self.tunnel = tunnel
+        self.tls = tls
+        self.sock: socket.socket | None = None
         self.reader: IO[bytes] | None = None
 
     def exchange(self, message: bytes) -> tuple[int, dict[str, str], bytes]:
@@ -324,7 +346,6 @@ class _Connection:
         reused = self.reader is not None
         try:
             line = self._send(message)
-        # http.client.RemoteDisconnected is a ConnectionResetError.
         except (ConnectionResetError, BrokenPipeError):
             if not reused:
                 raise
@@ -341,39 +362,69 @@ class _Connection:
         if self.reader is not None:
             self.reader.close()
             self.reader = None
-        self.opener.close()
+        if self.sock is not None:
+            self.sock.close()
+            self.sock = None
 
     def _send(self, message: bytes) -> bytes:
         """Write ``message``, opening the connection first if need be; the
         first status line of the reply."""
         if self.reader is None:
-            self.opener.connect()
-            self.reader = self.opener.sock.makefile("rb")
-        self.opener.sock.sendall(message)
+            self.sock = self._open()
+            self.reader = self.sock.makefile("rb")
+        self.sock.sendall(message)
         return _read_status_line(self.reader)
 
+    def _open(self) -> socket.socket:
+        sock = socket.create_connection(self.address, self.timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self.tunnel is not None:
+                sock.sendall(self.tunnel)
+                with sock.makefile("rb") as reader:
+                    line = _read_status_line(reader)
+                    match = _STATUS.fullmatch(line)
+                    if match is None:
+                        raise _FramingError(repr(line[:100]))
+                    if match[2] != b"200":
+                        reason = (match[3] or b"").decode("latin-1").strip()
+                        raise OSError(f"Tunnel connection failed: {int(match[2])} {reason}")
+                    _read_headers(reader)
+            if self.tls is not None:
+                context, host = self.tls
+                sock = context.wrap_socket(sock, server_hostname=host)
+        except BaseException:
+            sock.close()
+            raise
+        return sock
 
-# Response framing (RFC 9112), with the limits http.client applies.
+
+# Response framing (RFC 9112), with the limits and fault texts of the
+# standard library's http.client.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
 _MAX_READ = 1 << 20  # bytes asked of the reader at once, so a huge length allocates nothing up front
-_STATUS = re.compile(rb"(HTTP/1\.[0-9]+)[ \t]+([1-9][0-9]{2})(?:[ \t].*)?\r?\n?", re.DOTALL)
+_STATUS = re.compile(rb"(HTTP/1\.[0-9]+)[ \t]+([1-9][0-9]{2})(?:[ \t](.*))?\r?\n?", re.DOTALL)
 _CONTENT_LENGTH = re.compile(r"[0-9]{1,18}")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,15}")
 _NO_BODY_STATUSES = frozenset({204, 304})
 
 
+class _FramingError(Exception):
+    """A reply that breaks HTTP/1.1 framing: a transport failure."""
+
+
 def _read_line(reader: IO[bytes], what: str) -> bytes:
     line = reader.readline(_MAX_LINE + 1)
     if len(line) > _MAX_LINE:
-        raise http.client.LineTooLong(what)
+        raise _FramingError(f"got more than {_MAX_LINE} bytes when reading {what}")
     return line
 
 
 def _read_status_line(reader: IO[bytes]) -> bytes:
     line = _read_line(reader, "status line")
     if not line:
-        raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        raise ConnectionResetError("Remote end closed connection without response")
     return line
 
 
@@ -383,12 +434,12 @@ def _read_response(reader: IO[bytes], line: bytes) -> tuple[int, dict[str, str],
     Returns the status, the headers (lower-cased names, first value
     kept), the body, and whether the connection can carry another
     request.  1xx interim replies are skipped.  Every framing fault
-    raises an ``http.client.HTTPException`` or an ``OSError``.
+    raises a ``_FramingError`` or an ``OSError``.
     """
     while True:
         match = _STATUS.fullmatch(line)
         if match is None:
-            raise http.client.BadStatusLine(repr(line[:100]))
+            raise _FramingError(repr(line[:100]))
         status = int(match[2])
         headers = _read_headers(reader)
         if status >= 200:
@@ -406,7 +457,7 @@ def _read_response(reader: IO[bytes], line: bytes) -> tuple[int, dict[str, str],
     elif "content-length" in headers:
         length = headers["content-length"]
         if not _CONTENT_LENGTH.fullmatch(length):
-            raise http.client.HTTPException(f"invalid Content-Length {length[:100]!r}")
+            raise _FramingError(f"invalid Content-Length {length[:100]!r}")
         body = _read_exact(reader, int(length))
     else:
         body, framed = reader.read(), False
@@ -426,11 +477,11 @@ def _read_headers(reader: IO[bytes]) -> dict[str, str]:
         if line in (b"\r\n", b"\n"):
             return headers
         if not line:
-            raise http.client.IncompleteRead(b"")
+            raise _FramingError("IncompleteRead(0 bytes read)")
         name, colon, value = line.partition(b":")
         if colon:
             headers.setdefault(name.strip().lower().decode("latin-1"), value.strip().decode("latin-1"))
-    raise http.client.HTTPException(f"got more than {_MAX_HEADERS} headers")
+    raise _FramingError(f"got more than {_MAX_HEADERS} headers")
 
 
 def _read_chunked(reader: IO[bytes]) -> bytes:
@@ -439,13 +490,13 @@ def _read_chunked(reader: IO[bytes]) -> bytes:
     while True:
         size = _read_line(reader, "chunk size").partition(b";")[0].strip()
         if not _CHUNK_SIZE.fullmatch(size):
-            raise http.client.HTTPException(f"invalid chunk size {size[:100]!r}")
+            raise _FramingError(f"invalid chunk size {size[:100]!r}")
         size = int(size, 16)
         if not size:
             break
         chunks.append(_read_exact(reader, size))
         if _read_exact(reader, 2) != b"\r\n":
-            raise http.client.HTTPException("chunk data not followed by CRLF")
+            raise _FramingError("chunk data not followed by CRLF")
     _read_headers(reader)
     return b"".join(chunks)
 
@@ -456,7 +507,7 @@ def _read_exact(reader: IO[bytes], size: int) -> bytes:
     while size:
         part = reader.read(min(size, _MAX_READ))
         if not part:
-            raise http.client.IncompleteRead(b"".join(parts), size)
+            raise _FramingError(f"IncompleteRead({sum(map(len, parts))} bytes read, {size} more expected)")
         parts.append(part)
         size -= len(part)
     return b"".join(parts)
@@ -464,6 +515,13 @@ def _read_exact(reader: IO[bytes], size: int) -> bytes:
 
 def _proxy_for(scheme: str, host: str) -> urllib.parse.SplitResult | None:
     """The proxy the environment names for this scheme and host, if any."""
+    # Outside macOS and Windows, getproxies() reads nothing but the
+    # *_proxy variables; without one, urllib.request (and the email
+    # parser it loads) is not worth loading.
+    if sys.platform != "darwin" and os.name != "nt" and not any(name.lower().endswith("_proxy") for name in os.environ):
+        return None
+    import urllib.request
+
     proxy = urllib.request.getproxies().get(scheme)
     if not proxy or urllib.request.proxy_bypass(host):
         return None

@@ -7,7 +7,9 @@ import importlib
 import itertools
 import json
 import os
+import select
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -156,6 +158,43 @@ class _ProxyHandler(BaseHTTPRequestHandler):
         pass
 
 
+class _RelayingProxyHandler(BaseHTTPRequestHandler):
+    """Loopback proxy stand-in that opens each CONNECT tunnel it is asked
+    for and relays bytes both ways until either end closes.  Records
+    each request line."""
+
+    seen = []
+
+    def do_CONNECT(self):
+        _RelayingProxyHandler.seen.append(self.requestline)
+        host, _, port = self.path.rpartition(":")
+        with socket.create_connection((host, int(port)), timeout=5) as upstream:
+            self.send_response(200)
+            self.end_headers()
+            ends = {self.connection: upstream, upstream: self.connection}
+            while True:
+                readable, _, _ = select.select(list(ends), [], [], 5)
+                if not readable:
+                    return
+                for end in readable:
+                    data = end.recv(65536)
+                    if not data:
+                        return
+                    ends[end].sendall(data)
+
+    def log_message(self, *args):
+        pass
+
+
+# A self-signed certificate for 127.0.0.1 and localhost, with its key;
+# made for these tests only, with
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes \
+#     -keyout localhost.key -out localhost.pem -days 36500 -subj /CN=localhost \
+#     -addext subjectAltName=IP:127.0.0.1,DNS:localhost
+TLS_CERT = Path(__file__).parent / "tls" / "localhost.pem"
+TLS_KEY = TLS_CERT.with_suffix(".key")
+
+
 def completion_body(content):
     return json.dumps({"choices": [{"message": {"content": content}}]})
 
@@ -173,10 +212,15 @@ def serve():
     _ScriptedHandler.script = []
     _ScriptedHandler.seen = []
     _ProxyHandler.seen = []
+    _RelayingProxyHandler.seen = []
     running = []
 
-    def start(handler=_ScriptedHandler):
+    def start(handler=_ScriptedHandler, tls=False):
         server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_KEY)
+            server.socket = context.wrap_socket(server.socket, server_side=True)
         server.opened = server.ended = 0
         server.arrivals = itertools.count()
         thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
@@ -196,9 +240,9 @@ def http_server(serve):
     return serve()
 
 
-def endpoint_of(server):
+def endpoint_of(server, scheme="http"):
     host, port = server.server_address
-    return f"http://{host}:{port}/v1"
+    return f"{scheme}://{host}:{port}/v1"
 
 
 class TestHttpBackend:
@@ -436,13 +480,66 @@ class TestTransport:
             HttpBackend(BackendConfig())
 
     def test_cli_import_does_not_load_requests(self):
+        # Nor, for a plain-HTTP backend without proxy variables, TLS, the
+        # email parser that urllib.request loads, or OpenSSL's digests.
+        # An https:// backend does load ssl.
+        code = (
+            "import sys, eventagents, eventagents.cli\n"
+            "eventagents.HttpBackend(eventagents.BackendConfig(endpoint='http://127.0.0.1:9/v1'))\n"
+            "print(sorted(set(sys.argv[1:]) & set(sys.modules)))\n"
+            "eventagents.HttpBackend(eventagents.BackendConfig(endpoint='https://127.0.0.1:9/v1'))\n"
+            "print('ssl' in sys.modules)\n"
+        )
+        unloaded = ["requests", "ssl", "_ssl", "http.client", "email", "urllib.request", "hashlib", "_hashlib"]
         src = Path(eventagents.__file__).resolve().parent.parent
+        env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
         result = subprocess.run(
-            [sys.executable, "-c", "import sys, eventagents.cli; sys.exit('requests' in sys.modules)"],
-            env={**os.environ, "PYTHONPATH": str(src)},
+            [sys.executable, "-c", code, *unloaded],
+            env={**env, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
             timeout=60,
         )
-        assert result.returncode == 0
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines() == ["[]", "True"]
+
+
+class TestTls:
+    """The TLS handshake against a loopback server with a self-signed
+    certificate, directly and through a proxy's CONNECT tunnel."""
+
+    @pytest.fixture(autouse=True)
+    def _system_trust_store(self, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+
+    def test_trusted_certificate(self, serve, monkeypatch):
+        server = serve(tls=True)
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        _ScriptedHandler.script = [(200, completion_body("over tls"))]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(server, "https"), retries=0, timeout=5))
+        assert backend.complete(make_request()) == "over tls"
+        backend.close()
+        assert _ScriptedHandler.seen[0]["path"] == "/v1/chat/completions"
+
+    def test_untrusted_certificate_is_a_transport_failure(self, serve):
+        server = serve(tls=True)
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(server, "https"), retries=0, timeout=5))
+        with pytest.raises(BackendError, match=r"transport failure: \[SSL: CERTIFICATE_VERIFY_FAILED\]"):
+            backend.complete(make_request())
+        assert _ScriptedHandler.seen == []
+
+    def test_https_proxy_relays_the_tunnel(self, serve, monkeypatch):
+        server = serve(tls=True)
+        proxy = serve(_RelayingProxyHandler)
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{proxy.server_address[1]}")
+        _ScriptedHandler.script = [(200, completion_body("through the tunnel"))]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(server, "https"), retries=0, timeout=5))
+        assert backend.complete(make_request()) == "through the tunnel"
+        backend.close()
+        assert _RelayingProxyHandler.seen == [f"CONNECT 127.0.0.1:{server.server_address[1]} HTTP/1.0"]
+        assert _ScriptedHandler.seen[0]["path"] == "/v1/chat/completions"
 
 
 class _RawServer:
@@ -993,7 +1090,7 @@ class TestRunHeadOverHttp:
         refine = importlib.import_module("eventagents.refine")
         backends = importlib.import_module("eventagents.backends")
         builds, encodes = [], []
-        build, encode = refine.planning_head, backends._encode
+        build, encode = refine.planning_head, backends._json_string
 
         def counting_build(*args):
             builds.append(args)
@@ -1005,7 +1102,7 @@ class TestRunHeadOverHttp:
             return encode(value)
 
         monkeypatch.setattr(refine, "planning_head", counting_build)
-        monkeypatch.setattr(backends, "_encode", counting_encode)
+        monkeypatch.setattr(backends, "_json_string", counting_encode)
         _ChatHandler.bodies = []
         server = serve(_ChatHandler)
         backend = HttpBackend(BackendConfig(endpoint=endpoint_of(server), retries=0))
