@@ -10,7 +10,7 @@ Corpora are newline-delimited JSON records::
                  "arguments": [{"role": "price", "text": "...", "start": 27, "end": 47}]}]}
 
 ``tokens`` and ``events`` are optional: missing tokens are derived by
-whitespace splitting (offset-preserving), missing events mean an
+whitespace splitting (offset-preserving) when first read, missing events mean an
 unannotated document, and events without an ``arguments`` key load with
 empty argument lists, which is how trigger-only corpora are represented.
 """
@@ -48,11 +48,28 @@ class GoldEvent:
     arguments: tuple[tuple[str, Span], ...] = ()
 
 
+class _Tokens:
+    """The ``Document.tokens`` field.  None stands for the text's
+    whitespace tokens, derived when first read: only ``dataset_stats``
+    reads tokens, so an extraction run never splits its corpus."""
+
+    def __get__(self, doc, owner=None):
+        if doc is None:
+            raise AttributeError("tokens")  # no default: the field is required
+        tokens = doc.__dict__["tokens"]
+        if tokens is None:
+            tokens = doc.__dict__["tokens"] = _whitespace_tokens(doc.text)
+        return tokens
+
+    def __set__(self, doc, tokens):
+        doc.__dict__["tokens"] = tokens
+
+
 @dataclass(frozen=True)
 class Document:
     id: str
     text: str
-    tokens: tuple[tuple[int, int], ...]
+    tokens: tuple[tuple[int, int], ...] | None = _Tokens()
     gold_events: tuple[GoldEvent, ...] = ()
 
 
@@ -98,10 +115,8 @@ def _load_record(line_no: int, raw: dict) -> Document:
         raise CorpusError(f"record {doc_id!r}: 'text' must be a string")
     _check_text(doc_id, "'text'", text)
 
-    raw_tokens = raw.get("tokens")
-    if raw_tokens is None:
-        tokens = _whitespace_tokens(text)
-    else:
+    raw_tokens = tokens = raw.get("tokens")
+    if raw_tokens is not None:
         if not isinstance(raw_tokens, list):
             raise CorpusError(f"record {doc_id!r}: 'tokens' must be an array")
         tokens = []
