@@ -10,9 +10,10 @@ Corpora are newline-delimited JSON records::
                  "arguments": [{"role": "price", "text": "...", "start": 27, "end": 47}]}]}
 
 ``tokens`` and ``events`` are optional: missing tokens are derived by
-whitespace splitting (offset-preserving) when first read, missing events mean an
-unannotated document, and events without an ``arguments`` key load with
-empty argument lists, which is how trigger-only corpora are represented.
+whitespace splitting (offset-preserving) when first read, missing events
+mean an unannotated document, and events without an ``arguments`` key
+load with empty argument lists, which is how trigger-only corpora are
+represented.
 """
 
 from __future__ import annotations

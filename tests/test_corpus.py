@@ -40,6 +40,14 @@ class TestLoadCorpus:
         for start, end in doc.tokens:
             assert " " not in doc.text[start:end]
 
+    def test_derived_tokens_equal_given_ones(self):
+        # Derived on first read, they make the same document as tokens given
+        # to the constructor; None there derives them too.
+        doc = load_corpus(corpus_text(record()))[0]
+        given = Document(doc.id, doc.text, ((0, 7), (8, 16), (17, 23)))
+        assert doc == given and hash(doc) == hash(given) and repr(doc) == repr(given)
+        assert Document(doc.id, doc.text, None) == given
+
     def test_reads_bytes_and_file_objects(self):
         text = corpus_text(record())
         assert len(load_corpus(text.encode("utf-8"))) == 1
