@@ -213,6 +213,10 @@ class TestConfigResolution:
         assert code == 2
         assert "runs must be >= 1" in err
 
+    def test_pipeline_range_error_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "extract", "--hypothesis-k", "0")
+        assert (code, out, err) == (2, "", "error: hypothesis_k must be >= 1\n")
+
     def test_print_config_skips_required_path_validation(self, capsys):
         code, out, _ = run_cli(capsys, "extract", "--print-config")
         assert code == 0

@@ -114,22 +114,30 @@ class TestConfigs:
         assert config.multi_event is False
         assert config.event_cap == 5
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"hypothesis_k": 0},
-            {"patch_attempts": 0},
-            {"mode": "fuzzy"},
-        ],
-    )
-    def test_refinement_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            RefinementConfig(**kwargs)
+    # One case per checked field, in the order the checks run.
+    VALIDATION = [
+        ("hypothesis_k", 0, "hypothesis_k must be >= 1"),
+        ("patch_attempts", 0, "patch_attempts must be >= 1"),
+        ("mode", "fuzzy", "mode must be 'strict' or 'llm', got 'fuzzy'"),
+        ("exemplar_k", 0, "exemplar_k must be >= 1"),
+        ("event_cap", 0, "event_cap must be >= 1"),
+    ]
 
-    @pytest.mark.parametrize("kwargs", [{"exemplar_k": 0}, {"event_cap": 0}])
-    def test_pipeline_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            PipelineConfig(**kwargs)
+    @pytest.mark.parametrize("name, value, message", VALIDATION, ids=[case[0] for case in VALIDATION])
+    def test_validation_message(self, name, value, message):
+        with pytest.raises(ValueError) as exc_info:
+            PipelineConfig(**{name: value})
+        assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize(
+        "first, second",
+        zip(VALIDATION, VALIDATION[1:]),
+        ids=[f"{a[0]}-{b[0]}" for a, b in zip(VALIDATION, VALIDATION[1:])],
+    )
+    def test_first_checked_fault_is_reported(self, first, second):
+        with pytest.raises(ValueError) as exc_info:
+            PipelineConfig(**{first[0]: first[1], second[0]: second[1]})
+        assert str(exc_info.value) == first[2]
 
 
 class TestRefine:
