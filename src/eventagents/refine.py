@@ -1,12 +1,13 @@
 """Dual-loop refinement: hypothesis backtracking around a patch loop.
 
 The outer loop repeatedly selects the highest-confidence hypothesis left
-in the pool.  The inner loop gives the coding agent up to ``patch_attempts``
-tries for that hypothesis, feeding the previous attempt's diagnostic line
-back into the prompt from the second try on.  A hypothesis that exhausts
-its attempts is removed and the outer loop re-selects; an empty pool ends
-the search with :class:`ExtractionFailed`, which is a result, not an
-error: evaluation counts failed documents as zero predictions.
+in the pool, a plain list the search consumes.  The inner loop gives the
+coding agent up to ``patch_attempts`` tries for that hypothesis, feeding
+the previous attempt's diagnostic line back into the prompt from the
+second try on.  A hypothesis that exhausts its attempts is removed and
+the outer loop re-selects; an empty pool ends the search with None and
+the trace's outcome ``"exhausted"``, which is a result, not an error:
+evaluation counts failed documents as zero predictions.
 
 Total coding-agent work is bounded by hypothesis_k * patch_attempts per
 refine call.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable
 
 from .agents import (
     ExemplarCache,
@@ -38,15 +39,16 @@ MODE_LLM = "llm"
 MODES = (MODE_STRICT, MODE_LLM)
 
 
-class PoolExhausted(EventAgentsError):
-    """Selection was attempted on an empty hypothesis pool."""
-
-
 @dataclass(frozen=True)
-class RefinementConfig:
+class PipelineConfig:
+    """Refinement and document-pipeline knobs."""
+
     hypothesis_k: int = 3
     patch_attempts: int = 3
     mode: str = MODE_STRICT
+    exemplar_k: int = 3
+    multi_event: bool = False
+    event_cap: int = 5
 
     def __post_init__(self):
         for name in ("hypothesis_k", "patch_attempts"):
@@ -54,59 +56,19 @@ class RefinementConfig:
                 raise ValueError(f"{name} must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be '{MODE_STRICT}' or '{MODE_LLM}', got {self.mode!r}")
-
-
-@dataclass(frozen=True)
-class PipelineConfig(RefinementConfig):
-    """Refinement knobs plus the document-pipeline extras."""
-
-    exemplar_k: int = 3
-    multi_event: bool = False
-    event_cap: int = 5
-
-    def __post_init__(self):
-        super().__post_init__()
         for name in ("exemplar_k", "event_cap"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 
-class HypothesisPool:
-    """The planning candidates still open for exploration."""
-
-    def __init__(self, hypotheses: Iterable[TriggerHypothesis]):
-        self._entries = list(hypotheses)
-
-    def available(self) -> list[TriggerHypothesis]:
-        return list(self._entries)
-
-    def is_empty(self) -> bool:
-        return not self._entries
-
-    def remove(self, hypothesis: TriggerHypothesis) -> None:
-        """Consume the first entry equal to ``hypothesis``."""
-        if hypothesis not in self._entries:
-            raise ValueError("hypothesis not present in pool")
-        self._entries.remove(hypothesis)
-
-    def discard_pair(self, trigger: str, event_type: str) -> None:
-        """Consume every entry carrying this (trigger, event type) pair."""
-        self._entries = [
-            entry for entry in self._entries if (entry.trigger, entry.event_type) != (trigger, event_type)
-        ]
-
-
-def select_best(pool: HypothesisPool) -> TriggerHypothesis:
-    """Argmax by confidence; ties broken by earlier text position, then
-    trigger text, then pool order."""
-    candidates = pool.available()
-    if not candidates:
-        raise PoolExhausted("hypothesis pool is empty")
+def select_best(pool: list[TriggerHypothesis]) -> TriggerHypothesis:
+    """Argmax by confidence over a non-empty pool; ties broken by earlier
+    text position, then trigger text, then pool order."""
     def rank(pair):
         index, h = pair
         offset = math.inf if h.char_offset is None else h.char_offset
         return (-h.confidence, offset, h.trigger, index)
-    return min(enumerate(candidates), key=rank)[1]
+    return min(enumerate(pool), key=rank)[1]
 
 
 @dataclass
@@ -124,17 +86,6 @@ class RefinementTrace:
     attempts: list[AttemptRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     outcome: str = "pending"
-
-    @property
-    def coding_calls(self) -> int:
-        return len(self.attempts)
-
-
-@dataclass
-class ExtractionFailed:
-    """Terminal no-event outcome; carries the full trace for analysis."""
-
-    trace: RefinementTrace
 
 
 def document_judge(
@@ -162,29 +113,32 @@ def document_judge(
 
 
 def refine(
-    pool: HypothesisPool,
+    pool: list[TriggerHypothesis],
     text: str,
     registry: SchemaRegistry,
-    config: RefinementConfig,
+    config: PipelineConfig,
     backend,
     trace: RefinementTrace | None = None,
     judge: Callable[[str, str], JudgeResult] | None = None,
-) -> EventObject | ExtractionFailed:
+) -> EventObject | None:
     """Run the dual loop until an event verifies or the pool runs out.
 
-    Hypotheses whose event type is not in the registry are consumed
-    without costing any coding calls.  Backend failures abort with the
-    partial trace attached to the exception, which is an operational
-    error distinct from ExtractionFailed.  ``judge`` is the document's
-    T1 judge from :func:`document_judge`; without one, each call builds
-    its own.
+    Consumes ``pool`` in place: each hypothesis tried to exhaustion is
+    removed, so the untried ones stay in the caller's list.  Returns the
+    accepted event, or None once the pool or the ``hypothesis_k`` budget
+    is spent, with the trace's outcome ``"exhausted"``.  Hypotheses
+    whose event type is not in the registry are consumed without costing
+    any coding calls.  Backend failures abort with the partial trace
+    attached to the exception, which is an operational error, not an
+    exhausted search.  ``judge`` is the document's T1 judge from
+    :func:`document_judge`; without one, each call builds its own.
     """
     if trace is None:
         trace = RefinementTrace()
     if judge is None:
         judge = document_judge(config.mode, backend, text, trace.notes)
     hypotheses_tried = 0
-    while not pool.is_empty() and hypotheses_tried < config.hypothesis_k:
+    while pool and hypotheses_tried < config.hypothesis_k:
         hypothesis = select_best(pool)
         schema = registry.get(hypothesis.event_type)
         if schema is None:
@@ -216,7 +170,7 @@ def refine(
             diagnostic_line = record.result.diagnostic.as_line()
         pool.remove(hypothesis)
     trace.outcome = "exhausted"
-    return ExtractionFailed(trace)
+    return None
 
 
 @dataclass(frozen=True)
@@ -283,21 +237,20 @@ def extract_document(
         trace.notes.append("planning produced no hypotheses")
         trace.outcome = "no-hypotheses"
         return [], trace
-    pool = HypothesisPool(hypotheses)
     events: list[EventObject] = []
     judge = document_judge(config.mode, backend, text, trace.notes)
     while True:
-        outcome = refine(pool, text, registry, config, backend, trace=trace, judge=judge)
-        if isinstance(outcome, ExtractionFailed):
+        event = refine(hypotheses, text, registry, config, backend, trace=trace, judge=judge)
+        if event is None:
             break
-        events.append(outcome)
+        events.append(event)
         if not config.multi_event or len(events) >= config.event_cap:
             break
-        pool.discard_pair(outcome.trigger, outcome.event_type)
-        if pool.is_empty():
+        hypotheses = [h for h in hypotheses if (h.trigger, h.event_type) != (event.trigger, event.event_type)]
+        if not hypotheses:
             break
         trace.notes.append(
-            f"multi-event: continuing after accepting ({outcome.trigger!r}, {outcome.event_type!r})"
+            f"multi-event: continuing after accepting ({event.trigger!r}, {event.event_type!r})"
         )
     if events:
         trace.outcome = "accepted"

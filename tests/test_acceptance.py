@@ -21,10 +21,8 @@ from eventagents import (
     Document,
     EventObject,
     EventSchema,
-    ExtractionFailed,
     GoldEvent,
-    HypothesisPool,
-    RefinementConfig,
+    PipelineConfig,
     RefinementTrace,
     RoleSpec,
     SchemaRegistry,
@@ -102,17 +100,17 @@ def test_criterion_02(patch_registry, patchvuln_schema, tuesday_text):
         (coding_prompt(schema, "patched", text, diagnostic=BROKEN_DIAGNOSTIC), BROKEN_REPLY),
         (coding_prompt(schema, "vulnerability", text), rescue_reply),
     ))
-    pool = HypothesisPool([
+    pool = [
         TriggerHypothesis("patched", "PatchVulnerability", 0.9),
         TriggerHypothesis("vulnerability", "PatchVulnerability", 0.5),
-    ])
+    ]
     trace = RefinementTrace()
     event = refine_with_defaults(pool, text, patch_registry, backend, trace)
 
     assert isinstance(event, EventObject)
     assert event.trigger == "vulnerability"
     assert trace.outcome == "accepted"
-    assert trace.coding_calls == 4
+    assert len(trace.attempts) == 4
     assert len(backend.calls) == 4
     assert BROKEN_DIAGNOSTIC not in user_content(backend.calls[0])
     assert BROKEN_DIAGNOSTIC in user_content(backend.calls[1])
@@ -129,17 +127,16 @@ def test_criterion_02(patch_registry, patchvuln_schema, tuesday_text):
         entries.append((coding_prompt(schema, trigger, text), BROKEN_REPLY))
         entries.append((coding_prompt(schema, trigger, text, diagnostic=BROKEN_DIAGNOSTIC), BROKEN_REPLY))
     backend = ScriptedBackend(script(*entries))
-    pool = HypothesisPool([
+    pool = [
         TriggerHypothesis(trigger, "PatchVulnerability", 0.9 - 0.1 * i)
         for i, trigger in enumerate(triggers)
-    ])
+    ]
     trace = RefinementTrace()
     outcome = refine_with_defaults(pool, text, patch_registry, backend, trace)
 
-    assert isinstance(outcome, ExtractionFailed)
-    assert outcome.trace is trace
+    assert outcome is None
     assert trace.outcome == "exhausted"
-    assert trace.coding_calls == 9
+    assert len(trace.attempts) == 9
     assert len(backend.calls) == 9
 
     assert time.monotonic() - started < 1.0
@@ -148,7 +145,7 @@ def test_criterion_02(patch_registry, patchvuln_schema, tuesday_text):
 def refine_with_defaults(pool, text, registry, backend, trace):
     from eventagents import refine
 
-    config = RefinementConfig()
+    config = PipelineConfig()
     assert config.hypothesis_k == 3 and config.patch_attempts == 3
     return refine(pool, text, registry, config, backend, trace=trace)
 

@@ -9,11 +9,7 @@ from eventagents import (
     BackendError,
     EventAgentsError,
     EventObject,
-    ExtractionFailed,
-    HypothesisPool,
     PipelineConfig,
-    PoolExhausted,
-    RefinementConfig,
     RefinementTrace,
     SchemaRegistry,
     ScriptedBackend,
@@ -37,73 +33,35 @@ def hyp(trigger, event_type="PatchVulnerability", confidence=0.9, **kwargs):
     return TriggerHypothesis(trigger, event_type, confidence, **kwargs)
 
 
-class TestHypothesisPool:
-    def test_available_and_remove(self):
-        a, b = hyp("patched"), hyp("vulnerability", confidence=0.5)
-        pool = HypothesisPool([a, b])
-        assert pool.available() == [a, b]
-        assert not pool.is_empty()
-        pool.remove(a)
-        assert pool.available() == [b]
-        pool.remove(b)
-        assert pool.is_empty()
-
-    def test_remove_missing_raises(self):
-        pool = HypothesisPool([hyp("patched")])
-        with pytest.raises(ValueError, match="not present"):
-            pool.remove(hyp("other"))
-
-    def test_equal_duplicates_consumed_one_at_a_time(self):
-        a = hyp("patched")
-        pool = HypothesisPool([a, a])
-        pool.remove(a)
-        assert pool.available() == [a]
-
-    def test_discard_pair_consumes_all_matches(self):
-        entries = [hyp("patched"), hyp("patched", confidence=0.4), hyp("vulnerability")]
-        pool = HypothesisPool(entries)
-        pool.discard_pair("patched", "PatchVulnerability")
-        assert pool.available() == [entries[2]]
-
-
 class TestSelectBest:
     def test_highest_confidence_wins(self):
         low, high = hyp("a", confidence=0.3), hyp("b", confidence=0.8)
-        assert select_best(HypothesisPool([low, high])) is high
+        assert select_best([low, high]) is high
 
     def test_tie_prefers_earlier_offset(self):
         late = hyp("late", confidence=0.5, char_offset=40)
         early = hyp("early", confidence=0.5, char_offset=3)
-        assert select_best(HypothesisPool([late, early])) is early
+        assert select_best([late, early]) is early
 
     def test_missing_offset_loses_to_any_real_offset(self):
         nowhere = hyp("aaa", confidence=0.5, char_offset=None)
         somewhere = hyp("zzz", confidence=0.5, char_offset=99)
-        assert select_best(HypothesisPool([nowhere, somewhere])) is somewhere
+        assert select_best([nowhere, somewhere]) is somewhere
 
     def test_offset_tie_breaks_on_trigger_text(self):
         zebra = hyp("zebra", confidence=0.5, char_offset=7)
         apple = hyp("apple", confidence=0.5, char_offset=7)
-        assert select_best(HypothesisPool([zebra, apple])) is apple
+        assert select_best([zebra, apple]) is apple
 
     def test_full_tie_keeps_pool_order(self):
         first = hyp("same", confidence=0.5, char_offset=7)
         second = hyp("same", confidence=0.5, char_offset=7, event_type="PatchVulnerability")
-        assert select_best(HypothesisPool([first, second])) is first
-
-    def test_empty_pool_raises(self):
-        pool = HypothesisPool([])
-        with pytest.raises(PoolExhausted):
-            select_best(pool)
-        filled = HypothesisPool([hyp("a")])
-        filled.remove(hyp("a"))
-        with pytest.raises(PoolExhausted):
-            select_best(filled)
+        assert select_best([first, second]) is first
 
 
 class TestConfigs:
     def test_refinement_defaults(self):
-        config = RefinementConfig()
+        config = PipelineConfig()
         assert config.hypothesis_k == 3
         assert config.patch_attempts == 3
         assert config.mode == "strict"
@@ -142,7 +100,7 @@ class TestConfigs:
 
 class TestRefine:
     def config(self, **kwargs):
-        return RefinementConfig(**kwargs)
+        return PipelineConfig(**kwargs)
 
     def coding(self, schema, text, trigger, reply, diagnostic=""):
         return (coding_prompt(schema, trigger, text, diagnostic=diagnostic), reply)
@@ -153,13 +111,13 @@ class TestRefine:
         )
         trace = RefinementTrace()
         outcome = refine(
-            HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace
+            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
         )
         assert isinstance(outcome, EventObject)
         assert outcome.trigger == "patched"
         assert outcome.arguments == {"time": ["Tuesday"]}
         assert trace.outcome == "accepted"
-        assert trace.coding_calls == 1
+        assert len(trace.attempts) == 1
         assert trace.attempts[0].result.verdict is True
         assert trace.attempts[0].attempt == 1
 
@@ -175,10 +133,10 @@ class TestRefine:
         )
         trace = RefinementTrace()
         outcome = refine(
-            HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace
+            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
         )
         assert isinstance(outcome, EventObject)
-        assert trace.coding_calls == 2
+        assert len(trace.attempts) == 2
         assert trace.attempts[0].result.diagnostic.as_line() == BROKEN_DIAGNOSTIC
         assert BROKEN_DIAGNOSTIC in backend.calls[1].messages[1].content
 
@@ -195,7 +153,7 @@ class TestRefine:
         )
         trace = RefinementTrace()
         outcome = refine(
-            HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace
+            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
         )
         assert isinstance(outcome, EventObject)
         assert trace.outcome == "accepted"
@@ -218,7 +176,7 @@ class TestRefine:
         )
         trace = RefinementTrace()
         outcome = refine(
-            HypothesisPool([first, second]),
+            [first, second],
             tuesday_text,
             patch_registry,
             self.config(patch_attempts=2),
@@ -227,7 +185,7 @@ class TestRefine:
         )
         assert isinstance(outcome, EventObject)
         assert outcome.trigger == "vulnerability"
-        assert trace.coding_calls == 3
+        assert len(trace.attempts) == 3
         assert [(r.hypothesis.trigger, r.attempt) for r in trace.attempts] == [
             ("patched", 1),
             ("patched", 2),
@@ -246,17 +204,16 @@ class TestRefine:
         )
         trace = RefinementTrace()
         outcome = refine(
-            HypothesisPool([hyp("patched")]),
+            [hyp("patched")],
             tuesday_text,
             patch_registry,
             self.config(patch_attempts=2),
             backend,
             trace,
         )
-        assert isinstance(outcome, ExtractionFailed)
-        assert outcome.trace is trace
+        assert outcome is None
         assert trace.outcome == "exhausted"
-        assert trace.coding_calls == 2
+        assert len(trace.attempts) == 2
 
     def test_repeated_patch_attempts_reuse_fingerprint(
         self, patch_registry, patchvuln_schema, tuesday_text
@@ -274,7 +231,7 @@ class TestRefine:
             )
         )
         outcome = refine(
-            HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend
+            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend
         )
         assert isinstance(outcome, EventObject)
         assert [c.template_id for c in backend.calls] == ["coding"] * 3
@@ -289,7 +246,7 @@ class TestRefine:
         )
         trace = RefinementTrace()
         outcome = refine(
-            HypothesisPool([unknown, known]),
+            [unknown, known],
             tuesday_text,
             patch_registry,
             self.config(hypothesis_k=1),
@@ -297,7 +254,7 @@ class TestRefine:
             trace,
         )
         assert isinstance(outcome, EventObject)
-        assert trace.coding_calls == 1
+        assert len(trace.attempts) == 1
         assert trace.notes == ["hypothesis ('patched', 'Earthquake') skipped: unknown event type"]
 
     def test_hypothesis_budget_caps_backtracking(
@@ -310,7 +267,7 @@ class TestRefine:
                 self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY),
             )
         )
-        pool = HypothesisPool([first, second])
+        pool = [first, second]
         outcome = refine(
             pool,
             tuesday_text,
@@ -319,16 +276,45 @@ class TestRefine:
             backend,
             None,
         )
-        assert isinstance(outcome, ExtractionFailed)
+        assert outcome is None
         assert backend.calls and len(backend.calls) == 1
-        assert pool.available() == [second]
+        assert pool == [second]
+
+    def test_equal_duplicates_are_consumed_one_at_a_time(
+        self, patch_registry, patchvuln_schema, tuesday_text
+    ):
+        backend = ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY)))
+        duplicate = hyp("patched")
+        pool = [duplicate, hyp("patched")]
+        config = self.config(hypothesis_k=1, patch_attempts=1)
+        assert refine(pool, tuesday_text, patch_registry, config, backend) is None
+        assert pool == [duplicate] and len(backend.calls) == 1
+        assert refine(pool, tuesday_text, patch_registry, config, backend) is None
+        assert pool == [] and len(backend.calls) == 2
+
+    def test_untried_hypotheses_stay_in_the_callers_list(
+        self, patch_registry, patchvuln_schema, tuesday_text
+    ):
+        first, second, third = hyp("patched"), hyp("vulnerability", confidence=0.5), hyp("company", confidence=0.2)
+        rescue = 'PatchVulnerability(mention="vulnerability", time=["Tuesday"])'
+        backend = ScriptedBackend(
+            script(
+                self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY),
+                self.coding(patchvuln_schema, tuesday_text, "vulnerability", rescue),
+            )
+        )
+        pool = [first, second, third]
+        outcome = refine(pool, tuesday_text, patch_registry, self.config(patch_attempts=1), backend)
+        assert outcome.trigger == "vulnerability"
+        # Only the exhausted hypothesis is consumed; the accepted one stays.
+        assert pool == [second, third]
 
     def test_backend_failure_aborts_with_trace(self, patch_registry, tuesday_text):
         backend = ScriptedBackend({})
         trace = RefinementTrace()
         with pytest.raises(BackendError) as exc_info:
             refine(
-                HypothesisPool([hyp("patched")]),
+                [hyp("patched")],
                 tuesday_text,
                 patch_registry,
                 self.config(),
@@ -349,11 +335,11 @@ class TestRefine:
             )
         )
         trace = RefinementTrace()
-        refine(HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace)
+        refine([hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace)
         refine(
-            HypothesisPool([hyp("vulnerability")]), tuesday_text, patch_registry, self.config(), backend, trace
+            [hyp("vulnerability")], tuesday_text, patch_registry, self.config(), backend, trace
         )
-        assert trace.coding_calls == 2
+        assert len(trace.attempts) == 2
 
 
 def single_schema_fixture(schema, text, exemplar, planning_reply, coding_replies):
@@ -454,6 +440,35 @@ class TestExtractDocument:
         assert [e.trigger for e in events] == ["patched", "vulnerability"]
         assert any(note.startswith("multi-event: continuing") for note in trace.notes)
 
+    def test_multi_event_drops_every_entry_of_an_accepted_pair(
+        self, patch_registry, patchvuln_schema, tuesday_text
+    ):
+        planning = (
+            '[{"trigger": "patched", "event_type": "PatchVulnerability", "confidence": 0.9},'
+            ' {"trigger": "patched", "event_type": "PatchVulnerability", "confidence": 0.4},'
+            ' {"trigger": "vulnerability", "event_type": "PatchVulnerability", "confidence": 0.5}]'
+        )
+        rescue = 'PatchVulnerability(mention="vulnerability", time=["Tuesday"])'
+        backend = ScriptedBackend(
+            single_schema_fixture(
+                patchvuln_schema,
+                tuesday_text,
+                self.EXEMPLAR,
+                planning,
+                [("patched", VALID_REPLY, ""), ("vulnerability", rescue, "")],
+            )
+        )
+        events, trace = extract_document(
+            tuesday_text, patch_registry, self.config(multi_event=True), backend
+        )
+        # The lower-confidence duplicate of the accepted pair is never tried.
+        assert [e.trigger for e in events] == ["patched", "vulnerability"]
+        assert [(a.hypothesis.trigger, a.hypothesis.confidence) for a in trace.attempts] == [
+            ("patched", 0.9),
+            ("vulnerability", 0.5),
+        ]
+        assert trace.outcome == "accepted"
+
     def test_multi_event_respects_cap(self, patch_registry, patchvuln_schema, tuesday_text):
         backend = ScriptedBackend(
             single_schema_fixture(
@@ -500,7 +515,7 @@ class TestJudgeMemo:
     )
 
     def config(self, **kwargs):
-        return RefinementConfig(mode="llm", **kwargs)
+        return PipelineConfig(mode="llm", **kwargs)
 
     def coding(self, schema, text, trigger, reply, diagnostic=""):
         return (coding_prompt(schema, trigger, text, diagnostic=diagnostic), reply)
@@ -517,9 +532,9 @@ class TestJudgeMemo:
         )
         trace = RefinementTrace()
         outcome = refine(
-            HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace
+            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
         )
-        assert isinstance(outcome, ExtractionFailed)
+        assert outcome is None
         assert [a.result.diagnostic.as_line() for a in trace.attempts] == [self.REJECTED] * 3
         assert template_counts(backend) == {"coding": 3, "semantic_judge": 1}
 
@@ -564,7 +579,7 @@ class TestJudgeMemo:
         )
         trace = RefinementTrace()
         outcome = refine(
-            HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace
+            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
         )
         assert isinstance(outcome, EventObject)
         assert trace.attempts[0].result.diagnostic.as_line() == BROKEN_DIAGNOSTIC
@@ -580,7 +595,7 @@ class TestJudgeMemo:
             backend = ScriptedBackend(fixture)
             judge = document_judge("llm", backend, tuesday_text, []) if share else None
             for _ in range(2):
-                pool = HypothesisPool([hyp("patched")])
+                pool = [hyp("patched")]
                 refine(pool, tuesday_text, patch_registry, self.config(), backend, judge=judge)
             return template_counts(backend)["semantic_judge"]
 
@@ -592,7 +607,7 @@ class TestJudgeMemo:
         backend = ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY)))
         trace = RefinementTrace()
         with pytest.raises(BackendError) as exc_info:
-            refine(HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace)
+            refine([hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace)
         assert exc_info.value.trace is trace
         assert trace.outcome == "aborted"
         assert [(a.attempt, a.code.raw_source, a.result) for a in trace.attempts] == [(1, VALID_REPLY, None)]
@@ -612,7 +627,7 @@ class TestJudgeMemo:
         )
         trace = RefinementTrace()
         with pytest.raises(BackendError):
-            refine(HypothesisPool([hyp("patched")]), tuesday_text, patch_registry, self.config(), backend, trace)
+            refine([hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace)
         assert template_counts(backend) == {"coding": 2, "semantic_judge": 1}
         assert len(trace.attempts) == 2
         assert trace.attempts[0].result.diagnostic.as_line() == empty_diagnostic
@@ -654,11 +669,11 @@ class TestJudgeMemo:
                 *judges,
             )
         )
-        pool = HypothesisPool([hyp("patched", confidence=0.9), hyp("vulnerability", confidence=0.5)])
+        pool = [hyp("patched", confidence=0.9), hyp("vulnerability", confidence=0.5)]
         trace = RefinementTrace()
         outcome = refine(pool, text, patch_registry, self.config(), backend, trace)
         assert isinstance(outcome, EventObject) and outcome.trigger == "vulnerability"
-        assert trace.coding_calls == 4
+        assert len(trace.attempts) == 4
         assert template_counts(backend) == {"coding": 4, "semantic_judge": 2}
 
         entries = []
@@ -671,11 +686,11 @@ class TestJudgeMemo:
                 )
             )
         backend = ScriptedBackend(script(*entries, *judges))
-        pool = HypothesisPool([hyp(t, confidence=0.9 - 0.1 * i) for i, t in enumerate(triggers)])
+        pool = [hyp(t, confidence=0.9 - 0.1 * i) for i, t in enumerate(triggers)]
         trace = RefinementTrace()
         outcome = refine(pool, text, patch_registry, self.config(), backend, trace)
-        assert isinstance(outcome, ExtractionFailed)
-        assert trace.coding_calls == 9
+        assert outcome is None
+        assert len(trace.attempts) == 9
         assert template_counts(backend) == {"coding": 9, "semantic_judge": 3}
 
 
@@ -766,10 +781,10 @@ class TestTraceRecords:
         trace = RefinementTrace()
         trace.notes.append("a note")
         refine(
-            HypothesisPool([hyp("patched")]),
+            [hyp("patched")],
             tuesday_text,
             patch_registry,
-            RefinementConfig(),
+            PipelineConfig(),
             backend,
             trace,
         )
@@ -794,10 +809,10 @@ class TestTraceRecords:
         trace = RefinementTrace()
         with pytest.raises(BackendError):
             refine(
-                HypothesisPool([hyp("patched")]),
+                [hyp("patched")],
                 tuesday_text,
                 patch_registry,
-                RefinementConfig(mode="llm"),
+                PipelineConfig(mode="llm"),
                 backend,
                 trace,
             )
