@@ -8,6 +8,12 @@ and the sorted SHA-256 digests of every request's messages and
 temperature (``requests.txt``).  The digests are a sorted list, so runs
 at several workers compare them as a multiset.
 
+The ``http`` scenario replays the ``strict`` inputs through
+``HttpBackend`` against a loopback server.  The server answers each
+request body with the replies the scripted ``strict`` run gives that
+prompt, in order, and the scenario pins the sorted SHA-256 digests of
+the bodies as sent (``request_bodies.txt``) instead of ``requests.txt``.
+
 ``python tests/golden/regenerate.py`` rewrites both directories from
 the current tree.
 """
@@ -17,11 +23,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
+import os
+import threading
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from conftest import script
 from eventagents import (
+    BackendConfig,
     EventSchema,
     JudgeResult,
     RoleSpec,
@@ -42,11 +52,13 @@ from eventagents.prompts import (
 )
 
 HERE = Path(__file__).parent
-SCENARIOS = ("strict", "llm")
+SCENARIOS = ("strict", "llm", "http")
+# A scenario listed here runs another scenario's inputs.
+INPUTS_OF = {"http": "strict"}
 
 
 def input_dir(name: str) -> Path:
-    return HERE / name / "input"
+    return HERE / INPUTS_OF.get(name, name) / "input"
 
 
 def expected_dir(name: str) -> Path:
@@ -69,44 +81,143 @@ def argv(name: str, out: Path, workers: int) -> list[str]:
         "extract",
         "--ontology", str(inputs / "ontology.json"),
         "--corpus", str(inputs / "corpus.jsonl"),
-        "--scripted-fixture", str(inputs / "fixture.json"),
         "--out", str(out / "preds.jsonl"),
         "--runs", "2",
         "--workers", str(workers),
     ]
+    if name == "http":
+        return args + ["--mode", "strict"]
+    args += ["--scripted-fixture", str(inputs / "fixture.json")]
     if name == "strict":
         return args + ["--mode", "strict"]
     return args + ["--config", str(inputs / "config.json")]
+
+
+def _main(args: list[str]) -> tuple[int, str, str, list[list]]:
+    """``main(args)`` with stdout and stderr captured.
+
+    Also returns every scripted backend call as a ``[request, reply]``
+    pair, in call order; the reply is None when the call raised.
+    """
+    calls: list[list] = []
+    complete = ScriptedBackend.complete
+
+    def recording_complete(self, request):
+        call = [request, None]
+        calls.append(call)
+        call[1] = complete(self, request)
+        return call[1]
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    ScriptedBackend.complete = recording_complete
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            status = main(args)
+    finally:
+        ScriptedBackend.complete = complete
+    return status, stdout.getvalue(), stderr.getvalue(), calls
 
 
 def run(name: str, workdir: Path, workers: int) -> dict[str, bytes]:
     """Run one scenario in ``workdir``; returns each pinned file's bytes by name."""
     out = workdir / "out"
     out.mkdir()
-    digests: list[str] = []
-    complete = ScriptedBackend.complete
-
-    def recording_complete(self, request):
-        digests.append(request_digest(request))
-        return complete(self, request)
-
-    stdout, stderr = io.StringIO(), io.StringIO()
-    ScriptedBackend.complete = recording_complete
-    try:
-        with redirect_stdout(stdout), redirect_stderr(stderr):
-            status = main(argv(name, out, workers))
-    finally:
-        ScriptedBackend.complete = complete
+    if name == "http":
+        with _replay_server(_recorded_replies(workdir / "scripted")) as server:
+            host, port = server.server_address
+            args = argv(name, out, workers) + ["--backend-endpoint", f"http://{host}:{port}/v1"]
+            status, stdout, stderr, _ = _main(args)
+        digests_name = "request_bodies.txt"
+        digests = [hashlib.sha256(body).hexdigest() for body in server.bodies]
+    else:
+        status, stdout, stderr, calls = _main(argv(name, out, workers))
+        digests_name = "requests.txt"
+        digests = [request_digest(request) for request, _ in calls]
 
     def normalised(text: str) -> bytes:
         return text.replace(str(workdir), "<tmp>").encode("utf-8")
 
     pinned = {path.name: normalised(path.read_text(encoding="utf-8")) for path in sorted(out.iterdir())}
-    pinned["stdout.txt"] = normalised(stdout.getvalue())
-    pinned["stderr.txt"] = normalised(stderr.getvalue())
+    pinned["stdout.txt"] = normalised(stdout)
+    pinned["stderr.txt"] = normalised(stderr)
     pinned["exit_status.txt"] = f"{status}\n".encode()
-    pinned["requests.txt"] = "".join(f"{digest}\n" for digest in sorted(digests)).encode()
+    pinned[digests_name] = "".join(f"{digest}\n" for digest in sorted(digests)).encode()
     return pinned
+
+
+# ---------------------------------------------------------------------------
+# The loopback server of the http scenario
+
+
+def http_body(request) -> bytes:
+    """The chat-completions body ``HttpBackend`` sends for ``request``
+    under the default backend configuration."""
+    config = BackendConfig()
+    payload = {
+        "model": config.model,
+        "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+        "temperature": config.temperature if request.temperature is None else request.temperature,
+        "max_tokens": config.max_tokens,
+    }
+    return json.dumps(payload).encode("utf-8")
+
+
+def _recorded_replies(workdir: Path) -> dict[bytes, list[str]]:
+    """Each request body of the scripted ``strict`` run (at one worker),
+    with the replies that run gives it, in call order."""
+    (workdir / "out").mkdir(parents=True)
+    *_, calls = _main(argv("strict", workdir / "out", workers=1))
+    replies: dict[bytes, list[str]] = {}
+    for request, reply in calls:
+        if reply is not None:
+            replies.setdefault(http_body(request), []).append(reply)
+    return replies
+
+
+class _ReplayHandler(BaseHTTPRequestHandler):
+    """Answers a body with its next recorded reply; the last one repeats.
+    A body nothing was recorded for gets status 400."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        server = self.server
+        with server.lock:
+            server.bodies.append(body)
+            replies = server.replies.get(body)
+            reply = None if not replies else replies.pop(0) if len(replies) > 1 else replies[0]
+        if reply is None:
+            status, answer = 400, b"no recorded reply for this body"
+        else:
+            status, answer = 200, json.dumps({"choices": [{"message": {"content": reply}}]}).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(answer)))
+        self.end_headers()
+        self.wfile.write(answer)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def _replay_server(replies: dict[bytes, list[str]]):
+    """A loopback server replaying ``replies``; proxy variables are
+    unset while it runs, so requests reach it directly."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _ReplayHandler)
+    server.replies, server.bodies, server.lock = replies, [], threading.Lock()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    proxies = {key: os.environ.pop(key) for key in list(os.environ) if key.lower().endswith("_proxy")}
+    thread.start()
+    try:
+        yield server
+    finally:
+        os.environ.update(proxies)
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------
