@@ -33,14 +33,6 @@ class PlanningError(EventAgentsError):
 
 
 @dataclass(frozen=True)
-class ExemplarSet:
-    """Self-generated example sentences illustrating one schema."""
-
-    sentences: tuple[str, ...]
-    warning: str | None = None
-
-
-@dataclass(frozen=True)
 class TriggerHypothesis:
     """A candidate (trigger span, event type) pair from planning."""
 
@@ -67,12 +59,12 @@ def extract_code_block(reply: str) -> str:
     return reply.strip()
 
 
-def run_retrieval_agent(backend, schema: EventSchema, k: int) -> ExemplarSet:
+def run_retrieval_agent(backend, schema: EventSchema, k: int) -> tuple[str, ...]:
     """Generate up to k exemplar sentences for a schema, deduplicated.
 
-    Issues k independent single-sentence prompts.  Blank replies are
-    dropped; zero usable sentences yields an empty set with a warning so
-    the pipeline can proceed without an exemplar block.
+    Issues k independent single-sentence prompts and keeps the distinct
+    non-blank replies in reply order.  The result may be empty; the
+    pipeline then proceeds without that schema's exemplars.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -82,10 +74,7 @@ def run_retrieval_agent(backend, schema: EventSchema, k: int) -> ExemplarSet:
         reply = backend.complete(request).strip()
         if reply and reply not in sentences:
             sentences.append(reply)
-    warning = None
-    if not sentences:
-        warning = f"retrieval produced no usable sentences for {schema.event_type}"
-    return ExemplarSet(tuple(sentences), warning)
+    return tuple(sentences)
 
 
 class ExemplarCache:
@@ -100,9 +89,9 @@ class ExemplarCache:
     """
 
     def __init__(self):
-        self._sets: dict[str, ExemplarSet] = {}
+        self._sets: dict[str, tuple[str, ...]] = {}
 
-    def get_or_create(self, schema: EventSchema, factory: Callable[[], ExemplarSet]) -> ExemplarSet:
+    def get_or_create(self, schema: EventSchema, factory: Callable[[], tuple[str, ...]]) -> tuple[str, ...]:
         exemplars = self._sets.get(schema.event_type)
         if exemplars is None:
             exemplars = self._sets[schema.event_type] = factory()

@@ -229,10 +229,6 @@ def _require_paths(config: RunConfig, command: str) -> None:
             raise ConfigError(f"missing required option --{name} for command {command!r}")
 
 
-def _read_bytes(path: str) -> bytes:
-    return Path(path).read_bytes()
-
-
 def _run_path(out: str, run_index: int, runs: int) -> Path:
     path = Path(out)
     if runs == 1:
@@ -251,10 +247,10 @@ def _write_line(file, record: dict) -> None:
 
 def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
     _require_paths(config, "extract")
-    registry = load_ontology(_read_bytes(config.ontology))
+    registry = load_ontology(Path(config.ontology).read_bytes())
     if len(registry) == 0:
         raise EventAgentsError(f"ontology {config.ontology} declares no event types")
-    documents = load_corpus(_read_bytes(config.corpus))
+    documents = load_corpus(Path(config.corpus).read_bytes())
     if config.sample is not None:
         try:
             documents = sample_split(documents, config.sample, config.seed)
@@ -263,7 +259,7 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
     pipeline = config.pipeline_config()
     fixture = None
     if config.scripted_fixture is not None:
-        fixture = load_scripted_fixture(_read_bytes(config.scripted_fixture))
+        fixture = load_scripted_fixture(Path(config.scripted_fixture).read_bytes())
     pred_paths = [_run_path(config.out, run_index, config.runs) for run_index in range(1, config.runs + 1)]
     # Refuse an unwritable --out before the first backend call, not after a run.
     for pred_path in pred_paths:
@@ -380,7 +376,7 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
 
 def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     _require_paths(config, "eval")
-    documents = load_corpus(_read_bytes(config.corpus))
+    documents = load_corpus(Path(config.corpus).read_bytes())
     reports: list[MetricsReport] = []
     for path in args.predictions:
         reports.append(score(_load_predictions(path), documents))
@@ -406,7 +402,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     _require_paths(config, "stats")
-    documents = load_corpus(_read_bytes(config.corpus))
+    documents = load_corpus(Path(config.corpus).read_bytes())
     stats = dataset_stats(documents)
     lines = [
         f"{'Documents':<24}{stats.documents}",
@@ -424,7 +420,7 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_schema(args: argparse.Namespace, config: RunConfig) -> int:
     _require_paths(config, "schema")
-    registry = load_ontology(_read_bytes(config.ontology))
+    registry = load_ontology(Path(config.ontology).read_bytes())
     if args.schema_action == "list":
         for schema in registry:
             print(f"{schema.event_type}: {len(schema.roles)} roles")

@@ -9,11 +9,11 @@ Corpora are newline-delimited JSON records::
                  "trigger": {"text": "demanded", "start": 8, "end": 16},
                  "arguments": [{"role": "price", "text": "...", "start": 27, "end": 47}]}]}
 
-``tokens`` and ``events`` are optional: missing tokens are derived by
-whitespace splitting (offset-preserving) when first read, missing events
-mean an unannotated document, and events without an ``arguments`` key
-load with empty argument lists, which is how trigger-only corpora are
-represented.
+``tokens`` and ``events`` are optional.  A record without tokens loads
+with ``tokens=None``, and ``dataset_stats`` splits its text at
+whitespace (offset-preserving) instead; missing events mean an
+unannotated document, and events without an ``arguments`` key load with
+empty argument lists, which is how trigger-only corpora are represented.
 """
 
 from __future__ import annotations
@@ -49,28 +49,13 @@ class GoldEvent:
     arguments: tuple[tuple[str, Span], ...] = ()
 
 
-class _Tokens:
-    """The ``Document.tokens`` field.  None stands for the text's
-    whitespace tokens, derived when first read: only ``dataset_stats``
-    reads tokens, so an extraction run never splits its corpus."""
-
-    def __get__(self, doc, owner=None):
-        if doc is None:
-            raise AttributeError("tokens")  # no default: the field is required
-        tokens = doc.__dict__["tokens"]
-        if tokens is None:
-            tokens = doc.__dict__["tokens"] = _whitespace_tokens(doc.text)
-        return tokens
-
-    def __set__(self, doc, tokens):
-        doc.__dict__["tokens"] = tokens
-
-
 @dataclass(frozen=True)
 class Document:
+    """One corpus record.  ``tokens`` is None when the record gave none."""
+
     id: str
     text: str
-    tokens: tuple[tuple[int, int], ...] | None = _Tokens()
+    tokens: tuple[tuple[int, int], ...] | None
     gold_events: tuple[GoldEvent, ...] = ()
 
 
@@ -214,18 +199,19 @@ def dataset_stats(corpus: Sequence[Document]) -> DatasetStats:
     """Document count, event mentions, mean token length, multi-word %.
 
     A trigger is multi-word when its character span overlaps more than
-    one document token.  Percentages are over all gold triggers; both
-    ratios are 0.0 on the corresponding empty denominator.
+    one document token; a document without tokens has its whitespace
+    tokens.  Percentages are over all gold triggers; both ratios are 0.0
+    on the corresponding empty denominator.
     """
     documents = len(corpus)
-    event_mentions = sum(len(doc.gold_events) for doc in corpus)
-    total_tokens = sum(len(doc.tokens) for doc in corpus)
-    multiword = sum(
-        1
-        for doc in corpus
-        for event in doc.gold_events
-        if _tokens_overlapping(doc.tokens, event.trigger.start, event.trigger.end) > 1
-    )
+    event_mentions = total_tokens = multiword = 0
+    for doc in corpus:
+        tokens = _whitespace_tokens(doc.text) if doc.tokens is None else doc.tokens
+        total_tokens += len(tokens)
+        for event in doc.gold_events:
+            event_mentions += 1
+            if _tokens_overlapping(tokens, event.trigger.start, event.trigger.end) > 1:
+                multiword += 1
     return DatasetStats(
         documents=documents,
         event_mentions=event_mentions,

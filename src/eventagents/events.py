@@ -382,21 +382,19 @@ def parse_event_code(source: str, registry: SchemaRegistry | None = None) -> Cod
     return CodeObject(raw_source=source, parsed=event, extra_fields=extras)
 
 
-def event_payload(event: EventObject, schema: EventSchema | None = None) -> dict:
-    """An event's canonical object notation as a JSON-ready dict.
+def event_payload(event: EventObject) -> dict:
+    """An event's object notation as a JSON-ready dict.
 
-    Key order is fixed: ``event_type``, ``trigger``, ``arguments``.  With
-    a schema, argument roles come out in declaration order followed by
-    unknown roles lexicographically; without one, stored order is kept
-    (parsing puts arguments into canonical order whenever the event type
-    is known, so pipeline output is canonical either way).
+    Key order is fixed: ``event_type``, ``trigger``, ``arguments``, and
+    argument roles keep their stored order.  ``parse_event_code`` with a
+    registry stores a known event type's roles in canonical order, so
+    pipeline output is canonical.
     """
-    arguments = order_arguments(event.arguments, schema) if schema is not None else event.arguments
-    copied = {role: list(values) for role, values in arguments.items()}
+    copied = {role: list(values) for role, values in event.arguments.items()}
     return {"event_type": event.event_type, "trigger": event.trigger, "arguments": copied}
 
 
-def serialize_event(event: EventObject, schema: EventSchema | None = None) -> str:
+def serialize_event(event: EventObject) -> str:
     """Render :func:`event_payload` as one line of valid JSON."""
-    return json.dumps(event_payload(event, schema), ensure_ascii=False, allow_nan=False)
+    return json.dumps(event_payload(event), ensure_ascii=False, allow_nan=False)
 

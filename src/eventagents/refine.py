@@ -178,7 +178,7 @@ class RunContext:
     """What every document of a run shares, built once per run."""
 
     planning: PlanningHead  # definitions and every schema's exemplar sentences, in registry order
-    warnings: tuple[str, ...]  # one per schema whose retrieval came back empty
+    warnings: tuple[str, ...]  # one per schema whose retrieval came back empty, in registry order
 
 
 def build_run_context(
@@ -204,8 +204,12 @@ def build_run_context(
 
     exemplars = tuple(map(retrieve, registry))
     return RunContext(
-        planning_head(registry, [sentence for exemplar_set in exemplars for sentence in exemplar_set.sentences]),
-        tuple(exemplar_set.warning for exemplar_set in exemplars if exemplar_set.warning),
+        planning_head(registry, [sentence for sentences in exemplars for sentence in sentences]),
+        tuple(
+            f"retrieval produced no usable sentences for {schema.event_type}"
+            for schema, sentences in zip(registry, exemplars)
+            if not sentences
+        ),
     )
 
 

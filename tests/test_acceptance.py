@@ -117,7 +117,7 @@ def test_criterion_02(patch_registry, patchvuln_schema, tuesday_text):
     assert BROKEN_DIAGNOSTIC in user_content(backend.calls[2])
     assert BROKEN_DIAGNOSTIC not in user_content(backend.calls[3])
 
-    reparsed = parse_event_code(serialize_event(event, schema), registry=patch_registry)
+    reparsed = parse_event_code(serialize_event(event), registry=patch_registry)
     assert verify(reparsed, text, schema).verdict is True
 
     # Exhaustive failure: three hypotheses, three failed attempts each.

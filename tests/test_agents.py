@@ -2,6 +2,7 @@
 
 import json
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -10,7 +11,6 @@ from eventagents import (
     BackendError,
     EventSchema,
     ExemplarCache,
-    ExemplarSet,
     RoleSpec,
     SchemaRegistry,
     ScriptedBackend,
@@ -21,6 +21,7 @@ from eventagents import (
     run_retrieval_agent,
 )
 from eventagents.agents import PlanningError, extract_code_block
+from eventagents.refine import build_run_context
 from eventagents.prompts import (
     coding_prompt,
     judge_prompt,
@@ -212,23 +213,31 @@ class TestRetrievalAgent:
     def test_collects_distinct_sentences(self, databreach_schema):
         request = retrieval_prompt(databreach_schema)
         backend = ScriptedBackend({request.fingerprint(): [EXAMPLE_SENTENCE, "Another one.", EXAMPLE_SENTENCE]})
-        exemplar_set = run_retrieval_agent(backend, databreach_schema, k=3)
-        assert exemplar_set.sentences == (EXAMPLE_SENTENCE, "Another one.")
-        assert exemplar_set.warning is None
+        assert run_retrieval_agent(backend, databreach_schema, k=3) == (EXAMPLE_SENTENCE, "Another one.")
         assert len(backend.calls) == 3
 
     def test_blank_replies_dropped(self, databreach_schema):
         request = retrieval_prompt(databreach_schema)
         backend = ScriptedBackend({request.fingerprint(): ["", "  \n", EXAMPLE_SENTENCE]})
-        exemplar_set = run_retrieval_agent(backend, databreach_schema, k=3)
-        assert exemplar_set.sentences == (EXAMPLE_SENTENCE,)
+        assert run_retrieval_agent(backend, databreach_schema, k=3) == (EXAMPLE_SENTENCE,)
 
-    def test_all_blank_yields_warning(self, databreach_schema):
+    def test_all_blank_yields_no_sentences(self, databreach_schema):
         request = retrieval_prompt(databreach_schema)
         backend = ScriptedBackend({request.fingerprint(): ""})
-        exemplar_set = run_retrieval_agent(backend, databreach_schema, k=2)
-        assert exemplar_set.sentences == ()
-        assert exemplar_set.warning == "retrieval produced no usable sentences for Databreach"
+        assert run_retrieval_agent(backend, databreach_schema, k=2) == ()
+        assert len(backend.calls) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_context_warns_once_per_empty_schema_in_registry_order(self, databreach_schema, ransom_schema, workers):
+        registry = SchemaRegistry([ransom_schema, databreach_schema])
+        backend = ScriptedBackend(script((retrieval_prompt(ransom_schema), ""), (retrieval_prompt(databreach_schema), " ")))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            context = build_run_context(registry, backend, exemplar_k=2, map=pool.map)
+        assert context.warnings == (
+            "retrieval produced no usable sentences for Ransom",
+            "retrieval produced no usable sentences for Databreach",
+        )
+        assert context.planning == planning_head(registry, ())
 
     def test_k_must_be_positive(self, databreach_schema):
         with pytest.raises(ValueError):
@@ -242,11 +251,23 @@ class TestExemplarCache:
 
         def factory():
             calls.append(1)
-            return ExemplarSet((EXAMPLE_SENTENCE,))
+            return (EXAMPLE_SENTENCE,)
 
         first = cache.get_or_create(databreach_schema, factory)
         second = cache.get_or_create(databreach_schema, factory)
         assert first is second
+        assert calls == [1]
+
+    def test_empty_result_is_kept(self, databreach_schema):
+        cache = ExemplarCache()
+        calls = []
+
+        def factory():
+            calls.append(1)
+            return ()
+
+        assert cache.get_or_create(databreach_schema, factory) == ()
+        assert cache.get_or_create(databreach_schema, factory) == ()
         assert calls == [1]
 
     def test_different_event_types_fill_concurrently(self, databreach_schema, ransom_schema):
@@ -259,7 +280,7 @@ class TestExemplarCache:
         def lookup(schema):
             def factory():
                 barrier.wait()
-                return ExemplarSet((schema.event_type,))
+                return (schema.event_type,)
 
             results[schema.event_type] = cache.get_or_create(schema, factory)
 
@@ -269,7 +290,7 @@ class TestExemplarCache:
         for thread in threads:
             thread.join(timeout=10)
             assert not thread.is_alive()
-        assert {k: v.sentences for k, v in results.items()} == {
+        assert results == {
             "Databreach": ("Databreach",),
             "Ransom": ("Ransom",),
         }
@@ -282,7 +303,7 @@ class TestExemplarCache:
 
         with pytest.raises(BackendError, match="retrieval down"):
             cache.get_or_create(databreach_schema, failing)
-        recovered = ExemplarSet((EXAMPLE_SENTENCE,))
+        recovered = (EXAMPLE_SENTENCE,)
         assert cache.get_or_create(databreach_schema, lambda: recovered) is recovered
 
 

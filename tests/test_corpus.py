@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eventagents import (
     CorpusError,
@@ -30,23 +32,11 @@ def corpus_text(*records):
 
 
 class TestLoadCorpus:
-    def test_minimal_record_gets_whitespace_tokens(self):
+    def test_minimal_record_has_no_tokens(self):
         docs = load_corpus(corpus_text(record()))
-        assert len(docs) == 1
-        doc = docs[0]
-        assert doc.id == "doc-1"
-        assert doc.tokens == ((0, 7), (8, 16), (17, 23))
-        assert doc.gold_events == ()
-        for start, end in doc.tokens:
-            assert " " not in doc.text[start:end]
-
-    def test_derived_tokens_equal_given_ones(self):
-        # Derived on first read, they make the same document as tokens given
-        # to the constructor; None there derives them too.
-        doc = load_corpus(corpus_text(record()))[0]
-        given = Document(doc.id, doc.text, ((0, 7), (8, 16), (17, 23)))
-        assert doc == given and hash(doc) == hash(given) and repr(doc) == repr(given)
-        assert Document(doc.id, doc.text, None) == given
+        assert docs == [Document("doc-1", "Hackers demanded money.", None)]
+        assert docs[0].tokens is None
+        assert docs[0].gold_events == ()
 
     def test_reads_bytes_and_file_objects(self):
         text = corpus_text(record())
@@ -176,6 +166,18 @@ class TestLoadCorpus:
         assert load_corpus("\n\n") == []
 
 
+def whitespace_tokens(text: str) -> list[list[int]]:
+    """[start, end] of each maximal run of non-space characters."""
+    tokens, start = [], None
+    for index, char in enumerate(text + " "):
+        if not char.isspace():
+            start = index if start is None else start
+        elif start is not None:
+            tokens.append([start, index])
+            start = None
+    return tokens
+
+
 def make_doc(doc_id, text, triggers=()):
     """Whitespace-tokenized document with single-type gold events."""
     tokens = []
@@ -217,6 +219,27 @@ class TestDatasetStats:
         doc = make_doc("a", "counter attack now", triggers=[(4, 11)])
         stats = dataset_stats([doc])
         assert stats.multiword_trigger_pct == 100.0
+
+    def test_missing_tokens_are_whitespace_tokens(self):
+        stats = dataset_stats(load_corpus(corpus_text(record(text=" Hackers\tdemanded  money. "))))
+        assert stats.avg_doc_length_tokens == 3.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tokenless_corpus_has_the_stats_of_its_whitespace_tokens(self, data):
+        records = []
+        for i in range(data.draw(st.integers(0, 4))):
+            text = data.draw(st.text(alphabet="abé \t\n\x1f\u00a0\u2003", max_size=30))
+            events = []
+            for _ in range(data.draw(st.integers(0, 3)) if text else 0):
+                start = data.draw(st.integers(0, len(text) - 1))
+                end = data.draw(st.integers(start + 1, len(text)))
+                events.append({"event_type": "E", "trigger": {"text": text[start:end], "start": start, "end": end}})
+            records.append(record(f"d{i}", text, events=events))
+        tokenless = load_corpus(corpus_text(*records))
+        given = load_corpus(corpus_text(*[{**r, "tokens": whitespace_tokens(r["text"])} for r in records]))
+        assert all(doc.tokens is None for doc in tokenless)
+        assert dataset_stats(tokenless) == dataset_stats(given)
 
     def test_agrees_with_recount_oracle(self):
         rng = random.Random(77)

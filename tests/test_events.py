@@ -271,13 +271,6 @@ class TestSerialize:
         event = EventObject("A", "café", {})
         assert '"café"' in serialize_event(event)
 
-    def test_schema_reorders_roles(self):
-        schema = EventSchema("A", (RoleSpec("x"), RoleSpec("y")))
-        event = EventObject("A", "t", {"y": [2], "x": [1]})
-        assert serialize_event(event, schema) == (
-            '{"event_type": "A", "trigger": "t", "arguments": {"x": [1], "y": [2]}}'
-        )
-
     def test_non_finite_numbers_are_rejected(self):
         event = EventObject("A", "t", {"x": [float("nan")]})
         with pytest.raises(ValueError):
