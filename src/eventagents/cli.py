@@ -314,10 +314,13 @@ def _run_documents(
     """Extract every document, in corpus order; failures become values.
 
     The run context is built first, one retrieval task per schema on the
-    same workers; a retrieval failure there aborts the run.  A document
-    whose extraction raises is skipped with a logged warning; the run
-    continues.
+    same workers; a retrieval failure there aborts the run.  Without
+    documents no context is built, so no backend call is made.  A
+    document whose extraction raises is skipped with a logged warning;
+    the run continues.
     """
+    if not documents:
+        return []
 
     def run(map):
         context = build_run_context(registry, backend, pipeline.exemplar_k, map=map)

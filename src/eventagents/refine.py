@@ -227,12 +227,14 @@ def extract_document(
     Returns at most one event unless the multi-event extension is on, in
     which case refinement re-runs with accepted (trigger, type) pairs
     excluded until the pool empties or the event cap is reached.  Empty
-    planning output is a normal empty extraction, not an error.  The
-    semantic judge is asked each (trigger, event type) question at most
-    once per call.
+    planning output is a normal empty extraction, not an error; empty
+    text raises before any backend call.  The semantic judge is asked
+    each (trigger, event type) question at most once per call.
     """
     if len(registry) == 0:
         raise EventAgentsError("no schemas loaded")
+    if not text:
+        raise EventAgentsError("document text is empty")
     if context is None:
         context = build_run_context(registry, backend, config.exemplar_k)
     trace = RefinementTrace(notes=list(context.warnings))

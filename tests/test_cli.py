@@ -619,6 +619,47 @@ class TestExtract:
         trace_text = (tmp_path / "preds.trace.jsonl").read_text()
         assert "document skipped: no scripted reply for template 'planning'" in trace_text
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_empty_text_document_is_skipped_without_a_backend_call(self, capsys, tmp_path, monkeypatch, workers):
+        ontology, corpus, fixture, out = self.setup_run(tmp_path, texts=("", TEXT_1))
+        templates = []
+        complete = ScriptedBackend.complete
+
+        def recording_complete(backend, request):
+            templates.append(request.template_id)
+            return complete(backend, request)
+
+        monkeypatch.setattr(ScriptedBackend, "complete", recording_complete)
+        code, stdout, stderr = run_cli(
+            capsys, *self.extract_args(ontology, corpus, fixture, out, "--runs", "1", "--workers", workers)
+        )
+        assert code == 0
+        assert stdout == f"run 1: 2 documents, 1 events, 1 skipped -> {out}\n"
+        assert stderr == "run 1: document d1 skipped: document text is empty\n"
+        assert [json.loads(line)["doc_id"] for line in out.read_text().splitlines()] == ["d2"]
+        trace = [json.loads(line) for line in (tmp_path / "preds.trace.jsonl").read_text().splitlines()]
+        assert trace[0] == {"doc_id": "d1", "note": "document skipped: document text is empty"}
+        assert [record["doc_id"] for record in trace[1:]] == ["d2"] * (len(trace) - 1)
+        assert sorted(templates) == ["coding", "planning", "retrieval", "retrieval", "retrieval"]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("texts, extra", [((), ()), ((TEXT_1,), ("--sample", "0"))], ids=["empty", "sample-0"])
+    def test_no_documents_means_no_backend_call(self, capsys, tmp_path, texts, extra, workers):
+        # An empty fixture fails every backend call, retrieval included.
+        ontology, corpus = write_ontology(tmp_path), write_corpus(tmp_path, list(texts))
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text("{}", encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        code, stdout, stderr = run_cli(
+            capsys, *self.extract_args(ontology, corpus, str(fixture), out, "--runs", "2", "--workers", workers, *extra)
+        )
+        assert (code, stderr) == (0, "")
+        paths = [tmp_path / f"preds.run{index}.jsonl" for index in (1, 2)]
+        assert stdout == "".join(f"run {index}: 0 documents, 0 events -> {path}\n" for index, path in enumerate(paths, 1))
+        for path in paths:
+            assert path.read_text() == ""
+            assert (tmp_path / f"{path.stem}.trace.jsonl").read_text() == ""
+
     def test_aborted_document_keeps_its_partial_trace(self, capsys, tmp_path):
         # The first coding reply fails verification; the patch prompt that
         # follows carries the diagnostic, has no scripted reply, and aborts

@@ -387,6 +387,12 @@ class TestExtractDocument:
         assert trace.outcome == "no-hypotheses"
         assert "planning produced no hypotheses" in trace.notes
 
+    def test_empty_text_raises_before_any_backend_call(self, patch_registry):
+        backend = ScriptedBackend({})
+        with pytest.raises(EventAgentsError, match="^document text is empty$"):
+            extract_document("", patch_registry, self.config(), backend)
+        assert backend.calls == []
+
     def test_retrieval_warning_recorded_and_exemplar_block_omitted(
         self, patch_registry, patchvuln_schema, tuesday_text
     ):
