@@ -1,12 +1,13 @@
 """Golden extract runs: the scenarios, their inputs and one runner.
 
-Each scenario is an ``eventagents extract`` run through ``main()`` on a
-scripted backend.  Its inputs live in ``<name>/input/`` and everything
-it pins in ``<name>/expected/``: the prediction and trace files, stdout,
-stderr (the temporary directory written as ``<tmp>``), the exit status,
-and the sorted SHA-256 digests of every request's messages and
-temperature (``requests.txt``).  The digests are a sorted list, so runs
-at several workers compare them as a multiset.
+Each scenario is an ``eventagents extract`` run through ``main()``, on a
+scripted backend unless said otherwise.  Its inputs live in
+``<name>/input/`` and everything it pins in ``<name>/expected/``: the
+prediction and trace files, stdout, stderr (the temporary directory
+written as ``<tmp>``), the exit status, and the sorted SHA-256 digests
+of every request's messages and temperature (``requests.txt``).  The
+digests are a sorted list, so runs at several workers compare them as a
+multiset.
 
 The ``http`` scenario replays the ``strict`` inputs through
 ``HttpBackend`` against a loopback server.  The server answers each
@@ -186,8 +187,8 @@ class _ReplayHandler(BaseHTTPRequestHandler):
         server = self.server
         with server.lock:
             server.bodies.append(body)
-            replies = server.replies.get(body)
-            reply = None if not replies else replies.pop(0) if len(replies) > 1 else replies[0]
+            replies = server.replies.get(body, [None])
+            reply = replies.pop(0) if len(replies) > 1 else replies[0]
         if reply is None:
             status, answer = 400, b"no recorded reply for this body"
         else:
