@@ -254,6 +254,10 @@ TEXT_4 = "Engineers patched the router firmware on Friday."
 TEXT_5 = "Nothing happened on the quiet Sunday."
 # d6: the only hypothesis's trigger is not in the text, so the document is exhausted.
 TEXT_6 = "The firm reported record profits this quarter."
+# d7: planning and its retry are both unparseable, so the document is skipped.
+TEXT_7 = "The board met to discuss the quarterly budget."
+# d8: blank text, with no fixture entry for its planning prompt.
+TEXT_8 = "   "
 
 
 def _coding(schema, trigger, text, replies, compatible=True):
@@ -314,12 +318,15 @@ def write_llm_inputs(directory: Path) -> None:
         # d6
         (planning_prompt(TEXT_6, head), '[{"trigger": "hacked", "event_type": "Ransom", "confidence": 0.4}]'),
         *_coding(RANSOM, "hacked", TEXT_6, ['Ransom(mention="hacked")'] * 2),
+        # d7
+        (planning_prompt(TEXT_7, head), "I could not find any events."),
+        (planning_retry_prompt(TEXT_7, head), '{"trigger": "met", "event_type": "Meeting"}'),
     ]
     # Attempts 2 and 3 of an exhausted hypothesis carry the same diagnostic,
     # so one fixture entry answers both.
     fixture = script(*pairs)
     records = [{"id": f"d{i}", "text": text, "events": []} for i, text in enumerate(
-        (TEXT_1, TEXT_2, TEXT_3, TEXT_4, TEXT_5, TEXT_6), start=1
+        (TEXT_1, TEXT_2, TEXT_3, TEXT_4, TEXT_5, TEXT_6, TEXT_7, TEXT_8), start=1
     )]
     (directory / "ontology.json").write_text(json.dumps(LLM_ONTOLOGY, indent=2) + "\n", encoding="utf-8")
     (directory / "corpus.jsonl").write_text(
