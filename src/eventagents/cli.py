@@ -282,19 +282,13 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
         with open(pred_path, "w", encoding="utf-8", newline="\n") as pred_file, open(
             trace_path, "w", encoding="utf-8", newline="\n"
         ) as trace_file:
-            for doc, outcome in zip(documents, results):
-                if isinstance(outcome, EventAgentsError):
-                    skipped += 1
-                    # refine attaches the partial trace of a document it aborted.
-                    trace = getattr(outcome, "trace", None)
-                    records = [] if trace is None else trace_to_records(trace, doc.id)
-                    records.append({"doc_id": doc.id, "note": f"document skipped: {outcome}"})
-                else:
-                    events, trace = outcome
+            for doc, (events, trace) in zip(documents, results):
+                if trace.error is None:
                     events_written += len(events)
                     _write_line(pred_file, {"doc_id": doc.id, "events": [event_payload(e) for e in events]})
-                    records = trace_to_records(trace, doc.id)
-                for record in records:
+                else:
+                    skipped += 1
+                for record in trace_to_records(trace, doc.id):
                     _write_line(trace_file, record)
         skips = f", {skipped} skipped" if skipped else ""
         print(f"run {run_index}: {len(documents)} documents, {events_written} events{skips} -> {pred_path}")
@@ -311,13 +305,13 @@ def _run_documents(
     workers: int,
     run_index: int,
 ):
-    """Extract every document, in corpus order; failures become values.
+    """Extract every document, in corpus order, as ``(events, trace)``.
 
     The run context is built first, one retrieval task per schema on the
     same workers; a retrieval failure there aborts the run.  Without
     documents no context is built, so no backend call is made.  A
-    document whose extraction raises is skipped with a logged warning;
-    the run continues.
+    document whose trace carries an error was skipped: its reason goes
+    to stderr, and the run continues.
     """
     if not documents:
         return []
@@ -326,11 +320,10 @@ def _run_documents(
         context = build_run_context(registry, backend, pipeline.exemplar_k, map=map)
 
         def one(doc: Document):
-            try:
-                return extract_document(doc.text, registry, pipeline, backend, context=context)
-            except EventAgentsError as exc:
-                print(f"run {run_index}: document {doc.id} skipped: {exc}", file=sys.stderr)
-                return exc
+            events, trace = extract_document(doc.text, registry, pipeline, backend, context=context)
+            if trace.error is not None:
+                print(f"run {run_index}: document {doc.id} skipped: {trace.error}", file=sys.stderr)
+            return events, trace
 
         return list(map(one, documents))
 

@@ -29,10 +29,10 @@ from .agents import (
     run_retrieval_agent,
 )
 from .errors import EventAgentsError
-from .events import CodeObject, EventObject, event_payload, parse_event_code
+from .events import EventObject, event_payload, parse_event_code
 from .prompts import PlanningHead, planning_head
 from .schemas import SchemaRegistry
-from .verify import JudgeResult, VerificationResult, verify
+from .verify import JudgeResult, verify
 
 MODE_STRICT = "strict"
 MODE_LLM = "llm"
@@ -72,20 +72,13 @@ def select_best(pool: list[TriggerHypothesis]) -> TriggerHypothesis:
 
 
 @dataclass
-class AttemptRecord:
-    hypothesis: TriggerHypothesis
-    attempt: int
-    code: CodeObject
-    result: VerificationResult | None = None  # None when verification aborted
-
-
-@dataclass
 class RefinementTrace:
-    """Everything that happened while refining one document."""
+    """Everything that happened to one document: its one result."""
 
-    attempts: list[AttemptRecord] = field(default_factory=list)
+    attempts: list[dict] = field(default_factory=list)  # one trace record per coding attempt
     notes: list[str] = field(default_factory=list)
     outcome: str = "pending"
+    error: str | None = None  # why the document was skipped
 
 
 def document_judge(
@@ -128,9 +121,10 @@ def refine(
     accepted event, or None once the pool or the ``hypothesis_k`` budget
     is spent, with the trace's outcome ``"exhausted"``.  Hypotheses
     whose event type is not in the registry are consumed without costing
-    any coding calls.  Backend failures abort with the partial trace
-    attached to the exception, which is an operational error, not an
-    exhausted search.  ``judge`` is the document's T1 judge from
+    any coding calls.  Each coding attempt is appended to
+    ``trace.attempts`` as its trace record before verification.  A
+    backend failure raises with nothing attached; ``trace`` keeps what
+    was recorded up to it.  ``judge`` is the document's T1 judge from
     :func:`document_judge`; without one, each call builds its own.
     """
     if trace is None:
@@ -150,24 +144,27 @@ def refine(
         hypotheses_tried += 1
         diagnostic_line = None
         for attempt in range(1, config.patch_attempts + 1):
-            try:
-                code_text = run_coding_agent(
-                    backend, hypothesis, schema, text, diagnostic=diagnostic_line
-                )
-                code = parse_event_code(code_text, registry=registry)
-                # Recorded before verification, so a failed judge call
-                # still leaves the paid coding reply in the trace.
-                record = AttemptRecord(hypothesis, attempt, code)
-                trace.attempts.append(record)
-                record.result = verify(code, text, schema, judge)
-            except EventAgentsError as exc:
-                trace.outcome = "aborted"
-                exc.trace = trace
-                raise
-            if record.result.verdict:
+            code_text = run_coding_agent(backend, hypothesis, schema, text, diagnostic=diagnostic_line)
+            code = parse_event_code(code_text, registry=registry)
+            # Recorded before verification, so a failed judge call
+            # still leaves the paid coding reply in the trace.
+            record = {
+                "trigger": hypothesis.trigger,
+                "event_type": hypothesis.event_type,
+                "confidence": hypothesis.confidence,
+                "attempt": attempt,
+                "code": code.raw_source,
+                "event": None if code.parsed is None else event_payload(code.parsed),
+                "verdict": None,
+                "diagnostic": None,
+            }
+            trace.attempts.append(record)
+            result = verify(code, text, schema, judge)
+            record["verdict"] = result.verdict
+            if result.verdict:
                 trace.outcome = "accepted"
                 return code.parsed
-            diagnostic_line = record.result.diagnostic.as_line()
+            diagnostic_line = record["diagnostic"] = result.diagnostic.as_line()
         pool.remove(hypothesis)
     trace.outcome = "exhausted"
     return None
@@ -227,68 +224,58 @@ def extract_document(
     Returns at most one event unless the multi-event extension is on, in
     which case refinement re-runs with accepted (trigger, type) pairs
     excluded until the pool empties or the event cap is reached.  Empty
-    planning output is a normal empty extraction, not an error; empty
-    text raises before any backend call.  The semantic judge is asked
-    each (trigger, event type) question at most once per call.
+    planning output is a normal empty extraction, not an error.  Empty
+    text (before any backend call) and a planning, coding or judge
+    failure return no events and an ``"aborted"`` trace whose ``error``
+    says why; only an empty registry, or a retrieval failure while it
+    builds its own context, raises.  The semantic judge is asked each
+    (trigger, event type) question at most once per call.
     """
     if len(registry) == 0:
         raise EventAgentsError("no schemas loaded")
     if not text:
-        raise EventAgentsError("document text is empty")
+        return [], RefinementTrace(outcome="aborted", error="document text is empty")
     if context is None:
         context = build_run_context(registry, backend, config.exemplar_k)
     trace = RefinementTrace(notes=list(context.warnings))
-    hypotheses = run_planning_agent(backend, text, context.planning, hypothesis_k=config.hypothesis_k)
-    if not hypotheses:
-        trace.notes.append("planning produced no hypotheses")
-        trace.outcome = "no-hypotheses"
-        return [], trace
     events: list[EventObject] = []
-    judge = document_judge(config.mode, backend, text, trace.notes)
-    while True:
-        event = refine(hypotheses, text, registry, config, backend, trace=trace, judge=judge)
-        if event is None:
-            break
-        events.append(event)
-        if not config.multi_event or len(events) >= config.event_cap:
-            break
-        hypotheses = [h for h in hypotheses if (h.trigger, h.event_type) != (event.trigger, event.event_type)]
+    try:
+        hypotheses = run_planning_agent(backend, text, context.planning, hypothesis_k=config.hypothesis_k)
         if not hypotheses:
-            break
-        trace.notes.append(
-            f"multi-event: continuing after accepting ({event.trigger!r}, {event.event_type!r})"
-        )
+            trace.notes.append("planning produced no hypotheses")
+            trace.outcome = "no-hypotheses"
+            return [], trace
+        judge = document_judge(config.mode, backend, text, trace.notes)
+        while True:
+            event = refine(hypotheses, text, registry, config, backend, trace=trace, judge=judge)
+            if event is None:
+                break
+            events.append(event)
+            if not config.multi_event or len(events) >= config.event_cap:
+                break
+            hypotheses = [h for h in hypotheses if (h.trigger, h.event_type) != (event.trigger, event.event_type)]
+            if not hypotheses:
+                break
+            trace.notes.append(
+                f"multi-event: continuing after accepting ({event.trigger!r}, {event.event_type!r})"
+            )
+    except EventAgentsError as exc:
+        trace.outcome = "aborted"
+        trace.error = str(exc)
+        return [], trace
     if events:
         trace.outcome = "accepted"
     return events, trace
 
 
 def trace_to_records(trace: RefinementTrace, doc_id: str) -> list[dict]:
-    """Flatten a trace into JSON-ready records, one per coding attempt.
-
-    Notes and the final outcome get their own records so the log replays
-    the whole search.
+    """Flatten a trace into JSON-ready records: its notes, one record per
+    coding attempt, the outcome, then ``document skipped: <error>`` when
+    the document was skipped, so the log replays the whole search.
     """
-    records: list[dict] = []
-    for note in trace.notes:
-        records.append({"doc_id": doc_id, "note": note})
-    for record in trace.attempts:
-        event = record.code.parsed
-        result = record.result
-        records.append(
-            {
-                "doc_id": doc_id,
-                "trigger": record.hypothesis.trigger,
-                "event_type": record.hypothesis.event_type,
-                "confidence": record.hypothesis.confidence,
-                "attempt": record.attempt,
-                "code": record.code.raw_source,
-                "event": None if event is None else event_payload(event),
-                "verdict": None if result is None else result.verdict,
-                "diagnostic": None
-                if result is None or result.diagnostic is None
-                else result.diagnostic.as_line(),
-            }
-        )
+    records = [{"doc_id": doc_id, "note": note} for note in trace.notes]
+    records += [{"doc_id": doc_id, **record} for record in trace.attempts]
     records.append({"doc_id": doc_id, "outcome": trace.outcome})
+    if trace.error is not None:
+        records.append({"doc_id": doc_id, "note": f"document skipped: {trace.error}"})
     return records

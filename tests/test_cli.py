@@ -638,8 +638,11 @@ class TestExtract:
         assert stderr == "run 1: document d1 skipped: document text is empty\n"
         assert [json.loads(line)["doc_id"] for line in out.read_text().splitlines()] == ["d2"]
         trace = [json.loads(line) for line in (tmp_path / "preds.trace.jsonl").read_text().splitlines()]
-        assert trace[0] == {"doc_id": "d1", "note": "document skipped: document text is empty"}
-        assert [record["doc_id"] for record in trace[1:]] == ["d2"] * (len(trace) - 1)
+        assert trace[:2] == [
+            {"doc_id": "d1", "outcome": "aborted"},
+            {"doc_id": "d1", "note": "document skipped: document text is empty"},
+        ]
+        assert [record["doc_id"] for record in trace[2:]] == ["d2"] * (len(trace) - 2)
         assert sorted(templates) == ["coding", "planning", "retrieval", "retrieval", "retrieval"]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -993,7 +996,9 @@ class TestUnencodableText:
         assert code == 0
         assert "document d1 skipped: planning reply is not a JSON array" in stderr
         assert [record["doc_id"] for record in self.lines(out)] == ["d2"]
-        assert self.lines(tmp_path / "preds.trace.jsonl")[0]["note"].startswith("document skipped: planning reply")
+        outcome, note = [r for r in self.lines(tmp_path / "preds.trace.jsonl") if r["doc_id"] == "d1"][-2:]
+        assert outcome == {"doc_id": "d1", "outcome": "aborted"}
+        assert note["note"].startswith("document skipped: planning reply")
 
     def test_corpus_id_is_a_corpus_error(self, capsys, tmp_path):
         records = [{"id": "d\ud800", "text": TEXT_1}, {"id": "d2", "text": TEXT_2}]
@@ -1052,7 +1057,7 @@ class TestUnencodableText:
 
 def test_every_trace_line_writes_non_ascii_ids_unescaped(capsys, tmp_path):
     # The fixture has no planning reply, so the document is skipped and
-    # its trace is the skip note alone.
+    # its trace is its outcome and the skip note.
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(json.dumps({"id": "文-1", "text": TEXT_1}) + "\n", encoding="utf-8")
     fixture = tmp_path / "fixture.json"
@@ -1064,4 +1069,4 @@ def test_every_trace_line_writes_non_ascii_ids_unescaped(capsys, tmp_path):
     )
     assert code == 1
     trace = (tmp_path / "preds.trace.jsonl").read_text(encoding="utf-8")
-    assert trace.startswith('{"doc_id": "文-1", "note": "document skipped: ')
+    assert trace.startswith('{"doc_id": "文-1", "outcome": "aborted"}\n{"doc_id": "文-1", "note": "document skipped: ')

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from eventagents import (
     BackendError,
-    EventAgentsError,
     EventSchema,
     Multiplicity,
     PipelineConfig,
@@ -24,7 +23,7 @@ from eventagents import (
     extract_document,
 )
 from eventagents.events import event_payload
-from eventagents.refine import trace_to_records
+from eventagents.refine import build_run_context, trace_to_records
 
 TEXT = "Hackers demanded a ransom of 500 coins after the breach on Friday."
 REGISTRY = SchemaRegistry([
@@ -125,22 +124,26 @@ CONFIGS = st.builds(
 
 
 class DrawingBackend:
-    """Answers each request with a reply drawn for its template; now and
-    then the call fails instead.  Records the template of every answer,
-    and of the failed call."""
+    """Answers each request with a reply drawn for its template; unless
+    built with ``fails=False``, now and then the call fails instead.
+    Records the template of every answer, and of the failed call."""
 
-    def __init__(self, data):
+    def __init__(self, data, fails=True):
         self.data = data
+        self.fails = fails
         self.answered: list[str] = []
         self.failed: str | None = None
 
     def complete(self, request):
-        if self.data.draw(st.integers(0, 49)) == 0:
+        if self.fails and self.data.draw(st.integers(0, 49)) == 0:
             self.failed = request.template_id
             raise BackendError("backend down")
         reply = self.data.draw(REPLIES[request.template_id])
         self.answered.append(request.template_id)
         return reply
+
+
+ATTEMPT_KEYS = ["trigger", "event_type", "confidence", "attempt", "code", "event", "verdict", "diagnostic"]
 
 
 def encodes(record) -> None:
@@ -150,22 +153,25 @@ def encodes(record) -> None:
 @settings(max_examples=300, deadline=None)
 @given(CONFIGS, st.data())
 def test_extract_document_is_total_and_bounded(config, data):
+    # Retrieval runs before, on a backend that never fails, so every drawn
+    # failure lands in planning, coding or the judge.
+    context = build_run_context(REGISTRY, DrawingBackend(data, fails=False), config.exemplar_k)
     backend = DrawingBackend(data)
-    events = []
-    try:
-        events, trace = extract_document(TEXT, REGISTRY, config, backend)
-    except EventAgentsError as exc:
-        # Refinement attaches its partial trace; a failure before it has none.
-        trace = getattr(exc, "trace", None)
+    events, trace = extract_document(TEXT, REGISTRY, config, backend, context=context)
 
-    attempts = [] if trace is None else trace.attempts
+    # A skipped document says why, and returns no events.
+    assert (trace.error is not None) == (trace.outcome == "aborted")
+    if trace.outcome == "aborted":
+        assert events == []
+    attempts = trace.attempts
+    assert all(list(attempt) == ATTEMPT_KEYS for attempt in attempts)
     coding_calls = backend.answered.count("coding")
     # Every paid coding reply is in the trace, even one whose judge call failed.
     assert coding_calls == len(attempts)
     refine_calls = config.event_cap if config.multi_event else 1
     assert coding_calls <= config.hypothesis_k * config.patch_attempts * refine_calls
     # The judge is asked about the (trigger, type) pairs of parsed events, each at most once.
-    pairs = {(a.code.parsed.trigger, a.code.parsed.event_type) for a in attempts if a.code.parsed is not None}
+    pairs = {(a["event"]["trigger"], a["event"]["event_type"]) for a in attempts if a["event"] is not None}
     judge_calls = backend.answered.count("semantic_judge")
     assert judge_calls <= len(pairs)
     if config.mode == "strict":
@@ -173,6 +179,5 @@ def test_extract_document_is_total_and_bounded(config, data):
 
     for event in events:
         encodes(event_payload(event))
-    if trace is not None:
-        for record in trace_to_records(trace, "doc-1"):
-            encodes(record)
+    for record in trace_to_records(trace, "doc-1"):
+        encodes(record)

@@ -118,8 +118,8 @@ class TestRefine:
         assert outcome.arguments == {"time": ["Tuesday"]}
         assert trace.outcome == "accepted"
         assert len(trace.attempts) == 1
-        assert trace.attempts[0].result.verdict is True
-        assert trace.attempts[0].attempt == 1
+        assert trace.attempts[0]["verdict"] is True
+        assert trace.attempts[0]["attempt"] == 1
 
     def test_patch_attempt_embeds_diagnostic(self, patch_registry, patchvuln_schema, tuesday_text):
         backend = ScriptedBackend(
@@ -137,7 +137,7 @@ class TestRefine:
         )
         assert isinstance(outcome, EventObject)
         assert len(trace.attempts) == 2
-        assert trace.attempts[0].result.diagnostic.as_line() == BROKEN_DIAGNOSTIC
+        assert trace.attempts[0]["diagnostic"] == BROKEN_DIAGNOSTIC
         assert BROKEN_DIAGNOSTIC in backend.calls[1].messages[1].content
 
     def test_empty_reply_is_a_failed_attempt(self, patch_registry, patchvuln_schema, tuesday_text):
@@ -157,8 +157,8 @@ class TestRefine:
         )
         assert isinstance(outcome, EventObject)
         assert trace.outcome == "accepted"
-        assert [(a.attempt, a.result.verdict) for a in trace.attempts] == [(1, False), (2, True)]
-        assert trace.attempts[0].result.diagnostic.as_line() == empty_diagnostic
+        assert [(a["attempt"], a["verdict"]) for a in trace.attempts] == [(1, False), (2, True)]
+        assert trace.attempts[0]["diagnostic"] == empty_diagnostic
 
     def test_backtracks_to_next_hypothesis(self, patch_registry, patchvuln_schema, tuesday_text):
         first = hyp("patched", confidence=0.9)
@@ -186,7 +186,7 @@ class TestRefine:
         assert isinstance(outcome, EventObject)
         assert outcome.trigger == "vulnerability"
         assert len(trace.attempts) == 3
-        assert [(r.hypothesis.trigger, r.attempt) for r in trace.attempts] == [
+        assert [(r["trigger"], r["attempt"]) for r in trace.attempts] == [
             ("patched", 1),
             ("patched", 2),
             ("vulnerability", 1),
@@ -309,7 +309,7 @@ class TestRefine:
         # Only the exhausted hypothesis is consumed; the accepted one stays.
         assert pool == [second, third]
 
-    def test_backend_failure_aborts_with_trace(self, patch_registry, tuesday_text):
+    def test_backend_failure_raises_and_attaches_nothing(self, patch_registry, tuesday_text):
         backend = ScriptedBackend({})
         trace = RefinementTrace()
         with pytest.raises(BackendError) as exc_info:
@@ -321,8 +321,8 @@ class TestRefine:
                 backend,
                 trace,
             )
-        assert trace.outcome == "aborted"
-        assert exc_info.value.trace is trace
+        assert trace.outcome == "pending" and trace.error is None and trace.attempts == []
+        assert not hasattr(exc_info.value, "trace")
 
     def test_trace_accumulates_across_calls(self, patch_registry, patchvuln_schema, tuesday_text):
         backend = ScriptedBackend(
@@ -387,11 +387,30 @@ class TestExtractDocument:
         assert trace.outcome == "no-hypotheses"
         assert "planning produced no hypotheses" in trace.notes
 
-    def test_empty_text_raises_before_any_backend_call(self, patch_registry):
+    def test_empty_text_is_aborted_before_any_backend_call(self, patch_registry):
         backend = ScriptedBackend({})
-        with pytest.raises(EventAgentsError, match="^document text is empty$"):
-            extract_document("", patch_registry, self.config(), backend)
+        events, trace = extract_document("", patch_registry, self.config(), backend)
+        assert events == []
+        assert trace == RefinementTrace(outcome="aborted", error="document text is empty")
         assert backend.calls == []
+
+    @pytest.mark.parametrize("planning_reply, coding_replies, failed_template", [
+        ("not json", [], "planning_retry"),
+        (PLANNING, [("patched", BROKEN_REPLY, "")], "coding"),
+    ], ids=["planning", "coding"])
+    def test_backend_failure_returns_an_aborted_trace(
+        self, patch_registry, patchvuln_schema, tuesday_text, planning_reply, coding_replies, failed_template
+    ):
+        # Retrieval comes back empty, so the trace starts with its warning.
+        backend = ScriptedBackend(
+            single_schema_fixture(patchvuln_schema, tuesday_text, "", planning_reply, coding_replies)
+        )
+        events, trace = extract_document(tuesday_text, patch_registry, self.config(), backend)
+        assert events == []
+        assert trace.outcome == "aborted"
+        assert trace.notes[0] == "retrieval produced no usable sentences for PatchVulnerability"
+        assert len(trace.attempts) == len(coding_replies)
+        assert trace.error.startswith(f"no scripted reply for template {failed_template!r}")
 
     def test_retrieval_warning_recorded_and_exemplar_block_omitted(
         self, patch_registry, patchvuln_schema, tuesday_text
@@ -469,7 +488,7 @@ class TestExtractDocument:
         )
         # The lower-confidence duplicate of the accepted pair is never tried.
         assert [e.trigger for e in events] == ["patched", "vulnerability"]
-        assert [(a.hypothesis.trigger, a.hypothesis.confidence) for a in trace.attempts] == [
+        assert [(a["trigger"], a["confidence"]) for a in trace.attempts] == [
             ("patched", 0.9),
             ("vulnerability", 0.5),
         ]
@@ -541,7 +560,7 @@ class TestJudgeMemo:
             [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
         )
         assert outcome is None
-        assert [a.result.diagnostic.as_line() for a in trace.attempts] == [self.REJECTED] * 3
+        assert [a["diagnostic"] for a in trace.attempts] == [self.REJECTED] * 3
         assert template_counts(backend) == {"coding": 3, "semantic_judge": 1}
 
     @pytest.mark.parametrize(
@@ -570,7 +589,7 @@ class TestJudgeMemo:
             tuesday_text, patch_registry, PipelineConfig(exemplar_k=1, mode="llm"), backend
         )
         assert events == []
-        assert [a.result.diagnostic.as_line() for a in trace.attempts] == [self.REJECTED] * 3
+        assert [a["diagnostic"] for a in trace.attempts] == [self.REJECTED] * 3
         assert template_counts(backend)["semantic_judge"] == 1
         assert trace.notes == notes
         assert [r["note"] for r in trace_to_records(trace, "d") if "note" in r] == notes
@@ -588,7 +607,7 @@ class TestJudgeMemo:
             [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
         )
         assert isinstance(outcome, EventObject)
-        assert trace.attempts[0].result.diagnostic.as_line() == BROKEN_DIAGNOSTIC
+        assert trace.attempts[0]["diagnostic"] == BROKEN_DIAGNOSTIC
         assert template_counts(backend) == {"coding": 2, "semantic_judge": 1}
 
     def test_memo_is_shared_only_when_passed(self, patch_registry, patchvuln_schema, tuesday_text):
@@ -612,12 +631,12 @@ class TestJudgeMemo:
         # The coding reply is scripted, the judge prompt that verifies it is not.
         backend = ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY)))
         trace = RefinementTrace()
-        with pytest.raises(BackendError) as exc_info:
+        with pytest.raises(BackendError):
             refine([hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace)
-        assert exc_info.value.trace is trace
-        assert trace.outcome == "aborted"
-        assert [(a.attempt, a.code.raw_source, a.result) for a in trace.attempts] == [(1, VALID_REPLY, None)]
-        assert trace.attempts[0].code.parsed.arguments == {"time": ["Tuesday"]}
+        assert [(a["attempt"], a["code"], a["verdict"], a["diagnostic"]) for a in trace.attempts] == [
+            (1, VALID_REPLY, None, None)
+        ]
+        assert trace.attempts[0]["event"]["arguments"] == {"time": ["Tuesday"]}
         assert template_counts(backend) == {"coding": 1, "semantic_judge": 1}
 
     def test_failed_judge_call_after_a_patch_keeps_both_attempts(
@@ -636,8 +655,8 @@ class TestJudgeMemo:
             refine([hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace)
         assert template_counts(backend) == {"coding": 2, "semantic_judge": 1}
         assert len(trace.attempts) == 2
-        assert trace.attempts[0].result.diagnostic.as_line() == empty_diagnostic
-        assert trace.attempts[1].result is None
+        assert trace.attempts[0]["diagnostic"] == empty_diagnostic
+        assert trace.attempts[1]["verdict"] is None
         assert [record.get("verdict", "-") for record in trace_to_records(trace, "d")] == [False, None, "-"]
 
     def test_strict_mode_has_no_judge(self, tuesday_text):
@@ -810,21 +829,27 @@ class TestTraceRecords:
         assert second_attempt["diagnostic"] is None
         assert records[-1] == {"doc_id": "doc-7", "outcome": "accepted"}
 
-    def test_aborted_attempt_flattens_with_null_verdict(self, patch_registry, patchvuln_schema, tuesday_text):
-        backend = ScriptedBackend(script((coding_prompt(patchvuln_schema, "patched", tuesday_text), VALID_REPLY)))
-        trace = RefinementTrace()
-        with pytest.raises(BackendError):
-            refine(
-                [hyp("patched")],
+    def test_aborted_document_flattens_with_null_verdict_and_a_skip_note(
+        self, patch_registry, patchvuln_schema, tuesday_text
+    ):
+        # The coding reply is scripted, the judge prompt that verifies it is not.
+        backend = ScriptedBackend(
+            single_schema_fixture(
+                patchvuln_schema,
                 tuesday_text,
-                patch_registry,
-                PipelineConfig(mode="llm"),
-                backend,
-                trace,
+                TestExtractDocument.EXEMPLAR,
+                '[{"trigger": "patched", "event_type": "PatchVulnerability"}]',
+                [("patched", VALID_REPLY, "")],
             )
+        )
+        _, trace = extract_document(tuesday_text, patch_registry, PipelineConfig(exemplar_k=1, mode="llm"), backend)
         records = trace_to_records(trace, "doc-8")
         assert records[0]["attempt"] == 1
         assert records[0]["code"] == VALID_REPLY
         assert records[0]["event"]["arguments"] == {"time": ["Tuesday"]}
         assert records[0]["verdict"] is None and records[0]["diagnostic"] is None
-        assert records[1:] == [{"doc_id": "doc-8", "outcome": "aborted"}]
+        assert records[1:] == [
+            {"doc_id": "doc-8", "outcome": "aborted"},
+            {"doc_id": "doc-8", "note": f"document skipped: {trace.error}"},
+        ]
+        assert trace.error.startswith("no scripted reply for template 'semantic_judge'")
