@@ -224,7 +224,7 @@ def extract_document(
     Returns at most one event unless the multi-event extension is on, in
     which case refinement re-runs with accepted (trigger, type) pairs
     excluded until the pool empties or the event cap is reached.  Empty
-    planning output is a normal empty extraction, not an error.  Empty
+    planning output is a normal empty extraction, not an error.  Blank
     text (before any backend call) and a planning, coding or judge
     failure return no events and an ``"aborted"`` trace whose ``error``
     says why; only an empty registry, or a retrieval failure while it
@@ -233,7 +233,7 @@ def extract_document(
     """
     if len(registry) == 0:
         raise EventAgentsError("no schemas loaded")
-    if not text:
+    if not text.strip():
         return [], RefinementTrace(outcome="aborted", error="document text is empty")
     if context is None:
         context = build_run_context(registry, backend, config.exemplar_k)

@@ -620,8 +620,11 @@ class TestExtract:
         assert "document skipped: no scripted reply for template 'planning'" in trace_text
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_empty_text_document_is_skipped_without_a_backend_call(self, capsys, tmp_path, monkeypatch, workers):
-        ontology, corpus, fixture, out = self.setup_run(tmp_path, texts=("", TEXT_1))
+    @pytest.mark.parametrize("text", ["", "   ", "\n\t"], ids=["empty", "spaces", "newline-tab"])
+    def test_empty_text_document_is_skipped_without_a_backend_call(
+        self, capsys, tmp_path, monkeypatch, text, workers
+    ):
+        ontology, corpus, fixture, out = self.setup_run(tmp_path, texts=(text, TEXT_1))
         templates = []
         complete = ScriptedBackend.complete
 

@@ -387,9 +387,10 @@ class TestExtractDocument:
         assert trace.outcome == "no-hypotheses"
         assert "planning produced no hypotheses" in trace.notes
 
-    def test_empty_text_is_aborted_before_any_backend_call(self, patch_registry):
+    @pytest.mark.parametrize("text", ["", "   ", "\n\t"], ids=["empty", "spaces", "newline-tab"])
+    def test_blank_text_is_aborted_before_any_backend_call(self, patch_registry, text):
         backend = ScriptedBackend({})
-        events, trace = extract_document("", patch_registry, self.config(), backend)
+        events, trace = extract_document(text, patch_registry, self.config(), backend)
         assert events == []
         assert trace == RefinementTrace(outcome="aborted", error="document text is empty")
         assert backend.calls == []
