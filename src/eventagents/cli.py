@@ -246,7 +246,6 @@ def _write_line(file, record: dict) -> None:
 
 
 def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
-    _require_paths(config, "extract")
     registry = load_ontology(Path(config.ontology).read_bytes())
     if len(registry) == 0:
         raise EventAgentsError(f"ontology {config.ontology} declares no event types")
@@ -371,7 +370,6 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
 
 
 def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
-    _require_paths(config, "eval")
     documents = load_corpus(Path(config.corpus).read_bytes())
     reports: list[MetricsReport] = []
     for path in args.predictions:
@@ -397,7 +395,6 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
-    _require_paths(config, "stats")
     documents = load_corpus(Path(config.corpus).read_bytes())
     stats = dataset_stats(documents)
     lines = [
@@ -415,7 +412,6 @@ def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_schema(args: argparse.Namespace, config: RunConfig) -> int:
-    _require_paths(config, "schema")
     registry = load_ontology(Path(config.ontology).read_bytes())
     if args.schema_action == "list":
         for schema in registry:
@@ -444,6 +440,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if getattr(args, "print_config", False):
             print(json.dumps(config.as_dict(), indent=2))
             return 0
+        _require_paths(config, args.command)
         return _COMMANDS[args.command](args, config)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
