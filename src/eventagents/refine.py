@@ -9,6 +9,11 @@ the outer loop re-selects; an empty pool ends the search with None and
 the trace's outcome ``"exhausted"``, which is a result, not an error:
 evaluation counts failed documents as zero predictions.
 
+Each document's :class:`RefinementTrace` is its one result, whatever
+the outcome: :func:`extract_document` turns a planning, coding or judge
+failure into outcome ``"aborted"`` with the reason in ``error``, and
+:func:`trace_to_records` ends every document's records with its outcome.
+
 Total coding-agent work is bounded by hypothesis_k * patch_attempts per
 refine call.
 """
@@ -73,12 +78,20 @@ def select_best(pool: list[TriggerHypothesis]) -> TriggerHypothesis:
 
 @dataclass
 class RefinementTrace:
-    """Everything that happened to one document: its one result."""
+    """Everything that happened to one document: its one result.
 
-    attempts: list[dict] = field(default_factory=list)  # one trace record per coding attempt
+    ``attempts`` holds one trace record per coding attempt, in call
+    order: a dict of the record's fields without ``doc_id``, whose
+    ``verdict`` and ``diagnostic`` stay None when verification raised.
+    ``outcome`` ends ``"accepted"``, ``"exhausted"``, ``"no-hypotheses"``
+    or ``"aborted"``; ``error``, the reason the document was skipped, is
+    set exactly when :func:`extract_document` aborted it.
+    """
+
+    attempts: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     outcome: str = "pending"
-    error: str | None = None  # why the document was skipped
+    error: str | None = None
 
 
 def document_judge(

@@ -2,6 +2,8 @@
 
 The expected files were generated by ``python tests/golden/regenerate.py``;
 a change to any of them is an output change and is named in CHANGES.md.
+Every stored trace file also keeps the per-document record order the
+README describes.
 """
 
 import itertools

@@ -439,7 +439,8 @@ AC          0.5000    1.0000    0.6667
 
 class TestEval:
     def test_requires_corpus(self, capsys):
-        assert run_cli(capsys, "eval", "preds.jsonl") == (2, "", "error: missing required option --corpus for command 'eval'\n")
+        code, _, err = run_cli(capsys, "eval", "preds.jsonl")
+        assert (code, err) == (2, "error: missing required option --corpus for command 'eval'\n")
 
     def test_single_run_table_and_json(self, capsys, tmp_path):
         gold = gold_eval_corpus(tmp_path)
