@@ -258,6 +258,9 @@ TEXT_6 = "The firm reported record profits this quarter."
 TEXT_7 = "The board met to discuss the quarterly budget."
 # d8: blank text, with no fixture entry for its planning prompt.
 TEXT_8 = "   "
+# d9: multi-event accepts the first hypothesis; the second's coding prompt
+# has no scripted reply, so the continuation fails.
+TEXT_9 = "The vendor patched the flaw after attackers demanded a ransom."
 
 
 def _coding(schema, trigger, text, replies, compatible=True):
@@ -321,12 +324,19 @@ def write_llm_inputs(directory: Path) -> None:
         # d7
         (planning_prompt(TEXT_7, head), "I could not find any events."),
         (planning_retry_prompt(TEXT_7, head), '{"trigger": "met", "event_type": "Meeting"}'),
+        # d9
+        (planning_prompt(TEXT_9, head), json.dumps([
+            {"trigger": "patched", "event_type": "PatchVulnerability", "confidence": 0.9},
+            {"trigger": "demanded", "event_type": "Ransom", "confidence": 0.8},
+        ])),
+        *_coding(PATCH, "patched", TEXT_9, ['PatchVulnerability(mention="patched", vulnerable_system=["flaw"])']),
+        (judge_prompt("patched", "PatchVulnerability", TEXT_9), "Yes"),
     ]
     # Attempts 2 and 3 of an exhausted hypothesis carry the same diagnostic,
     # so one fixture entry answers both.
     fixture = script(*pairs)
     records = [{"id": f"d{i}", "text": text, "events": []} for i, text in enumerate(
-        (TEXT_1, TEXT_2, TEXT_3, TEXT_4, TEXT_5, TEXT_6, TEXT_7, TEXT_8), start=1
+        (TEXT_1, TEXT_2, TEXT_3, TEXT_4, TEXT_5, TEXT_6, TEXT_7, TEXT_8, TEXT_9), start=1
     )]
     (directory / "ontology.json").write_text(json.dumps(LLM_ONTOLOGY, indent=2) + "\n", encoding="utf-8")
     (directory / "corpus.jsonl").write_text(
