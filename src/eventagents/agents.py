@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import EventAgentsError, has_surrogate
@@ -22,6 +21,7 @@ from .prompts import (
     planning_retry_prompt,
     retrieval_prompt,
 )
+from .records import FrozenRecord
 from .schemas import EventSchema
 from .verify import JudgeResult
 
@@ -32,23 +32,21 @@ class PlanningError(EventAgentsError):
     """The planning reply stayed unparseable after the one retry."""
 
 
-@dataclass(frozen=True)
-class TriggerHypothesis:
+class TriggerHypothesis(FrozenRecord):
     """A candidate (trigger span, event type) pair from planning."""
 
-    trigger: str
-    event_type: str
-    confidence: float
-    rationale: str = ""
-    char_offset: int | None = None
-
-    def __post_init__(self):
-        if not self.trigger:
+    def __init__(
+        self, trigger: str, event_type: str, confidence: float, rationale: str = "", char_offset: int | None = None
+    ):
+        if not trigger:
             raise ValueError("hypothesis trigger must be non-empty")
-        if not self.event_type:
+        if not event_type:
             raise ValueError("hypothesis event_type must be non-empty")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence {confidence} outside [0, 1]")
+        vars(self).update(
+            trigger=trigger, event_type=event_type, confidence=confidence, rationale=rationale, char_offset=char_offset
+        )
 
 
 def extract_code_block(reply: str) -> str:

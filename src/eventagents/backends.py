@@ -22,10 +22,10 @@ import sys
 import threading
 import time
 import urllib.parse
-from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Any
 
 from .errors import ConfigError, EventAgentsError, has_surrogate
+from .records import FrozenRecord
 
 if TYPE_CHECKING:
     import ssl
@@ -45,16 +45,13 @@ class BackendError(EventAgentsError):
     """A chat backend could not produce a reply."""
 
 
-@dataclass(frozen=True)
-class ChatMessage:
-    role: str
-    content: str
-
-    def __post_init__(self):
-        if self.role not in _ROLES:
-            raise ValueError(f"unknown message role {self.role!r}")
-        if self.role in ("system", "user") and not self.content:
-            raise ValueError(f"{self.role} message content must be non-empty")
+class ChatMessage(FrozenRecord):
+    def __init__(self, role: str, content: str):
+        if role not in _ROLES:
+            raise ValueError(f"unknown message role {role!r}")
+        if role in ("system", "user") and not content:
+            raise ValueError(f"{role} message content must be non-empty")
+        vars(self).update(role=role, content=content)
 
 
 def _split_url(url: str) -> urllib.parse.SplitResult | None:
@@ -67,39 +64,47 @@ def _split_url(url: str) -> urllib.parse.SplitResult | None:
     return parts if parts.hostname else None
 
 
-@dataclass(frozen=True)
-class BackendConfig:
-    endpoint: str = "http://localhost:8000/v1"
-    model: str = "llama3-8b-instruct"
-    temperature: float = 0.7
-    max_tokens: int = 1024
-    api_key_env: str | None = None
-    timeout: float = 30.0
-    retries: int = 2
-
-    def __post_init__(self):
-        if not self.endpoint:
+class BackendConfig(FrozenRecord):
+    def __init__(
+        self,
+        endpoint: str = "http://localhost:8000/v1",
+        model: str = "llama3-8b-instruct",
+        temperature: float = 0.7,
+        max_tokens: int = 1024,
+        api_key_env: str | None = None,
+        timeout: float = 30.0,
+        retries: int = 2,
+    ):
+        if not endpoint:
             raise ConfigError("backend endpoint must be non-empty")
-        parts = _split_url(self.endpoint)
+        parts = _split_url(endpoint)
         if parts is None or parts.scheme not in ("http", "https"):
-            raise ConfigError(f"backend endpoint must be an http:// or https:// URL, got {self.endpoint!r}")
-        if not re.fullmatch(r"[!-~]+", self.endpoint):
-            raise ConfigError(f"backend endpoint must be printable ASCII without spaces, got {self.endpoint!r}")
-        if "#" in self.endpoint:
-            raise ConfigError(f"backend endpoint must not have a fragment, got {self.endpoint!r}")
+            raise ConfigError(f"backend endpoint must be an http:// or https:// URL, got {endpoint!r}")
+        if not re.fullmatch(r"[!-~]+", endpoint):
+            raise ConfigError(f"backend endpoint must be printable ASCII without spaces, got {endpoint!r}")
+        if "#" in endpoint:
+            raise ConfigError(f"backend endpoint must not have a fragment, got {endpoint!r}")
         # Negated comparisons so that NaN fails them too.
-        if not 0 <= self.temperature < math.inf:
+        if not 0 <= temperature < math.inf:
             raise ConfigError("temperature must be a finite number >= 0")
-        if self.max_tokens < 1:
+        if max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
-        if not 0 < self.timeout < math.inf:
+        if not 0 < timeout < math.inf:
             raise ConfigError("timeout must be a finite number > 0")
-        if not 0 <= self.retries <= MAX_RETRIES:
+        if not 0 <= retries <= MAX_RETRIES:
             raise ConfigError(f"retries must be between 0 and {MAX_RETRIES}")
+        vars(self).update(
+            endpoint=endpoint,
+            model=model,
+            temperature=temperature,
+            max_tokens=max_tokens,
+            api_key_env=api_key_env,
+            timeout=timeout,
+            retries=retries,
+        )
 
 
-@dataclass(frozen=True)
-class PromptRequest:
+class PromptRequest(FrozenRecord):
     """One agent call: template id, fill-in bindings, rendered messages.
 
     ``temperature`` of None defers to the backend config's default;
@@ -112,19 +117,23 @@ class PromptRequest:
     that is sent, but lets :class:`HttpBackend` encode it once.
     """
 
-    template_id: str
-    bindings: tuple[tuple[str, str], ...]
-    messages: tuple[ChatMessage, ...]
-    temperature: float | None = None
-    head: str = ""
-
-    def __post_init__(self):
-        if not self.template_id:
+    def __init__(
+        self,
+        template_id: str,
+        bindings: tuple[tuple[str, str], ...],
+        messages: tuple[ChatMessage, ...],
+        temperature: float | None = None,
+        head: str = "",
+    ):
+        if not template_id:
             raise ValueError("template_id must be non-empty")
-        if not self.messages:
+        if not messages:
             raise ValueError("a request carries at least one message")
-        if not self.messages[-1].content.startswith(self.head):
+        if not messages[-1].content.startswith(head):
             raise ValueError("a request's head must begin its last message")
+        vars(self).update(
+            template_id=template_id, bindings=bindings, messages=messages, temperature=temperature, head=head
+        )
 
     def fingerprint(self) -> str:
         return fingerprint(self.template_id, dict(self.bindings))

@@ -40,6 +40,12 @@ def _option(default, help: str | None = None, **metadata):
     return field(default=default, metadata={"help": help, **metadata})
 
 
+# Default instances: their fields, in declaration order, hold the defaults
+# the options below start from.
+_BACKEND = BackendConfig()
+_PIPELINE = PipelineConfig()
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """The run configuration: each field declares its option once.
@@ -52,26 +58,26 @@ class RunConfig:
     ontology: str | None = _option(None, "path to the ontology JSON document")
     corpus: str | None = _option(None, "path to the newline-delimited corpus")
     out: str | None = _option(None, "output path")
-    backend_endpoint: str = _option(BackendConfig.endpoint, "chat-completions base URL", backend="endpoint")
-    model: str = _option(BackendConfig.model, "model name sent to the backend", backend="model")
-    temperature: float = _option(BackendConfig.temperature, "default sampling temperature", backend="temperature")
-    max_tokens: int = _option(BackendConfig.max_tokens, "completion token limit", backend="max_tokens")
+    backend_endpoint: str = _option(_BACKEND.endpoint, "chat-completions base URL", backend="endpoint")
+    model: str = _option(_BACKEND.model, "model name sent to the backend", backend="model")
+    temperature: float = _option(_BACKEND.temperature, "default sampling temperature", backend="temperature")
+    max_tokens: int = _option(_BACKEND.max_tokens, "completion token limit", backend="max_tokens")
     api_key_env: str | None = _option(
-        BackendConfig.api_key_env, "environment variable holding the bearer token", backend="api_key_env"
+        _BACKEND.api_key_env, "environment variable holding the bearer token", backend="api_key_env"
     )
-    timeout: float = _option(BackendConfig.timeout, "request timeout in seconds", backend="timeout")
-    retries: int = _option(BackendConfig.retries, "retry count for transient backend failures", backend="retries")
-    exemplar_k: int = _option(PipelineConfig.exemplar_k, "exemplar sentences per schema")
-    hypothesis_k: int = _option(PipelineConfig.hypothesis_k, "planning hypotheses kept per document")
-    patch_attempts: int = _option(PipelineConfig.patch_attempts, "coding attempts per hypothesis")
-    mode: str = _option(PipelineConfig.mode, "verification mode")
+    timeout: float = _option(_BACKEND.timeout, "request timeout in seconds", backend="timeout")
+    retries: int = _option(_BACKEND.retries, "retry count for transient backend failures", backend="retries")
+    exemplar_k: int = _option(_PIPELINE.exemplar_k, "exemplar sentences per schema")
+    hypothesis_k: int = _option(_PIPELINE.hypothesis_k, "planning hypotheses kept per document")
+    patch_attempts: int = _option(_PIPELINE.patch_attempts, "coding attempts per hypothesis")
+    mode: str = _option(_PIPELINE.mode, "verification mode")
     workers: int = _option(1, "concurrent documents")
     seed: int = _option(0, "random seed for sampling")
     runs: int = _option(3, "number of extraction runs")
     sample: int | None = _option(None, "uniformly subsample the corpus to this many documents")
     scripted_fixture: str | None = _option(None, "scripted-backend fixture file (offline deterministic runs)")
-    multi_event: bool = _option(PipelineConfig.multi_event, file_only=True)
-    event_cap: int = _option(PipelineConfig.event_cap, file_only=True)
+    multi_event: bool = _option(_PIPELINE.multi_event, file_only=True)
+    event_cap: int = _option(_PIPELINE.event_cap, file_only=True)
 
     def __post_init__(self):
         # Pipeline and backend ranges are checked by PipelineConfig and BackendConfig.
@@ -90,7 +96,7 @@ class RunConfig:
 
     def pipeline_config(self) -> PipelineConfig:
         try:
-            return PipelineConfig(**{f.name: getattr(self, f.name) for f in fields(PipelineConfig)})
+            return PipelineConfig(**{name: getattr(self, name) for name in vars(_PIPELINE)})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

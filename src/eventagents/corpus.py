@@ -21,10 +21,10 @@ from __future__ import annotations
 import json
 import random
 import re
-from dataclasses import dataclass
 from typing import IO, Sequence
 
 from .errors import EventAgentsError, has_surrogate
+from .records import FrozenRecord
 
 _WHITESPACE_TOKEN_RE = re.compile(r"\S+")
 
@@ -33,30 +33,29 @@ class CorpusError(EventAgentsError):
     """A corpus file could not be loaded or a record is inconsistent."""
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(FrozenRecord):
     """A text span with its character offsets into the document."""
 
-    text: str
-    start: int
-    end: int
+    def __init__(self, text: str, start: int, end: int):
+        vars(self).update(text=text, start=start, end=end)
 
 
-@dataclass(frozen=True)
-class GoldEvent:
-    event_type: str
-    trigger: Span
-    arguments: tuple[tuple[str, Span], ...] = ()
+class GoldEvent(FrozenRecord):
+    def __init__(self, event_type: str, trigger: Span, arguments: tuple[tuple[str, Span], ...] = ()):
+        vars(self).update(event_type=event_type, trigger=trigger, arguments=arguments)
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(FrozenRecord):
     """One corpus record.  ``tokens`` is None when the record gave none."""
 
-    id: str
-    text: str
-    tokens: tuple[tuple[int, int], ...] | None
-    gold_events: tuple[GoldEvent, ...] = ()
+    def __init__(
+        self,
+        id: str,
+        text: str,
+        tokens: tuple[tuple[int, int], ...] | None,
+        gold_events: tuple[GoldEvent, ...] = (),
+    ):
+        vars(self).update(id=id, text=text, tokens=tokens, gold_events=gold_events)
 
 
 def _whitespace_tokens(text: str) -> tuple[tuple[int, int], ...]:
@@ -183,12 +182,16 @@ def load_corpus(source: bytes | str | IO) -> list[Document]:
     return documents
 
 
-@dataclass(frozen=True)
-class DatasetStats:
-    documents: int
-    event_mentions: int
-    avg_doc_length_tokens: float
-    multiword_trigger_pct: float
+class DatasetStats(FrozenRecord):
+    def __init__(
+        self, documents: int, event_mentions: int, avg_doc_length_tokens: float, multiword_trigger_pct: float
+    ):
+        vars(self).update(
+            documents=documents,
+            event_mentions=event_mentions,
+            avg_doc_length_tokens=avg_doc_length_tokens,
+            multiword_trigger_pct=multiword_trigger_pct,
+        )
 
 
 def _tokens_overlapping(tokens: Sequence[tuple[int, int]], start: int, end: int) -> int:

@@ -26,31 +26,26 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from typing import Any
 
 from .errors import has_surrogate
+from .records import FrozenRecord, Record
 from .schemas import _IDENT_RE, EventSchema, SchemaRegistry
 
 EVENT_FIELDS = ("event_type", "trigger", "arguments")
 
 
-@dataclass
-class EventObject:
+class EventObject(Record):
     """A fully specified event: type, trigger span text, role values."""
 
-    event_type: str
-    trigger: str
-    arguments: dict[str, list]
-
-    def __post_init__(self):
-        if not isinstance(self.event_type, str) or not self.event_type:
+    def __init__(self, event_type: str, trigger: str, arguments: dict[str, list]):
+        if not isinstance(event_type, str) or not event_type:
             raise ValueError("event_type must be a non-empty string")
-        if not isinstance(self.trigger, str):
+        if not isinstance(trigger, str):
             raise ValueError("trigger must be a string")
-        if not isinstance(self.arguments, dict):
+        if not isinstance(arguments, dict):
             raise ValueError("arguments must map role names to value lists")
-        for role, values in self.arguments.items():
+        for role, values in arguments.items():
             if not isinstance(role, str) or not role:
                 raise ValueError("argument role names must be non-empty strings")
             if not isinstance(values, list):
@@ -58,36 +53,36 @@ class EventObject:
             for value in values:
                 if not isinstance(value, (str, int, float, bool)):
                     raise ValueError(f"role {role!r} holds an unsupported value {value!r}")
+        vars(self).update(event_type=event_type, trigger=trigger, arguments=arguments)
 
 
-@dataclass(frozen=True)
-class ParseFailure:
+class ParseFailure(FrozenRecord):
     """Why a piece of generated code was rejected, and where."""
 
-    message: str
-    line: int
-    col: int
+    def __init__(self, message: str, line: int, col: int):
+        vars(self).update(message=message, line=line, col=col)
 
     def describe(self) -> str:
         return f"line {self.line}, col {self.col}: {self.message}"
 
 
-@dataclass
-class CodeObject:
+class CodeObject(Record):
     """Generated source text together with its parse outcome.
 
     ``extra_fields`` records unexpected top-level keys seen in object
     notation; they parse fine but fail the structural check later.
     """
 
-    raw_source: str
-    parsed: EventObject | None = None
-    failure: ParseFailure | None = None
-    extra_fields: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if (self.parsed is None) == (self.failure is None):
+    def __init__(
+        self,
+        raw_source: str,
+        parsed: EventObject | None = None,
+        failure: ParseFailure | None = None,
+        extra_fields: tuple[str, ...] = (),
+    ):
+        if (parsed is None) == (failure is None):
             raise ValueError("exactly one of parsed/failure must be set")
+        vars(self).update(raw_source=raw_source, parsed=parsed, failure=failure, extra_fields=extra_fields)
 
 
 class _ParseError(Exception):
@@ -98,12 +93,9 @@ class _ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class _Token(FrozenRecord):
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        vars(self).update(kind=kind, text=text, line=line, col=col)
 
 
 _PUNCT = {"(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket", ",": "comma", "=": "equals"}

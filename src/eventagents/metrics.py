@@ -20,26 +20,23 @@ against itself is 1.0 on any corpus, including an empty one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .corpus import Document
 from .errors import EventAgentsError
 from .events import EventObject
+from .records import FrozenRecord
 
 
 class EvaluationError(EventAgentsError):
     """Predictions reference unknown documents or cannot be read."""
 
 
-@dataclass(frozen=True)
-class MetricScores:
-    precision: float
-    recall: float
-    f1: float
-    num_pred: int
-    num_gold: int
-    num_correct: int
+class MetricScores(FrozenRecord):
+    def __init__(self, precision: float, recall: float, f1: float, num_pred: int, num_gold: int, num_correct: int):
+        vars(self).update(
+            precision=precision, recall=recall, f1=f1, num_pred=num_pred, num_gold=num_gold, num_correct=num_correct
+        )
 
 
 _SCORE_HEADER = f"{'Metric':<8}{'Precision':>10}{'Recall':>10}{'F1':>10}"
@@ -49,12 +46,9 @@ def _score_row(name: str, precision: float, recall: float, f1: float) -> str:
     return f"{name:<8}{precision:>10.4f}{recall:>10.4f}{f1:>10.4f}"
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    ti: MetricScores
-    tc: MetricScores
-    ai: MetricScores
-    ac: MetricScores
+class MetricsReport(FrozenRecord):
+    def __init__(self, ti: MetricScores, tc: MetricScores, ai: MetricScores, ac: MetricScores):
+        vars(self).update(ti=ti, tc=tc, ai=ai, ac=ac)
 
     def as_dict(self) -> dict:
         return {name: vars(scores) for name, scores in self._rows()}

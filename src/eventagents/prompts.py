@@ -18,10 +18,10 @@ names it as its ``head`` so an HTTP backend encodes it once per run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .backends import ChatMessage, PromptRequest
+from .records import FrozenRecord
 from .schemas import EventSchema, SchemaRegistry, render_schema_as_code
 
 RETRIEVAL = "retrieval"
@@ -75,19 +75,18 @@ def retrieval_prompt(schema: EventSchema) -> PromptRequest:
     )
 
 
-@dataclass(frozen=True)
-class PlanningHead:
+class PlanningHead(FrozenRecord):
     """The part of every planning request that is the same for a whole run.
 
     ``text`` is the front of the user message, up to the document text;
-    ``definitions`` and ``exemplars`` are the matching bindings.  Built
-    once per run by :func:`planning_head`, so no document joins the
-    definitions and exemplar block again.
+    ``definitions`` and ``exemplars`` (the exemplar sentences, one per
+    line) are the matching bindings.  Built once per run by
+    :func:`planning_head`, so no document joins the definitions and
+    exemplar block again.
     """
 
-    definitions: str
-    exemplars: str  # the exemplar sentences, one per line
-    text: str
+    def __init__(self, definitions: str, exemplars: str, text: str):
+        vars(self).update(definitions=definitions, exemplars=exemplars, text=text)
 
 
 def planning_head(registry: SchemaRegistry, exemplar_sentences: Sequence[str] = ()) -> PlanningHead:

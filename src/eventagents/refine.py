@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 from typing import Callable
 
 from .agents import (
@@ -36,6 +35,7 @@ from .agents import (
 from .errors import EventAgentsError
 from .events import EventObject, event_payload, parse_event_code
 from .prompts import PlanningHead, planning_head
+from .records import FrozenRecord, Record
 from .schemas import SchemaRegistry
 from .verify import JudgeResult, verify
 
@@ -44,26 +44,34 @@ MODE_LLM = "llm"
 MODES = (MODE_STRICT, MODE_LLM)
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(FrozenRecord):
     """Refinement and document-pipeline knobs."""
 
-    hypothesis_k: int = 3
-    patch_attempts: int = 3
-    mode: str = MODE_STRICT
-    exemplar_k: int = 3
-    multi_event: bool = False
-    event_cap: int = 5
-
-    def __post_init__(self):
-        for name in ("hypothesis_k", "patch_attempts"):
-            if getattr(self, name) < 1:
+    def __init__(
+        self,
+        hypothesis_k: int = 3,
+        patch_attempts: int = 3,
+        mode: str = MODE_STRICT,
+        exemplar_k: int = 3,
+        multi_event: bool = False,
+        event_cap: int = 5,
+    ):
+        for name, value in (("hypothesis_k", hypothesis_k), ("patch_attempts", patch_attempts)):
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be '{MODE_STRICT}' or '{MODE_LLM}', got {self.mode!r}")
-        for name in ("exemplar_k", "event_cap"):
-            if getattr(self, name) < 1:
+        if mode not in MODES:
+            raise ValueError(f"mode must be '{MODE_STRICT}' or '{MODE_LLM}', got {mode!r}")
+        for name, value in (("exemplar_k", exemplar_k), ("event_cap", event_cap)):
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
+        vars(self).update(
+            hypothesis_k=hypothesis_k,
+            patch_attempts=patch_attempts,
+            mode=mode,
+            exemplar_k=exemplar_k,
+            multi_event=multi_event,
+            event_cap=event_cap,
+        )
 
 
 def select_best(pool: list[TriggerHypothesis]) -> TriggerHypothesis:
@@ -76,8 +84,7 @@ def select_best(pool: list[TriggerHypothesis]) -> TriggerHypothesis:
     return min(enumerate(pool), key=rank)[1]
 
 
-@dataclass
-class RefinementTrace:
+class RefinementTrace(Record):
     """Everything that happened to one document: its one result.
 
     ``attempts`` holds one trace record per coding attempt, in call
@@ -88,10 +95,19 @@ class RefinementTrace:
     set exactly when :func:`extract_document` aborted it.
     """
 
-    attempts: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    outcome: str = "pending"
-    error: str | None = None
+    def __init__(
+        self,
+        attempts: list[dict] | None = None,
+        notes: list[str] | None = None,
+        outcome: str = "pending",
+        error: str | None = None,
+    ):
+        vars(self).update(
+            attempts=[] if attempts is None else attempts,
+            notes=[] if notes is None else notes,
+            outcome=outcome,
+            error=error,
+        )
 
 
 def document_judge(
@@ -183,12 +199,16 @@ def refine(
     return None
 
 
-@dataclass(frozen=True)
-class RunContext:
-    """What every document of a run shares, built once per run."""
+class RunContext(FrozenRecord):
+    """What every document of a run shares, built once per run.
 
-    planning: PlanningHead  # definitions and every schema's exemplar sentences, in registry order
-    warnings: tuple[str, ...]  # one per schema whose retrieval came back empty, in registry order
+    ``planning`` holds the definitions and every schema's exemplar
+    sentences, ``warnings`` one line per schema whose retrieval came back
+    empty, both in registry order.
+    """
+
+    def __init__(self, planning: PlanningHead, warnings: tuple[str, ...]):
+        vars(self).update(planning=planning, warnings=warnings)
 
 
 def build_run_context(

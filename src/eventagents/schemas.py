@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Any, Iterable, Iterator
 
 from .errors import EventAgentsError
+from .records import FrozenRecord
 
 
 class OntologyError(EventAgentsError):
@@ -73,41 +73,39 @@ def _is_ident(name: str) -> bool:
     return bool(_IDENT_RE.fullmatch(name))
 
 
-@dataclass(frozen=True)
-class RoleSpec:
+class RoleSpec(FrozenRecord):
     """One argument role: its name, expected value type and multiplicity."""
 
-    name: str
-    value_type: ValueType = ValueType.STRING
-    multiplicity: Multiplicity = Multiplicity.LIST
-
-    def __post_init__(self):
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        value_type: ValueType = ValueType.STRING,
+        multiplicity: Multiplicity = Multiplicity.LIST,
+    ):
+        if not name:
             raise ValueError("role name must be non-empty")
-        if not _is_ident(self.name):
-            raise ValueError(f"role name {self.name!r} is not a valid identifier (hyphens allowed)")
-        if self.name == MENTION_FIELD:
+        if not _is_ident(name):
+            raise ValueError(f"role name {name!r} is not a valid identifier (hyphens allowed)")
+        if name == MENTION_FIELD:
             raise ValueError(f"role name {MENTION_FIELD!r} is reserved for the trigger field")
+        vars(self).update(name=name, value_type=value_type, multiplicity=multiplicity)
 
 
-@dataclass(frozen=True)
-class EventSchema:
+class EventSchema(FrozenRecord):
     """An event type plus its ordered argument roles."""
 
-    event_type: str
-    roles: tuple[RoleSpec, ...] = ()
-
-    def __post_init__(self):
-        if not self.event_type:
+    def __init__(self, event_type: str, roles: tuple[RoleSpec, ...] = ()):
+        if not event_type:
             raise ValueError("event_type must be non-empty")
-        if not _is_ident(self.event_type):
-            raise ValueError(f"event type {self.event_type!r} is not a valid identifier")
-        object.__setattr__(self, "roles", tuple(self.roles))
+        if not _is_ident(event_type):
+            raise ValueError(f"event type {event_type!r} is not a valid identifier")
+        roles = tuple(roles)
         seen = set()
-        for role in self.roles:
+        for role in roles:
             if role.name in seen:
-                raise ValueError(f"duplicate role name {role.name!r} in event type {self.event_type!r}")
+                raise ValueError(f"duplicate role name {role.name!r} in event type {event_type!r}")
             seen.add(role.name)
+        vars(self).update(event_type=event_type, roles=roles)
 
     def role_names(self) -> tuple[str, ...]:
         return tuple(role.name for role in self.roles)

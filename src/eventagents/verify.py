@@ -30,45 +30,40 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Callable
 
 from .events import CodeObject, serialize_event
+from .records import FrozenRecord
 from .schemas import EventSchema, Multiplicity, SCALAR_TYPE_NAMES, ValueType
 
 _WORD_RE = re.compile(r"[^\W_]+")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(FrozenRecord):
     """First-failure record: which check failed, why, and where."""
 
-    failed_check: str
-    message: str
-    locus: str
-
-    def __post_init__(self):
-        if self.failed_check not in ("T1", "T2", "T3"):
-            raise ValueError(f"unknown check name {self.failed_check!r}")
+    def __init__(self, failed_check: str, message: str, locus: str):
+        if failed_check not in ("T1", "T2", "T3"):
+            raise ValueError(f"unknown check name {failed_check!r}")
+        vars(self).update(failed_check=failed_check, message=message, locus=locus)
 
     def as_line(self) -> str:
         """Single-line rendering consumed verbatim by the patch prompt."""
         return f"[{self.failed_check}] {self.message} (at {self.locus})"
 
 
-@dataclass(frozen=True)
-class JudgeResult:
+class JudgeResult(FrozenRecord):
     """The semantic judge's answer for one (trigger, event type) question."""
 
-    compatible: bool
-    warning: str | None = None
+    def __init__(self, compatible: bool, warning: str | None = None):
+        vars(self).update(compatible=compatible, warning=warning)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(FrozenRecord):
     """The first failure's diagnostic, or None when every check passed."""
 
-    diagnostic: Diagnostic | None = None
+    def __init__(self, diagnostic: Diagnostic | None = None):
+        vars(self).update(diagnostic=diagnostic)
 
     @property
     def verdict(self) -> bool:

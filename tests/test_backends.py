@@ -2,7 +2,6 @@
 replay backend, and prompt fingerprinting."""
 
 import base64
-import dataclasses
 import importlib
 import itertools
 import json
@@ -415,7 +414,7 @@ class TestTransport:
         first.close()
         server.arrivals = itertools.count()
         # The retry must open a new connection: the stalled one never answers.
-        backend = HttpBackend(dataclasses.replace(config, retries=1))
+        backend = HttpBackend(BackendConfig(**{**vars(config), "retries": 1}))
         assert backend.complete(make_request()) == "ok"
         backend.close()
         assert server.opened == 3
