@@ -22,7 +22,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence, get_args, get_type_hints
@@ -338,6 +337,9 @@ def _run_documents(
     # side on seeds 2-6, slower on every seed).
     if workers <= 1:
         return run(map)
+    # Imported here: it loads logging, which no one-worker run needs.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return run(pool.map)
 

@@ -53,6 +53,10 @@ def test_import_eventagents_loads_neither_dataclasses_nor_inspect():
     assert _loaded_modules("import eventagents", ("dataclasses", "inspect")) == []
 
 
+def test_import_cli_loads_no_thread_pool_and_no_logging():
+    assert _loaded_modules("import eventagents.cli", ("concurrent.futures", "logging")) == []
+
+
 SCORES = MetricScores(0.5, 0.25, 1 / 3, 4, 8, 2)
 HEAD = PlanningHead("@dataclass\nclass Ransom:\n    mention: str", "", "Event definitions:\n")
 
