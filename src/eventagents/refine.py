@@ -11,7 +11,8 @@ evaluation counts failed documents as zero predictions.
 
 Each document's :class:`RefinementTrace` is its one result, whatever
 the outcome: :func:`extract_document` turns a planning, coding or judge
-failure into outcome ``"aborted"`` with the reason in ``error``, and
+failure before any event was accepted into outcome ``"aborted"`` with
+the reason in ``error``, and
 :func:`trace_to_records` ends every document's records with its outcome.
 
 Total coding-agent work is bounded by hypothesis_k * patch_attempts per
@@ -260,8 +261,11 @@ def extract_document(
     planning output is a normal empty extraction, not an error.  Blank
     text (before any backend call) and a planning, coding or judge
     failure return no events and an ``"aborted"`` trace whose ``error``
-    says why; only an empty registry, or a retrieval failure while it
-    builds its own context, raises.  The semantic judge is asked each
+    says why, unless a multi-event continuation fails after an event was
+    accepted: then the accepted events are returned, the outcome is
+    ``"accepted"``, and a trace note names the failure.  Only an empty
+    registry, or a retrieval failure while it builds its own context,
+    raises.  The semantic judge is asked each
     (trigger, event type) question at most once per call.
     """
     if len(registry) == 0:
@@ -293,9 +297,11 @@ def extract_document(
                 f"multi-event: continuing after accepting ({event.trigger!r}, {event.event_type!r})"
             )
     except EventAgentsError as exc:
-        trace.outcome = "aborted"
-        trace.error = str(exc)
-        return [], trace
+        if not events:
+            trace.outcome = "aborted"
+            trace.error = str(exc)
+            return [], trace
+        trace.notes.append(f"multi-event: continuation failed, keeping {len(events)} accepted event(s): {exc}")
     if events:
         trace.outcome = "accepted"
     return events, trace

@@ -495,6 +495,32 @@ class TestExtractDocument:
         ]
         assert trace.outcome == "accepted"
 
+    def test_failed_continuation_keeps_the_accepted_event(self, patch_registry, patchvuln_schema, tuesday_text):
+        # The second hypothesis's coding prompt has no scripted reply.
+        backend = ScriptedBackend(
+            single_schema_fixture(
+                patchvuln_schema,
+                tuesday_text,
+                self.EXEMPLAR,
+                self.PLANNING,
+                [("patched", VALID_REPLY, "")],
+            )
+        )
+        events, trace = extract_document(
+            tuesday_text, patch_registry, self.config(multi_event=True), backend
+        )
+        assert [e.trigger for e in events] == ["patched"]
+        assert trace.outcome == "accepted"
+        assert trace.error is None
+        assert [a["trigger"] for a in trace.attempts] == ["patched"]
+        failures = [note for note in trace.notes if "continuation failed" in note]
+        assert len(failures) == 1
+        assert failures[0].startswith(
+            "multi-event: continuation failed, keeping 1 accepted event(s): no scripted reply for template 'coding'"
+        )
+        records = trace_to_records(trace, "d1")
+        assert records[-1] == {"doc_id": "d1", "outcome": "accepted"}
+
     def test_multi_event_respects_cap(self, patch_registry, patchvuln_schema, tuesday_text):
         backend = ScriptedBackend(
             single_schema_fixture(
