@@ -143,7 +143,7 @@ def fingerprint(template_id: str, bindings: dict[str, str]) -> str:
     """Stable identity of a prompt: template id plus a bindings digest."""
     import hashlib  # loads OpenSSL's digests, which only scripted runs use
 
-    digest = hashlib.sha256(_canonical(bindings).encode("ascii")).hexdigest()
+    digest = hashlib.sha256(_canonical(bindings).encode("utf-8")).hexdigest()
     return f"{template_id}:{digest}"
 
 
@@ -567,6 +567,10 @@ def _extract_content(data: bytes) -> str:
     return content
 
 
+# A planning request's binding names, in canonical (sorted) order.
+_PLANNING_BINDINGS = ["definitions", "exemplars", "text"]
+
+
 class ScriptedBackend:
     """Deterministic backend replaying canned replies keyed by fingerprint.
 
@@ -628,10 +632,6 @@ class ScriptedBackend:
         state = state.copy()
         state.update(_json_string(text).encode("ascii") + b"}")
         return f"{request.template_id}:{state.hexdigest()}"
-
-
-# A planning request's binding names, in canonical (sorted) order.
-_PLANNING_BINDINGS = ["definitions", "exemplars", "text"]
 
 
 def _check_replies(mapping: dict[str, Any]) -> None:

@@ -14,7 +14,7 @@ class Record:
     """A mutable value: equal to an instance of the same class whose
     fields are equal, and unhashable."""
 
-    __hash__ = None  # type: ignore[assignment]
+    __hash__ = None
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -12,8 +12,8 @@ evaluation counts failed documents as zero predictions.
 Each document's :class:`RefinementTrace` is its one result, whatever
 the outcome: :func:`extract_document` turns a planning, coding or judge
 failure before any event was accepted into outcome ``"aborted"`` with
-the reason in ``error``, and
-:func:`trace_to_records` ends every document's records with its outcome.
+the reason in ``error``, and :func:`trace_to_records` ends every
+document's records with its outcome.
 
 Total coding-agent work is bounded by hypothesis_k * patch_attempts per
 refine call.
@@ -265,8 +265,8 @@ def extract_document(
     accepted: then the accepted events are returned, the outcome is
     ``"accepted"``, and a trace note names the failure.  Only an empty
     registry, or a retrieval failure while it builds its own context,
-    raises.  The semantic judge is asked each
-    (trigger, event type) question at most once per call.
+    raises.  The semantic judge is asked each (trigger, event type)
+    question at most once per call.
     """
     if len(registry) == 0:
         raise EventAgentsError("no schemas loaded")
