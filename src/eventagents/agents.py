@@ -21,7 +21,7 @@ from .prompts import (
     planning_retry_prompt,
     retrieval_prompt,
 )
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 from .schemas import EventSchema
 from .verify import JudgeResult
 
@@ -44,9 +44,11 @@ class TriggerHypothesis(FrozenRecord):
             raise ValueError("hypothesis event_type must be non-empty")
         if not 0.0 <= confidence <= 1.0:
             raise ValueError(f"confidence {confidence} outside [0, 1]")
-        vars(self).update(
-            trigger=trigger, event_type=event_type, confidence=confidence, rationale=rationale, char_offset=char_offset
-        )
+        set_field(self, "trigger", trigger)
+        set_field(self, "event_type", event_type)
+        set_field(self, "confidence", confidence)
+        set_field(self, "rationale", rationale)
+        set_field(self, "char_offset", char_offset)
 
 
 def extract_code_block(reply: str) -> str:

@@ -25,7 +25,7 @@ import urllib.parse
 from typing import IO, TYPE_CHECKING, Any
 
 from .errors import ConfigError, EventAgentsError, has_surrogate
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 
 if TYPE_CHECKING:
     import ssl
@@ -51,7 +51,8 @@ class ChatMessage(FrozenRecord):
             raise ValueError(f"unknown message role {role!r}")
         if role in ("system", "user") and not content:
             raise ValueError(f"{role} message content must be non-empty")
-        vars(self).update(role=role, content=content)
+        set_field(self, "role", role)
+        set_field(self, "content", content)
 
 
 def _split_url(url: str) -> urllib.parse.SplitResult | None:
@@ -93,15 +94,13 @@ class BackendConfig(FrozenRecord):
             raise ConfigError("timeout must be a finite number > 0")
         if not 0 <= retries <= MAX_RETRIES:
             raise ConfigError(f"retries must be between 0 and {MAX_RETRIES}")
-        vars(self).update(
-            endpoint=endpoint,
-            model=model,
-            temperature=temperature,
-            max_tokens=max_tokens,
-            api_key_env=api_key_env,
-            timeout=timeout,
-            retries=retries,
-        )
+        set_field(self, "endpoint", endpoint)
+        set_field(self, "model", model)
+        set_field(self, "temperature", temperature)
+        set_field(self, "max_tokens", max_tokens)
+        set_field(self, "api_key_env", api_key_env)
+        set_field(self, "timeout", timeout)
+        set_field(self, "retries", retries)
 
 
 class PromptRequest(FrozenRecord):
@@ -131,9 +130,11 @@ class PromptRequest(FrozenRecord):
             raise ValueError("a request carries at least one message")
         if not messages[-1].content.startswith(head):
             raise ValueError("a request's head must begin its last message")
-        vars(self).update(
-            template_id=template_id, bindings=bindings, messages=messages, temperature=temperature, head=head
-        )
+        set_field(self, "template_id", template_id)
+        set_field(self, "bindings", bindings)
+        set_field(self, "messages", messages)
+        set_field(self, "temperature", temperature)
+        set_field(self, "head", head)
 
     def fingerprint(self) -> str:
         return fingerprint(self.template_id, dict(self.bindings))

@@ -24,7 +24,7 @@ import re
 from typing import IO, Sequence
 
 from .errors import EventAgentsError, has_surrogate
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 
 _WHITESPACE_TOKEN_RE = re.compile(r"\S+")
 
@@ -37,12 +37,16 @@ class Span(FrozenRecord):
     """A text span with its character offsets into the document."""
 
     def __init__(self, text: str, start: int, end: int):
-        vars(self).update(text=text, start=start, end=end)
+        set_field(self, "text", text)
+        set_field(self, "start", start)
+        set_field(self, "end", end)
 
 
 class GoldEvent(FrozenRecord):
     def __init__(self, event_type: str, trigger: Span, arguments: tuple[tuple[str, Span], ...] = ()):
-        vars(self).update(event_type=event_type, trigger=trigger, arguments=arguments)
+        set_field(self, "event_type", event_type)
+        set_field(self, "trigger", trigger)
+        set_field(self, "arguments", arguments)
 
 
 class Document(FrozenRecord):
@@ -55,7 +59,10 @@ class Document(FrozenRecord):
         tokens: tuple[tuple[int, int], ...] | None,
         gold_events: tuple[GoldEvent, ...] = (),
     ):
-        vars(self).update(id=id, text=text, tokens=tokens, gold_events=gold_events)
+        set_field(self, "id", id)
+        set_field(self, "text", text)
+        set_field(self, "tokens", tokens)
+        set_field(self, "gold_events", gold_events)
 
 
 def _whitespace_tokens(text: str) -> tuple[tuple[int, int], ...]:
@@ -186,12 +193,10 @@ class DatasetStats(FrozenRecord):
     def __init__(
         self, documents: int, event_mentions: int, avg_doc_length_tokens: float, multiword_trigger_pct: float
     ):
-        vars(self).update(
-            documents=documents,
-            event_mentions=event_mentions,
-            avg_doc_length_tokens=avg_doc_length_tokens,
-            multiword_trigger_pct=multiword_trigger_pct,
-        )
+        set_field(self, "documents", documents)
+        set_field(self, "event_mentions", event_mentions)
+        set_field(self, "avg_doc_length_tokens", avg_doc_length_tokens)
+        set_field(self, "multiword_trigger_pct", multiword_trigger_pct)
 
 
 def _tokens_overlapping(tokens: Sequence[tuple[int, int]], start: int, end: int) -> int:

@@ -29,7 +29,7 @@ import re
 from typing import Any
 
 from .errors import has_surrogate
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Record, set_field
 from .schemas import _IDENT_RE, EventSchema, SchemaRegistry
 
 EVENT_FIELDS = ("event_type", "trigger", "arguments")
@@ -53,14 +53,18 @@ class EventObject(Record):
             for value in values:
                 if not isinstance(value, (str, int, float, bool)):
                     raise ValueError(f"role {role!r} holds an unsupported value {value!r}")
-        vars(self).update(event_type=event_type, trigger=trigger, arguments=arguments)
+        self.event_type = event_type
+        self.trigger = trigger
+        self.arguments = arguments
 
 
 class ParseFailure(FrozenRecord):
     """Why a piece of generated code was rejected, and where."""
 
     def __init__(self, message: str, line: int, col: int):
-        vars(self).update(message=message, line=line, col=col)
+        set_field(self, "message", message)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
     def describe(self) -> str:
         return f"line {self.line}, col {self.col}: {self.message}"
@@ -82,7 +86,10 @@ class CodeObject(Record):
     ):
         if (parsed is None) == (failure is None):
             raise ValueError("exactly one of parsed/failure must be set")
-        vars(self).update(raw_source=raw_source, parsed=parsed, failure=failure, extra_fields=extra_fields)
+        self.raw_source = raw_source
+        self.parsed = parsed
+        self.failure = failure
+        self.extra_fields = extra_fields
 
 
 class _ParseError(Exception):
@@ -95,7 +102,10 @@ class _ParseError(Exception):
 
 class _Token(FrozenRecord):
     def __init__(self, kind: str, text: str, line: int, col: int):
-        vars(self).update(kind=kind, text=text, line=line, col=col)
+        set_field(self, "kind", kind)
+        set_field(self, "text", text)
+        set_field(self, "line", line)
+        set_field(self, "col", col)
 
 
 _PUNCT = {"(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket", ",": "comma", "=": "equals"}

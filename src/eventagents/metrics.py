@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 from .corpus import Document
 from .errors import EventAgentsError
 from .events import EventObject
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 
 
 class EvaluationError(EventAgentsError):
@@ -34,9 +34,12 @@ class EvaluationError(EventAgentsError):
 
 class MetricScores(FrozenRecord):
     def __init__(self, precision: float, recall: float, f1: float, num_pred: int, num_gold: int, num_correct: int):
-        vars(self).update(
-            precision=precision, recall=recall, f1=f1, num_pred=num_pred, num_gold=num_gold, num_correct=num_correct
-        )
+        set_field(self, "precision", precision)
+        set_field(self, "recall", recall)
+        set_field(self, "f1", f1)
+        set_field(self, "num_pred", num_pred)
+        set_field(self, "num_gold", num_gold)
+        set_field(self, "num_correct", num_correct)
 
 
 _SCORE_HEADER = f"{'Metric':<8}{'Precision':>10}{'Recall':>10}{'F1':>10}"
@@ -48,7 +51,10 @@ def _score_row(name: str, precision: float, recall: float, f1: float) -> str:
 
 class MetricsReport(FrozenRecord):
     def __init__(self, ti: MetricScores, tc: MetricScores, ai: MetricScores, ac: MetricScores):
-        vars(self).update(ti=ti, tc=tc, ai=ai, ac=ac)
+        set_field(self, "ti", ti)
+        set_field(self, "tc", tc)
+        set_field(self, "ai", ai)
+        set_field(self, "ac", ac)
 
     def as_dict(self) -> dict:
         return {name: vars(scores) for name, scores in self._rows()}

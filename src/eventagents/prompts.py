@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .backends import ChatMessage, PromptRequest
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 from .schemas import EventSchema, SchemaRegistry, render_schema_as_code
 
 RETRIEVAL = "retrieval"
@@ -86,7 +86,9 @@ class PlanningHead(FrozenRecord):
     """
 
     def __init__(self, definitions: str, exemplars: str, text: str):
-        vars(self).update(definitions=definitions, exemplars=exemplars, text=text)
+        set_field(self, "definitions", definitions)
+        set_field(self, "exemplars", exemplars)
+        set_field(self, "text", text)
 
 
 def planning_head(registry: SchemaRegistry, exemplar_sentences: Sequence[str] = ()) -> PlanningHead:

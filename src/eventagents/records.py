@@ -1,13 +1,20 @@
 """The shared base of the package's value classes.
 
 A value class writes its own constructor: it validates the arguments,
-then stores them with one ``vars(self).update(...)`` in declaration
-order.  The base derives the rest from the instance dict: equality with
-an instance of the same class, a ``Name(field=value, ...)`` repr, and
-for :class:`FrozenRecord` a hash and refusal of assignment.  This does
-what ``dataclasses`` did here without importing it or generating code
-per class, which cost about a third of ``import eventagents``.
+then stores them in declaration order, a :class:`Record` by plain
+assignment and a :class:`FrozenRecord` with :func:`set_field`.  Either
+way CPython keeps the fields in the instance's compact, key-sharing
+storage rather than a dict of its own.  The base derives the rest from
+the instance's fields: equality with an instance of the same class, a
+``Name(field=value, ...)`` repr, and for :class:`FrozenRecord` a hash
+and refusal of assignment.  This does what ``dataclasses`` did here
+without importing it or generating code per class, which cost about a
+third of ``import eventagents``.
 """
+
+# Stores one field of a FrozenRecord under construction, past the
+# class's refusing ``__setattr__``.
+set_field = object.__setattr__
 
 
 class Record:

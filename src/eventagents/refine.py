@@ -36,7 +36,7 @@ from .agents import (
 from .errors import EventAgentsError
 from .events import EventObject, event_payload, parse_event_code
 from .prompts import PlanningHead, planning_head
-from .records import FrozenRecord, Record
+from .records import FrozenRecord, Record, set_field
 from .schemas import SchemaRegistry
 from .verify import JudgeResult, verify
 
@@ -65,14 +65,12 @@ class PipelineConfig(FrozenRecord):
         for name, value in (("exemplar_k", exemplar_k), ("event_cap", event_cap)):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        vars(self).update(
-            hypothesis_k=hypothesis_k,
-            patch_attempts=patch_attempts,
-            mode=mode,
-            exemplar_k=exemplar_k,
-            multi_event=multi_event,
-            event_cap=event_cap,
-        )
+        set_field(self, "hypothesis_k", hypothesis_k)
+        set_field(self, "patch_attempts", patch_attempts)
+        set_field(self, "mode", mode)
+        set_field(self, "exemplar_k", exemplar_k)
+        set_field(self, "multi_event", multi_event)
+        set_field(self, "event_cap", event_cap)
 
 
 def select_best(pool: list[TriggerHypothesis]) -> TriggerHypothesis:
@@ -103,12 +101,10 @@ class RefinementTrace(Record):
         outcome: str = "pending",
         error: str | None = None,
     ):
-        vars(self).update(
-            attempts=[] if attempts is None else attempts,
-            notes=[] if notes is None else notes,
-            outcome=outcome,
-            error=error,
-        )
+        self.attempts = [] if attempts is None else attempts
+        self.notes = [] if notes is None else notes
+        self.outcome = outcome
+        self.error = error
 
 
 def document_judge(
@@ -209,7 +205,8 @@ class RunContext(FrozenRecord):
     """
 
     def __init__(self, planning: PlanningHead, warnings: tuple[str, ...]):
-        vars(self).update(planning=planning, warnings=warnings)
+        set_field(self, "planning", planning)
+        set_field(self, "warnings", warnings)
 
 
 def build_run_context(

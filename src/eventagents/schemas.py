@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Any, Iterable, Iterator
 
 from .errors import EventAgentsError
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 
 
 class OntologyError(EventAgentsError):
@@ -88,7 +88,9 @@ class RoleSpec(FrozenRecord):
             raise ValueError(f"role name {name!r} is not a valid identifier (hyphens allowed)")
         if name == MENTION_FIELD:
             raise ValueError(f"role name {MENTION_FIELD!r} is reserved for the trigger field")
-        vars(self).update(name=name, value_type=value_type, multiplicity=multiplicity)
+        set_field(self, "name", name)
+        set_field(self, "value_type", value_type)
+        set_field(self, "multiplicity", multiplicity)
 
 
 class EventSchema(FrozenRecord):
@@ -105,7 +107,8 @@ class EventSchema(FrozenRecord):
             if role.name in seen:
                 raise ValueError(f"duplicate role name {role.name!r} in event type {event_type!r}")
             seen.add(role.name)
-        vars(self).update(event_type=event_type, roles=roles)
+        set_field(self, "event_type", event_type)
+        set_field(self, "roles", roles)
 
     def role_names(self) -> tuple[str, ...]:
         return tuple(role.name for role in self.roles)

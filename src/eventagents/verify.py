@@ -33,7 +33,7 @@ import re
 from typing import Callable
 
 from .events import CodeObject, serialize_event
-from .records import FrozenRecord
+from .records import FrozenRecord, set_field
 from .schemas import EventSchema, Multiplicity, SCALAR_TYPE_NAMES, ValueType
 
 _WORD_RE = re.compile(r"[^\W_]+")
@@ -45,7 +45,9 @@ class Diagnostic(FrozenRecord):
     def __init__(self, failed_check: str, message: str, locus: str):
         if failed_check not in ("T1", "T2", "T3"):
             raise ValueError(f"unknown check name {failed_check!r}")
-        vars(self).update(failed_check=failed_check, message=message, locus=locus)
+        set_field(self, "failed_check", failed_check)
+        set_field(self, "message", message)
+        set_field(self, "locus", locus)
 
     def as_line(self) -> str:
         """Single-line rendering consumed verbatim by the patch prompt."""
@@ -56,14 +58,15 @@ class JudgeResult(FrozenRecord):
     """The semantic judge's answer for one (trigger, event type) question."""
 
     def __init__(self, compatible: bool, warning: str | None = None):
-        vars(self).update(compatible=compatible, warning=warning)
+        set_field(self, "compatible", compatible)
+        set_field(self, "warning", warning)
 
 
 class VerificationResult(FrozenRecord):
     """The first failure's diagnostic, or None when every check passed."""
 
     def __init__(self, diagnostic: Diagnostic | None = None):
-        vars(self).update(diagnostic=diagnostic)
+        set_field(self, "diagnostic", diagnostic)
 
     @property
     def verdict(self) -> bool:
