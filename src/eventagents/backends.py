@@ -144,12 +144,9 @@ def fingerprint(template_id: str, bindings: dict[str, str]) -> str:
     """Stable identity of a prompt: template id plus a bindings digest."""
     import hashlib  # loads OpenSSL's digests, which only scripted runs use
 
-    digest = hashlib.sha256(_canonical(bindings).encode("utf-8")).hexdigest()
+    canonical = json.dumps(bindings, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     return f"{template_id}:{digest}"
-
-
-def _canonical(bindings: dict[str, str]) -> str:
-    return json.dumps(bindings, sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
 
 class HttpBackend:
@@ -568,10 +565,6 @@ def _extract_content(data: bytes) -> str:
     return content
 
 
-# A planning request's binding names, in canonical (sorted) order.
-_PLANNING_BINDINGS = ["definitions", "exemplars", "text"]
-
-
 class ScriptedBackend:
     """Deterministic backend replaying canned replies keyed by fingerprint.
 
@@ -581,12 +574,6 @@ class ScriptedBackend:
     return distinct texts.  Unknown fingerprints raise, naming the
     template, so an unnoticed prompt change cannot silently pass tests.
     Every request is appended to ``calls`` for assertions.
-
-    A planning request's fingerprint hashes only its text: the canonical
-    JSON of its bindings sorts ``definitions`` and ``exemplars``, which
-    every planning request of a run shares, before ``text``.  The SHA-256
-    state after that prefix is kept in a memo of one entry, keyed by the
-    two values, and each call hashes on from a copy of it.
     """
 
     def __init__(self, mapping: dict[str, str | list[str]]):
@@ -594,11 +581,10 @@ class ScriptedBackend:
         self._mapping = dict(mapping)
         self._counters: dict[str, int] = {}
         self._lock = threading.Lock()
-        self._prefix_memo: tuple = (None, None)
         self.calls: list[PromptRequest] = []
 
     def complete(self, request: PromptRequest) -> str:
-        fp = self._fingerprint(request)
+        fp = request.fingerprint()
         with self._lock:
             self.calls.append(request)
             if fp not in self._mapping:
@@ -615,24 +601,6 @@ class ScriptedBackend:
                 self._counters[fp] = index + 1
                 return value[min(index, len(value) - 1)]
             return value
-
-    def _fingerprint(self, request: PromptRequest) -> str:
-        """``request.fingerprint()``, from the memo for a planning request."""
-        bindings = request.bindings
-        if [name for name, _ in bindings] != _PLANNING_BINDINGS:
-            return request.fingerprint()
-        (_, definitions), (_, exemplars), (_, text) = bindings
-        key, state = self._prefix_memo
-        if key != (definitions, exemplars):
-            import hashlib
-
-            key = (definitions, exemplars)
-            prefix = _canonical({"definitions": definitions, "exemplars": exemplars})[:-1] + ',"text":'
-            state = hashlib.sha256(prefix.encode("ascii"))
-            self._prefix_memo = (key, state)
-        state = state.copy()
-        state.update(_json_string(text).encode("ascii") + b"}")
-        return f"{request.template_id}:{state.hexdigest()}"
 
 
 def _check_replies(mapping: dict[str, Any]) -> None:

@@ -924,33 +924,6 @@ class TestScriptedBackend:
         backend.complete(b)
         assert [r.bindings for r in backend.calls] == [a.bindings, b.bindings]
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(st.tuples(st.text(), st.text()), min_size=1, max_size=3),
-        st.lists(st.text(), min_size=1, max_size=3),
-        st.lists(st.tuples(st.sampled_from(["definitions", "exemplars", "text", "roles"]), st.text()), max_size=4),
-    )
-    def test_memo_fingerprint_equals_fingerprint(self, heads, texts, other_bindings):
-        # Planning requests over several heads, so the memo is both reused
-        # and replaced, interleaved with bindings of any other shape.
-        backend = ScriptedBackend({})
-        for definitions, exemplars in heads:
-            for text in texts:
-                for bindings in (
-                    (("definitions", definitions), ("exemplars", exemplars), ("text", text)),
-                    other_bindings,
-                ):
-                    request = make_request(bindings=bindings)
-                    assert backend._fingerprint(request) == fingerprint("planning", dict(bindings))
-
-    def test_planning_requests_sharing_a_head_find_their_replies(self):
-        requests = [
-            make_request(bindings=(("definitions", "class A"), ("exemplars", "é"), ("text", text)))
-            for text in ("one", "two", "one")
-        ]
-        backend = ScriptedBackend({request.fingerprint(): request.bindings[2][1] for request in requests})
-        assert [backend.complete(request) for request in requests] == ["one", "two", "one"]
-
 
 class TestFixtureLoading:
     def test_loads_strings_and_lists(self, tmp_path):
