@@ -22,63 +22,65 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Sequence, get_args, get_type_hints
+from typing import Callable, Sequence
 
 from .backends import BackendConfig, HttpBackend, ScriptedBackend, load_scripted_fixture
 from .corpus import Document, dataset_stats, load_corpus, sample_split
 from .errors import ConfigError, EventAgentsError, has_surrogate
 from .events import EventObject, event_payload, parse_event_code
 from .metrics import EvaluationError, MetricsReport, mean_of_reports, mean_table, score
+from .records import FrozenRecord, set_field
 from .refine import MODES, PipelineConfig, build_run_context, extract_document, trace_to_records
 from .schemas import SchemaRegistry, load_ontology, render_schema_as_code
 
-
-def _option(default, help: str | None = None, **metadata):
-    return field(default=default, metadata={"help": help, **metadata})
-
-
-# Default instances: their fields, in declaration order, hold the defaults
-# the options below start from.
+# Default instances: their fields hold the defaults the options below start from.
 _BACKEND = BackendConfig()
 _PIPELINE = PipelineConfig()
 
+# The run options, one row each in field order: name -> (value type,
+# default, help).  Option ``name`` has the flag ``--<name-with-dashes>``,
+# the variable ``EVENTAGENTS_<NAME>`` and the config file key ``<name>``,
+# or ``backend.<key>`` when it sets BackendConfig's field ``<key>``.  A
+# config file may set it to null exactly when its default is None; a row
+# without help has neither flag nor variable.
+_OPTIONS: dict[str, tuple[type, object, str | None]] = {
+    "ontology": (str, None, "path to the ontology JSON document"),
+    "corpus": (str, None, "path to the newline-delimited corpus"),
+    "out": (str, None, "output path"),
+    "backend_endpoint": (str, _BACKEND.endpoint, "chat-completions base URL"),
+    "model": (str, _BACKEND.model, "model name sent to the backend"),
+    "temperature": (float, _BACKEND.temperature, "default sampling temperature"),
+    "max_tokens": (int, _BACKEND.max_tokens, "completion token limit"),
+    "api_key_env": (str, _BACKEND.api_key_env, "environment variable holding the bearer token"),
+    "timeout": (float, _BACKEND.timeout, "request timeout in seconds"),
+    "retries": (int, _BACKEND.retries, "retry count for transient backend failures"),
+    "exemplar_k": (int, _PIPELINE.exemplar_k, "exemplar sentences per schema"),
+    "hypothesis_k": (int, _PIPELINE.hypothesis_k, "planning hypotheses kept per document"),
+    "patch_attempts": (int, _PIPELINE.patch_attempts, "coding attempts per hypothesis"),
+    "mode": (str, _PIPELINE.mode, "verification mode"),
+    "workers": (int, 1, "concurrent documents"),
+    "seed": (int, 0, "random seed for sampling"),
+    "runs": (int, 3, "number of extraction runs"),
+    "sample": (int, None, "uniformly subsample the corpus to this many documents"),
+    "scripted_fixture": (str, None, "scripted-backend fixture file (offline deterministic runs)"),
+    "multi_event": (bool, _PIPELINE.multi_event, None),
+    "event_cap": (int, _PIPELINE.event_cap, None),
+}
 
-@dataclass(frozen=True)
-class RunConfig:
-    """The run configuration: each field declares its option once.
+# Each backend option's key in the config file's ``backend`` object.
+_BACKEND_KEYS = {name: key for name in _OPTIONS if (key := name.removeprefix("backend_")) in vars(_BACKEND)}
 
-    Flag ``--<name-with-dashes>``, variable ``EVENTAGENTS_<NAME>``, config
-    file key ``<name>`` or, with ``backend`` metadata, ``backend.<key>``.
-    ``file_only`` fields have neither flag nor variable.
-    """
 
-    ontology: str | None = _option(None, "path to the ontology JSON document")
-    corpus: str | None = _option(None, "path to the newline-delimited corpus")
-    out: str | None = _option(None, "output path")
-    backend_endpoint: str = _option(_BACKEND.endpoint, "chat-completions base URL", backend="endpoint")
-    model: str = _option(_BACKEND.model, "model name sent to the backend", backend="model")
-    temperature: float = _option(_BACKEND.temperature, "default sampling temperature", backend="temperature")
-    max_tokens: int = _option(_BACKEND.max_tokens, "completion token limit", backend="max_tokens")
-    api_key_env: str | None = _option(
-        _BACKEND.api_key_env, "environment variable holding the bearer token", backend="api_key_env"
-    )
-    timeout: float = _option(_BACKEND.timeout, "request timeout in seconds", backend="timeout")
-    retries: int = _option(_BACKEND.retries, "retry count for transient backend failures", backend="retries")
-    exemplar_k: int = _option(_PIPELINE.exemplar_k, "exemplar sentences per schema")
-    hypothesis_k: int = _option(_PIPELINE.hypothesis_k, "planning hypotheses kept per document")
-    patch_attempts: int = _option(_PIPELINE.patch_attempts, "coding attempts per hypothesis")
-    mode: str = _option(_PIPELINE.mode, "verification mode")
-    workers: int = _option(1, "concurrent documents")
-    seed: int = _option(0, "random seed for sampling")
-    runs: int = _option(3, "number of extraction runs")
-    sample: int | None = _option(None, "uniformly subsample the corpus to this many documents")
-    scripted_fixture: str | None = _option(None, "scripted-backend fixture file (offline deterministic runs)")
-    multi_event: bool = _option(_PIPELINE.multi_event, file_only=True)
-    event_cap: int = _option(_PIPELINE.event_cap, file_only=True)
+class RunConfig(FrozenRecord):
+    """The run configuration: one field per row of ``_OPTIONS``, in order."""
 
-    def __post_init__(self):
+    def __init__(self, **options):
+        for name in options:
+            if name not in _OPTIONS:
+                raise TypeError(f"RunConfig.__init__() got an unexpected keyword argument {name!r}")
+        for name, (_, default, _) in _OPTIONS.items():
+            set_field(self, name, options.get(name, default))
         # Pipeline and backend ranges are checked by PipelineConfig and BackendConfig.
         self.pipeline_config()
         for name in ("workers", "runs"):
@@ -89,9 +91,7 @@ class RunConfig:
         self.backend_config()
 
     def backend_config(self) -> BackendConfig:
-        return BackendConfig(
-            **{f.metadata["backend"]: getattr(self, f.name) for f in fields(self) if "backend" in f.metadata}
-        )
+        return BackendConfig(**{key: getattr(self, name) for name, key in _BACKEND_KEYS.items()})
 
     def pipeline_config(self) -> PipelineConfig:
         try:
@@ -101,30 +101,18 @@ class RunConfig:
 
     def as_dict(self) -> dict:
         data: dict = {}
-        for f in fields(self):
-            if "backend" in f.metadata:
-                data.setdefault("backend", {})[f.metadata["backend"]] = getattr(self, f.name)
+        for name, value in vars(self).items():
+            if name in _BACKEND_KEYS:
+                data.setdefault("backend", {})[_BACKEND_KEYS[name]] = value
             else:
-                data[f.name] = getattr(self, f.name)
+                data[name] = value
         return data
 
 
-def _value_type(hint) -> type:
-    """``int | None`` is int; a plain type is itself."""
-    return next((t for t in get_args(hint) if t is not type(None)), hint)
-
-
-# Each field's value type (int, float, str or bool), from its annotation.
-_TYPES = {name: _value_type(hint) for name, hint in get_type_hints(RunConfig).items()}
-
-# The fields annotated ``X | None``: the only ones a config file may set to null.
-_NULLABLE = {name for name, hint in get_type_hints(RunConfig).items() if type(None) in get_args(hint)}
-
-
-def _check_file_value(key: str, field_name: str, value):
-    if value is None and field_name in _NULLABLE:
+def _check_file_value(key: str, name: str, value):
+    kind, default, _ = _OPTIONS[name]
+    if value is None and default is None:
         return value
-    kind = _TYPES[field_name]
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config file key {key!r} must be an integer")
@@ -152,19 +140,18 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
-    top_keys = {f.name for f in fields(RunConfig) if "backend" not in f.metadata}
-    backend_keys = {f.metadata["backend"]: f.name for f in fields(RunConfig) if "backend" in f.metadata}
+    backend_names = {key: name for name, key in _BACKEND_KEYS.items()}
     overrides: dict = {}
     for key, value in data.items():
         if key == "backend":
             if not isinstance(value, dict):
                 raise ConfigError("config file key 'backend' must be an object")
             for sub_key, sub_value in value.items():
-                field_name = backend_keys.get(sub_key)
-                if field_name is None:
+                name = backend_names.get(sub_key)
+                if name is None:
                     raise ConfigError(f"unknown config file key 'backend.{sub_key}'")
-                overrides[field_name] = _check_file_value(f"backend.{sub_key}", field_name, sub_value)
-        elif key in top_keys:
+                overrides[name] = _check_file_value(f"backend.{sub_key}", name, sub_value)
+        elif key in _OPTIONS and key not in _BACKEND_KEYS:
             overrides[key] = _check_file_value(key, key, value)
         else:
             raise ConfigError(f"unknown config file key {key!r}")
@@ -174,22 +161,22 @@ def _load_config_file(path: str) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, environment, config file and flags, in that order."""
     overrides: dict = {}
-    for f in fields(RunConfig):
-        env_name = f"EVENTAGENTS_{f.name.upper()}"
-        if f.metadata.get("file_only") or env_name not in os.environ:
+    for name, (kind, _, help) in _OPTIONS.items():
+        env_name = f"EVENTAGENTS_{name.upper()}"
+        if help is None or env_name not in os.environ:
             continue
         raw = os.environ[env_name]
         try:
-            overrides[f.name] = _TYPES[f.name](raw)
+            overrides[name] = kind(raw)
         except ValueError:
             raise ConfigError(f"environment variable {env_name}: invalid value {raw!r}") from None
     config_path = getattr(args, "config", None)
     if config_path:
         overrides.update(_load_config_file(config_path))
-    for f in fields(RunConfig):
-        value = getattr(args, f.name, None)
+    for name in _OPTIONS:
+        value = getattr(args, name, None)
         if value is not None:
-            overrides[f.name] = value
+            overrides[name] = value
     return RunConfig(**overrides)
 
 
@@ -197,13 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file mirroring the run configuration")
     common.add_argument("--print-config", action="store_true", help="print the resolved configuration and exit")
-    for f in fields(RunConfig):
-        if not f.metadata.get("file_only"):
+    for name, (kind, _, help) in _OPTIONS.items():
+        if help is not None:
             common.add_argument(
-                "--" + f.name.replace("_", "-"),
-                type=_TYPES[f.name],
-                choices=MODES if f.name == "mode" else None,
-                help=f.metadata["help"],
+                "--" + name.replace("_", "-"), type=kind, choices=MODES if name == "mode" else None, help=help
             )
 
     parser = argparse.ArgumentParser(

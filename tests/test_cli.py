@@ -1,6 +1,5 @@
 """Command-line behavior: configuration precedence, subcommands, exit codes."""
 
-import dataclasses
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -281,7 +280,7 @@ class TestConfigResolution:
             assert lookup(self.print_config(capsys, flag, str(value))) == value
 
     def test_all_fields_are_covered(self):
-        assert [f[0] for f in self.FIELDS] == [f.name for f in dataclasses.fields(RunConfig)]
+        assert [f[0] for f in self.FIELDS] == list(vars(RunConfig()))
 
     def test_run_defaults_build_default_backend_and_pipeline(self):
         assert RunConfig().backend_config() == BackendConfig()
