@@ -57,10 +57,10 @@ class ChatMessage(FrozenRecord):
 
 def _split_url(url: str) -> urllib.parse.SplitResult | None:
     """``url`` split into parts; None unless it names a host and any port is numeric."""
-    parts = urllib.parse.urlsplit(url)
     try:
+        parts = urllib.parse.urlsplit(url)
         parts.port
-    except ValueError:
+    except ValueError:  # a malformed IPv6 host or a non-numeric port
         return None
     return parts if parts.hostname else None
 
@@ -78,6 +78,12 @@ class BackendConfig(FrozenRecord):
     ):
         if not endpoint:
             raise ConfigError("backend endpoint must be non-empty")
+        # Checked first, so that no message below echoes a password.
+        if re.match(r"[^:/?#]*://[^/?#]*@", endpoint):
+            raise ConfigError(
+                "backend endpoint must not carry credentials (user:password@host); "
+                "name the variable holding the bearer token with api_key_env"
+            )
         parts = _split_url(endpoint)
         if parts is None or parts.scheme not in ("http", "https"):
             raise ConfigError(f"backend endpoint must be an http:// or https:// URL, got {endpoint!r}")
