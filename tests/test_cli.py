@@ -286,6 +286,10 @@ class TestConfigResolution:
         assert RunConfig().backend_config() == BackendConfig()
         assert RunConfig().pipeline_config() == PipelineConfig()
 
+    def test_unknown_field_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'nope'"):
+            RunConfig(workers=2, nope=1)
+
 
 class TestStats:
     def corpus(self, tmp_path):

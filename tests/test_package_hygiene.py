@@ -1,5 +1,6 @@
-"""Package hygiene: the public name list is exact, and no private
-module-level name is left behind without a reader."""
+"""Package hygiene: the public name list is exact, no private
+module-level name is left behind without a reader, and no module
+imports ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,37 @@ def test_scan_finds_readers_across_modules_and_inside_blocks():
         "b.py": "from .a import _FAST\nimport a\nvalue = a._CHOSEN\n__dunder__ = 3\n",
     }
     assert _unread_private_names(sources) == []
+
+
+def _dataclasses_imports(source: str) -> list[int]:
+    """Line numbers of the statements that import ``dataclasses``, at
+    module level or inside a function or class."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "dataclasses")
+    ]
+
+
+def test_no_module_imports_dataclasses():
+    # The value classes are built on eventagents.records instead.
+    found = {
+        str(path.relative_to(PACKAGE_DIR)): _dataclasses_imports(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+    }
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_scan_flags_every_form_of_dataclasses_import():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "import os, dataclasses as dc\n"
+        "def build():\n"
+        "    from dataclasses import field\n"
+        "from .dataclasses import x\n"
+        "import dataclasses_json\n"
+        "text = '@dataclass'\n"
+    )
+    assert _dataclasses_imports(source) == [1, 2, 3, 5]

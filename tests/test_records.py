@@ -1,4 +1,5 @@
-"""The value classes' shared base, and what ``import eventagents`` loads."""
+"""The value classes' shared base, and what ``import eventagents`` and
+``import eventagents.cli`` load."""
 
 import inspect
 import subprocess
@@ -32,6 +33,7 @@ from eventagents import (
     ValueType,
     VerificationResult,
 )
+from eventagents.cli import _OPTIONS, RunConfig
 from eventagents.events import _Token
 from eventagents.prompts import PlanningHead
 from eventagents.records import FrozenRecord
@@ -55,6 +57,10 @@ def test_import_eventagents_loads_neither_dataclasses_nor_inspect():
 
 def test_import_cli_loads_no_thread_pool_and_no_logging():
     assert _loaded_modules("import eventagents.cli", ("concurrent.futures", "logging")) == []
+
+
+def test_import_cli_loads_neither_dataclasses_nor_inspect():
+    assert _loaded_modules("import eventagents.cli", ("dataclasses", "inspect")) == []
 
 
 SCORES = MetricScores(0.5, 0.25, 1 / 3, 4, 8, 2)
@@ -94,6 +100,7 @@ VALUES = [
     (lambda: Diagnostic("T2", "bad type", "price"), lambda: Diagnostic("T3", "bad type", "price")),
     (lambda: JudgeResult(True), lambda: JudgeResult(True, "unparseable reply")),
     (lambda: VerificationResult(), lambda: VerificationResult(Diagnostic("T1", "m", "l"))),
+    (lambda: RunConfig(), lambda: RunConfig(workers=2)),
 ]
 MUTABLE = {EventObject, CodeObject, RefinementTrace}
 FROZEN_VALUES = [pair for pair in VALUES if type(pair[0]()) not in MUTABLE]
@@ -126,7 +133,11 @@ class TestValueClasses:
 
     def test_repr_names_the_fields_in_constructor_order(self, make, make_other):
         value = make()
-        fields = list(inspect.signature(type(value)).parameters)
+        # RunConfig takes its options as keywords, one per row of its table.
+        if type(value) is RunConfig:
+            fields = list(_OPTIONS)
+        else:
+            fields = list(inspect.signature(type(value)).parameters)
         assert list(vars(value)) == fields
         listed = ", ".join(f"{name}={getattr(value, name)!r}" for name in fields)
         assert repr(value) == f"{type(value).__name__}({listed})"
@@ -161,7 +172,7 @@ def test_mutable_values_are_unhashable(make, make_other):
 
 
 def test_every_converted_class_is_listed_once():
-    assert len(set(_names(VALUES))) == len(VALUES) == 23
+    assert len(set(_names(VALUES))) == len(VALUES) == 24
 
 
 def test_repr_matches_the_dataclass_form():
