@@ -1,6 +1,7 @@
 """The shared base of the package's value classes.
 
-A value class writes its own constructor: it validates the arguments,
+Every value class of the package, ``cli.RunConfig`` included, is built
+on this base.  A value class writes its own constructor: it validates the arguments,
 then stores them in declaration order, a :class:`Record` by plain
 assignment and a :class:`FrozenRecord` with :func:`set_field`.  Either
 way CPython keeps the fields in the instance's compact, key-sharing
