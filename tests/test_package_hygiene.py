@@ -84,12 +84,17 @@ def test_scan_finds_readers_across_modules_and_inside_blocks():
 def _dataclasses_imports(source: str) -> list[int]:
     """Line numbers of the statements that import ``dataclasses``, at
     module level or inside a function or class."""
-    return [
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if (isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names))
-        or (isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "dataclasses")
-    ]
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.partition(".")[0] == "dataclasses" for module in modules):
+            lines.append(node.lineno)
+    return lines
 
 
 def test_no_module_imports_dataclasses():
