@@ -19,6 +19,7 @@ backend errors, bad data), 2 for usage and configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -32,7 +33,7 @@ from .events import EventObject, event_payload, parse_event_code
 from .metrics import EvaluationError, MetricsReport, mean_of_reports, mean_table, score
 from .records import FrozenRecord, set_field
 from .refine import MODES, PipelineConfig, build_run_context, extract_document, trace_to_records
-from .schemas import SchemaRegistry, load_ontology, render_schema_as_code
+from .schemas import load_ontology, render_schema_as_code
 
 # Default instances: their fields hold the defaults the options below start from.
 _BACKEND = BackendConfig()
@@ -234,6 +235,28 @@ def _write_line(file, record: dict) -> None:
     file.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _partial_path(path: Path) -> Path:
+    """Where a run writes ``path`` until the run's last document is done."""
+    return path.with_name(path.name + ".partial")
+
+
+@contextlib.contextmanager
+def _document_map(workers: int):
+    """A lazy ``map`` that yields results in input order, on ``workers`` threads."""
+    # The calling thread does the work when there is one worker.  A
+    # one-thread pool measured slower: perfbench fast_backend client CPU
+    # rose from a median 1.75 to 1.94 ms per document (+11%, 10 runs per
+    # side on seeds 2-6, slower on every seed).
+    if workers <= 1:
+        yield map
+        return
+    # Imported here: it loads logging, which no one-worker run needs.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
 def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
     registry = load_ontology(Path(config.ontology).read_bytes())
     if len(registry) == 0:
@@ -251,81 +274,50 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
     pred_paths = [_run_path(config.out, run_index, config.runs) for run_index in range(1, config.runs + 1)]
     # Refuse an unwritable --out before the first backend call, not after a run.
     for pred_path in pred_paths:
-        for path in (pred_path, _trace_path(pred_path)):
-            if not path.parent.is_dir():
-                raise EventAgentsError(f"cannot write {path}: {path.parent} is not a directory")
-            if path.is_dir():
-                raise EventAgentsError(f"cannot write {path}: it is a directory")
+        for final_path in (pred_path, _trace_path(pred_path)):
+            for path in (final_path, _partial_path(final_path)):
+                if not path.parent.is_dir():
+                    raise EventAgentsError(f"cannot write {path}: {path.parent} is not a directory")
+                if path.is_dir():
+                    raise EventAgentsError(f"cannot write {path}: it is a directory")
 
     for run_index, pred_path in enumerate(pred_paths, start=1):
+        trace_path = _trace_path(pred_path)
         backend = ScriptedBackend(fixture) if fixture is not None else HttpBackend(config.backend_config())
+        events_written = skipped = 0
         try:
-            results = _run_documents(documents, registry, pipeline, backend, config.workers, run_index)
+            with _document_map(config.workers) as document_map:
+                # The context comes before any file, so a retrieval failure
+                # leaves none.  Without documents no backend call is made.
+                context = build_run_context(registry, backend, pipeline.exemplar_k, document_map) if documents else None
+
+                def one(doc: Document):
+                    return extract_document(doc.text, registry, pipeline, backend, context=context)
+
+                # Each document's lines are written as it finishes, in corpus order.
+                with open(_partial_path(pred_path), "w", encoding="utf-8", newline="\n") as pred_file, open(
+                    _partial_path(trace_path), "w", encoding="utf-8", newline="\n"
+                ) as trace_file:
+                    for doc, (events, trace) in zip(documents, document_map(one, documents)):
+                        if trace.error is None:
+                            events_written += len(events)
+                            _write_line(pred_file, {"doc_id": doc.id, "events": [event_payload(e) for e in events]})
+                        else:
+                            skipped += 1
+                            print(f"run {run_index}: document {doc.id} skipped: {trace.error}", file=sys.stderr)
+                        for record in trace_to_records(trace, doc.id):
+                            _write_line(trace_file, record)
         finally:
             if isinstance(backend, HttpBackend):
                 backend.close()
-
-        trace_path = _trace_path(pred_path)
-        events_written = skipped = 0
-        with open(pred_path, "w", encoding="utf-8", newline="\n") as pred_file, open(
-            trace_path, "w", encoding="utf-8", newline="\n"
-        ) as trace_file:
-            for doc, (events, trace) in zip(documents, results):
-                if trace.error is None:
-                    events_written += len(events)
-                    _write_line(pred_file, {"doc_id": doc.id, "events": [event_payload(e) for e in events]})
-                else:
-                    skipped += 1
-                for record in trace_to_records(trace, doc.id):
-                    _write_line(trace_file, record)
+        # An interrupted run leaves its final paths as they were.
+        for path in (pred_path, trace_path):
+            os.replace(_partial_path(path), path)
         skips = f", {skipped} skipped" if skipped else ""
         print(f"run {run_index}: {len(documents)} documents, {events_written} events{skips} -> {pred_path}")
         if documents and skipped == len(documents):
             raise EventAgentsError(f"run {run_index}: every document was skipped")
     return 0
-
-
-def _run_documents(
-    documents: Sequence[Document],
-    registry: SchemaRegistry,
-    pipeline: PipelineConfig,
-    backend,
-    workers: int,
-    run_index: int,
-):
-    """Extract every document, in corpus order, as ``(events, trace)``.
-
-    The run context is built first, one retrieval task per schema on the
-    same workers; a retrieval failure there aborts the run.  Without
-    documents no context is built, so no backend call is made.  A
-    document whose trace carries an error was skipped: its reason goes
-    to stderr, and the run continues.
-    """
-    if not documents:
-        return []
-
-    def run(map):
-        context = build_run_context(registry, backend, pipeline.exemplar_k, map=map)
-
-        def one(doc: Document):
-            events, trace = extract_document(doc.text, registry, pipeline, backend, context=context)
-            if trace.error is not None:
-                print(f"run {run_index}: document {doc.id} skipped: {trace.error}", file=sys.stderr)
-            return events, trace
-
-        return list(map(one, documents))
-
-    # The calling thread does the work when there is one worker.  A
-    # one-thread pool measured slower: perfbench fast_backend client CPU
-    # rose from a median 1.75 to 1.94 ms per document (+11%, 10 runs per
-    # side on seeds 2-6, slower on every seed).
-    if workers <= 1:
-        return run(map)
-    # Imported here: it loads logging, which no one-worker run needs.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return run(pool.map)
 
 
 def _load_predictions(path: str) -> dict[str, list[EventObject]]:

@@ -3,6 +3,7 @@ templates were designed around, plus scripted-backend helpers."""
 
 from __future__ import annotations
 
+import json
 import re
 
 import pytest
@@ -129,3 +130,19 @@ def script(*pairs) -> dict:
         else:
             mapping[fp] = reply
     return mapping
+
+
+def extract_argv(tmp_path, registry, texts) -> list[str]:
+    """``extract`` arguments over ``registry`` and one document per text
+    (ids d0, d1, ...), writing ``tmp_path / "preds.jsonl"``."""
+    ontology, corpus = tmp_path / "ontology.json", tmp_path / "corpus.jsonl"
+    schemas = [{"event_type": s.event_type, "roles": [{"name": r.name} for r in s.roles]} for s in registry]
+    ontology.write_text(json.dumps(schemas), encoding="utf-8")
+    corpus.write_text("".join(json.dumps({"id": f"d{i}", "text": t}) + "\n" for i, t in enumerate(texts)), "utf-8")
+    return ["extract", "--ontology", str(ontology), "--corpus", str(corpus), "--out", str(tmp_path / "preds.jsonl")]
+
+
+def trace_outcomes(path) -> list:
+    """The outcome records of a trace file, in order."""
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return [record for record in records if "outcome" in record]

@@ -20,6 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import extract_argv, trace_outcomes
+
 import eventagents
 from eventagents import (
     BackendConfig,
@@ -32,8 +34,7 @@ from eventagents import (
     fingerprint,
     load_scripted_fixture,
 )
-from eventagents.cli import _run_documents
-from eventagents.corpus import Document
+from eventagents.cli import main
 from eventagents.prompts import (
     coding_prompt,
     judge_prompt,
@@ -42,7 +43,6 @@ from eventagents.prompts import (
     planning_retry_prompt,
     retrieval_prompt,
 )
-from eventagents.refine import PipelineConfig
 
 
 def make_request(template_id="planning", bindings=(("text", "hello"),), temperature=None):
@@ -1070,11 +1070,12 @@ class TestRequestBody:
 
 class _ChatHandler(BaseHTTPRequestHandler):
     """A loopback model: a retrieval prompt gets an exemplar naming the
-    type and ``run``, any other prompt "[]".  Records every raw body."""
+    type and the run, any other prompt "[]".  Records every raw body; the
+    runs come one after another, ``calls_per_run`` bodies each."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
-    run = 1
+    calls_per_run = 1
     bodies = []
     lock = threading.Lock()
 
@@ -1082,10 +1083,11 @@ class _ChatHandler(BaseHTTPRequestHandler):
         body = self.rfile.read(int(self.headers["Content-Length"]))
         with self.lock:
             type(self).bodies.append(body)
+            run = 1 + (len(self.bodies) - 1) // self.calls_per_run
         user = json.loads(body)["messages"][-1]["content"]
         reply = "[]"
         if user.startswith("Event type: "):
-            reply = exemplar(user.split()[2], type(self).run)
+            reply = exemplar(user.split()[2], run)
         encoded = completion_body(reply).encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Length", str(len(encoded)))
@@ -1101,12 +1103,12 @@ def exemplar(event_type, run):
 
 
 class TestRunHeadOverHttp:
-    """Two runs on one backend, as ``--runs 2`` makes, at one and two workers."""
+    """Two runs, as ``--runs 2`` makes them, at one and two workers."""
 
     TEXTS = (f"First {AWKWARD}", f"Second {AWKWARD}", f"Third {AWKWARD}")
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_head_is_built_and_encoded_once_per_run(self, serve, monkeypatch, breach_registry, workers):
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_head_is_built_and_encoded_once_per_run(self, serve, monkeypatch, tmp_path, breach_registry, workers):
         # The package's name "refine" is the function, so fetch the module.
         refine = importlib.import_module("eventagents.refine")
         backends = importlib.import_module("eventagents.backends")
@@ -1125,26 +1127,27 @@ class TestRunHeadOverHttp:
         monkeypatch.setattr(refine, "planning_head", counting_build)
         monkeypatch.setattr(backends, "_json_string", counting_encode)
         _ChatHandler.bodies = []
+        _ChatHandler.calls_per_run = 2 + 3  # a retrieval per schema, a planning call per text
         server = serve(_ChatHandler)
-        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(server), retries=0))
-        documents = [Document(f"d{i}", text, ()) for i, text in enumerate(self.TEXTS)]
-        try:
-            for run in (1, 2):
-                _ChatHandler.run = run
-                start = len(_ChatHandler.bodies)
-                config = PipelineConfig(exemplar_k=1)
-                results = _run_documents(documents, breach_registry, config, backend, workers, run)
-                assert [trace.outcome for _, trace in results] == ["no-hypotheses"] * 3
-                head = planning_head(breach_registry, [exemplar(s.event_type, run) for s in breach_registry])
-                bodies = _ChatHandler.bodies[start:]
-                planning = [json.loads(body)["messages"] for body in bodies if b"Event definitions:" in body]
-                assert sorted(m[-1]["content"] for m in planning) == sorted(
-                    planning_prompt(text, head).messages[-1].content for text in self.TEXTS
-                )
-                assert len(builds) == len(encodes) == run
-                assert encodes[-1] == head.text
-        finally:
-            backend.close()
-        assert len(_ChatHandler.bodies) == 2 * (2 + 3)
+        argv = extract_argv(tmp_path, breach_registry, self.TEXTS)
+        options = ["--backend-endpoint", endpoint_of(server), "--retries", "0", "--exemplar-k", "1"]
+
+        assert main([*argv, *options, "--runs", "2", "--workers", workers]) == 0
+
+        heads = [
+            planning_head(breach_registry, [exemplar(schema.event_type, run) for schema in breach_registry])
+            for run in (1, 2)
+        ]
+        for run, head in enumerate(heads, start=1):
+            outcomes = trace_outcomes(tmp_path / f"preds.run{run}.trace.jsonl")
+            assert [record["outcome"] for record in outcomes] == ["no-hypotheses"] * 3
+            bodies = _ChatHandler.bodies[(run - 1) * _ChatHandler.calls_per_run : run * _ChatHandler.calls_per_run]
+            planning = [json.loads(body)["messages"] for body in bodies if b"Event definitions:" in body]
+            assert sorted(m[-1]["content"] for m in planning) == sorted(
+                planning_prompt(text, head).messages[-1].content for text in self.TEXTS
+            )
+        assert len(builds) == 2
+        assert encodes == [head.text for head in heads]
+        assert len(_ChatHandler.bodies) == 2 * _ChatHandler.calls_per_run
         for body in _ChatHandler.bodies:
             assert body == json.dumps(json.loads(body)).encode("utf-8")

@@ -27,6 +27,8 @@ ONTOLOGY = [
 
 TEXT_1 = "On Tuesday the company patched a vulnerability in its web server."
 TEXT_2 = "The vendor patched its mail gateway overnight."
+TEXT_3 = "Nothing happened at the office on Monday."
+TEXT_4 = "The board met on Wednesday to discuss the budget."
 EXEMPLAR = "Last month the vendor patched a flaw in its mail server."
 
 PLANNING_1 = '[{"trigger": "patched", "event_type": "PatchVulnerability"}]'
@@ -806,7 +808,15 @@ class TestExtract:
         assert backend_calls == []
         assert sorted(tmp_path.rglob("*")) == before
 
-    @pytest.mark.parametrize("runs, blocked", [("1", "preds.jsonl"), ("2", "preds.run2.trace.jsonl")])
+    @pytest.mark.parametrize(
+        "runs, blocked",
+        [
+            ("1", "preds.jsonl"),
+            ("2", "preds.run2.trace.jsonl"),
+            ("1", "preds.jsonl.partial"),
+            ("2", "preds.run2.trace.jsonl.partial"),
+        ],
+    )
     def test_out_path_that_is_a_directory_fails_before_any_backend_call(
         self, capsys, tmp_path, backend_calls, runs, blocked
     ):
@@ -834,6 +844,48 @@ class TestExtract:
         ]
         caller = threading.get_ident()
         assert [ident == caller for _, ident in backend_calls] == [on_calling_thread] * len(backend_calls)
+
+    @pytest.mark.parametrize("previous", [None, b"a previous run\n"], ids=["no-previous", "previous"])
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_interrupted_run_keeps_the_lines_of_the_finished_documents(
+        self, capsys, tmp_path, monkeypatch, workers, previous
+    ):
+        # d3's planning call raises what no handler catches, as a Ctrl-C
+        # would.  Its lines are never written; neither are d4's, which may
+        # already have finished on the other worker.
+        texts = (TEXT_1, TEXT_2, TEXT_3, TEXT_4)
+        docs = [*self.TWO_DOCS, (TEXT_3, "[]", []), (TEXT_4, "[]", [])]
+        ontology, corpus, fixture, out = self.setup_run(tmp_path, texts=texts, docs=docs)
+        trace = tmp_path / "preds.trace.jsonl"
+        args = self.extract_args(ontology, corpus, fixture, out, "--runs", "1", "--workers", workers)
+        assert run_cli(capsys, *args)[0] == 0
+        assert not list(tmp_path.glob("*.partial"))
+        assert [json.loads(line)["doc_id"] for line in out.read_text().splitlines()] == ["d1", "d2", "d3", "d4"]
+        finished = {}
+        for path in (out, trace):
+            lines = path.read_text().splitlines(keepends=True)
+            finished[path] = "".join(line for line in lines if json.loads(line)["doc_id"] in ("d1", "d2"))
+            if previous is None:
+                path.unlink()
+            else:
+                path.write_bytes(previous)
+
+        class Interrupted(BaseException):
+            pass
+
+        class InterruptingBackend(ScriptedBackend):
+            def complete(self, request):
+                if request.template_id == "planning" and ("text", TEXT_3) in request.bindings:
+                    raise Interrupted
+                return super().complete(request)
+
+        monkeypatch.setattr("eventagents.cli.ScriptedBackend", InterruptingBackend)
+        with pytest.raises(Interrupted):
+            main(list(args))
+        assert capsys.readouterr() == ("", "")
+        for path in (out, trace):
+            assert (tmp_path / f"{path.name}.partial").read_text() == finished[path]
+            assert (path.read_bytes() if path.exists() else None) == previous
 
     def test_missing_required_options(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "extract", "--corpus", "x", "--out", "y")
@@ -896,10 +948,12 @@ class TestExemplarWarmUp:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_retrieval_failure_aborts_the_run(self, capsys, tmp_path, workers):
         args, out = self.setup_run(tmp_path, {SCHEMA: PATCH_EXEMPLARS})
+        before = sorted(tmp_path.iterdir())
         code, _, err = run_cli(capsys, *args, "--workers", workers)
         assert code == 1
         assert "error: no scripted reply for template 'retrieval'" in err
-        assert not out.exists()
+        # No prediction, trace or .partial file.
+        assert sorted(tmp_path.iterdir()) == before
 
 
 class TestHostileJsonFiles:

@@ -1,10 +1,11 @@
 """The dual-loop search: selection order, patching, backtracking, budget."""
 
+import json
 from collections import Counter
 
 import pytest
 
-from conftest import script
+from conftest import extract_argv, script, trace_outcomes
 from eventagents import (
     BackendError,
     EventAgentsError,
@@ -19,8 +20,7 @@ from eventagents import (
     select_best,
 )
 from eventagents.agents import ExemplarCache
-from eventagents.cli import _run_documents
-from eventagents.corpus import Document
+from eventagents.cli import main
 from eventagents.prompts import coding_prompt, judge_prompt, planning_head, planning_prompt, retrieval_prompt
 from eventagents.refine import build_run_context, document_judge, trace_to_records
 
@@ -789,16 +789,22 @@ class TestRunContext:
         assert context.planning == planning_head(breach_registry, self.EXEMPLARS["Databreach"])
         assert context.warnings == ("retrieval produced no usable sentences for Ransom",)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_schema_is_fetched_once_per_run(self, monkeypatch, breach_registry, workers):
-        lookups = []
-        original = ExemplarCache.get_or_create
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_each_schema_is_fetched_once_per_run(self, monkeypatch, tmp_path, breach_registry, workers):
+        lookups, planning = [], []
+        original, complete = ExemplarCache.get_or_create, ScriptedBackend.complete
 
         def counting(cache, schema, factory):
             lookups.append(schema.event_type)
             return original(cache, schema, factory)
 
+        def recording(backend, request):
+            if request.template_id == "planning":
+                planning.append(request.fingerprint())
+            return complete(backend, request)
+
         monkeypatch.setattr(ExemplarCache, "get_or_create", counting)
+        monkeypatch.setattr(ScriptedBackend, "complete", recording)
         pairs = [
             (retrieval_prompt(schema), reply)
             for schema in breach_registry
@@ -806,15 +812,16 @@ class TestRunContext:
         ]
         sentences = tuple(s for schema in breach_registry for s in self.EXEMPLARS[schema.event_type])
         pairs += [(planning_prompt(text, planning_head(breach_registry, sentences)), "[]") for text in RUN_TEXTS]
-        backend = ScriptedBackend(script(*pairs))
-        documents = [Document(f"d{i}", text, ()) for i, text in enumerate(RUN_TEXTS)]
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(script(*pairs)), encoding="utf-8")
+        argv = extract_argv(tmp_path, breach_registry, RUN_TEXTS)
 
-        results = _run_documents(documents, breach_registry, PipelineConfig(), backend, workers, 1)
+        assert main([*argv, "--scripted-fixture", str(fixture), "--runs", "1", "--workers", workers]) == 0
 
         assert sorted(lookups) == ["Databreach", "Ransom"]
-        assert [trace.outcome for _, trace in results] == ["no-hypotheses"] * 3
-        planning = sorted(c.fingerprint() for c in backend.calls if c.template_id == "planning")
-        assert planning == sorted(RUN_PLANNING_FINGERPRINTS)
+        outcomes = trace_outcomes(tmp_path / "preds.trace.jsonl")
+        assert [record["outcome"] for record in outcomes] == ["no-hypotheses"] * 3
+        assert sorted(planning) == sorted(RUN_PLANNING_FINGERPRINTS)
 
 
 class TestTraceRecords:
