@@ -543,7 +543,8 @@ def _proxy_for(scheme: str, host: str) -> urllib.parse.SplitResult | None:
         return None
     parts = _split_url(proxy if "://" in proxy else f"http://{proxy}")
     if parts is None:
-        raise ConfigError(f"{scheme} proxy {proxy!r} is not a valid URL")
+        shown = re.sub(r"^((?:[^:/?#]*://)?)[^/?#]*@", r"\1", proxy)  # without user:password@
+        raise ConfigError(f"{scheme} proxy {shown!r} is not a valid URL")
     return parts
 
 
