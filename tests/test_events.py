@@ -132,6 +132,20 @@ class TestConstructorForm:
         failure = parse_fail('A(mention="t",\n   x=[["v"]])')
         assert (failure.line, failure.col) == (2, 7)
 
+    # A diagnostic's text goes verbatim into the patch prompt, so the
+    # position after an escape and the message at end of input are pinned.
+    @pytest.mark.parametrize(
+        "source, described",
+        [
+            ('Attack(mention="abc\\', "line 1, col 16: unterminated string literal"),
+            ('A(mention="\\q', "line 1, col 12: invalid escape sequence '\\q'"),
+            ('Attack(mention="a\\nb" x)', "line 1, col 23: expected ',' or ')', got 'x'"),
+            ('A(mention="\\t\\q")', "line 1, col 14: invalid escape sequence '\\q'"),
+        ],
+    )
+    def test_positions_around_escapes(self, source, described):
+        assert parse_fail(source).describe() == described
+
     def test_true_false_literals(self):
         event = parse_ok('A(mention="t", flags=[True, False], solo=False)')
         assert event.arguments == {"flags": [True, False], "solo": [False]}
@@ -312,9 +326,15 @@ def _near_valid_replies(draw):
     return '{"event_type": "A", "trigger": "t", "arguments": {%s}}' % arguments
 
 
+# Input that ends inside a string literal, just after a backslash.
+_TRAILING_BACKSLASHES = st.builds(
+    lambda head, body: f'{head}"{body}\\', st.sampled_from(["A(mention=", '{"event_type": ', ""]), st.text()
+)
+
+
 class TestParserIsTotal:
     @settings(deadline=None)
-    @given(st.one_of(st.text(), _near_valid_replies()))
+    @given(st.one_of(st.text(), _near_valid_replies(), _TRAILING_BACKSLASHES))
     def test_never_raises(self, source):
         code = parse_event_code(source)
         assert (code.parsed is None) != (code.failure is None)

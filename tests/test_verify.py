@@ -76,6 +76,9 @@ class TestTokenSubsequence:
     def test_needle_longer_than_haystack(self):
         assert not contains_token_subsequence(["a"], ["a", "b"])
 
+    def test_needle_equal_to_haystack(self):
+        assert contains_token_subsequence(["a", "b"], ["a", "b"])
+
 
 class TestSemanticCheck:
     TEXT = "Hackers demanded a million dollar ransom after infiltrating the bank's servers on Friday."
@@ -91,6 +94,10 @@ class TestSemanticCheck:
     def test_multiword_trigger_contiguous(self):
         event = EventObject("Ransom", "million dollar ransom", {})
         assert check_semantic(as_code(event), self.TEXT) is None
+
+    def test_trigger_spanning_the_whole_text_passes(self):
+        event = EventObject("Ransom", "Ransom demanded!", {})
+        assert check_semantic(as_code(event), "ransom demanded") is None
 
     def test_multiword_trigger_gap_fails(self):
         event = EventObject("Ransom", "million ransom", {})
