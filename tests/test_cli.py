@@ -168,6 +168,8 @@ class TestConfigResolution:
             ({"backend": []}, "'backend' must be an object"),
             ({"runs": "three"}, "config file key 'runs' must be an integer"),
             ({"runs": True}, "config file key 'runs' must be an integer"),
+            ({"backend": {"temperature": "hot"}}, "config file key 'backend.temperature' must be a number"),
+            ({"backend": {"temperature": True}}, "config file key 'backend.temperature' must be a number"),
             ({"multi_event": "yes"}, "config file key 'multi_event' must be a boolean"),
             ({"mode": 3}, "config file key 'mode' must be a string"),
             ({"mode": None}, "config file key 'mode' must be a string"),
@@ -330,6 +332,7 @@ class TestStats:
             "avg_doc_length_tokens": 5.0,
             "multiword_trigger_pct": 50.0,
         }
+        assert out_path.read_text() == json.dumps(data, indent=2) + "\n"
 
     def test_empty_corpus_note(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -462,6 +465,7 @@ class TestEval:
         report = json.loads(out_path.read_text())
         assert report["TI"]["f1"] == 1.0
         assert report["AC"]["num_correct"] == 1
+        assert out_path.read_text() == json.dumps(report, indent=2) + "\n"
 
     def test_json_to_stdout_without_out(self, capsys, tmp_path):
         gold = gold_eval_corpus(tmp_path)
@@ -539,7 +543,7 @@ class TestEval:
         path.write_text(line + "\n" + line + "\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "eval", str(path), "--corpus", gold)
         assert code == 1
-        assert "duplicate doc_id 'd1'" in err
+        assert err == f"error: {path}: line 2: duplicate doc_id 'd1'\n"
 
     def test_missing_predictions_file(self, capsys, tmp_path):
         gold = gold_eval_corpus(tmp_path)
@@ -947,7 +951,7 @@ class TestExemplarWarmUp:
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_retrieval_failure_aborts_the_run(self, capsys, tmp_path, workers):
-        args, out = self.setup_run(tmp_path, {SCHEMA: PATCH_EXEMPLARS})
+        args, _ = self.setup_run(tmp_path, {SCHEMA: PATCH_EXEMPLARS})
         before = sorted(tmp_path.iterdir())
         code, _, err = run_cli(capsys, *args, "--workers", workers)
         assert code == 1

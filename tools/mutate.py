@@ -6,10 +6,10 @@ Each mutant makes one change to one module: it flips one comparison at
 its boundary (``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``in``/``not in``,
 ``is``/``is not``), swaps ``and`` and ``or``, drops a ``not``, or adds 1
 to an integer literal.  ``--lines`` keeps the mutants on those lines.
-The tests run on a copy of ``src/`` and ``tests/`` in a temporary
-directory (``TMPDIR`` chooses where), so the working tree is never
-changed; PYTEST-ARGS default to the whole suite.  A mutant that every
-test passes is printed as a survivor.  Only the standard library is used.
+The tests run on a copy of the repository in a temporary directory
+(``TMPDIR`` chooses where), so the working tree is never changed;
+PYTEST-ARGS default to the whole suite.  A mutant that every test
+passes is printed as a survivor.  Only the standard library is used.
 """
 
 import ast
@@ -73,10 +73,8 @@ def main(argv: list[str]) -> int:
     lines = {int(n) for n in argv[len(modules) + 1 :]}
     survivors = total = 0
     with tempfile.TemporaryDirectory() as scratch:
-        copy = Path(scratch)
-        for name in ("src", "tests", "pyproject.toml"):
-            copy_tree = shutil.copytree if (ROOT / name).is_dir() else shutil.copy
-            copy_tree(ROOT / name, copy / name)
+        copy = Path(scratch) / "repo"
+        shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
         for module in modules:
             source = (ROOT / module).read_text(encoding="utf-8")
             target = copy / module
