@@ -76,8 +76,9 @@ def main(argv: list[str]) -> int:
         copy = Path(scratch) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
         for module in modules:
-            source = (ROOT / module).read_text(encoding="utf-8")
-            target = copy / module
+            # Relative to the repository, so that only the copy is ever written.
+            target = copy / Path(module).resolve().relative_to(ROOT)
+            source = (ROOT / target.relative_to(copy)).read_text(encoding="utf-8")
             # Mutants are written unparsed; the unparsed original must pass first.
             target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
             counter = Mutator()
