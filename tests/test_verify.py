@@ -76,9 +76,6 @@ class TestTokenSubsequence:
     def test_needle_longer_than_haystack(self):
         assert not contains_token_subsequence(["a"], ["a", "b"])
 
-    def test_needle_equal_to_haystack(self):
-        assert contains_token_subsequence(["a", "b"], ["a", "b"])
-
 
 class TestSemanticCheck:
     TEXT = "Hackers demanded a million dollar ransom after infiltrating the bank's servers on Friday."
