@@ -580,7 +580,8 @@ class ScriptedBackend:
     repeats once exhausted), which lets one prompt issued several times
     return distinct texts.  Unknown fingerprints raise, naming the
     template, so an unnoticed prompt change cannot silently pass tests.
-    Every request is appended to ``calls`` for assertions.
+    A served request is not kept: a run holds the fixture and one
+    counter per fingerprint, however many calls it makes.
     """
 
     def __init__(self, mapping: dict[str, str | list[str]]):
@@ -588,12 +589,10 @@ class ScriptedBackend:
         self._mapping = dict(mapping)
         self._counters: dict[str, int] = {}
         self._lock = threading.Lock()
-        self.calls: list[PromptRequest] = []
 
     def complete(self, request: PromptRequest) -> str:
         fp = request.fingerprint()
         with self._lock:
-            self.calls.append(request)
             if fp not in self._mapping:
                 raise BackendError(
                     f"no scripted reply for template {request.template_id!r} (fingerprint {fp})"
@@ -619,14 +618,10 @@ def _check_replies(mapping: dict[str, Any]) -> None:
             raise ConfigError(f"scripted fixture entry {key!r} holds a lone surrogate, which UTF-8 cannot encode")
 
 
-def load_scripted_fixture(source: bytes | str | IO) -> dict[str, str | list[str]]:
-    """Read a scripted-backend fixture document (JSON object)."""
-    if hasattr(source, "read"):
-        source = source.read()
+def load_scripted_fixture(source: bytes) -> dict[str, str | list[str]]:
+    """Read a scripted-backend fixture document: the bytes of a UTF-8 JSON object."""
     try:
-        if isinstance(source, (bytes, bytearray)):
-            source = bytes(source).decode("utf-8")
-        data = json.loads(source)
+        data = json.loads(source.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, oversized integers, deep nesting
         raise ConfigError(f"malformed scripted fixture: {exc}") from exc
     if not isinstance(data, dict):

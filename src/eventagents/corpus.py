@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import random
 import re
-from typing import IO, Sequence
+from typing import Sequence
 
 from .errors import EventAgentsError, has_surrogate
 from .records import FrozenRecord, set_field
@@ -152,23 +152,21 @@ def _load_record(line_no: int, raw: dict) -> Document:
     return Document(doc_id, text, tokens, tuple(events))
 
 
-def load_corpus(source: bytes | str | IO) -> list[Document]:
-    """Load a newline-delimited corpus; blank lines are ignored.
+def load_corpus(source: bytes) -> list[Document]:
+    """Load a newline-delimited corpus, the bytes of a UTF-8 file; blank
+    lines are ignored.
 
     Malformed lines are reported with their line number, inconsistent
     records with their document id.  Duplicate ids are rejected because
     predictions are keyed by id.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        try:
-            source = bytes(source).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CorpusError(f"corpus is not valid UTF-8: {exc}") from exc
+    try:
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"corpus is not valid UTF-8: {exc}") from exc
     documents: list[Document] = []
     seen_ids: set[str] = set()
-    for line_no, line in enumerate(source.splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:

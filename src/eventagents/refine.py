@@ -223,8 +223,11 @@ def build_run_context(
     ``map`` runs one retrieval task per schema; pass an executor's
     ``map`` to retrieve schemas concurrently.  Each task keeps its
     schema's ``exemplar_k`` calls in order, so scripted reply lists
-    replay the same way at any concurrency.  A retrieval failure raises.
+    replay the same way at any concurrency.  An empty registry and a
+    retrieval failure raise.
     """
+    if len(registry) == 0:
+        raise EventAgentsError("no schemas loaded")
     cache = ExemplarCache()
 
     def retrieve(schema):
@@ -246,31 +249,26 @@ def extract_document(
     registry: SchemaRegistry,
     config: PipelineConfig,
     backend,
-    context: RunContext | None = None,
+    context: RunContext,
 ) -> tuple[list[EventObject], RefinementTrace]:
     """Full per-document pipeline: planning and refinement.
 
     ``context`` comes from :func:`build_run_context` over the same
-    registry; without one, retrieval runs first for this document alone.
-    Returns at most one event unless the multi-event extension is on, in
-    which case refinement re-runs with accepted (trigger, type) pairs
-    excluded until the pool empties or the event cap is reached.  Empty
-    planning output is a normal empty extraction, not an error.  Blank
-    text (before any backend call) and a planning, coding or judge
-    failure return no events and an ``"aborted"`` trace whose ``error``
-    says why, unless a multi-event continuation fails after an event was
-    accepted: then the accepted events are returned, the outcome is
-    ``"accepted"``, and a trace note names the failure.  Only an empty
-    registry, or a retrieval failure while it builds its own context,
-    raises.  The semantic judge is asked each (trigger, event type)
-    question at most once per call.
+    registry.  Every document comes back as ``(events, trace)``: no
+    :class:`EventAgentsError` is raised.  At most one event is returned
+    unless the multi-event extension is on, in which case refinement
+    re-runs with accepted (trigger, type) pairs excluded until the pool
+    empties or the event cap is reached.  Empty planning output is a
+    normal empty extraction, not an error.  Blank text (before any
+    backend call) and a planning, coding or judge failure return no
+    events and an ``"aborted"`` trace whose ``error`` says why, unless a
+    multi-event continuation fails after an event was accepted: then the
+    accepted events are returned, the outcome is ``"accepted"``, and a
+    trace note names the failure.  The semantic judge is asked each
+    (trigger, event type) question at most once per call.
     """
-    if len(registry) == 0:
-        raise EventAgentsError("no schemas loaded")
     if not text.strip():
         return [], RefinementTrace(outcome="aborted", error="document text is empty")
-    if context is None:
-        context = build_run_context(registry, backend, config.exemplar_k)
     trace = RefinementTrace(notes=list(context.warnings))
     events: list[EventObject] = []
     try:

@@ -30,7 +30,7 @@ import json
 import re
 from enum import Enum
 from functools import cached_property
-from typing import Any, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import EventAgentsError
 from .records import FrozenRecord, set_field
@@ -146,21 +146,17 @@ class SchemaRegistry:
         return "\n\n".join(render_schema_as_code(schema).rstrip("\n") for schema in self)
 
 
-def load_ontology(source: bytes | str | Any) -> SchemaRegistry:
-    """Load an ontology document into a registry.
+def load_ontology(source: bytes) -> SchemaRegistry:
+    """Load an ontology document, the bytes of a UTF-8 file, into a registry.
 
-    ``source`` may be raw bytes, a decoded string, or a readable file
-    object.  Declaration order of event types and roles is preserved.
+    Declaration order of event types and roles is preserved.
     """
-    if hasattr(source, "read"):
-        source = source.read()
-    if isinstance(source, (bytes, bytearray)):
-        try:
-            source = bytes(source).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise OntologyError(f"ontology document is not valid UTF-8: {exc}") from exc
     try:
-        document = json.loads(source)
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise OntologyError(f"ontology document is not valid UTF-8: {exc}") from exc
+    try:
+        document = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also oversized integers and deep nesting
         raise OntologyError(f"malformed ontology document: {exc}") from exc
     if not isinstance(document, list):

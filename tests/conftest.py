@@ -132,6 +132,19 @@ def script(*pairs) -> dict:
     return mapping
 
 
+class Recorder:
+    """A backend wrapper that keeps every request it is sent, in order,
+    in ``calls`` before passing it on."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.calls = []
+
+    def complete(self, request):
+        self.calls.append(request)
+        return self.backend.complete(request)
+
+
 def extract_argv(tmp_path, registry, texts) -> list[str]:
     """``extract`` arguments over ``registry`` and one document per text
     (ids d0, d1, ...), writing ``tmp_path / "preds.jsonl"``."""

@@ -15,7 +15,7 @@ import random
 import time
 from collections import Counter
 
-from conftest import script
+from conftest import Recorder, script
 from eventagents import (
     CodeObject,
     Document,
@@ -95,11 +95,11 @@ def test_criterion_02(patch_registry, patchvuln_schema, tuesday_text):
     rescue_reply = 'PatchVulnerability(mention="vulnerability", time=["Tuesday"])'
 
     # First hypothesis burns all three attempts, second succeeds at once.
-    backend = ScriptedBackend(script(
+    backend = Recorder(ScriptedBackend(script(
         (coding_prompt(schema, "patched", text), BROKEN_REPLY),
         (coding_prompt(schema, "patched", text, diagnostic=BROKEN_DIAGNOSTIC), BROKEN_REPLY),
         (coding_prompt(schema, "vulnerability", text), rescue_reply),
-    ))
+    )))
     pool = [
         TriggerHypothesis("patched", "PatchVulnerability", 0.9),
         TriggerHypothesis("vulnerability", "PatchVulnerability", 0.5),
@@ -126,7 +126,7 @@ def test_criterion_02(patch_registry, patchvuln_schema, tuesday_text):
     for trigger in triggers:
         entries.append((coding_prompt(schema, trigger, text), BROKEN_REPLY))
         entries.append((coding_prompt(schema, trigger, text, diagnostic=BROKEN_DIAGNOSTIC), BROKEN_REPLY))
-    backend = ScriptedBackend(script(*entries))
+    backend = Recorder(ScriptedBackend(script(*entries)))
     pool = [
         TriggerHypothesis(trigger, "PatchVulnerability", 0.9 - 0.1 * i)
         for i, trigger in enumerate(triggers)

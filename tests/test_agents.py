@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from conftest import script
+from conftest import Recorder, script
 from eventagents import (
     BackendError,
     EventSchema,
@@ -212,7 +212,7 @@ class TestExtractCodeBlock:
 class TestRetrievalAgent:
     def test_collects_distinct_sentences(self, databreach_schema):
         request = retrieval_prompt(databreach_schema)
-        backend = ScriptedBackend({request.fingerprint(): [EXAMPLE_SENTENCE, "Another one.", EXAMPLE_SENTENCE]})
+        backend = Recorder(ScriptedBackend({request.fingerprint(): [EXAMPLE_SENTENCE, "Another one.", EXAMPLE_SENTENCE]}))
         assert run_retrieval_agent(backend, databreach_schema, k=3) == (EXAMPLE_SENTENCE, "Another one.")
         assert len(backend.calls) == 3
 
@@ -223,7 +223,7 @@ class TestRetrievalAgent:
 
     def test_all_blank_yields_no_sentences(self, databreach_schema):
         request = retrieval_prompt(databreach_schema)
-        backend = ScriptedBackend({request.fingerprint(): ""})
+        backend = Recorder(ScriptedBackend({request.fingerprint(): ""}))
         assert run_retrieval_agent(backend, databreach_schema, k=2) == ()
         assert len(backend.calls) == 2
 
@@ -387,7 +387,7 @@ class TestPlanningAgent:
             {"trigger": "infiltrating", "event_type": "Databreach", "confidence": 0.9},
             {"trigger": "hackers", "event_type": "Databreach"},
         )
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply)))
+        backend = Recorder(ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply))))
         hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry), hypothesis_k=5)
         # 1 - (rank-1)/n over all five entries, whichever are explicit.
         assert [(h.trigger, h.confidence) for h in hypotheses] == [
@@ -419,7 +419,7 @@ class TestPlanningAgent:
 
     def test_empty_array_is_a_valid_answer(self, ransom_text, databreach_schema, ransom_schema):
         registry = self.registry(databreach_schema, ransom_schema)
-        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), "[]")))
+        backend = Recorder(ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), "[]"))))
         assert run_planning_agent(backend, ransom_text, planning_head(registry)) == []
         assert len(backend.calls) == 1
 
@@ -449,24 +449,24 @@ class TestPlanningAgent:
     ):
         registry = self.registry(databreach_schema, ransom_schema)
         good = planning_reply({"trigger": "demanded", "event_type": "Ransom"})
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             script(
                 (planning_prompt(ransom_text, planning_head(registry)), bad_reply),
                 (planning_retry_prompt(ransom_text, planning_head(registry)), good),
             )
-        )
+        ))
         hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry))
         assert [h.trigger for h in hypotheses] == ["demanded"]
         assert [c.template_id for c in backend.calls] == ["planning", "planning_retry"]
 
     def test_two_malformed_replies_fail(self, ransom_text, databreach_schema, ransom_schema):
         registry = self.registry(databreach_schema, ransom_schema)
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             script(
                 (planning_prompt(ransom_text, planning_head(registry)), "junk"),
                 (planning_retry_prompt(ransom_text, planning_head(registry)), "more junk"),
             )
-        )
+        ))
         with pytest.raises(PlanningError, match="not a JSON array"):
             run_planning_agent(backend, ransom_text, planning_head(registry))
         assert len(backend.calls) == 2
@@ -500,7 +500,7 @@ class TestCodingAgent:
             patchvuln_schema, "patched", tuesday_text,
             rationale="names the fix", diagnostic=diagnostic,
         )
-        backend = ScriptedBackend(script((request, '{"event_type": "PatchVulnerability", "trigger": "patched", "arguments": {}}')))
+        backend = Recorder(ScriptedBackend(script((request, '{"event_type": "PatchVulnerability", "trigger": "patched", "arguments": {}}'))))
         run_coding_agent(backend, hypothesis, patchvuln_schema, tuesday_text, diagnostic=diagnostic)
         assert diagnostic in backend.calls[0].messages[1].content
 

@@ -2,6 +2,7 @@
 replay backend, and prompt fingerprinting."""
 
 import base64
+import gc
 import importlib
 import itertools
 import json
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -911,7 +913,6 @@ class TestScriptedBackend:
         backend = ScriptedBackend({request.fingerprint(): "always this"})
         assert backend.complete(request) == "always this"
         assert backend.complete(request) == "always this"
-        assert len(backend.calls) == 2
 
     def test_reply_list_consumed_in_order_then_last_repeats(self):
         request = make_request()
@@ -952,33 +953,29 @@ class TestScriptedBackend:
         with pytest.raises(ConfigError):
             ScriptedBackend({"fp": ["ok", 3]})
 
-    def test_calls_record_requests_in_order(self):
-        a = make_request(bindings=(("text", "a"),))
-        b = make_request(bindings=(("text", "b"),))
-        backend = ScriptedBackend({a.fingerprint(): "ra", b.fingerprint(): "rb"})
-        backend.complete(a)
-        backend.complete(b)
-        assert [r.bindings for r in backend.calls] == [a.bindings, b.bindings]
+    def test_served_request_is_not_kept(self):
+        request = make_request()
+        backend = ScriptedBackend({request.fingerprint(): "reply"})
+        assert backend.complete(request) == "reply"
+        served = weakref.ref(request)
+        del request
+        gc.collect()
+        assert served() is None
 
 
 class TestFixtureLoading:
     def test_loads_strings_and_lists(self, tmp_path):
         path = tmp_path / "fixture.json"
         path.write_text(json.dumps({"a:1": "x", "b:2": ["y", "z"]}))
-        with open(path) as handle:
-            fixture = load_scripted_fixture(handle)
+        fixture = load_scripted_fixture(path.read_bytes())
         assert fixture == {"a:1": "x", "b:2": ["y", "z"]}
-
-    def test_accepts_bytes_and_text(self):
-        assert load_scripted_fixture('{"k": "v"}') == {"k": "v"}
-        assert load_scripted_fixture(b'{"k": "v"}') == {"k": "v"}
 
     @pytest.mark.parametrize(
         "payload", ["[]", "{", '{"k": 5}', '{"k": [1]}', '{"k": "\\ud800"}', '{"k": ["v", "\\udfff"]}']
     )
     def test_rejects_bad_documents(self, payload):
         with pytest.raises(ConfigError):
-            load_scripted_fixture(payload)
+            load_scripted_fixture(payload.encode())
 
 
 class TestPromptRequest:

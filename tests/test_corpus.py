@@ -1,6 +1,5 @@
 """Corpus loading, dataset statistics, and split sampling."""
 
-import io
 import json
 import random
 
@@ -27,34 +26,29 @@ def record(doc_id="doc-1", text="Hackers demanded money.", **extra):
     return data
 
 
-def corpus_text(*records):
-    return "\n".join(json.dumps(r) for r in records)
+def corpus_bytes(*records):
+    return "\n".join(json.dumps(r) for r in records).encode("utf-8")
 
 
 class TestLoadCorpus:
     def test_minimal_record_has_no_tokens(self):
-        docs = load_corpus(corpus_text(record()))
+        docs = load_corpus(corpus_bytes(record()))
         assert docs == [Document("doc-1", "Hackers demanded money.", None)]
         assert docs[0].tokens is None
         assert docs[0].gold_events == ()
 
-    def test_reads_bytes_and_file_objects(self):
-        text = corpus_text(record())
-        assert len(load_corpus(text.encode("utf-8"))) == 1
-        assert len(load_corpus(io.StringIO(text))) == 1
-
     def test_blank_lines_skipped(self):
-        text = "\n" + corpus_text(record()) + "\n\n" + corpus_text(record(doc_id="doc-2")) + "\n"
+        text = b"\n" + corpus_bytes(record()) + b"\n\n" + corpus_bytes(record(doc_id="doc-2")) + b"\n"
         assert [d.id for d in load_corpus(text)] == ["doc-1", "doc-2"]
 
     def test_explicit_tokens_respected(self):
-        docs = load_corpus(corpus_text(record(tokens=[[0, 7], [8, 16], [17, 22], [22, 23]])))
+        docs = load_corpus(corpus_bytes(record(tokens=[[0, 7], [8, 16], [17, 22], [22, 23]])))
         assert docs[0].tokens == ((0, 7), (8, 16), (17, 22), (22, 23))
 
     def test_events_with_arguments(self):
         text = "Hackers demanded a ransom of $1m."
         docs = load_corpus(
-            corpus_text(
+            corpus_bytes(
                 record(
                     text=text,
                     events=[
@@ -77,7 +71,7 @@ class TestLoadCorpus:
 
     def test_events_without_arguments_load_empty(self):
         docs = load_corpus(
-            corpus_text(
+            corpus_bytes(
                 record(
                     events=[
                         {"event_type": "Ransom", "trigger": {"text": "demanded", "start": 8, "end": 16}}
@@ -148,22 +142,22 @@ class TestLoadCorpus:
     )
     def test_rejections(self, payload, fragment):
         with pytest.raises(CorpusError) as exc_info:
-            load_corpus(payload)
+            load_corpus(payload.encode())
         assert fragment in str(exc_info.value)
 
     def test_duplicate_ids_rejected(self):
-        text = corpus_text(record(), record())
+        text = corpus_bytes(record(), record())
         with pytest.raises(CorpusError, match="line 2: duplicate document id 'doc-1'"):
             load_corpus(text)
 
     def test_error_names_the_later_line(self):
-        text = corpus_text(record()) + "\n{broken"
+        text = corpus_bytes(record()) + b"\n{broken"
         with pytest.raises(CorpusError, match="line 2: malformed record"):
             load_corpus(text)
 
     def test_empty_corpus(self):
-        assert load_corpus("") == []
-        assert load_corpus("\n\n") == []
+        assert load_corpus(b"") == []
+        assert load_corpus(b"\n\n") == []
 
 
 def whitespace_tokens(text: str) -> list[list[int]]:
@@ -221,7 +215,7 @@ class TestDatasetStats:
         assert stats.multiword_trigger_pct == 100.0
 
     def test_missing_tokens_are_whitespace_tokens(self):
-        stats = dataset_stats(load_corpus(corpus_text(record(text=" Hackers\tdemanded  money. "))))
+        stats = dataset_stats(load_corpus(corpus_bytes(record(text=" Hackers\tdemanded  money. "))))
         assert stats.avg_doc_length_tokens == 3.0
 
     @settings(max_examples=200, deadline=None)
@@ -236,8 +230,8 @@ class TestDatasetStats:
                 end = data.draw(st.integers(start + 1, len(text)))
                 events.append({"event_type": "E", "trigger": {"text": text[start:end], "start": start, "end": end}})
             records.append(record(f"d{i}", text, events=events))
-        tokenless = load_corpus(corpus_text(*records))
-        given = load_corpus(corpus_text(*[{**r, "tokens": whitespace_tokens(r["text"])} for r in records]))
+        tokenless = load_corpus(corpus_bytes(*records))
+        given = load_corpus(corpus_bytes(*[{**r, "tokens": whitespace_tokens(r["text"])} for r in records]))
         assert all(doc.tokens is None for doc in tokenless)
         assert dataset_stats(tokenless) == dataset_stats(given)
 

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import extract_argv, script, trace_outcomes
+from conftest import Recorder, extract_argv, script, trace_outcomes
 from eventagents import (
     BackendError,
     EventAgentsError,
@@ -22,7 +22,7 @@ from eventagents import (
 from eventagents.agents import ExemplarCache
 from eventagents.cli import main
 from eventagents.prompts import coding_prompt, judge_prompt, planning_head, planning_prompt, retrieval_prompt
-from eventagents.refine import build_run_context, document_judge, trace_to_records
+from eventagents.refine import RunContext, build_run_context, document_judge, trace_to_records
 
 VALID_REPLY = 'PatchVulnerability(mention="patched", time=["Tuesday"])'
 BROKEN_REPLY = 'PatchVulnerability(mention="patched", vulnerable_system=[1234])'
@@ -122,7 +122,7 @@ class TestRefine:
         assert trace.attempts[0]["attempt"] == 1
 
     def test_patch_attempt_embeds_diagnostic(self, patch_registry, patchvuln_schema, tuesday_text):
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             script(
                 self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY),
                 self.coding(
@@ -130,7 +130,7 @@ class TestRefine:
                     diagnostic=BROKEN_DIAGNOSTIC,
                 ),
             )
-        )
+        ))
         trace = RefinementTrace()
         outcome = refine(
             [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
@@ -223,13 +223,13 @@ class TestRefine:
         patch_request = coding_prompt(
             patchvuln_schema, "patched", tuesday_text, diagnostic=BROKEN_DIAGNOSTIC
         )
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             script(
                 self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY),
                 (patch_request, BROKEN_REPLY),
                 (patch_request, VALID_REPLY),
             )
-        )
+        ))
         outcome = refine(
             [hyp("patched")], tuesday_text, patch_registry, self.config(), backend
         )
@@ -262,11 +262,11 @@ class TestRefine:
     ):
         first = hyp("patched", confidence=0.9)
         second = hyp("vulnerability", confidence=0.5)
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             script(
                 self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY),
             )
-        )
+        ))
         pool = [first, second]
         outcome = refine(
             pool,
@@ -283,7 +283,7 @@ class TestRefine:
     def test_equal_duplicates_are_consumed_one_at_a_time(
         self, patch_registry, patchvuln_schema, tuesday_text
     ):
-        backend = ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY)))
+        backend = Recorder(ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY))))
         duplicate = hyp("patched")
         pool = [duplicate, hyp("patched")]
         config = self.config(hypothesis_k=1, patch_attempts=1)
@@ -352,6 +352,12 @@ def single_schema_fixture(schema, text, exemplar, planning_reply, coding_replies
     return script(*pairs)
 
 
+def extract(text, registry, config, backend):
+    """``extract_document`` in a run of this one document."""
+    context = build_run_context(registry, backend, config.exemplar_k)
+    return extract_document(text, registry, config, backend, context)
+
+
 class TestExtractDocument:
     EXEMPLAR = "Last month the vendor patched a flaw in its mail server."
     PLANNING = (
@@ -364,7 +370,7 @@ class TestExtractDocument:
         return PipelineConfig(**kwargs)
 
     def test_single_event_flow(self, patch_registry, patchvuln_schema, tuesday_text):
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             single_schema_fixture(
                 patchvuln_schema,
                 tuesday_text,
@@ -372,8 +378,8 @@ class TestExtractDocument:
                 self.PLANNING,
                 [("patched", VALID_REPLY, "")],
             )
-        )
-        events, trace = extract_document(tuesday_text, patch_registry, self.config(), backend)
+        ))
+        events, trace = extract(tuesday_text, patch_registry, self.config(), backend)
         assert [e.trigger for e in events] == ["patched"]
         assert trace.outcome == "accepted"
         assert [c.template_id for c in backend.calls] == ["retrieval", "planning", "coding"]
@@ -382,15 +388,16 @@ class TestExtractDocument:
         backend = ScriptedBackend(
             single_schema_fixture(patchvuln_schema, tuesday_text, self.EXEMPLAR, "[]", [])
         )
-        events, trace = extract_document(tuesday_text, patch_registry, self.config(), backend)
+        events, trace = extract(tuesday_text, patch_registry, self.config(), backend)
         assert events == []
         assert trace.outcome == "no-hypotheses"
         assert "planning produced no hypotheses" in trace.notes
 
     @pytest.mark.parametrize("text", ["", "   ", "\n\t"], ids=["empty", "spaces", "newline-tab"])
     def test_blank_text_is_aborted_before_any_backend_call(self, patch_registry, text):
-        backend = ScriptedBackend({})
-        events, trace = extract_document(text, patch_registry, self.config(), backend)
+        backend = Recorder(ScriptedBackend({}))
+        context = RunContext(planning_head(patch_registry), ())
+        events, trace = extract_document(text, patch_registry, self.config(), backend, context)
         assert events == []
         assert trace == RefinementTrace(outcome="aborted", error="document text is empty")
         assert backend.calls == []
@@ -406,7 +413,7 @@ class TestExtractDocument:
         backend = ScriptedBackend(
             single_schema_fixture(patchvuln_schema, tuesday_text, "", planning_reply, coding_replies)
         )
-        events, trace = extract_document(tuesday_text, patch_registry, self.config(), backend)
+        events, trace = extract(tuesday_text, patch_registry, self.config(), backend)
         assert events == []
         assert trace.outcome == "aborted"
         assert trace.notes[0] == "retrieval produced no usable sentences for PatchVulnerability"
@@ -416,21 +423,21 @@ class TestExtractDocument:
     def test_retrieval_warning_recorded_and_exemplar_block_omitted(
         self, patch_registry, patchvuln_schema, tuesday_text
     ):
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             single_schema_fixture(
                 patchvuln_schema, tuesday_text, "", self.PLANNING, [("patched", VALID_REPLY, "")]
             )
-        )
-        events, trace = extract_document(tuesday_text, patch_registry, self.config(), backend)
+        ))
+        events, trace = extract(tuesday_text, patch_registry, self.config(), backend)
         assert len(events) == 1
         assert "retrieval produced no usable sentences for PatchVulnerability" in trace.notes
         planning_call = backend.calls[1]
         assert dict(planning_call.bindings)["exemplars"] == ""
         assert "Example sentences:" not in planning_call.messages[1].content
 
-    def test_empty_registry_rejected(self, tuesday_text):
+    def test_empty_registry_rejected(self):
         with pytest.raises(EventAgentsError, match="no schemas loaded"):
-            extract_document(tuesday_text, SchemaRegistry(), self.config(), ScriptedBackend({}))
+            build_run_context(SchemaRegistry(), ScriptedBackend({}), exemplar_k=1)
 
     def test_exemplar_cache_shared_across_documents(
         self, patch_registry, patchvuln_schema, tuesday_text
@@ -442,7 +449,7 @@ class TestExtractDocument:
             self.PLANNING,
             [("patched", VALID_REPLY, "")],
         )
-        backend = ScriptedBackend(fixture)
+        backend = Recorder(ScriptedBackend(fixture))
         context = build_run_context(patch_registry, backend, exemplar_k=1)
         extract_document(tuesday_text, patch_registry, self.config(), backend, context=context)
         extract_document(tuesday_text, patch_registry, self.config(), backend, context=context)
@@ -460,7 +467,7 @@ class TestExtractDocument:
                 [("patched", VALID_REPLY, ""), ("vulnerability", rescue, "")],
             )
         )
-        events, trace = extract_document(
+        events, trace = extract(
             tuesday_text, patch_registry, self.config(multi_event=True), backend
         )
         assert [e.trigger for e in events] == ["patched", "vulnerability"]
@@ -484,7 +491,7 @@ class TestExtractDocument:
                 [("patched", VALID_REPLY, ""), ("vulnerability", rescue, "")],
             )
         )
-        events, trace = extract_document(
+        events, trace = extract(
             tuesday_text, patch_registry, self.config(multi_event=True), backend
         )
         # The lower-confidence duplicate of the accepted pair is never tried.
@@ -506,7 +513,7 @@ class TestExtractDocument:
                 [("patched", VALID_REPLY, "")],
             )
         )
-        events, trace = extract_document(
+        events, trace = extract(
             tuesday_text, patch_registry, self.config(multi_event=True), backend
         )
         assert [e.trigger for e in events] == ["patched"]
@@ -531,13 +538,13 @@ class TestExtractDocument:
                 [("patched", VALID_REPLY, "")],
             )
         )
-        events, _ = extract_document(
+        events, _ = extract(
             tuesday_text, patch_registry, self.config(multi_event=True, event_cap=1), backend
         )
         assert len(events) == 1
 
     def test_default_is_single_event(self, patch_registry, patchvuln_schema, tuesday_text):
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             single_schema_fixture(
                 patchvuln_schema,
                 tuesday_text,
@@ -545,8 +552,8 @@ class TestExtractDocument:
                 self.PLANNING,
                 [("patched", VALID_REPLY, "")],
             )
-        )
-        events, _ = extract_document(tuesday_text, patch_registry, self.config(), backend)
+        ))
+        events, _ = extract(tuesday_text, patch_registry, self.config(), backend)
         assert len(events) == 1
 
 
@@ -575,13 +582,13 @@ class TestJudgeMemo:
     def test_rejected_trigger_is_judged_once_over_all_attempts(
         self, patch_registry, patchvuln_schema, tuesday_text
     ):
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             script(
                 self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY),
                 self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY, diagnostic=self.REJECTED),
                 judge("patched", tuesday_text, "no"),
             )
-        )
+        ))
         trace = RefinementTrace()
         outcome = refine(
             [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
@@ -611,8 +618,8 @@ class TestJudgeMemo:
             [("patched", VALID_REPLY, ""), ("patched", VALID_REPLY, self.REJECTED)],
         )
         fixture.update(script(judge("patched", tuesday_text, reply)))
-        backend = ScriptedBackend(fixture)
-        events, trace = extract_document(
+        backend = Recorder(ScriptedBackend(fixture))
+        events, trace = extract(
             tuesday_text, patch_registry, PipelineConfig(exemplar_k=1, mode="llm"), backend
         )
         assert events == []
@@ -622,13 +629,13 @@ class TestJudgeMemo:
         assert [r["note"] for r in trace_to_records(trace, "d") if "note" in r] == notes
 
     def test_type_patch_reuses_the_judge_answer(self, patch_registry, patchvuln_schema, tuesday_text):
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             script(
                 self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY),
                 self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY, diagnostic=BROKEN_DIAGNOSTIC),
                 judge("patched", tuesday_text, "yes"),
             )
-        )
+        ))
         trace = RefinementTrace()
         outcome = refine(
             [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
@@ -644,7 +651,7 @@ class TestJudgeMemo:
         )
 
         def two_refines(share):
-            backend = ScriptedBackend(fixture)
+            backend = Recorder(ScriptedBackend(fixture))
             judge = document_judge("llm", backend, tuesday_text, []) if share else None
             for _ in range(2):
                 pool = [hyp("patched")]
@@ -656,7 +663,7 @@ class TestJudgeMemo:
 
     def test_failed_judge_call_keeps_the_paid_attempt(self, patch_registry, patchvuln_schema, tuesday_text):
         # The coding reply is scripted, the judge prompt that verifies it is not.
-        backend = ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY)))
+        backend = Recorder(ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY))))
         trace = RefinementTrace()
         with pytest.raises(BackendError):
             refine([hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace)
@@ -671,12 +678,12 @@ class TestJudgeMemo:
     ):
         # An empty reply fails T3 without a judge call; the patched reply's judge call fails.
         empty_diagnostic = "[T3] line 1, col 1: empty input (at source)"
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             script(
                 self.coding(patchvuln_schema, tuesday_text, "patched", "  \n"),
                 self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY, diagnostic=empty_diagnostic),
             )
-        )
+        ))
         trace = RefinementTrace()
         with pytest.raises(BackendError):
             refine([hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace)
@@ -698,7 +705,7 @@ class TestJudgeMemo:
             [("patched", VALID_REPLY, "")],
         )
         fixture.update(script(judge("patched", tuesday_text, "yes")))
-        backend = ScriptedBackend(fixture)
+        backend = Recorder(ScriptedBackend(fixture))
         config = PipelineConfig(exemplar_k=1, mode="llm")
         context = build_run_context(patch_registry, backend, exemplar_k=1)
         for _ in range(2):
@@ -713,14 +720,14 @@ class TestJudgeMemo:
         rescue = 'PatchVulnerability(mention="vulnerability", time=["Tuesday"])'
         triggers = ["patched", "vulnerability", "company"]
         judges = [judge(trigger, text, "yes") for trigger in triggers]
-        backend = ScriptedBackend(
+        backend = Recorder(ScriptedBackend(
             script(
                 self.coding(schema, text, "patched", BROKEN_REPLY),
                 self.coding(schema, text, "patched", BROKEN_REPLY, diagnostic=BROKEN_DIAGNOSTIC),
                 self.coding(schema, text, "vulnerability", rescue),
                 *judges,
             )
-        )
+        ))
         pool = [hyp("patched", confidence=0.9), hyp("vulnerability", confidence=0.5)]
         trace = RefinementTrace()
         outcome = refine(pool, text, patch_registry, self.config(), backend, trace)
@@ -737,7 +744,7 @@ class TestJudgeMemo:
                     diagnostic=BROKEN_DIAGNOSTIC,
                 )
             )
-        backend = ScriptedBackend(script(*entries, *judges))
+        backend = Recorder(ScriptedBackend(script(*entries, *judges)))
         pool = [hyp(t, confidence=0.9 - 0.1 * i) for i, t in enumerate(triggers)]
         trace = RefinementTrace()
         outcome = refine(pool, text, patch_registry, self.config(), backend, trace)
@@ -876,7 +883,7 @@ class TestTraceRecords:
                 [("patched", VALID_REPLY, "")],
             )
         )
-        _, trace = extract_document(tuesday_text, patch_registry, PipelineConfig(exemplar_k=1, mode="llm"), backend)
+        _, trace = extract(tuesday_text, patch_registry, PipelineConfig(exemplar_k=1, mode="llm"), backend)
         records = trace_to_records(trace, "doc-8")
         assert records[0]["attempt"] == 1
         assert records[0]["code"] == VALID_REPLY

@@ -1,6 +1,5 @@
 """Ontology loading and the class-definition rendering."""
 
-import io
 import json
 import random
 
@@ -19,28 +18,20 @@ from eventagents import (
 from oracles import random_schema
 
 
-def make_ontology_text(*entries):
-    return json.dumps(list(entries))
+def ontology_bytes(*entries):
+    return json.dumps(list(entries)).encode("utf-8")
 
 
 class TestLoadOntology:
-    def test_loads_from_string_bytes_and_file_object(self):
-        text = make_ontology_text(
-            {"event_type": "Databreach", "roles": [{"name": "tool"}]},
-        )
-        for source in (text, text.encode("utf-8"), io.StringIO(text), io.BytesIO(text.encode())):
-            registry = load_ontology(source)
-            assert [schema.event_type for schema in registry] == ["Databreach"]
-
     def test_role_defaults_are_string_list(self):
-        registry = load_ontology(make_ontology_text({"event_type": "A", "roles": [{"name": "x"}]}))
+        registry = load_ontology(ontology_bytes({"event_type": "A", "roles": [{"name": "x"}]}))
         role = registry.get("A").roles[0]
         assert role.value_type is ValueType.STRING
         assert role.multiplicity is Multiplicity.LIST
 
     def test_declaration_order_preserved(self):
         registry = load_ontology(
-            make_ontology_text(
+            ontology_bytes(
                 {"event_type": "B", "roles": [{"name": "z"}, {"name": "a"}]},
                 {"event_type": "A", "roles": []},
             )
@@ -50,7 +41,7 @@ class TestLoadOntology:
 
     def test_explicit_types_and_multiplicities(self):
         registry = load_ontology(
-            make_ontology_text(
+            ontology_bytes(
                 {
                     "event_type": "A",
                     "roles": [
@@ -97,7 +88,7 @@ class TestLoadOntology:
     )
     def test_rejects_malformed_documents(self, payload, fragment):
         with pytest.raises(OntologyError) as exc_info:
-            load_ontology(payload)
+            load_ontology(payload.encode())
         assert fragment in str(exc_info.value)
 
     def test_rejects_non_utf8_bytes(self):
