@@ -235,6 +235,17 @@ def _write_line(file, record: dict) -> None:
     file.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _refuse_inputs(args: argparse.Namespace, config: RunConfig, outputs: Sequence[Path]) -> None:
+    """Refuse an output path that names a file the command reads, before
+    anything is written.  Paths are compared after resolving symbolic
+    links; hard links are not detected."""
+    names = (config.ontology, config.corpus, config.scripted_fixture, args.config, *getattr(args, "predictions", ()))
+    inputs = {os.path.realpath(name) for name in names if name is not None}
+    for path in outputs:
+        if os.path.realpath(path) in inputs:
+            raise EventAgentsError(f"cannot write {path}: it is an input of this run")
+
+
 def _partial_path(path: Path) -> Path:
     """Where a run writes ``path`` until the run's last document is done."""
     return path.with_name(path.name + ".partial")
@@ -273,13 +284,18 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
         fixture = load_scripted_fixture(Path(config.scripted_fixture).read_bytes())
     pred_paths = [_run_path(config.out, run_index, config.runs) for run_index in range(1, config.runs + 1)]
     # Refuse an unwritable --out before the first backend call, not after a run.
-    for pred_path in pred_paths:
-        for final_path in (pred_path, _trace_path(pred_path)):
-            for path in (final_path, _partial_path(final_path)):
-                if not path.parent.is_dir():
-                    raise EventAgentsError(f"cannot write {path}: {path.parent} is not a directory")
-                if path.is_dir():
-                    raise EventAgentsError(f"cannot write {path}: it is a directory")
+    out_paths = [
+        path
+        for pred_path in pred_paths
+        for final_path in (pred_path, _trace_path(pred_path))
+        for path in (final_path, _partial_path(final_path))
+    ]
+    for path in out_paths:
+        if not path.parent.is_dir():
+            raise EventAgentsError(f"cannot write {path}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise EventAgentsError(f"cannot write {path}: it is a directory")
+    _refuse_inputs(args, config, out_paths)
 
     for run_index, pred_path in enumerate(pred_paths, start=1):
         trace_path = _trace_path(pred_path)
@@ -354,6 +370,8 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
 
 
 def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
+    if config.out:
+        _refuse_inputs(args, config, [Path(config.out)])
     documents = load_corpus(Path(config.corpus).read_bytes())
     reports: list[MetricsReport] = []
     for path in args.predictions:
@@ -379,6 +397,8 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
 
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
+    if config.out:
+        _refuse_inputs(args, config, [Path(config.out)])
     documents = load_corpus(Path(config.corpus).read_bytes())
     stats = dataset_stats(documents)
     lines = [

@@ -62,6 +62,20 @@ def write_fixture(tmp_path, docs):
     return str(path)
 
 
+@pytest.fixture
+def backend_calls(monkeypatch):
+    """Every backend call of the runs, as (template id, thread id)."""
+    calls = []
+
+    class RecordingBackend(ScriptedBackend):
+        def complete(self, request):
+            calls.append((request.template_id, threading.get_ident()))
+            return super().complete(request)
+
+    monkeypatch.setattr("eventagents.cli.ScriptedBackend", RecordingBackend)
+    return calls
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -778,19 +792,6 @@ class TestExtract:
         assert stderr == "error: sample size 5 exceeds corpus size 2\n"
         assert not out.exists()
 
-    @pytest.fixture
-    def backend_calls(self, monkeypatch):
-        """Every backend call of the runs, as (template id, thread id)."""
-        calls = []
-
-        class RecordingBackend(ScriptedBackend):
-            def complete(self, request):
-                calls.append((request.template_id, threading.get_ident()))
-                return super().complete(request)
-
-        monkeypatch.setattr("eventagents.cli.ScriptedBackend", RecordingBackend)
-        return calls
-
     TWO_DOCS = [
         (TEXT_1, PLANNING_1, [("patched", CODING_1)]),
         (TEXT_2, PLANNING_2, [("patched", CODING_2)]),
@@ -906,6 +907,66 @@ class TestExtract:
         )
         assert code == 1
         assert "declares no event types" in err
+
+
+class TestOutputNamesAnInput:
+    """An output path that resolves to a file the command reads is refused
+    before anything is written and before any backend call."""
+
+    NAMES = {
+        "ontology": "ontology.json",
+        "corpus": "corpus.jsonl",
+        "scripted-fixture": "fixture.json",
+        "config": "config.json",
+        "predictions": "preds.jsonl",
+    }
+
+    @pytest.mark.parametrize(
+        "command, renamed, out, blocked",
+        [
+            ("extract", {}, "corpus.jsonl", "corpus.jsonl"),
+            ("extract", {}, "fixture.json", "fixture.json"),
+            ("extract", {}, "config.json", "config.json"),
+            ("extract", {"ontology": "run.trace.json"}, "run.json", "run.trace.json"),
+            ("extract", {"corpus": "run.jsonl.partial"}, "run.jsonl", "run.jsonl.partial"),
+            ("extract", {"config": "run.trace.json.partial"}, "run.json", "run.trace.json.partial"),
+            ("extract", {}, "link.jsonl", "link.jsonl"),
+            ("eval", {}, "corpus.jsonl", "corpus.jsonl"),
+            ("eval", {}, "preds.jsonl", "preds.jsonl"),
+            ("eval", {}, "config.json", "config.json"),
+            ("stats", {}, "corpus.jsonl", "corpus.jsonl"),
+            ("stats", {}, "config.json", "config.json"),
+            ("stats", {}, "link.jsonl", "link.jsonl"),
+        ],
+        ids=[
+            "extract-corpus", "extract-fixture", "extract-config", "extract-trace", "extract-partial",
+            "extract-trace-partial", "extract-symlink", "eval-corpus", "eval-predictions", "eval-config",
+            "stats-corpus", "stats-config", "stats-symlink",
+        ],
+    )
+    def test_refused(self, capsys, tmp_path, backend_calls, command, renamed, out, blocked):
+        write_ontology(tmp_path)
+        write_corpus(tmp_path, [TEXT_1])
+        write_fixture(tmp_path, [(TEXT_1, PLANNING_1, [("patched", CODING_1)])])
+        (tmp_path / "config.json").write_text('{"runs": 1}', encoding="utf-8")
+        write_predictions(tmp_path, "preds.jsonl", {"d1": [PERFECT_EVENT]})
+        paths = {}
+        for option, name in self.NAMES.items():
+            paths[option] = tmp_path / renamed.get(option, name)
+            (tmp_path / name).rename(paths[option])
+        (tmp_path / "link.jsonl").symlink_to(paths["corpus"])
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+        argv = [command, "--corpus", str(paths["corpus"]), "--config", str(paths["config"])]
+        if command == "extract":
+            argv += ["--ontology", str(paths["ontology"]), "--scripted-fixture", str(paths["scripted-fixture"])]
+        elif command == "eval":
+            argv.append(str(paths["predictions"]))
+        code, stdout, stderr = run_cli(capsys, *argv, "--out", str(tmp_path / out))
+        assert code == 1
+        assert stdout == ""
+        assert stderr == f"error: cannot write {tmp_path / blocked}: it is an input of this run\n"
+        assert backend_calls == []
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
 RANSOM = EventSchema("Ransom", tuple(RoleSpec(n) for n in ("price", "victim")))
