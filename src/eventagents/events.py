@@ -310,8 +310,8 @@ def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
         raise _ParseError("malformed object notation: number literal out of range", 1, 1) from None
     except RecursionError:
         raise _ParseError("malformed object notation: nesting too deep", 1, 1) from None
-    if not isinstance(data, dict):
-        raise _ParseError("object notation must be a JSON object", 1, 1)
+    # parse_event_code sends only text whose first non-blank character is
+    # "{", so what parsed is an object.
     for key in EVENT_FIELDS:
         if key not in data:
             raise _ParseError(f"missing required field {key!r}", 1, 1)

@@ -237,7 +237,8 @@ class TestObjectNotationForm:
         ],
     )
     def test_rejections(self, source, message):
-        assert parse_fail(source).message == message
+        # Faults found after the JSON has parsed are placed at line 1, col 1.
+        assert parse_fail(source).describe() == f"line 1, col 1: {message}"
 
     def test_escaped_surrogate_pair_is_text(self):
         event = parse_ok('{"event_type": "A", "trigger": "t", "arguments": {"x": "\\ud83d\\ude00"}}')
