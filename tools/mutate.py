@@ -9,7 +9,9 @@ to an integer literal.  ``--lines`` keeps the mutants on those lines.
 The tests run on a copy of the repository in a temporary directory
 (``TMPDIR`` chooses where), so the working tree is never changed;
 PYTEST-ARGS default to the whole suite.  A mutant that every test
-passes is printed as a survivor.  Only the standard library is used.
+passes is printed as a survivor.  A MODULE that is not a file inside
+the repository ends the probe with exit status 2 before anything is
+copied.  Only the standard library is used.
 """
 
 import ast
@@ -71,6 +73,12 @@ def main(argv: list[str]) -> int:
     argv, pytest_args = (argv[: argv.index("--")], argv[argv.index("--") + 1 :]) if "--" in argv else (argv, [])
     modules = argv[: argv.index("--lines")] if "--lines" in argv else argv
     lines = {int(n) for n in argv[len(modules) + 1 :]}
+    for module in modules:
+        path = Path(module).resolve()
+        inside = ROOT in path.parents
+        if not inside or not path.is_file():
+            print(f"error: {module} {'is not a file' if inside else 'is outside the repository'}", file=sys.stderr)
+            return 2
     survivors = total = 0
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch) / "repo"
