@@ -14,7 +14,11 @@ Both normalize to the same :class:`EventObject`; ``mention`` in the
 constructor form maps to ``trigger``.  Nothing is ever executed.  Parsing
 is total: bad input produces a :class:`CodeObject` carrying a positioned
 :class:`ParseFailure` instead of an exception, and the failure text is
-what the refinement loop feeds back to the coding agent.
+what the refinement loop feeds back to the coding agent.  A fault is
+found at one character offset into the source, which becomes ``line,
+col`` by :class:`json.JSONDecodeError`'s rule: lines end at ``\\n`` only,
+and every other character (``\\t``, ``\\r``, one outside the Basic
+Multilingual Plane) is one column.
 
 Scalar argument values are normalized to singleton lists so multiplicity
 checking is uniform downstream.  Unknown roles are kept; rejecting them
@@ -26,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import has_surrogate
 from .records import FrozenRecord, Record, set_field
@@ -93,92 +97,54 @@ class CodeObject(Record):
 
 
 class _ParseError(Exception):
-    def __init__(self, message: str, line: int, col: int):
+    def __init__(self, message: str, pos: int):
         super().__init__(message)
         self.message = message
-        self.line = line
-        self.col = col
+        self.pos = pos
 
 
-class _Token(FrozenRecord):
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        set_field(self, "kind", kind)
-        set_field(self, "text", text)
-        set_field(self, "line", line)
-        set_field(self, "col", col)
+class _Token(NamedTuple):
+    kind: str
+    text: str
+    pos: int
 
 
-_PUNCT = {"(": "lparen", ")": "rparen", "[": "lbracket", "]": "rbracket", ",": "comma", "=": "equals"}
-_NUMBER_RE = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _ESCAPES = {"\\": "\\", "'": "'", '"': '"', "n": "\n", "t": "\t", "r": "\r"}
+_ESCAPE_RE = re.compile(r"\\(.)")
+_VALID_ESCAPE = r"\\[%s]" % re.escape("".join(_ESCAPES))
+# One alternative per token kind, tried in order; the group name is the
+# kind.  A string without its closing quote matches ``open_string`` up to
+# its first fault: a bad escape (a backslash at the very end is none), a
+# newline, or the end of the input.
+_TOKEN_RE = re.compile(
+    rf"""[ \t\r\n]+
+    |(?P<lparen>\()|(?P<rparen>\))|(?P<lbracket>\[)|(?P<rbracket>\])|(?P<comma>,)|(?P<equals>=)
+    |(?P<string>"(?:[^"\\\n]|{_VALID_ESCAPE})*"|'(?:[^'\\\n]|{_VALID_ESCAPE})*')
+    |(?P<open_string>["'](?:[^\\\n]|{_VALID_ESCAPE})*)
+    |(?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    |(?P<ident>{_IDENT_RE.pattern})
+    |(?P<other>[\s\S])""",
+    re.VERBOSE,
+)
 
 
 def _scan(source: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    for m in _TOKEN_RE.finditer(source):
+        kind, text, pos = m.lastgroup, m.group(), m.start()
+        if kind is None:  # whitespace
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch in "'\"":
-            quote = ch
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            chunks: list[str] = []
-            while True:
-                if i >= n or source[i] == "\n":
-                    raise _ParseError("unterminated string literal", start_line, start_col)
-                c = source[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise _ParseError("unterminated string literal", start_line, start_col)
-                    esc = source[i + 1]
-                    if esc not in _ESCAPES:
-                        raise _ParseError(f"invalid escape sequence '\\{esc}'", line, col)
-                    chunks.append(_ESCAPES[esc])
-                    i += 2
-                    col += 2
-                    continue
-                if c == quote:
-                    i += 1
-                    col += 1
-                    break
-                chunks.append(c)
-                i += 1
-                col += 1
-            tokens.append(_Token("string", "".join(chunks), start_line, start_col))
-            continue
-        if ch.isdigit() or ch == "-":
-            m = _NUMBER_RE.match(source, i)
-            if m:
-                text = m.group(0)
-                tokens.append(_Token("number", text, line, col))
-                i = m.end()
-                col += len(text)
-                continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            text = m.group(0)
-            tokens.append(_Token("ident", text, line, col))
-            i = m.end()
-            col += len(text)
-            continue
-        raise _ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+        if kind == "string":
+            text = _ESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
+        elif kind == "open_string":
+            end = m.end()
+            if source.startswith("\\", end) and end + 1 < len(source):
+                raise _ParseError(f"invalid escape sequence '\\{source[end + 1]}'", end)
+            raise _ParseError("unterminated string literal", pos)
+        elif kind == "other":
+            raise _ParseError(f"unexpected character {text!r}", pos)
+        tokens.append(_Token(kind, text, pos))
+    tokens.append(_Token("eof", "", len(source)))
     return tokens
 
 
@@ -193,7 +159,7 @@ def _as_number(tok: _Token) -> int | float:
     except ValueError:  # more digits than int() converts
         value = None
     if not _is_scalar(value):
-        raise _ParseError("number literal out of range", tok.line, tok.col)
+        raise _ParseError("number literal out of range", tok.pos)
     return value
 
 
@@ -216,7 +182,7 @@ class _ConstructorParser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.advance()
         if tok.kind != kind:
-            raise _ParseError(f"expected {what}, got {_show(tok)}", tok.line, tok.col)
+            raise _ParseError(f"expected {what}, got {_show(tok)}", tok.pos)
         return tok
 
     def parse(self) -> EventObject:
@@ -230,16 +196,16 @@ class _ConstructorParser:
                 rparen = self.advance()
                 break
             if tok.kind in ("string", "number", "lbracket"):
-                raise _ParseError("positional arguments are not allowed", tok.line, tok.col)
+                raise _ParseError("positional arguments are not allowed", tok.pos)
             name_tok = self.expect("ident", "a keyword argument")
             nxt = self.peek()
             if nxt.kind != "equals":
                 if nxt.kind in ("comma", "rparen"):
-                    raise _ParseError("positional arguments are not allowed", name_tok.line, name_tok.col)
-                raise _ParseError(f"expected '=' after {name_tok.text!r}, got {_show(nxt)}", nxt.line, nxt.col)
+                    raise _ParseError("positional arguments are not allowed", name_tok.pos)
+                raise _ParseError(f"expected '=' after {name_tok.text!r}, got {_show(nxt)}", nxt.pos)
             self.advance()
             if name_tok.text in kwargs:
-                raise _ParseError(f"duplicate keyword argument {name_tok.text!r}", name_tok.line, name_tok.col)
+                raise _ParseError(f"duplicate keyword argument {name_tok.text!r}", name_tok.pos)
             kwargs[name_tok.text] = self.parse_value(allow_list=True)
             sep = self.advance()
             if sep.kind == "comma":
@@ -247,15 +213,15 @@ class _ConstructorParser:
             if sep.kind == "rparen":
                 rparen = sep
                 break
-            raise _ParseError(f"expected ',' or ')', got {_show(sep)}", sep.line, sep.col)
+            raise _ParseError(f"expected ',' or ')', got {_show(sep)}", sep.pos)
         trailing = self.peek()
         if trailing.kind != "eof":
-            raise _ParseError(f"unexpected trailing content {_show(trailing)}", trailing.line, trailing.col)
+            raise _ParseError(f"unexpected trailing content {_show(trailing)}", trailing.pos)
         if "mention" not in kwargs:
-            raise _ParseError("missing required keyword 'mention'", rparen.line, rparen.col)
+            raise _ParseError("missing required keyword 'mention'", rparen.pos)
         mention = kwargs.pop("mention")
         if not isinstance(mention, str):
-            raise _ParseError("keyword 'mention' must be a string literal", name.line, name.col)
+            raise _ParseError("keyword 'mention' must be a string literal", name.pos)
         arguments = {k: v if isinstance(v, list) else [v] for k, v in kwargs.items()}
         return EventObject(event_type=name.text, trigger=mention, arguments=arguments)
 
@@ -271,11 +237,11 @@ class _ConstructorParser:
             if tok.text == "False":
                 return False
             raise _ParseError(
-                f"expected a string, number, boolean or list, got {tok.text!r}", tok.line, tok.col
+                f"expected a string, number, boolean or list, got {tok.text!r}", tok.pos
             )
         if tok.kind == "lbracket":
             if not allow_list:
-                raise _ParseError("nested lists are not allowed", tok.line, tok.col)
+                raise _ParseError("nested lists are not allowed", tok.pos)
             values: list[Any] = []
             if self.peek().kind == "rbracket":
                 self.advance()
@@ -290,8 +256,8 @@ class _ConstructorParser:
                     continue
                 if sep.kind == "rbracket":
                     return values
-                raise _ParseError(f"expected ',' or ']', got {_show(sep)}", sep.line, sep.col)
-        raise _ParseError(f"expected a value, got {_show(tok)}", tok.line, tok.col)
+                raise _ParseError(f"expected ',' or ']', got {_show(sep)}", sep.pos)
+        raise _ParseError(f"expected a value, got {_show(tok)}", tok.pos)
 
 
 def _is_scalar(value: Any) -> bool:
@@ -305,49 +271,49 @@ def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
     try:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
-        raise _ParseError(f"malformed object notation: {exc.msg}", exc.lineno, exc.colno) from None
+        raise _ParseError(f"malformed object notation: {exc.msg}", exc.pos) from None
     except ValueError:  # an integer with more digits than int() converts
-        raise _ParseError("malformed object notation: number literal out of range", 1, 1) from None
+        raise _ParseError("malformed object notation: number literal out of range", 0) from None
     except RecursionError:
-        raise _ParseError("malformed object notation: nesting too deep", 1, 1) from None
+        raise _ParseError("malformed object notation: nesting too deep", 0) from None
     # parse_event_code sends only text whose first non-blank character is
     # "{", so what parsed is an object.
     for key in EVENT_FIELDS:
         if key not in data:
-            raise _ParseError(f"missing required field {key!r}", 1, 1)
+            raise _ParseError(f"missing required field {key!r}", 0)
     event_type = data["event_type"]
     trigger = data["trigger"]
     raw_arguments = data["arguments"]
     if not isinstance(event_type, str) or not event_type:
-        raise _ParseError("'event_type' must be a non-empty string", 1, 1)
+        raise _ParseError("'event_type' must be a non-empty string", 0)
     if not isinstance(trigger, str):
-        raise _ParseError("'trigger' must be a string", 1, 1)
+        raise _ParseError("'trigger' must be a string", 0)
     if not isinstance(raw_arguments, dict):
-        raise _ParseError("'arguments' must be an object", 1, 1)
+        raise _ParseError("'arguments' must be an object", 0)
     arguments: dict[str, list] = {}
     for role, value in raw_arguments.items():
         if not role:
-            raise _ParseError("argument role names must be non-empty", 1, 1)
+            raise _ParseError("argument role names must be non-empty", 0)
         if isinstance(value, list):
             for item in value:
                 if isinstance(item, list):
-                    raise _ParseError(f"nested lists are not allowed in role {role!r}", 1, 1)
+                    raise _ParseError(f"nested lists are not allowed in role {role!r}", 0)
                 if not _is_scalar(item):
                     raise _ParseError(
-                        f"values of role {role!r} must be strings, numbers or booleans", 1, 1
+                        f"values of role {role!r} must be strings, numbers or booleans", 0
                     )
             arguments[role] = list(value)
         elif _is_scalar(value):
             arguments[role] = [value]
         else:
             raise _ParseError(
-                f"values of role {role!r} must be strings, numbers or booleans", 1, 1
+                f"values of role {role!r} must be strings, numbers or booleans", 0
             )
     strings = [*data, event_type, trigger, *arguments]
     strings += [value for values in arguments.values() for value in values if isinstance(value, str)]
     for value in strings:
         if has_surrogate(value):
-            raise _ParseError(f"string {value!r} holds a lone surrogate, which UTF-8 cannot encode", 1, 1)
+            raise _ParseError(f"string {value!r} holds a lone surrogate, which UTF-8 cannot encode", 0)
     extras = tuple(k for k in data if k not in EVENT_FIELDS)
     return EventObject(event_type=event_type, trigger=trigger, arguments=arguments), extras
 
@@ -369,14 +335,16 @@ def parse_event_code(source: str, registry: SchemaRegistry | None = None) -> Cod
     head = source.lstrip()
     try:
         if not head:
-            raise _ParseError("empty input", 1, 1)
+            raise _ParseError("empty input", 0)
         if head.startswith("{"):
             event, extras = _parse_object_notation(source)
         else:
             event = _ConstructorParser(_scan(source)).parse()
             extras = ()
     except _ParseError as exc:
-        return CodeObject(raw_source=source, failure=ParseFailure(exc.message, exc.line, exc.col))
+        line = source.count("\n", 0, exc.pos) + 1
+        col = exc.pos - source.rfind("\n", 0, exc.pos)
+        return CodeObject(raw_source=source, failure=ParseFailure(exc.message, line, col))
     if registry is not None:
         schema = registry.get(event.event_type)
         if schema is not None:

@@ -133,7 +133,9 @@ class TestConstructorForm:
         assert (failure.line, failure.col) == (2, 7)
 
     # A diagnostic's text goes verbatim into the patch prompt, so the
-    # position after an escape and the message at end of input are pinned.
+    # position after an escape and the message at end of input are pinned,
+    # and so is the column count: "\t", "\r" and an astral character are
+    # one column each, and only "\n" starts a line.
     @pytest.mark.parametrize(
         "source, described",
         [
@@ -141,6 +143,16 @@ class TestConstructorForm:
             ('A(mention="\\q', "line 1, col 12: invalid escape sequence '\\q'"),
             ('Attack(mention="a\\nb" x)', "line 1, col 23: expected ',' or ')', got 'x'"),
             ('A(mention="\\t\\q")', "line 1, col 14: invalid escape sequence '\\q'"),
+            ('A(mention="t",\tx=;)', "line 1, col 18: unexpected character ';'"),
+            ('A(mention="t",\r x=;)', "line 1, col 19: unexpected character ';'"),
+            ('A(mention="t",\r\n x=;)', "line 2, col 4: unexpected character ';'"),
+            ('A(mention="\U0001F600", x=;)', "line 1, col 18: unexpected character ';'"),
+            ('A(mention="a\\\nb")', "line 1, col 13: invalid escape sequence '\\\n'"),
+            ('A(mention="t\\\r\n")', "line 1, col 13: invalid escape sequence '\\\r'"),
+            ('A(\n  mention="t",\n  x="v)', "line 3, col 5: unterminated string literal"),
+            # The whole source is scanned before parsing, so a lexical fault
+            # wins over an earlier grammar fault.
+            ('Foo(1 "abc', "line 1, col 7: unterminated string literal"),
         ],
     )
     def test_positions_around_escapes(self, source, described):
@@ -248,6 +260,17 @@ class TestObjectNotationForm:
         failure = parse_fail('{"event_type": "A",\n "trigger": }')
         assert failure.message.startswith("malformed object notation:")
         assert failure.line == 2
+
+    @pytest.mark.parametrize(
+        "source, described",
+        [
+            ('\n{"event_type": }', "line 2, col 16: malformed object notation: Expecting value"),
+            ('\n{"trigger": "t", "arguments": {}}', "line 1, col 1: missing required field 'event_type'"),
+        ],
+        ids=["syntax", "semantic"],
+    )
+    def test_positions_after_a_leading_newline(self, source, described):
+        assert parse_fail(source).describe() == described
 
     def test_json_array_is_rejected(self):
         # An array starts with '[', which is not a constructor name either.

@@ -34,7 +34,6 @@ from eventagents import (
     VerificationResult,
 )
 from eventagents.cli import _OPTIONS, RunConfig
-from eventagents.events import _Token
 from eventagents.prompts import PlanningHead
 from eventagents.records import FrozenRecord
 
@@ -85,7 +84,6 @@ VALUES = [
     (lambda: EventObject("Ransom", "paid", {"price": [5]}), lambda: EventObject("Ransom", "paid", {})),
     (lambda: ParseFailure("unexpected end", 1, 7), lambda: ParseFailure("unexpected end", 2, 7)),
     (lambda: CodeObject("x", failure=ParseFailure("m", 1, 1)), lambda: CodeObject("x", EventObject("E", "x", {}))),
-    (lambda: _Token("name", "Ransom", 1, 1), lambda: _Token("name", "Ransom", 1, 2)),
     (lambda: SCORES, lambda: MetricScores(1.0, 1.0, 1.0, 0, 0, 0)),
     (
         lambda: MetricsReport(SCORES, SCORES, SCORES, SCORES),
@@ -172,7 +170,7 @@ def test_mutable_values_are_unhashable(make, make_other):
 
 
 def test_every_converted_class_is_listed_once():
-    assert len(set(_names(VALUES))) == len(VALUES) == 24
+    assert len(set(_names(VALUES))) == len(VALUES) == 23
 
 
 def test_repr_matches_the_dataclass_form():
