@@ -235,14 +235,22 @@ def _write_line(file, record: dict) -> None:
     file.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
+def _same_file(path: Path, name: str) -> bool:
+    try:
+        return os.path.samefile(path, name)
+    except OSError:  # either one is missing
+        return False
+
+
 def _refuse_inputs(args: argparse.Namespace, config: RunConfig, outputs: Sequence[Path]) -> None:
     """Refuse an output path that names a file the command reads, before
-    anything is written.  Paths are compared after resolving symbolic
-    links; hard links are not detected."""
-    names = (config.ontology, config.corpus, config.scripted_fixture, args.config, *getattr(args, "predictions", ()))
-    inputs = {os.path.realpath(name) for name in names if name is not None}
+    anything is written: the same path after resolving symbolic links, or
+    an existing file that is the input itself (a hard link to it)."""
+    given = (config.ontology, config.corpus, config.scripted_fixture, args.config, *getattr(args, "predictions", ()))
+    names = [name for name in given if name is not None]
+    inputs = {os.path.realpath(name) for name in names}
     for path in outputs:
-        if os.path.realpath(path) in inputs:
+        if os.path.realpath(path) in inputs or any(_same_file(path, name) for name in names):
             raise EventAgentsError(f"cannot write {path}: it is an input of this run")
 
 
@@ -270,8 +278,6 @@ def _document_map(workers: int):
 
 def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
     registry = load_ontology(Path(config.ontology).read_bytes())
-    if len(registry) == 0:
-        raise EventAgentsError(f"ontology {config.ontology} declares no event types")
     documents = load_corpus(Path(config.corpus).read_bytes())
     if config.sample is not None:
         try:
@@ -303,8 +309,9 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
         events_written = skipped = 0
         try:
             with _document_map(config.workers) as document_map:
-                # The context comes before any file, so a retrieval failure
-                # leaves none.  Without documents no backend call is made.
+                # The context comes before any file, so an empty ontology or
+                # a retrieval failure leaves none.  Without documents no
+                # backend call is made and the ontology may be empty.
                 context = build_run_context(registry, backend, pipeline.exemplar_k, document_map) if documents else None
 
                 def one(doc: Document):

@@ -227,7 +227,7 @@ def build_run_context(
     retrieval failure raise.
     """
     if len(registry) == 0:
-        raise EventAgentsError("no schemas loaded")
+        raise EventAgentsError("the ontology declares no event types")
     cache = ExemplarCache()
 
     def retrieve(schema):

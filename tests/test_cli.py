@@ -1,6 +1,7 @@
 """Command-line behavior: configuration precedence, subcommands, exit codes."""
 
 import json
+import os
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -897,16 +898,32 @@ class TestExtract:
         assert code == 2
         assert "missing required option --ontology for command 'extract'" in err
 
-    def test_empty_ontology_is_operational_error(self, capsys, tmp_path):
+    def test_empty_ontology_is_operational_error(self, capsys, tmp_path, backend_calls):
         ontology = tmp_path / "empty.json"
         ontology.write_text("[]")
         _, corpus, fixture, out = self.setup_run(tmp_path)
-        code, _, err = run_cli(
+        inputs = sorted(tmp_path.iterdir())
+        code, stdout, err = run_cli(
             capsys,
             *self.extract_args(str(ontology), corpus, fixture, out, "--runs", "1"),
         )
-        assert code == 1
-        assert "declares no event types" in err
+        assert (code, stdout, err) == (1, "", "error: the ontology declares no event types\n")
+        assert backend_calls == []
+        assert sorted(tmp_path.iterdir()) == inputs
+
+    def test_empty_ontology_and_empty_corpus_write_empty_files(self, capsys, tmp_path, backend_calls):
+        ontology = tmp_path / "empty.json"
+        ontology.write_text("[]")
+        corpus = write_corpus(tmp_path, [])
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text("{}", encoding="utf-8")
+        out = tmp_path / "preds.jsonl"
+        code, stdout, err = run_cli(
+            capsys, *self.extract_args(str(ontology), corpus, str(fixture), out, "--runs", "1")
+        )
+        assert (code, stdout, err) == (0, f"run 1: 0 documents, 0 events -> {out}\n", "")
+        assert backend_calls == []
+        assert out.read_text() == (tmp_path / "preds.trace.jsonl").read_text() == ""
 
 
 class TestOutputNamesAnInput:
@@ -937,11 +954,14 @@ class TestOutputNamesAnInput:
             ("stats", {}, "corpus.jsonl", "corpus.jsonl"),
             ("stats", {}, "config.json", "config.json"),
             ("stats", {}, "link.jsonl", "link.jsonl"),
+            ("extract", {}, "hard.jsonl", "hard.jsonl.partial"),
+            ("eval", {}, "hard.jsonl.partial", "hard.jsonl.partial"),
+            ("stats", {}, "hard.jsonl.partial", "hard.jsonl.partial"),
         ],
         ids=[
             "extract-corpus", "extract-fixture", "extract-config", "extract-trace", "extract-partial",
             "extract-trace-partial", "extract-symlink", "eval-corpus", "eval-predictions", "eval-config",
-            "stats-corpus", "stats-config", "stats-symlink",
+            "stats-corpus", "stats-config", "stats-symlink", "extract-hardlink", "eval-hardlink", "stats-hardlink",
         ],
     )
     def test_refused(self, capsys, tmp_path, backend_calls, command, renamed, out, blocked):
@@ -955,6 +975,7 @@ class TestOutputNamesAnInput:
             paths[option] = tmp_path / renamed.get(option, name)
             (tmp_path / name).rename(paths[option])
         (tmp_path / "link.jsonl").symlink_to(paths["corpus"])
+        os.link(paths["corpus"], tmp_path / "hard.jsonl.partial")
         before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
         argv = [command, "--corpus", str(paths["corpus"]), "--config", str(paths["config"])]
         if command == "extract":

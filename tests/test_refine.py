@@ -436,7 +436,7 @@ class TestExtractDocument:
         assert "Example sentences:" not in planning_call.messages[1].content
 
     def test_empty_registry_rejected(self):
-        with pytest.raises(EventAgentsError, match="no schemas loaded"):
+        with pytest.raises(EventAgentsError, match="the ontology declares no event types"):
             build_run_context(SchemaRegistry(), ScriptedBackend({}), exemplar_k=1)
 
     def test_exemplar_cache_shared_across_documents(
