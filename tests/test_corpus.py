@@ -87,6 +87,7 @@ class TestLoadCorpus:
             ("{not json}", "line 1: malformed record"),
             ('"just a string"', "line 1: record must be a JSON object"),
             ('{"text": "x"}', "line 1: record has no usable 'id'"),
+            ('{"id": "", "text": "x"}', "line 1: record has no usable 'id'"),
             ('{"id": "d", "text": 5}', "record 'd': 'text' must be a string"),
             ('{"id": "d", "text": "x", "tokens": {}}', "'tokens' must be an array"),
             ('{"id": "d", "text": "x", "tokens": [[0]]}', "token entries must be [start, end] pairs"),
@@ -103,6 +104,11 @@ class TestLoadCorpus:
             ),
             (
                 '{"id": "d", "text": "abc", "events": [{"event_type": "A",'
+                ' "trigger": {"text": "", "start": 0, "end": 2}}]}',
+                "record 'd': trigger needs a non-empty 'text'",
+            ),
+            (
+                '{"id": "d", "text": "abc", "events": [{"event_type": "A",'
                 ' "trigger": {"text": "ab", "start": 0, "end": 9}}]}',
                 "trigger span [0, 9) out of bounds",
             ),
@@ -110,6 +116,11 @@ class TestLoadCorpus:
                 '{"id": "d", "text": "abc", "events": [{"event_type": "A",'
                 ' "trigger": {"text": "ab", "start": 0, "end": 2}, "arguments": [{"text": "c"}]}]}',
                 "argument has no usable 'role'",
+            ),
+            (
+                '{"id": "d", "text": "abc", "events": [{"event_type": "A", "trigger": {"text": "ab", "start": 0,'
+                ' "end": 2}, "arguments": [{"role": "", "text": "c", "start": 2, "end": 3}]}]}',
+                "record 'd': argument has no usable 'role'",
             ),
             (
                 '{"id": "d", "text": "abc", "events": [{"event_type": "A",'
@@ -213,6 +224,12 @@ class TestDatasetStats:
         doc = make_doc("a", "counter attack now", triggers=[(4, 11)])
         stats = dataset_stats([doc])
         assert stats.multiword_trigger_pct == 100.0
+
+    def test_a_token_that_only_touches_the_trigger_does_not_count(self):
+        # Given tokens may abut: "ab" and "cd" each cover one token of "abcd".
+        events = tuple(GoldEvent("E", span) for span in (Span("ab", 0, 2), Span("cd", 2, 4)))
+        doc = Document("a", "abcd", ((0, 2), (2, 4)), events)
+        assert dataset_stats([doc]).multiword_trigger_pct == 0.0
 
     def test_missing_tokens_are_whitespace_tokens(self):
         stats = dataset_stats(load_corpus(corpus_bytes(record(text=" Hackers\tdemanded  money. "))))
