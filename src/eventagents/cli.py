@@ -243,14 +243,12 @@ def _same_file(path: Path, name: str) -> bool:
 
 
 def _refuse_inputs(args: argparse.Namespace, config: RunConfig, outputs: Sequence[Path]) -> None:
-    """Refuse an output path that names a file the command reads, before
-    anything is written: the same path after resolving symbolic links, or
-    an existing file that is the input itself (a hard link to it)."""
-    given = (config.ontology, config.corpus, config.scripted_fixture, args.config, *getattr(args, "predictions", ()))
-    names = [name for name in given if name is not None]
-    inputs = {os.path.realpath(name) for name in names}
+    """Refuse an output path that is a file the command reads, under its
+    own name, a symbolic link or a hard link, before anything is written.
+    A missing input matches nothing: reading it fails before any write."""
+    names = (config.ontology, config.corpus, config.scripted_fixture, args.config, *getattr(args, "predictions", ()))
     for path in outputs:
-        if os.path.realpath(path) in inputs or any(_same_file(path, name) for name in names):
+        if any(_same_file(path, name) for name in names if name is not None):
             raise EventAgentsError(f"cannot write {path}: it is an input of this run")
 
 
