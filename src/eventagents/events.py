@@ -117,14 +117,13 @@ _VALID_ESCAPE = r"\\[%s]" % re.escape("".join(_ESCAPES))
 # its first fault: a bad escape (a backslash at the very end is none), a
 # newline, or the end of the input.
 _TOKEN_RE = re.compile(
-    rf"""[ \t\r\n]+
-    |(?P<lparen>\()|(?P<rparen>\))|(?P<lbracket>\[)|(?P<rbracket>\])|(?P<comma>,)|(?P<equals>=)
-    |(?P<string>"(?:[^"\\\n]|{_VALID_ESCAPE})*"|'(?:[^'\\\n]|{_VALID_ESCAPE})*')
-    |(?P<open_string>["'](?:[^\\\n]|{_VALID_ESCAPE})*)
-    |(?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
-    |(?P<ident>{_IDENT_RE.pattern})
-    |(?P<other>[\s\S])""",
-    re.VERBOSE,
+    r"[ \t\r\n]+"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<lbracket>\[)|(?P<rbracket>\])|(?P<comma>,)|(?P<equals>=)"
+    rf"""|(?P<string>"(?:[^"\\\n]|{_VALID_ESCAPE})*"|'(?:[^'\\\n]|{_VALID_ESCAPE})*')"""
+    rf"""|(?P<open_string>["'](?:[^\\\n]|{_VALID_ESCAPE})*)"""
+    r"|(?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    rf"|(?P<ident>{_IDENT_RE.pattern})"
+    r"|(?P<other>[\s\S])"
 )
 
 
