@@ -167,12 +167,14 @@ class HttpBackend:
     failures and the transient statuses (429/5xx) are retried up to the
     configured count with exponential backoff; a 429 or 503 carrying
     ``Retry-After`` (seconds) waits at least that long, capped at the
-    timeout.  Redirects are not followed.  ``http_proxy``,
-    ``https_proxy`` and ``no_proxy`` are read once, when the backend is
-    created; ``ssl`` is loaded only for an ``https://`` endpoint.  The
-    credential is read from the environment variable named in the
-    config; naming a variable that is unset is a configuration error
-    raised before any network traffic.
+    timeout.  A reply body over 16 MiB fails the call at once, without a
+    retry: a larger Content-Length is refused before the body is read,
+    and a chunked or unframed body is cut off at the cap.  Redirects are
+    not followed.  ``http_proxy``, ``https_proxy`` and ``no_proxy`` are
+    read once, when the backend is created; ``ssl`` is loaded only for
+    an ``https://`` endpoint.  The credential is read from the
+    environment variable named in the config; naming a variable that is
+    unset is a configuration error raised before any network traffic.
 
     A request's ``head`` is JSON-encoded once and kept in a memo of one
     entry, keyed by the head string: the planning head of the run in
@@ -252,6 +254,9 @@ class HttpBackend:
                 connection.close()
                 last_problem = f"transport failure: {exc}"
                 continue
+            except BackendError:  # a reply body over the cap: a retry would cost as much again
+                connection.close()
+                raise
             if status in RETRYABLE_STATUSES:
                 last_problem = f"status {status}"
                 if status in _RETRY_AFTER_STATUSES:
@@ -420,6 +425,11 @@ class _Connection:
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
 _MAX_READ = 1 << 20  # bytes asked of the reader at once, so a huge length allocates nothing up front
+# The largest reply body read.  A reply of max_tokens tokens is a few
+# hundred kilobytes even with every character sent as a \uXXXX escape;
+# this cap is far above that, and keeps a broken or hostile server from
+# filling the client's memory.
+_MAX_BODY = 16 << 20
 _STATUS = re.compile(rb"(HTTP/1\.[0-9]+)[ \t]+([1-9][0-9]{2})(?:[ \t](.*))?\r?\n?", re.DOTALL)
 _CONTENT_LENGTH = re.compile(r"[0-9]{1,18}")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,15}")
@@ -450,7 +460,8 @@ def _read_response(reader: IO[bytes], line: bytes) -> tuple[int, dict[str, str],
     Returns the status, the headers (lower-cased names, first value
     kept), the body, and whether the connection can carry another
     request.  1xx interim replies are skipped.  Every framing fault
-    raises a ``_FramingError`` or an ``OSError``.
+    raises a ``_FramingError`` or an ``OSError``; a body over
+    ``_MAX_BODY`` raises a ``BackendError``.
     """
     while True:
         match = _STATUS.fullmatch(line)
@@ -469,14 +480,14 @@ def _read_response(reader: IO[bytes], line: bytes) -> tuple[int, dict[str, str],
         if headers["transfer-encoding"].rpartition(",")[2].strip().lower() == "chunked":
             body = _read_chunked(reader)
         else:
-            body, framed = reader.read(), False
+            body, framed = _read_to_end(reader), False
     elif "content-length" in headers:
         length = headers["content-length"]
         if not _CONTENT_LENGTH.fullmatch(length):
             raise _FramingError(f"invalid Content-Length {length[:100]!r}")
-        body = _read_exact(reader, int(length))
+        body = _read_exact(reader, _check_body_size(int(length)))
     else:
-        body, framed = reader.read(), False
+        body, framed = _read_to_end(reader), False
     keep_alive = (
         framed
         and match[1] != b"HTTP/1.0"
@@ -502,7 +513,7 @@ def _read_headers(reader: IO[bytes]) -> dict[str, str]:
 
 def _read_chunked(reader: IO[bytes]) -> bytes:
     """A chunked body; chunk extensions and the trailer are read and dropped."""
-    chunks = []
+    chunks, total = [], 0
     while True:
         size = _read_line(reader, "chunk size").partition(b";")[0].strip()
         if not _CHUNK_SIZE.fullmatch(size):
@@ -510,11 +521,29 @@ def _read_chunked(reader: IO[bytes]) -> bytes:
         size = int(size, 16)
         if not size:
             break
+        total = _check_body_size(total + size)
         chunks.append(_read_exact(reader, size))
         if _read_exact(reader, 2) != b"\r\n":
             raise _FramingError("chunk data not followed by CRLF")
     _read_headers(reader)
     return b"".join(chunks)
+
+
+def _read_to_end(reader: IO[bytes]) -> bytes:
+    """Every byte up to EOF: an unframed body."""
+    parts, total = [], 0
+    while part := reader.read(_MAX_READ):
+        total = _check_body_size(total + len(part))
+        parts.append(part)
+    return b"".join(parts)
+
+
+def _check_body_size(size: int) -> int:
+    """``size``, unless a body that long is over ``_MAX_BODY``: then a
+    non-retryable ``BackendError``, raised before the rest is read."""
+    if size > _MAX_BODY:
+        raise BackendError(f"backend reply body is larger than the {_MAX_BODY}-byte cap")
+    return size
 
 
 def _read_exact(reader: IO[bytes], size: int) -> bytes:

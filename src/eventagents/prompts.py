@@ -79,8 +79,8 @@ class PlanningHead(FrozenRecord):
     """The part of every planning request that is the same for a whole run.
 
     ``text`` is the front of the user message, up to the document text;
-    ``definitions`` and ``exemplars`` (the exemplar sentences, one per
-    line) are the matching bindings.  Built once per run by
+    ``definitions`` and ``exemplars`` (the distinct exemplar sentences,
+    one per line) are the matching bindings.  Built once per run by
     :func:`planning_head`, so no document joins the definitions and
     exemplar block again.
     """
@@ -92,12 +92,23 @@ class PlanningHead(FrozenRecord):
 
 
 def planning_head(registry: SchemaRegistry, exemplar_sentences: Sequence[str] = ()) -> PlanningHead:
+    """The run's planning head: the registry's definitions, then its
+    exemplar sentences.
+
+    Each distinct sentence is listed once, at its first position in
+    ``exemplar_sentences`` (registry order in a run); a later copy is
+    dropped only when it is exactly equal.  Types that share trigger
+    words draw identical sentences, and the block carries no labels, so
+    a repeat tells the planner nothing new.  The ``exemplars`` binding
+    holds the same list, so fingerprints follow the text.
+    """
     definitions = registry.definitions
+    sentences = tuple(dict.fromkeys(exemplar_sentences))
     text = f"Event definitions:\n{definitions}\n\n"
-    if exemplar_sentences:
-        listed = "\n".join(f"- {sentence}" for sentence in exemplar_sentences)
+    if sentences:
+        listed = "\n".join(f"- {sentence}" for sentence in sentences)
         text += f"Example sentences:\n{listed}\n\n"
-    return PlanningHead(definitions, "\n".join(exemplar_sentences), text)
+    return PlanningHead(definitions, "\n".join(sentences), text)
 
 
 def _planning_request(template_id: str, text: str, head: PlanningHead, reminder: str = "") -> PromptRequest:

@@ -199,9 +199,10 @@ def refine(
 class RunContext(FrozenRecord):
     """What every document of a run shares, built once per run.
 
-    ``planning`` holds the definitions and every schema's exemplar
-    sentences, ``warnings`` one line per schema whose retrieval came back
-    empty, both in registry order.
+    ``planning`` holds the definitions and each distinct exemplar
+    sentence once, ``warnings`` one line per schema whose retrieval came
+    back empty, both in registry order.  A schema whose sentences all
+    repeat earlier ones gets no warning.
     """
 
     def __init__(self, planning: PlanningHead, warnings: tuple[str, ...]):
