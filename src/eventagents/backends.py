@@ -178,7 +178,7 @@ class HttpBackend:
 
     A request's ``head`` is JSON-encoded once and kept in a memo of one
     entry, keyed by the head string: the planning head of the run in
-    progress, about 61 kchars for 200 event types.  Every later request
+    progress, about 48 kchars for 200 event types.  Every later request
     with that head splices the stored encoding with its encoded rest; a
     request with another non-empty head (the next run's) replaces the
     entry, so the memo never holds more than one head.

@@ -107,6 +107,16 @@ class TestPrompts:
                 "c6d13a0a84c0ad1d87b26102b14e295cff8aba2c2897ef42564f41d10907d712",
             ),
             (
+                # Two types that drew the same two sentences in opposite
+                # orders: each is listed once, where it first appears, so
+                # the prompt and its fingerprint are those of "exemplars".
+                "Hackers demanded a ransom.",
+                ("Attackers demanded a ransom.", "The firm paid.", "The firm paid.", "Attackers demanded a ransom."),
+                "Example sentences:\n- Attackers demanded a ransom.\n- The firm paid.\n\n"
+                "Text:\nHackers demanded a ransom.\n\n",
+                "e8d4468e2474ef6bc931ea1d6d087049448c5b91da2c9becb7c7bf7ce7053f76",
+            ),
+            (
                 "Des pirates ont exig\u00e9 5 000 \u20ac \u00e0 Z\u00fcrich \u2014 \u201cpayez\u201d \U0001f680.",
                 ("Die Firma zahlte 1 \u20ac \U0001f642.", "Ransomware \u00abLockBit\u00bb frappe."),
                 "Example sentences:\n- Die Firma zahlte 1 \u20ac \U0001f642.\n"
@@ -116,7 +126,7 @@ class TestPrompts:
                 "07a4dda83b2831d06763e191c38df33f725b1423fbfb3e34c8b2917074de63ff",
             ),
         ],
-        ids=["exemplars", "no-exemplars", "non-ascii"],
+        ids=["exemplars", "no-exemplars", "cross-type-duplicate", "non-ascii"],
     )
     def test_planning_messages_are_pinned(self, text, sentences, front, fingerprint):
         # Fingerprints hash only the bindings, so the message text is pinned here.
@@ -143,6 +153,9 @@ class TestPrompts:
             (planning_retry_prompt(text, head), message + reminder),
         ):
             assert [m.content for m in request.messages] == [system, expected]
+            # The binding lists the same sentences as the text.
+            listed = [line[2:] for line in front.split("\n") if line.startswith("- ")]
+            assert dict(request.bindings)["exemplars"] == "\n".join(listed)
             assert request.fingerprint() == f"{request.template_id}:{fingerprint}"
             assert expected.startswith(request.head) and expected[len(request.head) :].startswith("Text:\n")
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -563,7 +564,8 @@ class _RawServer:
     ``script`` holds one list per connection, in accept order: the
     replies to that connection's requests, one per request read.  After
     its last reply the server closes the connection; an empty reply
-    closes it without answering.  Connections beyond the script are
+    closes it without answering, and so does a client that hangs up
+    before a reply's end.  Connections beyond the script are
     closed at once.  ``requests`` records each request's raw bytes and
     ``accepted`` counts connections.
     """
@@ -597,7 +599,10 @@ class _RawServer:
                     self.requests.append(request)
                     if not reply:
                         break
-                    conn.sendall(reply)
+                    try:
+                        conn.sendall(reply)
+                    except OSError:  # the client hung up before the reply's end
+                        break
 
     @staticmethod
     def _read_request(reader):
@@ -806,6 +811,86 @@ def _near_valid_replies():
             lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
         ),
     )
+
+
+def unframed_reply(content):
+    return b"HTTP/1.0 200 OK\r\n\r\n" + completion_body(content).encode("utf-8")
+
+
+class TestReplySizeCap:
+    """A reply body over ``backends._MAX_BODY`` fails the call at once."""
+
+    CAP_ERROR = "backend reply body is larger than the 16777216-byte cap"
+
+    @pytest.fixture(autouse=True)
+    def _close_backends(self):
+        self.opened = []
+        yield
+        for backend in self.opened:
+            backend.close()
+
+    def backend(self, endpoint):
+        backend = HttpBackend(BackendConfig(endpoint=endpoint, retries=2, timeout=2))
+        self.opened.append(backend)
+        return backend
+
+    def test_content_length_over_the_cap_is_refused_before_the_body(self, raw_server):
+        # The server sends the head only and waits for the next request on
+        # that connection; the client must neither wait for the body, nor
+        # retry, nor send its next request there.
+        head = b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (16 * 1024 * 1024 + 1)
+        raw_server.script = [[head, ok_reply("same connection")], [ok_reply("fresh")]]
+        backend = self.backend(raw_server.endpoint)
+        started = time.monotonic()
+        with pytest.raises(BackendError) as failure:
+            backend.complete(make_request())
+        assert time.monotonic() - started < 1
+        assert str(failure.value) == self.CAP_ERROR
+        assert backend.complete(make_request()) == "fresh"
+        assert raw_server.accepted == 2
+        assert len(raw_server.requests) == 2
+
+    @pytest.mark.parametrize(
+        "reply, body_size",
+        [
+            (ok_reply("at the cap"), len(completion_body("at the cap"))),
+            (chunked_reply("at the cap"), len(completion_body("at the cap"))),
+            (unframed_reply("at the cap"), len(completion_body("at the cap"))),
+        ],
+        ids=["content-length", "chunked", "unframed"],
+    )
+    def test_a_body_of_exactly_the_cap_is_read(self, raw_server, monkeypatch, reply, body_size):
+        monkeypatch.setattr("eventagents.backends._MAX_BODY", body_size)
+        raw_server.script = [[reply]]
+        assert self.backend(raw_server.endpoint).complete(make_request()) == "at the cap"
+        monkeypatch.setattr("eventagents.backends._MAX_BODY", body_size - 1)
+        raw_server.script = [[reply]]
+        with pytest.raises(BackendError) as failure:
+            self.backend(raw_server.endpoint).complete(make_request())
+        assert str(failure.value) == f"backend reply body is larger than the {body_size - 1}-byte cap"
+        assert raw_server.accepted == 2
+
+    @pytest.mark.parametrize("framing", ["chunked", "unframed"])
+    def test_a_long_body_is_cut_off_at_the_cap(self, raw_server, framing):
+        # Twice the cap, in 1 MiB pieces; the client keeps at most the
+        # cap, plus one piece, before it hangs up.
+        block = b"x" * (1 << 20)
+        if framing == "chunked":
+            head = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+            piece = b"%x\r\n%s\r\n" % (len(block), block)
+        else:
+            head, piece = b"HTTP/1.1 200 OK\r\nConnection: close\r\n\r\n", block
+        raw_server.script = [[head + piece * 32]]
+        backend = self.backend(raw_server.endpoint)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BackendError) as failure:
+                backend.complete(make_request())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(failure.value) == self.CAP_ERROR
+        assert peak < (16 << 20) + 3 * len(block)
 
 
 class TestBackendConfig:

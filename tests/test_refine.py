@@ -830,6 +830,55 @@ class TestRunContext:
         assert [record["outcome"] for record in outcomes] == ["no-hypotheses"] * 3
         assert sorted(planning) == sorted(RUN_PLANNING_FINGERPRINTS)
 
+    # Databreach and Ransom share a sentence, and each PatchVulnerability
+    # sentence repeats an earlier one.
+    SHARED = {
+        "Databreach": ["Thieves stole a customer database.", "Attackers struck the bank."],
+        "Ransom": ["Attackers struck the bank.", "A ransom note arrived."],
+        "PatchVulnerability": ["A ransom note arrived.", "Thieves stole a customer database."],
+    }
+    DISTINCT = ("Thieves stole a customer database.", "Attackers struck the bank.", "A ransom note arrived.")
+
+    @pytest.fixture
+    def shared_registry(self, databreach_schema, ransom_schema, patchvuln_schema):
+        return SchemaRegistry([databreach_schema, ransom_schema, patchvuln_schema])
+
+    def shared_retrievals(self, registry):
+        return [(retrieval_prompt(schema), reply) for schema in registry for reply in self.SHARED[schema.event_type]]
+
+    def test_shared_sentences_are_listed_once(self, shared_registry):
+        backend = ScriptedBackend(script(*self.shared_retrievals(shared_registry)))
+        context = build_run_context(shared_registry, backend, exemplar_k=2)
+        assert context.planning == planning_head(shared_registry, self.DISTINCT)
+        assert context.planning.exemplars == "\n".join(self.DISTINCT)
+        assert context.planning.text.endswith(
+            "\n\nExample sentences:\n- Thieves stole a customer database.\n"
+            "- Attackers struck the bank.\n- A ransom note arrived.\n\n"
+        )
+        # PatchVulnerability's retrieval did return sentences.
+        assert context.warnings == ()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_run_with_shared_sentences_finds_every_reply(self, tmp_path, shared_registry, patchvuln_schema, workers):
+        head = planning_head(shared_registry, self.DISTINCT)
+        patched = json.dumps([{"trigger": "patched", "event_type": "PatchVulnerability"}])
+        pairs = self.shared_retrievals(shared_registry)
+        for text in RUN_TEXTS:
+            found = "patched" in text
+            pairs.append((planning_prompt(text, head), patched if found else "[]"))
+            if found:
+                pairs.append((coding_prompt(patchvuln_schema, "patched", text), 'PatchVulnerability(mention="patched")'))
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps(script(*pairs)), encoding="utf-8")
+        argv = extract_argv(tmp_path, shared_registry, RUN_TEXTS)
+
+        assert main([*argv, "--scripted-fixture", str(fixture), "--runs", "1", "--workers", workers]) == 0
+
+        outcomes = trace_outcomes(tmp_path / "preds.trace.jsonl")
+        assert [record["outcome"] for record in outcomes] == ["accepted", "no-hypotheses", "accepted"]
+        predictions = [json.loads(line) for line in (tmp_path / "preds.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [[event["trigger"] for event in row["events"]] for row in predictions] == [["patched"], [], ["patched"]]
+
 
 class TestTraceRecords:
     def test_flattening(self, patch_registry, patchvuln_schema, tuesday_text):
