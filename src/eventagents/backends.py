@@ -424,7 +424,7 @@ class _Connection:
 # standard library's http.client.
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
-_MAX_READ = 1 << 20  # bytes asked of the reader at once, so a huge length allocates nothing up front
+_MAX_READ = 1 << 20  # bytes asked of the reader at once for an unframed body
 # The largest reply body read.  A reply of max_tokens tokens is a few
 # hundred kilobytes even with every character sent as a \uXXXX escape;
 # this cap is far above that, and keeps a broken or hostile server from
@@ -547,15 +547,12 @@ def _check_body_size(size: int) -> int:
 
 
 def _read_exact(reader: IO[bytes], size: int) -> bytes:
-    """``size`` bytes; fewer before EOF is an ``IncompleteRead``."""
-    parts = []
-    while size:
-        part = reader.read(min(size, _MAX_READ))
-        if not part:
-            raise _FramingError(f"IncompleteRead({sum(map(len, parts))} bytes read, {size} more expected)")
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
+    """``size`` bytes; fewer before EOF is an ``IncompleteRead``.  A
+    buffered reader's ``read`` returns short only at EOF."""
+    data = reader.read(size)
+    if len(data) < size:
+        raise _FramingError(f"IncompleteRead({len(data)} bytes read, {size - len(data)} more expected)")
+    return data
 
 
 def _proxy_for(scheme: str, host: str) -> urllib.parse.SplitResult | None:

@@ -188,12 +188,7 @@ class _ConstructorParser:
         name = self.expect("ident", "a class name")
         self.expect("lparen", "'('")
         kwargs: dict[str, Any] = {}
-        rparen = None
-        while True:
-            tok = self.peek()
-            if tok.kind == "rparen":
-                rparen = self.advance()
-                break
+        while (tok := self.peek()).kind != "rparen":
             if tok.kind in ("string", "number", "lbracket"):
                 raise _ParseError("positional arguments are not allowed", tok.pos)
             name_tok = self.expect("ident", "a keyword argument")
@@ -206,13 +201,9 @@ class _ConstructorParser:
             if name_tok.text in kwargs:
                 raise _ParseError(f"duplicate keyword argument {name_tok.text!r}", name_tok.pos)
             kwargs[name_tok.text] = self.parse_value(allow_list=True)
-            sep = self.advance()
-            if sep.kind == "comma":
-                continue
-            if sep.kind == "rparen":
-                rparen = sep
-                break
-            raise _ParseError(f"expected ',' or ')', got {_show(sep)}", sep.pos)
+            if self.peek().kind != "rparen":
+                self.expect("comma", "',' or ')'")
+        rparen = self.advance()
         trailing = self.peek()
         if trailing.kind != "eof":
             raise _ParseError(f"unexpected trailing content {_show(trailing)}", trailing.pos)
@@ -242,20 +233,12 @@ class _ConstructorParser:
             if not allow_list:
                 raise _ParseError("nested lists are not allowed", tok.pos)
             values: list[Any] = []
-            if self.peek().kind == "rbracket":
-                self.advance()
-                return values
-            while True:
+            while self.peek().kind != "rbracket":
                 values.append(self.parse_value(allow_list=False))
-                sep = self.advance()
-                if sep.kind == "comma":
-                    if self.peek().kind == "rbracket":
-                        self.advance()
-                        return values
-                    continue
-                if sep.kind == "rbracket":
-                    return values
-                raise _ParseError(f"expected ',' or ']', got {_show(sep)}", sep.pos)
+                if self.peek().kind != "rbracket":
+                    self.expect("comma", "',' or ']'")
+            self.advance()
+            return values
         raise _ParseError(f"expected a value, got {_show(tok)}", tok.pos)
 
 

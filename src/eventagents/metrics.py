@@ -9,8 +9,9 @@
 Predictions are strings while gold is offset-based, so matching compares
 the predicted string against the text at the gold span; a predicted
 string equal to a gold span's text necessarily occurs in the document at
-that span.  Items pair up one-to-one, greedily in position order, which
-is optimal here because compatibility is plain string(-tuple) equality.
+that span.  Items pair up one-to-one, and since compatibility is plain
+string(-tuple) equality the largest such matching is the multiset
+intersection of the predicted and the gold items.
 Counts are pooled over all documents before precision and recall are
 computed.  By convention an empty-vs-empty comparison scores 1.0 and
 zero predictions against non-empty gold score 0.0, so scoring gold
@@ -20,7 +21,7 @@ against itself is 1.0 on any corpus, including an empty one.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import Document
 from .errors import EventAgentsError
@@ -73,14 +74,21 @@ class MetricsReport(FrozenRecord):
 
 
 def _greedy_correct(pred_keys: Sequence, gold_keys: Sequence) -> int:
-    """One-to-one matching, predictions claiming gold items in order."""
-    remaining = Counter(gold_keys)
-    correct = 0
-    for key in pred_keys:
-        if remaining[key] > 0:
-            remaining[key] -= 1
-            correct += 1
-    return correct
+    """The size of the one-to-one matching: the multiset intersection."""
+    return (Counter(pred_keys) & Counter(gold_keys)).total()
+
+
+def _items(events: Iterable[tuple[str, str, list[tuple[str, str]]]]) -> tuple[list, list, list, list]:
+    """The TI, TC, AI and AC items of one document's events, each given as
+    (trigger text, event type, its (role, value text) pairs)."""
+    ti, tc, ai, ac = [], [], [], []
+    for trigger, event_type, arguments in events:
+        ti.append(trigger)
+        tc.append((trigger, event_type))
+        for role, value in arguments:
+            ai.append((event_type, value))
+            ac.append((event_type, role, value))
+    return ti, tc, ai, ac
 
 
 def _scores(num_pred: int, num_gold: int, num_correct: int) -> MetricScores:
@@ -101,47 +109,19 @@ def score(predictions: Mapping[str, Sequence[EventObject]], gold: Sequence[Docum
 
     pooled = {name: [0, 0, 0] for name in ("ti", "tc", "ai", "ac")}
     for doc in gold:
-        doc_predictions = list(predictions.get(doc.id, ()))
-
-        pred_triggers = [event.trigger for event in doc_predictions]
-        pred_typed = [(event.trigger, event.event_type) for event in doc_predictions]
-        gold_triggers = [doc.text[e.trigger.start : e.trigger.end] for e in doc.gold_events]
-        gold_typed = [
-            (doc.text[e.trigger.start : e.trigger.end], e.event_type) for e in doc.gold_events
-        ]
-
-        pred_args = [
-            (event.event_type, str(value))
-            for event in doc_predictions
-            for values in event.arguments.values()
-            for value in values
-        ]
-        pred_args_typed = [
-            (event.event_type, role, str(value))
-            for event in doc_predictions
-            for role, values in event.arguments.items()
-            for value in values
-        ]
-        gold_args = [
-            (e.event_type, doc.text[span.start : span.end])
+        text = doc.text
+        pred_items = _items(
+            (event.trigger, event.event_type, [(role, str(v)) for role, values in event.arguments.items() for v in values])
+            for event in predictions.get(doc.id, ())
+        )
+        gold_items = _items(
+            (text[e.trigger.start : e.trigger.end], e.event_type, [(role, text[a.start : a.end]) for role, a in e.arguments])
             for e in doc.gold_events
-            for _, span in e.arguments
-        ]
-        gold_args_typed = [
-            (e.event_type, role, doc.text[span.start : span.end])
-            for e in doc.gold_events
-            for role, span in e.arguments
-        ]
-
-        for name, pred_keys, gold_keys in (
-            ("ti", pred_triggers, gold_triggers),
-            ("tc", pred_typed, gold_typed),
-            ("ai", pred_args, gold_args),
-            ("ac", pred_args_typed, gold_args_typed),
-        ):
-            pooled[name][0] += len(pred_keys)
-            pooled[name][1] += len(gold_keys)
-            pooled[name][2] += _greedy_correct(pred_keys, gold_keys)
+        )
+        for counts, pred_keys, gold_keys in zip(pooled.values(), pred_items, gold_items):
+            counts[0] += len(pred_keys)
+            counts[1] += len(gold_keys)
+            counts[2] += _greedy_correct(pred_keys, gold_keys)
 
     return MetricsReport(**{name: _scores(*counts) for name, counts in pooled.items()})
 

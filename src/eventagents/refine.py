@@ -76,11 +76,9 @@ class PipelineConfig(FrozenRecord):
 def select_best(pool: list[TriggerHypothesis]) -> TriggerHypothesis:
     """Argmax by confidence over a non-empty pool; ties broken by earlier
     text position, then trigger text, then pool order."""
-    def rank(pair):
-        index, h = pair
-        offset = math.inf if h.char_offset is None else h.char_offset
-        return (-h.confidence, offset, h.trigger, index)
-    return min(enumerate(pool), key=rank)[1]
+    def rank(h):
+        return (-h.confidence, math.inf if h.char_offset is None else h.char_offset, h.trigger)
+    return min(pool, key=rank)
 
 
 class RefinementTrace(Record):
