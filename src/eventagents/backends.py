@@ -56,13 +56,17 @@ class ChatMessage(FrozenRecord):
 
 
 def _split_url(url: str) -> urllib.parse.SplitResult | None:
-    """``url`` split into parts; None unless it names a host and any port is numeric."""
+    """``url`` split into parts; None unless it names a host that the
+    resolver can encode and any port is numeric."""
     try:
         parts = urllib.parse.urlsplit(url)
         parts.port
-    except ValueError:  # a malformed IPv6 host or a non-numeric port
+        if not parts.hostname:
+            return None
+        parts.hostname.encode("idna")  # as the resolver and TLS will
+    except ValueError:  # a malformed IPv6 host, a non-numeric port, or a host label empty or over 63 characters
         return None
-    return parts if parts.hostname else None
+    return parts
 
 
 class BackendConfig(FrozenRecord):

@@ -140,8 +140,9 @@ def refine(
 ) -> EventObject | None:
     """Run the dual loop until an event verifies or the pool runs out.
 
-    Consumes ``pool`` in place: each hypothesis tried to exhaustion is
-    removed, so the untried ones stay in the caller's list.  Returns the
+    Consumes ``pool`` in place: each hypothesis that is tried, to
+    acceptance or to exhaustion, is removed, so the caller's list holds
+    exactly the untried ones.  Returns the
     accepted event, or None once the pool or the ``hypothesis_k`` budget
     is spent, with the trace's outcome ``"exhausted"``.  Hypotheses
     whose event type is not in the registry are consumed without costing
@@ -186,6 +187,7 @@ def refine(
             result = verify(code, text, schema, judge)
             record["verdict"] = result.verdict
             if result.verdict:
+                pool.remove(hypothesis)
                 trace.outcome = "accepted"
                 return code.parsed
             diagnostic_line = record["diagnostic"] = result.diagnostic.as_line()

@@ -306,8 +306,8 @@ class TestRefine:
         pool = [first, second, third]
         outcome = refine(pool, tuesday_text, patch_registry, self.config(patch_attempts=1), backend)
         assert outcome.trigger == "vulnerability"
-        # Only the exhausted hypothesis is consumed; the accepted one stays.
-        assert pool == [second, third]
+        # The exhausted and the accepted hypothesis are both consumed.
+        assert pool == [third]
 
     def test_backend_failure_raises_and_attaches_nothing(self, patch_registry, tuesday_text):
         backend = ScriptedBackend({})
@@ -500,6 +500,21 @@ class TestExtractDocument:
             ("patched", 0.9),
             ("vulnerability", 0.5),
         ]
+        assert trace.outcome == "accepted"
+
+    def test_an_accepted_hypothesis_is_not_tried_again(self, databreach_schema):
+        # The coder's mention differs from the planned trigger in case only,
+        # so no later entry matches the accepted event's (trigger, type).
+        text = "Breach at the bank exposed customer records."
+        reply = 'Databreach(mention="breach", victim=["bank"])'
+        planning = '[{"trigger": "Breach", "event_type": "Databreach"}]'
+        backend = Recorder(ScriptedBackend(
+            single_schema_fixture(databreach_schema, text, self.EXEMPLAR, planning, [("Breach", reply, "")])
+        ))
+        config = self.config(multi_event=True, event_cap=5)
+        events, trace = extract(text, SchemaRegistry([databreach_schema]), config, backend)
+        assert [e.trigger for e in events] == ["breach"]
+        assert template_counts(backend)["coding"] == 1
         assert trace.outcome == "accepted"
 
     def test_failed_continuation_keeps_the_accepted_event(self, patch_registry, patchvuln_schema, tuesday_text):
