@@ -61,12 +61,10 @@ def _split_url(url: str) -> urllib.parse.SplitResult | None:
     try:
         parts = urllib.parse.urlsplit(url)
         parts.port
-        if not parts.hostname:
-            return None
-        parts.hostname.encode("idna")  # as the resolver and TLS will
+        (parts.hostname or "").encode("idna")  # as the resolver and TLS will
     except ValueError:  # a malformed IPv6 host, a non-numeric port, or a host label empty or over 63 characters
         return None
-    return parts
+    return parts if parts.hostname else None
 
 
 class BackendConfig(FrozenRecord):

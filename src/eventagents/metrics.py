@@ -111,8 +111,8 @@ def score(predictions: Mapping[str, Sequence[EventObject]], gold: Sequence[Docum
     for doc in gold:
         text = doc.text
         pred_items = _items(
-            (event.trigger, event.event_type, [(role, str(v)) for role, values in event.arguments.items() for v in values])
-            for event in predictions.get(doc.id, ())
+            (e.trigger, e.event_type, [(role, str(v)) for role, values in e.arguments.items() for v in values])
+            for e in predictions.get(doc.id, ())
         )
         gold_items = _items(
             (text[e.trigger.start : e.trigger.end], e.event_type, [(role, text[a.start : a.end]) for role, a in e.arguments])

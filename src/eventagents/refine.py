@@ -4,10 +4,11 @@ The outer loop repeatedly selects the highest-confidence hypothesis left
 in the pool, a plain list the search consumes.  The inner loop gives the
 coding agent up to ``patch_attempts`` tries for that hypothesis, feeding
 the previous attempt's diagnostic line back into the prompt from the
-second try on.  A hypothesis that exhausts its attempts is removed and
-the outer loop re-selects; an empty pool ends the search with None and
-the trace's outcome ``"exhausted"``, which is a result, not an error:
-evaluation counts failed documents as zero predictions.
+second try on.  Every tried hypothesis leaves the pool: one that
+verifies ends the search with its event, and after one that exhausts
+its attempts the outer loop re-selects.  An empty pool ends the search
+with None and the trace's outcome ``"exhausted"``, which is a result,
+not an error: evaluation counts failed documents as zero predictions.
 
 Each document's :class:`RefinementTrace` is its one result, whatever
 the outcome: :func:`extract_document` turns a planning, coding or judge
@@ -142,15 +143,15 @@ def refine(
 
     Consumes ``pool`` in place: each hypothesis that is tried, to
     acceptance or to exhaustion, is removed, so the caller's list holds
-    exactly the untried ones.  Returns the
-    accepted event, or None once the pool or the ``hypothesis_k`` budget
-    is spent, with the trace's outcome ``"exhausted"``.  Hypotheses
-    whose event type is not in the registry are consumed without costing
-    any coding calls.  Each coding attempt is appended to
-    ``trace.attempts`` as its trace record before verification.  A
-    backend failure raises with nothing attached; ``trace`` keeps what
-    was recorded up to it.  ``judge`` is the document's T1 judge from
-    :func:`document_judge`; without one, each call builds its own.
+    exactly the untried ones.  Returns the accepted event, or None once
+    the pool or the ``hypothesis_k`` budget is spent, with the trace's
+    outcome ``"exhausted"``.  Hypotheses whose event type is not in the
+    registry are consumed without costing any coding calls.  Each coding
+    attempt is appended to ``trace.attempts`` as its trace record before
+    verification.  A backend failure raises with nothing attached;
+    ``trace`` keeps what was recorded up to it.  ``judge`` is the
+    document's T1 judge from :func:`document_judge`; without one, each
+    call builds its own.
     """
     if trace is None:
         trace = RefinementTrace()
