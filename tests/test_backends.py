@@ -284,6 +284,30 @@ class TestHttpBackend:
             backend.complete(make_request())
         assert len(_ScriptedHandler.seen) == 2
 
+    @pytest.mark.parametrize("status", [429, 500, 502, 503, 504])
+    def test_each_transient_status_is_retried(self, http_server, monkeypatch, status):
+        monkeypatch.setattr(eventagents.backends.time, "sleep", lambda seconds: None)
+        _ScriptedHandler.script = [(status, "{}")]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=1))
+        with pytest.raises(BackendError, match=rf"failed after 2 attempts \(status {status}\)$"):
+            backend.complete(make_request())
+        assert len(_ScriptedHandler.seen) == 2
+
+    @pytest.mark.parametrize("status", [501, 505])
+    def test_a_neighbouring_status_fails_fast(self, http_server, status):
+        _ScriptedHandler.script = [(status, "{}")]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=1))
+        with pytest.raises(BackendError, match=f"^backend returned status {status}: {{}}$"):
+            backend.complete(make_request())
+        assert len(_ScriptedHandler.seen) == 1
+
+    def test_an_error_body_is_cut_to_200_characters(self, http_server):
+        _ScriptedHandler.script = [(400, "e" * 300)]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=0))
+        with pytest.raises(BackendError) as caught:
+            backend.complete(make_request())
+        assert str(caught.value) == "backend returned status 400: " + "e" * 200
+
     def test_client_error_fails_fast(self, http_server):
         _ScriptedHandler.script = [(400, '{"error": "bad request"}')]
         backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=3))
@@ -337,6 +361,12 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="content holds a lone surrogate"):
             backend.complete(make_request())
 
+    def test_content_that_is_not_text(self, http_server):
+        _ScriptedHandler.script = [(200, '{"choices": [{"message": {"content": ["ok"]}}]}')]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=0))
+        with pytest.raises(BackendError, match="^backend response content is not text$"):
+            backend.complete(make_request())
+
     def test_deeply_nested_response_body(self, http_server):
         _ScriptedHandler.script = [(200, "[" * 100000)]
         backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=0))
@@ -371,6 +401,15 @@ class TestHttpBackend:
         backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=1, timeout=timeout))
         assert backend.complete(make_request()) == "recovered"
         assert sleeps == [slept]
+
+    def test_backoff_doubles_from_a_tenth_of_a_second(self, http_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(eventagents.backends.time, "sleep", sleeps.append)
+        _ScriptedHandler.script = [(500, "{}")]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=5))
+        with pytest.raises(BackendError, match=r"failed after 6 attempts \(status 500\)$"):
+            backend.complete(make_request())
+        assert sleeps == [0.1, 0.2, 0.4, 0.8, 1.6]
 
     def test_redirect_is_not_followed(self, http_server):
         _ScriptedHandler.script = [(302, "", {"Location": "/elsewhere"})]
@@ -643,6 +682,10 @@ def ok_reply(content="ok", version=b"HTTP/1.1", reason=b" OK", headers=b""):
     return b"%s 200%s\r\n%sContent-Length: %d\r\n\r\n%s" % (version, reason, headers, len(body), body)
 
 
+OK_HEAD = b"HTTP/1.1 200 OK\r\n"
+CHUNKED_HEAD = OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\n"
+
+
 def chunked_reply(content):
     body = completion_body(content).encode("utf-8")
     return (
@@ -692,6 +735,12 @@ class TestResponseFraming:
         raw_server.script = [[b"HTTP/1.1 100 Continue\r\n\r\n" + ok_reply("final")]]
         assert self.backend(raw_server).complete(make_request()) == "final"
 
+    def test_an_http10_reply_is_not_reused(self, raw_server):
+        raw_server.script = [[ok_reply("first", version=b"HTTP/1.0"), ok_reply("reused")], [ok_reply("second")]]
+        backend = self.backend(raw_server)
+        assert [backend.complete(make_request()) for _ in range(2)] == ["first", "second"]
+        assert raw_server.accepted == 2
+
     def test_http10_body_runs_to_end_of_stream(self, raw_server):
         body = completion_body("until close").encode("utf-8")
         reply = b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + body
@@ -699,6 +748,21 @@ class TestResponseFraming:
         backend = self.backend(raw_server)
         assert [backend.complete(make_request()) for _ in range(2)] == ["until close"] * 2
         assert raw_server.accepted == 2
+
+    @pytest.mark.parametrize("status", [204, 304])
+    def test_a_bodiless_status_keeps_the_connection(self, raw_server, status):
+        raw_server.script = [[b"HTTP/1.1 %d Nothing\r\n\r\n" % status, ok_reply("after")]]
+        backend = self.backend(raw_server)
+        with pytest.raises(BackendError, match=f"^backend returned status {status}: $"):
+            backend.complete(make_request())
+        assert backend.complete(make_request()) == "after"
+        assert raw_server.accepted == 1
+
+    def test_a_header_line_of_the_limit_is_read(self, raw_server):
+        line = b"X-Long: " + b"y" * (65536 - 10) + b"\r\n"
+        assert len(line) == 65536
+        raw_server.script = [[ok_reply("long header", headers=line)]]
+        assert self.backend(raw_server).complete(make_request()) == "long header"
 
     def test_status_line_without_reason(self, raw_server):
         raw_server.script = [[ok_reply("no reason", reason=b"")]]
@@ -739,6 +803,29 @@ class TestResponseFraming:
             b"POST http://backend.invalid/v1/chat/completions?api-version=2024 HTTP/1.1"
         )
 
+    @pytest.mark.parametrize(
+        "endpoint, proxy, address, host",
+        [
+            ("http://backend.invalid/v1", None, ("backend.invalid", 80), "backend.invalid"),
+            ("http://backend.invalid:80/v1", None, ("backend.invalid", 80), "backend.invalid"),
+            ("http://backend.invalid:443/v1", None, ("backend.invalid", 443), "backend.invalid:443"),
+            ("https://backend.invalid/v1", None, ("backend.invalid", 443), "backend.invalid"),
+            ("https://backend.invalid:443/v1", None, ("backend.invalid", 443), "backend.invalid"),
+            ("https://backend.invalid:80/v1", None, ("backend.invalid", 80), "backend.invalid:80"),
+            ("http://backend.invalid/v1", "http://proxy.invalid", ("proxy.invalid", 80), "backend.invalid"),
+            ("https://backend.invalid/v1", "proxy.invalid:3128", ("proxy.invalid", 3128), "backend.invalid"),
+        ],
+    )
+    def test_default_ports(self, monkeypatch, endpoint, proxy, address, host):
+        # The address connected to, and the Host header, which names a port
+        # only when it is not the scheme's default.
+        if proxy is not None:
+            monkeypatch.setenv("http_proxy", proxy)
+            monkeypatch.setenv("https_proxy", proxy)
+        backend = HttpBackend(BackendConfig(endpoint=endpoint))
+        assert backend._address == address
+        assert f"\r\nHost: {host}\r\n".encode("ascii") in backend._head
+
     def test_host_brackets_an_ipv6_literal(self):
         try:
             server = _RawServer("::1")
@@ -765,6 +852,53 @@ class TestResponseFraming:
         backend = self.backend(raw_server)
         assert [backend.complete(make_request()) for _ in range(3)] == ["ok"] * 3
         assert writes == raw_server.requests
+
+    @pytest.mark.parametrize(
+        "reply, problem",
+        [
+            (b"ICY 200 OK\r\n\r\n", r"b'ICY 200 OK\r\n'"),
+            (b"Z" * 150 + b"\r\n\r\n", repr(b"Z" * 100)),
+            (b"HTTP/1.1 200 " + b"y" * 65536, "got more than 65536 bytes when reading status line"),
+            (OK_HEAD + b"X-Long: " + b"y" * 65536, "got more than 65536 bytes when reading header line"),
+            (OK_HEAD + b"X-Filler: y\r\n" * 101, "got more than 100 headers"),
+            (OK_HEAD + b"X-Filler: y\r\n" * 100, "IncompleteRead(0 bytes read)"),
+            (OK_HEAD + b"Content-Length", "IncompleteRead(0 bytes read)"),
+            (OK_HEAD + b"Content-Length: 1e2\r\n\r\n", "invalid Content-Length '1e2'"),
+            (OK_HEAD + b"Content-Length: " + b"7" * 150 + b"\r\n\r\n", f"invalid Content-Length {'7' * 100!r}"),
+            (OK_HEAD + b"Content-Length: 10\r\n\r\n{}", "IncompleteRead(2 bytes read, 8 more expected)"),
+            (OK_HEAD + b"Content-Length: 1\r\n\r\n", "IncompleteRead(0 bytes read, 1 more expected)"),
+            (CHUNKED_HEAD + b"zz\r\n", "invalid chunk size b'zz'"),
+            (CHUNKED_HEAD + b"g" * 150 + b"\r\n", f"invalid chunk size {b'g' * 100!r}"),
+            (CHUNKED_HEAD + b"5\r\n{}", "IncompleteRead(2 bytes read, 3 more expected)"),
+            (CHUNKED_HEAD + b"2\r\n{}\n", "IncompleteRead(1 bytes read, 1 more expected)"),
+            (CHUNKED_HEAD + b"2\r\n{}\n\n", "chunk data not followed by CRLF"),
+            (CHUNKED_HEAD + b"0\r\n", "IncompleteRead(0 bytes read)"),
+        ],
+    )
+    def test_framing_fault_texts(self, raw_server, reply, problem):
+        raw_server.script = [[reply]]
+        with pytest.raises(BackendError) as caught:
+            self.backend(raw_server).complete(make_request())
+        url = raw_server.endpoint + "/chat/completions"
+        assert str(caught.value) == f"request to {url} failed after 1 attempts (transport failure: {problem})"
+
+    @pytest.mark.parametrize(
+        "reply, problem",
+        [
+            (b"garbage\r\n\r\n", r"b'garbage\r\n'"),
+            (b"y" * 150 + b"\r\n\r\n", repr(b"y" * 100)),
+            (b"HTTP/1.0 407 Proxy Auth Required\r\n\r\n", "Tunnel connection failed: 407 Proxy Auth Required"),
+            (b"HTTP/1.0 502\r\n\r\n", "Tunnel connection failed: 502 "),
+        ],
+    )
+    def test_connect_reply_fault_texts(self, raw_server, monkeypatch, reply, problem):
+        monkeypatch.setenv("https_proxy", f"http://127.0.0.1:{raw_server.port}")
+        raw_server.script = [[reply]]
+        with pytest.raises(BackendError) as caught:
+            self.backend(raw_server, endpoint="https://backend.invalid/v1").complete(make_request())
+        url = "https://backend.invalid/v1/chat/completions"
+        assert str(caught.value) == f"request to {url} failed after 1 attempts (transport failure: {problem})"
+        assert raw_server.requests == [b"CONNECT backend.invalid:443 HTTP/1.0\r\n\r\n"]
 
     def test_any_reply_gives_text_or_a_backend_error(self, raw_server):
         @settings(max_examples=200, deadline=None)
@@ -914,6 +1048,7 @@ class TestBackendConfig:
             {"endpoint": ""},
             {"temperature": -0.1},
             {"temperature": float("nan")},
+            {"temperature": float("inf")},
             {"timeout": float("inf")},
             {"timeout": float("nan")},
             {"max_tokens": 0},
@@ -933,6 +1068,13 @@ class TestBackendConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             BackendConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"temperature": 0.0}, {"max_tokens": 1}, {"timeout": 1e-9}, {"retries": 0}, {"retries": 5}]
+    )
+    def test_range_ends_are_accepted(self, kwargs):
+        config = BackendConfig(**kwargs)
+        assert [getattr(config, name) for name in kwargs] == list(kwargs.values())
 
     @pytest.mark.parametrize(
         "endpoint",
@@ -1170,6 +1312,35 @@ class TestRequestBody:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+    def test_racing_threads_encode_a_new_head_once(self, backend, breach_registry, monkeypatch):
+        head = planning_head(breach_registry, (f"race {AWKWARD}",)).text
+        encode, encodes = eventagents.backends._json_string, []
+        monkeypatch.setattr(eventagents.backends, "_json_string", lambda value: encodes.append(value) or encode(value))
+        lock, waiting = threading.Lock(), []
+
+        class CountingLock:
+            def __enter__(self):
+                waiting.append(threading.get_ident())
+                lock.acquire()
+
+            def __exit__(self, *exc_info):
+                lock.release()
+
+        backend._lock = CountingLock()
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(backend._encoded_head(head))) for _ in range(2)]
+        with lock:  # both threads see the new head before either stores it
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while len(waiting) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+        for thread in threads:
+            thread.join(timeout=10)
+        assert len(waiting) == 2
+        assert encodes == [head]
+        assert results == [encode(head)[:-1].encode("ascii")] * 2
 
     @settings(max_examples=200, deadline=None)
     @given(st.text(), st.text(min_size=1), st.one_of(st.none(), st.floats(0, 2)))

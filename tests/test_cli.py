@@ -181,6 +181,7 @@ class TestConfigResolution:
             ({"unknown_key": 1}, "unknown config file key 'unknown_key'"),
             ({"backend": {"port": 1}}, "unknown config file key 'backend.port'"),
             ({"backend": []}, "'backend' must be an object"),
+            ([{"runs": 1}], "run.json must contain a JSON object"),
             ({"runs": "three"}, "config file key 'runs' must be an integer"),
             ({"runs": True}, "config file key 'runs' must be an integer"),
             ({"backend": {"temperature": "hot"}}, "config file key 'backend.temperature' must be a number"),
@@ -230,6 +231,10 @@ class TestConfigResolution:
         code, _, err = run_cli(capsys, "extract", "--print-config", "--runs", "0")
         assert code == 2
         assert "runs must be >= 1" in err
+
+    def test_negative_sample_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "extract", "--print-config", "--sample", "-1")
+        assert (code, out, err) == (2, "", "error: sample must be >= 0\n")
 
     def test_pipeline_range_error_is_a_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "extract", "--hypothesis-k", "0")

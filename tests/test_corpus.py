@@ -97,6 +97,20 @@ class TestLoadCorpus:
             ('{"id": "d", "text": "ab", "tokens": [[0, true]]}', "offsets must be integers"),
             ('{"id": "d", "text": "x", "events": {}}', "'events' must be an array"),
             ('{"id": "d", "text": "x", "events": [5]}', "event entries must be objects"),
+            (
+                '{"id": "d", "text": "ab", "events": [{"event_type": "A", "trigger": "ab"}]}',
+                "record 'd': trigger must be an object",
+            ),
+            (
+                '{"id": "d", "text": "ab", "events": [{"event_type": "A",'
+                ' "trigger": {"text": "ab", "start": 0, "end": 2}, "arguments": {}}]}',
+                "record 'd': 'arguments' must be an array",
+            ),
+            (
+                '{"id": "d", "text": "ab", "events": [{"event_type": "A",'
+                ' "trigger": {"text": "ab", "start": 0, "end": 2}, "arguments": ["role"]}]}',
+                "record 'd': argument entries must be objects",
+            ),
             ('{"id": "d", "text": "x", "events": [{"trigger": {}}]}', "no usable 'event_type'"),
             (
                 '{"id": "d", "text": "abc", "events": [{"event_type": "A", "trigger": {"text": "x"}}]}',

@@ -46,6 +46,8 @@ class TestEventObject:
             EventObject("A", "t", {"x": [None]})
         with pytest.raises(ValueError):
             EventObject("A", "t", {"": ["v"]})
+        with pytest.raises(ValueError, match="^arguments must map role names to value lists$"):
+            EventObject("A", "t", [("x", ["v"])])
 
     def test_code_object_requires_exactly_one_outcome(self):
         failure = ParseFailure("boom", 1, 1)
@@ -150,6 +152,14 @@ class TestConstructorForm:
             ('A(mention="a\\\nb")', "line 1, col 13: invalid escape sequence '\\\n'"),
             ('A(mention="t\\\r\n")', "line 1, col 13: invalid escape sequence '\\\r'"),
             ('A(\n  mention="t",\n  x="v)', "line 3, col 5: unterminated string literal"),
+            # The separator and '=' faults, at a token and at end of input.
+            ('A(mention="t", x 1)', "line 1, col 18: expected '=' after 'x', got '1'"),
+            ('A(mention="t", x', "line 1, col 17: expected '=' after 'x', got end of input"),
+            ('A(mention="t", x=[1 2])', "line 1, col 21: expected ',' or ']', got '2'"),
+            ('A(mention="t",\n  x=[1\n  2])', "line 3, col 3: expected ',' or ']', got '2'"),
+            ('A(mention="t", x=[1', "line 1, col 20: expected ',' or ']', got end of input"),
+            ('A(mention="t" x=1)', "line 1, col 15: expected ',' or ')', got 'x'"),
+            ('A(mention="t"', "line 1, col 14: expected ',' or ')', got end of input"),
             # The whole source is scanned before parsing, so a lexical fault
             # wins over an earlier grammar fault.
             ('Foo(1 "abc', "line 1, col 7: unterminated string literal"),
