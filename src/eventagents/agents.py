@@ -35,9 +35,7 @@ class PlanningError(EventAgentsError):
 class TriggerHypothesis(FrozenRecord):
     """A candidate (trigger span, event type) pair from planning."""
 
-    def __init__(
-        self, trigger: str, event_type: str, confidence: float, rationale: str = "", char_offset: int | None = None
-    ):
+    def __init__(self, trigger: str, event_type: str, confidence: float, rationale: str = ""):
         if not trigger:
             raise ValueError("hypothesis trigger must be non-empty")
         if not event_type:
@@ -48,7 +46,6 @@ class TriggerHypothesis(FrozenRecord):
         set_field(self, "event_type", event_type)
         set_field(self, "confidence", confidence)
         set_field(self, "rationale", rationale)
-        set_field(self, "char_offset", char_offset)
 
 
 def extract_code_block(reply: str) -> str:
@@ -98,7 +95,7 @@ class ExemplarCache:
         return exemplars
 
 
-def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | None:
+def _parse_planning_reply(reply: str) -> list[TriggerHypothesis] | None:
     """None means the reply is malformed and a retry is warranted."""
     try:
         data = json.loads(extract_code_block(reply))
@@ -126,7 +123,6 @@ def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | No
             confidence = 1.0 - (rank - 1) / len(data)
         elif isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
             return None
-        offset = text.lower().find(trigger.lower())
         hypotheses.append(
             TriggerHypothesis(
                 trigger=trigger,
@@ -134,7 +130,6 @@ def _parse_planning_reply(reply: str, text: str) -> list[TriggerHypothesis] | No
                 # Clamp before converting: float() overflows on huge integers.
                 confidence=float(min(1.0, max(0.0, confidence))),
                 rationale=rationale,
-                char_offset=None if offset < 0 else offset,
             )
         )
     return hypotheses
@@ -151,25 +146,32 @@ def run_planning_agent(
     ``head`` is the run's definitions and exemplar block, from
     :func:`~eventagents.prompts.planning_head`.  Missing confidences
     default to 1 - (rank-1)/n in reply order, which preserves the
-    model's implicit ranking.  The result is sorted by confidence
-    (stable, so reply order breaks ties) and truncated to hypothesis_k.
-    A malformed reply earns exactly one retry with a format reminder
-    before the call fails.
+    model's implicit ranking.  The result is the first hypothesis_k in
+    the one best-first order: confidence, then the earliest
+    case-insensitive mention in ``text`` (none comes last), then trigger
+    text, then reply order.  A malformed reply earns exactly one retry
+    with a format reminder before the call fails.
     """
     if not text:
         raise ValueError("text must be non-empty")
     if hypothesis_k < 1:
         raise ValueError("hypothesis_k must be >= 1")
     reply = backend.complete(planning_prompt(text, head))
-    hypotheses = _parse_planning_reply(reply, text)
+    hypotheses = _parse_planning_reply(reply)
     if hypotheses is None:
         reply = backend.complete(planning_retry_prompt(text, head))
-        hypotheses = _parse_planning_reply(reply, text)
+        hypotheses = _parse_planning_reply(reply)
         if hypotheses is None:
             raise PlanningError(
                 f"planning reply is not a JSON array of trigger/event_type objects: {reply[:200]!r}"
             )
-    hypotheses.sort(key=lambda h: -h.confidence)
+    lowered = text.lower()
+
+    def rank(h: TriggerHypothesis) -> tuple:
+        offset = lowered.find(h.trigger.lower())
+        return (-h.confidence, offset < 0, offset, h.trigger)
+
+    hypotheses.sort(key=rank)  # stable: reply order breaks the ties left
     return hypotheses[:hypothesis_k]
 
 

@@ -1,14 +1,15 @@
 """Dual-loop refinement: hypothesis backtracking around a patch loop.
 
-The outer loop repeatedly selects the highest-confidence hypothesis left
-in the pool, a plain list the search consumes.  The inner loop gives the
-coding agent up to ``patch_attempts`` tries for that hypothesis, feeding
-the previous attempt's diagnostic line back into the prompt from the
-second try on.  Every tried hypothesis leaves the pool: one that
-verifies ends the search with its event, and after one that exhausts
-its attempts the outer loop re-selects.  An empty pool ends the search
-with None and the trace's outcome ``"exhausted"``, which is a result,
-not an error: evaluation counts failed documents as zero predictions.
+The outer loop takes the hypotheses of the pool, a plain list the search
+consumes, front to back: planning ranked them best first.  The inner
+loop gives the coding agent up to ``patch_attempts`` tries for that
+hypothesis, feeding the previous attempt's diagnostic line back into the
+prompt from the second try on.  A hypothesis leaves the pool when it is
+taken up: one that verifies ends the search with its event, and after
+one that exhausts its attempts the outer loop takes the next.  An empty
+pool ends the search with None and the trace's outcome ``"exhausted"``,
+which is a result, not an error: evaluation counts failed documents as
+zero predictions.
 
 Each document's :class:`RefinementTrace` is its one result, whatever
 the outcome: :func:`extract_document` turns a planning, coding or judge
@@ -23,7 +24,6 @@ refine call.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Callable
 
 from .agents import (
@@ -72,14 +72,6 @@ class PipelineConfig(FrozenRecord):
         set_field(self, "exemplar_k", exemplar_k)
         set_field(self, "multi_event", multi_event)
         set_field(self, "event_cap", event_cap)
-
-
-def select_best(pool: list[TriggerHypothesis]) -> TriggerHypothesis:
-    """Argmax by confidence over a non-empty pool; ties broken by earlier
-    text position, then trigger text, then pool order."""
-    def rank(h):
-        return (-h.confidence, math.inf if h.char_offset is None else h.char_offset, h.trigger)
-    return min(pool, key=rank)
 
 
 class RefinementTrace(Record):
@@ -141,17 +133,17 @@ def refine(
 ) -> EventObject | None:
     """Run the dual loop until an event verifies or the pool runs out.
 
-    Consumes ``pool`` in place: each hypothesis that is tried, to
-    acceptance or to exhaustion, is removed, so the caller's list holds
-    exactly the untried ones.  Returns the accepted event, or None once
-    the pool or the ``hypothesis_k`` budget is spent, with the trace's
-    outcome ``"exhausted"``.  Hypotheses whose event type is not in the
-    registry are consumed without costing any coding calls.  Each coding
-    attempt is appended to ``trace.attempts`` as its trace record before
-    verification.  A backend failure raises with nothing attached;
-    ``trace`` keeps what was recorded up to it.  ``judge`` is the
-    document's T1 judge from :func:`document_judge`; without one, each
-    call builds its own.
+    Takes ``pool`` front to back and consumes it in place: a hypothesis
+    is removed when it is taken up, so the caller's list holds exactly
+    the ones not taken, also after a backend failure.  Returns the
+    accepted event, or None once the pool or the ``hypothesis_k`` budget
+    is spent, with the trace's outcome ``"exhausted"``.  Hypotheses
+    whose event type is not in the registry are consumed without costing
+    any coding calls.  Each coding attempt is appended to
+    ``trace.attempts`` as its trace record before verification.  A
+    backend failure raises with nothing attached; ``trace`` keeps what
+    was recorded up to it.  ``judge`` is the document's T1 judge from
+    :func:`document_judge`; without one, each call builds its own.
     """
     if trace is None:
         trace = RefinementTrace()
@@ -159,13 +151,12 @@ def refine(
         judge = document_judge(config.mode, backend, text, trace.notes)
     hypotheses_tried = 0
     while pool and hypotheses_tried < config.hypothesis_k:
-        hypothesis = select_best(pool)
+        hypothesis = pool.pop(0)
         schema = registry.get(hypothesis.event_type)
         if schema is None:
             trace.notes.append(
                 f"hypothesis ({hypothesis.trigger!r}, {hypothesis.event_type!r}) skipped: unknown event type"
             )
-            pool.remove(hypothesis)
             continue
         hypotheses_tried += 1
         diagnostic_line = None
@@ -188,11 +179,9 @@ def refine(
             result = verify(code, text, schema, judge)
             record["verdict"] = result.verdict
             if result.verdict:
-                pool.remove(hypothesis)
                 trace.outcome = "accepted"
                 return code.parsed
             diagnostic_line = record["diagnostic"] = result.diagnostic.as_line()
-        pool.remove(hypothesis)
     trace.outcome = "exhausted"
     return None
 

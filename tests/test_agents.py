@@ -342,8 +342,15 @@ class TestPlanningAgent:
         ]
         assert hypotheses[0].confidence == 1.0
         assert hypotheses[1].confidence == 0.5
-        assert hypotheses[0].char_offset == ransom_text.index("demanded")
-        assert hypotheses[1].char_offset == ransom_text.index("infiltrating")
+        # At equal confidence the earlier mention in the text comes first.
+        tied = planning_reply(
+            {"trigger": "infiltrating", "event_type": "Databreach", "confidence": 0.5},
+            {"trigger": "demanded", "event_type": "Ransom", "confidence": 0.5},
+        )
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), tied)))
+        hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry))
+        assert ransom_text.index("demanded") < ransom_text.index("infiltrating")
+        assert [h.trigger for h in hypotheses] == ["demanded", "infiltrating"]
 
     def test_explicit_confidence_and_sorting(self, ransom_text, databreach_schema, ransom_schema):
         registry = self.registry(databreach_schema, ransom_schema)
@@ -413,16 +420,51 @@ class TestPlanningAgent:
         assert len(backend.calls) == 1
 
     def test_offset_is_case_insensitive_and_optional(self, databreach_schema, ransom_schema):
+        # "demanded" is found at 0 only when case is ignored, "MORE" at 9;
+        # "paid" is not in the text, so it comes last.
         text = "DEMANDED more."
         registry = self.registry(databreach_schema, ransom_schema)
         reply = planning_reply(
-            {"trigger": "demanded", "event_type": "Ransom"},
-            {"trigger": "paid", "event_type": "Ransom"},
+            {"trigger": "paid", "event_type": "Ransom", "confidence": 0.5},
+            {"trigger": "MORE", "event_type": "Ransom", "confidence": 0.5},
+            {"trigger": "demanded", "event_type": "Ransom", "confidence": 0.5},
         )
         backend = ScriptedBackend(script((planning_prompt(text, planning_head(registry)), reply)))
         hypotheses = run_planning_agent(backend, text, planning_head(registry))
-        assert hypotheses[0].char_offset == 0
-        assert hypotheses[1].char_offset is None
+        assert [h.trigger for h in hypotheses] == ["demanded", "MORE", "paid"]
+
+    # One case per rule of the best-first order, each in a reply whose
+    # order, and whose trigger text, would put the other entry first.
+    BEST_FIRST = {
+        "higher-confidence": (
+            [("demanded", "Ransom", 0.3), ("servers", "Databreach", 0.8)],
+            [("servers", "Databreach"), ("demanded", "Ransom")],
+        ),
+        "earlier-offset": (
+            [("bank", "Ransom", 0.5), ("demanded", "Ransom", 0.5)],
+            [("demanded", "Ransom"), ("bank", "Ransom")],
+        ),
+        "not-found-last": (
+            [("aaa", "Ransom", 0.5), ("servers", "Databreach", 0.5)],
+            [("servers", "Databreach"), ("aaa", "Ransom")],
+        ),
+        "trigger-text": (
+            [("demanded a", "Ransom", 0.5), ("demanded", "Ransom", 0.5)],
+            [("demanded", "Ransom"), ("demanded a", "Ransom")],
+        ),
+        "reply-order": (
+            [("demanded", "Ransom", 0.5), ("demanded", "Databreach", 0.5)],
+            [("demanded", "Ransom"), ("demanded", "Databreach")],
+        ),
+    }
+
+    @pytest.mark.parametrize("entries, expected", BEST_FIRST.values(), ids=BEST_FIRST)
+    def test_best_first_order(self, ransom_text, databreach_schema, ransom_schema, entries, expected):
+        registry = self.registry(databreach_schema, ransom_schema)
+        reply = planning_reply(*[{"trigger": t, "event_type": e, "confidence": c} for t, e, c in entries])
+        backend = ScriptedBackend(script((planning_prompt(ransom_text, planning_head(registry)), reply)))
+        hypotheses = run_planning_agent(backend, ransom_text, planning_head(registry))
+        assert [(h.trigger, h.event_type) for h in hypotheses] == expected
 
     def test_fenced_reply_accepted(self, ransom_text, databreach_schema, ransom_schema):
         registry = self.registry(databreach_schema, ransom_schema)

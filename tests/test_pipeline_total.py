@@ -23,7 +23,8 @@ from eventagents import (
     extract_document,
 )
 from eventagents.events import event_payload
-from eventagents.refine import build_run_context, trace_to_records
+from eventagents.prompts import planning_head
+from eventagents.refine import RunContext, build_run_context, trace_to_records
 
 TEXT = "Hackers demanded a ransom of 500 coins after the breach on Friday."
 REGISTRY = SchemaRegistry([
@@ -181,3 +182,41 @@ def test_extract_document_is_total_and_bounded(config, data):
         encodes(event_payload(event))
     for record in trace_to_records(trace, "doc-1"):
         encodes(record)
+
+
+# Planning entries that are all usable, so that the reply parses, but
+# tie, default, clamp, vary in case, miss the text or name unknown types.
+RANKED_HYPOTHESIS = st.fixed_dictionaries(
+    {
+        "trigger": st.sampled_from(["demanded", "Demanded", "BREACH", "breach", "ransom", "Friday", "absent", "zzz"]),
+        "event_type": st.sampled_from(TYPE_NAMES[:3]),
+    },
+    optional={"confidence": st.sampled_from([0.5, 0.5, 0.9, 0.0, 1.0, -1, 2, 10**400, None]) | st.floats()},
+)
+
+
+class PlannedBackend:
+    """Answers planning with one reply and fails every coding attempt
+    with an empty reply."""
+
+    def __init__(self, planning):
+        self.planning = planning
+
+    def complete(self, request):
+        return self.planning if request.template_id == "planning" else ""
+
+
+def tried(planning, hypothesis_k):
+    config = PipelineConfig(hypothesis_k=hypothesis_k, patch_attempts=1)
+    context = RunContext(planning_head(REGISTRY), ())
+    _, trace = extract_document(TEXT, REGISTRY, config, PlannedBackend(planning), context=context)
+    return [(attempt["trigger"], attempt["event_type"]) for attempt in trace.attempts]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(RANKED_HYPOTHESIS, min_size=1, max_size=6).map(json.dumps), st.integers(1, 4))
+def test_a_smaller_hypothesis_k_tries_a_prefix(planning, hypothesis_k):
+    # Planning keeps the first k of one best-first order, and refine takes
+    # them front to back, so one more hypothesis only extends the tries.
+    smaller, larger = tried(planning, hypothesis_k), tried(planning, hypothesis_k + 1)
+    assert larger[: len(smaller)] == smaller

@@ -1,4 +1,4 @@
-"""The dual-loop search: selection order, patching, backtracking, budget."""
+"""The dual-loop search: pool order, patching, backtracking, budget."""
 
 import json
 from collections import Counter
@@ -17,7 +17,6 @@ from eventagents import (
     TriggerHypothesis,
     extract_document,
     refine,
-    select_best,
 )
 from eventagents.agents import ExemplarCache
 from eventagents.cli import main
@@ -31,32 +30,6 @@ BROKEN_DIAGNOSTIC = "[T2] value 1234 is not of type str (at vulnerable_system)"
 
 def hyp(trigger, event_type="PatchVulnerability", confidence=0.9, **kwargs):
     return TriggerHypothesis(trigger, event_type, confidence, **kwargs)
-
-
-class TestSelectBest:
-    def test_highest_confidence_wins(self):
-        low, high = hyp("a", confidence=0.3), hyp("b", confidence=0.8)
-        assert select_best([low, high]) is high
-
-    def test_tie_prefers_earlier_offset(self):
-        late = hyp("late", confidence=0.5, char_offset=40)
-        early = hyp("early", confidence=0.5, char_offset=3)
-        assert select_best([late, early]) is early
-
-    def test_missing_offset_loses_to_any_real_offset(self):
-        nowhere = hyp("aaa", confidence=0.5, char_offset=None)
-        somewhere = hyp("zzz", confidence=0.5, char_offset=99)
-        assert select_best([nowhere, somewhere]) is somewhere
-
-    def test_offset_tie_breaks_on_trigger_text(self):
-        zebra = hyp("zebra", confidence=0.5, char_offset=7)
-        apple = hyp("apple", confidence=0.5, char_offset=7)
-        assert select_best([zebra, apple]) is apple
-
-    def test_full_tie_keeps_pool_order(self):
-        first = hyp("same", confidence=0.5, char_offset=7)
-        second = hyp("same", confidence=0.5, char_offset=7, event_type="PatchVulnerability")
-        assert select_best([first, second]) is first
 
 
 class TestConfigs:
@@ -309,6 +282,24 @@ class TestRefine:
         # The exhausted and the accepted hypothesis are both consumed.
         assert pool == [third]
 
+    def test_pool_is_taken_front_to_back(self, patch_registry, patchvuln_schema, tuesday_text):
+        # refine does not rank: planning already did, so a lower confidence
+        # at the front is tried first.
+        backend = ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY)))
+        low, high = hyp("patched", confidence=0.2), hyp("vulnerability", confidence=0.9)
+        pool = [low, high]
+        trace = RefinementTrace()
+        assert refine(pool, tuesday_text, patch_registry, self.config(), backend, trace).trigger == "patched"
+        assert [a["trigger"] for a in trace.attempts] == ["patched"]
+        assert pool == [high]
+
+    def test_backend_failure_consumes_the_hypothesis_being_tried(self, patch_registry, tuesday_text):
+        second = hyp("vulnerability", confidence=0.5)
+        pool = [hyp("patched"), second]
+        with pytest.raises(BackendError):
+            refine(pool, tuesday_text, patch_registry, self.config(), ScriptedBackend({}))
+        assert pool == [second]
+
     def test_backend_failure_raises_and_attaches_nothing(self, patch_registry, tuesday_text):
         backend = ScriptedBackend({})
         trace = RefinementTrace()
@@ -501,6 +492,27 @@ class TestExtractDocument:
             ("vulnerability", 0.5),
         ]
         assert trace.outcome == "accepted"
+
+    @pytest.mark.parametrize("hypothesis_k, tried", [
+        (3, ["demanded", "ransom", "Attackers"]),
+        (4, ["demanded", "ransom", "Attackers", "breach"]),
+    ])
+    def test_a_tie_at_the_cut_keeps_the_best_first_order(self, databreach_schema, hypothesis_k, tried):
+        # "breach" and "Attackers" tie on confidence and straddle the cut at
+        # k=3; the earlier mention is kept, so k=3 tries a prefix of k=4.
+        text = "Attackers demanded a ransom after the breach."
+        planning = json.dumps([
+            {"trigger": "demanded", "event_type": "Databreach", "confidence": 0.9},
+            {"trigger": "ransom", "event_type": "Databreach", "confidence": 0.8},
+            {"trigger": "breach", "event_type": "Databreach", "confidence": 0.5},
+            {"trigger": "Attackers", "event_type": "Databreach", "confidence": 0.5},
+        ])
+        coding = [(trigger, "", "") for trigger in ("demanded", "ransom", "breach", "Attackers")]
+        backend = ScriptedBackend(single_schema_fixture(databreach_schema, text, self.EXEMPLAR, planning, coding))
+        config = self.config(hypothesis_k=hypothesis_k, patch_attempts=1)
+        events, trace = extract(text, SchemaRegistry([databreach_schema]), config, backend)
+        assert events == [] and trace.outcome == "exhausted"
+        assert [a["trigger"] for a in trace.attempts] == tried
 
     def test_an_accepted_hypothesis_is_not_tried_again(self, databreach_schema):
         # The coder's mention differs from the planned trigger in case only,
