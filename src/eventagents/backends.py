@@ -248,7 +248,7 @@ class HttpBackend:
         retry_after = 0.0
         for attempt in range(attempts):
             if attempt:
-                time.sleep(max(min(0.1 * (2 ** (attempt - 1)), 2.0), retry_after))
+                time.sleep(max(0.1 * (2 ** (attempt - 1)), retry_after))
             retry_after = 0.0
             try:
                 status, headers, data = connection.exchange(message)
@@ -459,11 +459,11 @@ def _read_status_line(reader: IO[bytes]) -> bytes:
 def _read_response(reader: IO[bytes], line: bytes) -> tuple[int, dict[str, str], bytes, bool]:
     """Read the reply whose first status line is ``line``.
 
-    Returns the status, the headers (lower-cased names, first value
-    kept), the body, and whether the connection can carry another
-    request.  1xx interim replies are skipped.  Every framing fault
-    raises a ``_FramingError`` or an ``OSError``; a body over
-    ``_MAX_BODY`` raises a ``BackendError``.
+    Returns the status, the headers (lower-cased names, a repeated
+    field's values joined by ", "), the body, and whether the connection
+    can carry another request.  1xx interim replies are skipped.  Every
+    framing fault raises a ``_FramingError`` or an ``OSError``; a body
+    over ``_MAX_BODY`` raises a ``BackendError``.
     """
     while True:
         match = _STATUS.fullmatch(line)
@@ -478,7 +478,10 @@ def _read_response(reader: IO[bytes], line: bytes) -> tuple[int, dict[str, str],
     if status in _NO_BODY_STATUSES:
         body = b""
     elif "transfer-encoding" in headers:
-        # Chunked framing wins over Content-Length (RFC 9112, section 6.3).
+        # Chunked framing wins over Content-Length, but a reply with both
+        # may be response splitting: its connection is not reused (RFC
+        # 9112, section 6.3).
+        framed = "content-length" not in headers
         if headers["transfer-encoding"].rpartition(",")[2].strip().lower() == "chunked":
             body = _read_chunked(reader)
         else:
@@ -499,17 +502,19 @@ def _read_response(reader: IO[bytes], line: bytes) -> tuple[int, dict[str, str],
 
 
 def _read_headers(reader: IO[bytes]) -> dict[str, str]:
-    """Header (or trailer) lines up to the blank line, at most ``_MAX_HEADERS``."""
-    headers: dict[str, str] = {}
+    """Header (or trailer) lines up to the blank line, at most
+    ``_MAX_HEADERS``.  A repeated field is one comma-separated list (RFC
+    9110, section 5.3), so its values are joined with ", "."""
+    fields: dict[str, list[str]] = {}
     for _ in range(_MAX_HEADERS + 1):
         line = _read_line(reader, "header line")
         if line in (b"\r\n", b"\n"):
-            return headers
+            return {name: ", ".join(values) for name, values in fields.items()}
         if not line:
             raise _FramingError("IncompleteRead(0 bytes read)")
         name, colon, value = line.partition(b":")
         if colon:
-            headers.setdefault(name.strip().lower().decode("latin-1"), value.strip().decode("latin-1"))
+            fields.setdefault(name.strip().lower().decode("latin-1"), []).append(value.strip().decode("latin-1"))
     raise _FramingError(f"got more than {_MAX_HEADERS} headers")
 
 

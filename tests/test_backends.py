@@ -686,10 +686,10 @@ OK_HEAD = b"HTTP/1.1 200 OK\r\n"
 CHUNKED_HEAD = OK_HEAD + b"Transfer-Encoding: chunked\r\n\r\n"
 
 
-def chunked_reply(content):
+def chunked_reply(content, headers=b"Content-Length: 3\r\n"):
     body = completion_body(content).encode("utf-8")
     return (
-        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\nContent-Length: 3\r\n\r\n"
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n%s\r\n" % headers
         + b"%x;name=value\r\n%s\r\n" % (10, body[:10])
         + b"%x\r\n%s\r\n" % (len(body) - 10, body[10:])
         + b"0\r\nX-Trailer: t\r\n\r\n"
@@ -712,12 +712,41 @@ class TestResponseFraming:
         return backend
 
     def test_chunked_reply_with_extension_and_trailer(self, raw_server):
-        # Chunked framing wins over Content-Length; the second reply on the
-        # same connection shows the reader stopped exactly at the trailer's end.
-        raw_server.script = [[chunked_reply("chunked"), ok_reply("after")]]
+        # The second reply on the same connection shows the reader stopped
+        # exactly at the trailer's end.
+        raw_server.script = [[chunked_reply("chunked", headers=b""), ok_reply("after")]]
         backend = self.backend(raw_server)
         assert [backend.complete(make_request()) for _ in range(2)] == ["chunked", "after"]
         assert raw_server.accepted == 1
+
+    def test_a_reply_with_both_framings_is_read_chunked_and_not_reused(self, raw_server):
+        # Chunked framing wins over Content-Length, and the connection is
+        # closed, because the two framings may disagree on where the next
+        # reply starts.
+        raw_server.script = [[chunked_reply("chunked"), ok_reply("same connection")], [ok_reply("fresh")]]
+        backend = self.backend(raw_server)
+        assert [backend.complete(make_request()) for _ in range(2)] == ["chunked", "fresh"]
+        assert raw_server.accepted == 2
+        assert len(raw_server.requests) == 2
+
+    def test_repeated_content_lengths_are_one_invalid_list(self, raw_server):
+        # Framed by the first length, the rest of the body would wait on the
+        # kept connection as the start of the next reply.
+        reply = OK_HEAD + b"Content-Length: 2\r\nContent-Length: 9\r\n\r\nokHTTP/1.1"
+        raw_server.script = [[reply, ok_reply("same connection")], [ok_reply("fresh")]]
+        backend = self.backend(raw_server)
+        with pytest.raises(BackendError, match=r"\(transport failure: invalid Content-Length '2, 9'\)$"):
+            backend.complete(make_request())
+        assert backend.complete(make_request()) == "fresh"
+        assert raw_server.accepted == 2
+
+    def test_a_repeated_connection_field_is_read_whole(self, raw_server):
+        # The "close" in the second Connection line counts.
+        reply = ok_reply("first", headers=b"Connection: keep-alive\r\nConnection: close\r\n")
+        raw_server.script = [[reply, ok_reply("same connection")], [ok_reply("fresh")]]
+        backend = self.backend(raw_server)
+        assert [backend.complete(make_request()) for _ in range(2)] == ["first", "fresh"]
+        assert raw_server.accepted == 2
 
     def test_connection_close_opens_a_fresh_connection_without_a_resend(self, raw_server):
         # The first connection would answer a second request; the client
