@@ -352,8 +352,13 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
             continue
         try:
             record = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # also oversized integers and deep nesting
-            problem = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+        except (ValueError, RecursionError) as exc:
+            if isinstance(exc, json.JSONDecodeError):
+                problem = exc.msg
+            elif isinstance(exc, RecursionError):
+                problem = "nesting too deep"
+            else:  # an integer with more digits than int() converts
+                problem = "number literal out of range"
             raise EvaluationError(f"{path}: line {line_no}: malformed record: {problem}") from None
         if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
             raise EvaluationError(f"{path}: line {line_no}: record needs a string 'doc_id'")

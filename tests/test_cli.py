@@ -565,6 +565,22 @@ class TestEval:
         assert code == 1
         assert err == f"error: {path}: line 2: duplicate doc_id 'd1'\n"
 
+    @pytest.mark.parametrize(
+        "line, problem",
+        [
+            ('{"doc_id": "d1", "n": 1%s}' % ("0" * 5000), "number literal out of range"),
+            ("[" * 100000, "nesting too deep"),
+        ],
+        ids=["long-integer", "deep-nesting"],
+    )
+    def test_hostile_prediction_line_is_named_like_a_corpus_fault(self, capsys, tmp_path, line, problem):
+        gold = gold_eval_corpus(tmp_path)
+        path = tmp_path / "preds.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, "eval", str(path), "--corpus", gold)
+        assert code == 1
+        assert err == f"error: {path}: line 1: malformed record: {problem}\n"
+
     def test_missing_predictions_file(self, capsys, tmp_path):
         gold = gold_eval_corpus(tmp_path)
         code, _, err = run_cli(capsys, "eval", str(tmp_path / "none.jsonl"), "--corpus", gold)
