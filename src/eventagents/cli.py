@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 from .backends import BackendConfig, HttpBackend, ScriptedBackend, load_scripted_fixture
 from .corpus import Document, dataset_stats, load_corpus, sample_split
-from .errors import ConfigError, EventAgentsError, has_surrogate
+from .errors import ConfigError, EventAgentsError, has_surrogate, json_fault
 from .events import EventObject, event_payload, parse_event_code
 from .metrics import EvaluationError, MetricsReport, mean_of_reports, mean_table, score
 from .records import FrozenRecord, set_field
@@ -353,13 +353,7 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
         try:
             record = json.loads(line)
         except (ValueError, RecursionError) as exc:
-            if isinstance(exc, json.JSONDecodeError):
-                problem = exc.msg
-            elif isinstance(exc, RecursionError):
-                problem = "nesting too deep"
-            else:  # an integer with more digits than int() converts
-                problem = "number literal out of range"
-            raise EvaluationError(f"{path}: line {line_no}: malformed record: {problem}") from None
+            raise EvaluationError(f"{path}: line {line_no}: malformed record: {json_fault(exc)}") from None
         if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
             raise EvaluationError(f"{path}: line {line_no}: record needs a string 'doc_id'")
         raw_events = record.get("events", [])

@@ -23,7 +23,7 @@ import random
 import re
 from typing import Sequence
 
-from .errors import EventAgentsError, has_surrogate
+from .errors import EventAgentsError, has_surrogate, json_fault
 from .records import FrozenRecord, set_field
 
 _WHITESPACE_TOKEN_RE = re.compile(r"\S+")
@@ -171,12 +171,8 @@ def load_corpus(source: bytes) -> list[Document]:
             continue
         try:
             raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusError(f"line {line_no}: malformed record: {exc.msg}") from None
-        except ValueError:  # an integer with more digits than int() converts
-            raise CorpusError(f"line {line_no}: malformed record: number literal out of range") from None
-        except RecursionError:
-            raise CorpusError(f"line {line_no}: malformed record: nesting too deep") from None
+        except (ValueError, RecursionError) as exc:
+            raise CorpusError(f"line {line_no}: malformed record: {json_fault(exc)}") from None
         if not isinstance(raw, dict):
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         document = _load_record(line_no, raw)

@@ -1,5 +1,6 @@
-"""Shared exception types, and the check every reader of outside text uses."""
+"""Shared exception types, and the checks every reader of outside text uses."""
 
+import json
 import re
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -21,3 +22,12 @@ def has_surrogate(text: str) -> bool:
     ASCII text, the common case, is answered without a scan.
     """
     return not text.isascii() and _SURROGATE.search(text) is not None
+
+
+def json_fault(exc: ValueError | RecursionError) -> str:
+    """What a failed ``json.loads`` found, in words that name no part of Python."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    if isinstance(exc, RecursionError):
+        return "nesting too deep"
+    return "number literal out of range"  # more digits than int() converts

@@ -32,7 +32,7 @@ import math
 import re
 from typing import Any, NamedTuple
 
-from .errors import has_surrogate
+from .errors import has_surrogate, json_fault
 from .records import FrozenRecord, Record, set_field
 from .schemas import _IDENT_RE, EventSchema, SchemaRegistry
 
@@ -252,12 +252,9 @@ def _is_scalar(value: Any) -> bool:
 def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
     try:
         data = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise _ParseError(f"malformed object notation: {exc.msg}", exc.pos) from None
-    except ValueError:  # an integer with more digits than int() converts
-        raise _ParseError("malformed object notation: number literal out of range", 0) from None
-    except RecursionError:
-        raise _ParseError("malformed object notation: nesting too deep", 0) from None
+    except (ValueError, RecursionError) as exc:
+        position = exc.pos if isinstance(exc, json.JSONDecodeError) else 0
+        raise _ParseError(f"malformed object notation: {json_fault(exc)}", position) from None
     # parse_event_code sends only text whose first non-blank character is
     # "{", so what parsed is an object.
     for key in EVENT_FIELDS:

@@ -496,7 +496,7 @@ class TestExtractDocument:
     @pytest.mark.parametrize("hypothesis_k, tried", [
         (3, ["demanded", "ransom", "Attackers"]),
         (4, ["demanded", "ransom", "Attackers", "breach"]),
-    ])
+    ], ids=["k3", "k4"])
     def test_a_tie_at_the_cut_keeps_the_best_first_order(self, databreach_schema, hypothesis_k, tried):
         # "breach" and "Attackers" tie on confidence and straddle the cut at
         # k=3; the earlier mention is kept, so k=3 tries a prefix of k=4.
