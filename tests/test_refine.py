@@ -28,8 +28,8 @@ BROKEN_REPLY = 'PatchVulnerability(mention="patched", vulnerable_system=[1234])'
 BROKEN_DIAGNOSTIC = "[T2] value 1234 is not of type str (at vulnerable_system)"
 
 
-def hyp(trigger, event_type="PatchVulnerability", confidence=0.9, **kwargs):
-    return TriggerHypothesis(trigger, event_type, confidence, **kwargs)
+def hyp(trigger, event_type="PatchVulnerability", confidence=0.9):
+    return TriggerHypothesis(trigger, event_type, confidence)
 
 
 class TestConfigs:
