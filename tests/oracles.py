@@ -409,3 +409,104 @@ def perturbed_predictions(rng: random.Random, docs) -> dict[str, list[EventObjec
             )
         predictions[doc.id] = events
     return predictions
+
+
+# ---------------------------------------------------------------------------
+# Dual-loop oracle
+
+# How the semantic judge reads each answer the dual-loop tests script:
+# compatible, incompatible, or unparseable, which counts as incompatible.
+JUDGE_READS = {"yes": True, "Yes, it fits.": True, "no": False, "No.": False, "maybe": None, "": None}
+
+
+class _BackendDown(Exception):
+    """The one failing backend call of a dual-loop case."""
+
+
+def dual_loop_oracle(text, planned, known_types, config, coding, judge, fail_at=None, error="backend down"):
+    """What ``extract_document`` makes of one document, transcribed from
+    the ``run_planning_agent``, ``refine`` and ``extract_document``
+    docstrings rather than from their code.
+
+    ``planned`` is the planning reply as (trigger, event type, confidence)
+    entries in reply order, and ``known_types`` the registry's event types.
+    ``coding[(trigger, event_type)]`` holds one reply per attempt for that
+    hypothesis: None for code that does not parse, else (mention, event
+    type, whether the mention occurs in the text, whether the arguments
+    pass the type check).  ``judge[(mention, event_type)]`` is the judge's
+    answer, one of :data:`JUDGE_READS`.  The backend call numbered
+    ``fail_at`` (planning is call 0) fails with ``error``.
+
+    Returns ``(tried, events, outcome, notes, error, calls)``: ``tried``
+    holds (trigger, event type, attempt) per coding call, ``events`` the
+    accepted (mention, event type) pairs, and ``calls`` the answered calls
+    per template.
+    """
+    calls: dict[str, int] = {}
+
+    def call(template):
+        if sum(calls.values()) == fail_at:
+            raise _BackendDown
+        calls[template] = calls.get(template, 0) + 1
+
+    def position(trigger):
+        found = text.lower().find(trigger.lower())
+        return len(text) if found == -1 else found  # absent sorts after every offset
+
+    # Best first: confidence, earliest mention, trigger text, reply order;
+    # the first entry of each pair stands for it, and k of them are kept.
+    order = sorted(range(len(planned)), key=lambda i: (-planned[i][2], position(planned[i][0]), planned[i][0], i))
+    pool: list[tuple[str, str]] = []
+    for i in order:
+        if planned[i][:2] not in pool:
+            pool.append(planned[i][:2])
+    del pool[config.hypothesis_k :]
+
+    tried: list[tuple[str, str, int]] = []
+    events: list[tuple[str, str]] = []
+    notes: list[str] = []
+    answers: dict[tuple[str, str], bool | None] = {}
+    cap = config.event_cap if config.multi_event else 1
+    try:
+        call("planning")
+        if not pool:
+            return tried, events, "no-hypotheses", ["planning produced no hypotheses"], None, calls
+        while pool and len(events) < cap:
+            if events:
+                notes.append(f"multi-event: continuing after accepting {events[-1]!r}")
+            accepted = None
+            while pool and accepted is None:
+                trigger, event_type = pool.pop(0)
+                if event_type not in known_types:
+                    notes.append(f"hypothesis ({trigger!r}, {event_type!r}) skipped: unknown event type")
+                    continue
+                for attempt in range(1, config.patch_attempts + 1):
+                    call("coding")
+                    tried.append((trigger, event_type, attempt))
+                    reply = coding[trigger, event_type][attempt - 1]
+                    if reply is None or not reply[2]:
+                        continue  # T3, or T1 before any judge call
+                    mention, reply_type, _, types_ok = reply
+                    if config.mode == "llm":
+                        question = (mention, reply_type)
+                        if question not in answers:
+                            call("semantic_judge")
+                            answers[question] = JUDGE_READS[judge[question]]
+                            if answers[question] is None:
+                                notes.append(
+                                    f"semantic judge on {question!r}: unparseable judge reply: {judge[question]!r}"
+                                )
+                        if not answers[question]:
+                            continue
+                    if types_ok:
+                        accepted = (mention, event_type)
+                        break
+            if accepted is None:
+                break
+            events.append(accepted)
+            pool = [pair for pair in pool if pair != accepted]
+    except _BackendDown:
+        if not events:
+            return tried, [], "aborted", notes, error, calls
+        notes.append(f"multi-event: continuation failed, keeping {len(events)} accepted event(s): {error}")
+    return tried, events, "accepted" if events else "exhausted", notes, None, calls

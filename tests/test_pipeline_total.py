@@ -12,6 +12,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import JUDGE_READS, dual_loop_oracle
 from eventagents import (
     BackendError,
     EventSchema,
@@ -25,6 +26,7 @@ from eventagents import (
 from eventagents.events import event_payload
 from eventagents.prompts import planning_head
 from eventagents.refine import RunContext, build_run_context, trace_to_records
+from eventagents.schemas import render_schema_as_code
 
 TEXT = "Hackers demanded a ransom of 500 coins after the breach on Friday."
 REGISTRY = SchemaRegistry([
@@ -169,8 +171,8 @@ def test_extract_document_is_total_and_bounded(config, data):
     coding_calls = backend.answered.count("coding")
     # Every paid coding reply is in the trace, even one whose judge call failed.
     assert coding_calls == len(attempts)
-    refine_calls = config.event_cap if config.multi_event else 1
-    assert coding_calls <= config.hypothesis_k * config.patch_attempts * refine_calls
+    # Each kept hypothesis is taken up once per document, event cap or not.
+    assert coding_calls <= config.hypothesis_k * config.patch_attempts
     # The judge is asked about the (trigger, type) pairs of parsed events, each at most once.
     pairs = {(a["event"]["trigger"], a["event"]["event_type"]) for a in attempts if a["event"] is not None}
     judge_calls = backend.answered.count("semantic_judge")
@@ -220,3 +222,121 @@ def test_a_smaller_hypothesis_k_tries_a_prefix(planning, hypothesis_k):
     # them front to back, so one more hypothesis only extends the tries.
     smaller, larger = tried(planning, hypothesis_k), tried(planning, hypothesis_k + 1)
     assert larger[: len(smaller)] == smaller
+
+
+# A mention and whether it occurs in TEXT as words; planned triggers come
+# from the same table, so they tie in position and differ only in case.
+MENTIONS = {"demanded": True, "Demanded": True, "ransom": True, "breach": True, "Friday": True, "absent": False, "zzz": False}
+KNOWN_TYPES = ("Ransom", "Databreach")
+# Arguments that pass or fail the type check, per event type.
+ARGUMENTS = {
+    ("Ransom", True): ", price=500",
+    ("Ransom", False): ', price="lots"',
+    ("Databreach", True): ', time="Friday"',
+    ("Databreach", False): "",
+}
+UNPARSEABLE = ["", "Ransom(mention=", "no code here"]
+TYPE_OF_DEFINITION = {render_schema_as_code(schema): schema.event_type for schema in REGISTRY}
+# Mostly yes, so that llm-mode documents get past the judge.
+JUDGE_ANSWERS = st.sampled_from(["yes", "Yes, it fits.", "yes", *JUDGE_READS])
+PLANNED = st.tuples(
+    st.sampled_from(list(MENTIONS)),
+    st.sampled_from([*KNOWN_TYPES, "Unknown"]),
+    st.sampled_from([0.5, 0.9, 0.2]),
+)
+
+
+@st.composite
+def coding_reply(draw, trigger, event_type):
+    """One coding reply for a hypothesis, as text and as the oracle reads
+    it: unparseable or empty, a T2 fault, the wrong event type, or valid
+    with the planned or another mention."""
+    kind = draw(st.integers(0, 7))  # hypothesis favours 0, so valid replies come first
+    if kind == 7:
+        return draw(st.sampled_from(UNPARSEABLE)), None
+    mention = draw(st.sampled_from(list(MENTIONS))) if kind in (4, 5) else trigger
+    reply_type = event_type if event_type in KNOWN_TYPES else KNOWN_TYPES[0]
+    if kind == 6:
+        reply_type = KNOWN_TYPES[1 - KNOWN_TYPES.index(reply_type)]
+    code = f"{reply_type}(mention={json.dumps(mention)}{ARGUMENTS[reply_type, kind != 5]})"
+    return code, (mention, reply_type, MENTIONS[mention], kind < 5)
+
+
+class TableBackend:
+    """Answers planning with one reply, each coding call from the table of
+    its hypothesis's attempts, and the judge from a table of questions.
+    The call numbered ``fail_at`` fails; answered calls are counted per
+    template."""
+
+    def __init__(self, planning, coding, judge, fail_at):
+        self.planning, self.coding, self.judge, self.fail_at = planning, coding, judge, fail_at
+        self.answered: dict[str, int] = {}
+        self.attempts: dict[tuple[str, str], int] = {}
+
+    def complete(self, request):
+        if sum(self.answered.values()) == self.fail_at:
+            raise BackendError("backend down")
+        bindings = dict(request.bindings)
+        if request.template_id == "planning":
+            reply = self.planning
+        elif request.template_id == "coding":
+            pair = (bindings["trigger"], TYPE_OF_DEFINITION[bindings["definition"]])
+            self.attempts[pair] = self.attempts.get(pair, 0) + 1
+            reply = self.coding[pair][self.attempts[pair] - 1]
+        else:
+            reply = self.judge[bindings["trigger"], bindings["event_type"]]
+        self.answered[request.template_id] = self.answered.get(request.template_id, 0) + 1
+        return reply
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    CONFIGS,
+    st.lists(PLANNED, min_size=1, max_size=5, unique_by=lambda entry: entry[:2]),
+    st.fixed_dictionaries({(m, t): JUDGE_ANSWERS for m in MENTIONS for t in KNOWN_TYPES}),
+    st.data(),
+)
+def test_extract_document_follows_the_reference_loop(config, planned, judge, data):
+    replies = {
+        (trigger, event_type): [data.draw(coding_reply(trigger, event_type)) for _ in range(config.patch_attempts)]
+        for trigger, event_type, _ in planned
+    }
+    reads = {pair: [read for _, read in codes] for pair, codes in replies.items()}
+    # The failing call, if any, is one the document makes.
+    calls = sum(dual_loop_oracle(TEXT, planned, KNOWN_TYPES, config, reads, judge)[5].values())
+    fail_at = data.draw(st.none() | st.integers(0, calls - 1))
+    planning = json.dumps([{"trigger": t, "event_type": e, "confidence": c} for t, e, c in planned])
+    backend = TableBackend(
+        planning, {pair: [code for code, _ in codes] for pair, codes in replies.items()}, judge, fail_at
+    )
+    events, trace = extract_document(TEXT, REGISTRY, config, backend, RunContext(planning_head(REGISTRY), ()))
+
+    expected = dual_loop_oracle(TEXT, planned, KNOWN_TYPES, config, reads, judge, fail_at)
+    assert (
+        [(a["trigger"], a["event_type"], a["attempt"]) for a in trace.attempts],
+        [(event.trigger, event.event_type) for event in events],
+        trace.outcome,
+        trace.notes,
+        trace.error,
+        backend.answered,
+    ) == expected
+
+
+def test_the_reference_loop_gives_criterion_2s_counts():
+    # Criterion 2's two scripts, whose answers are known: a rescue after
+    # three failed attempts, and three hypotheses exhausted.
+    text = "On Tuesday the company patched a vulnerability in its web server."
+    triggers = ["patched", "vulnerability", "company"]
+    planned = [(trigger, "PatchVulnerability", 0.9 - 0.1 * i) for i, trigger in enumerate(triggers)]
+    broken = {(t, "PatchVulnerability"): [(t, "PatchVulnerability", True, False)] * 3 for t in triggers}
+    rescued = {**broken, ("vulnerability", "PatchVulnerability"): [("vulnerability", "PatchVulnerability", True, True)]}
+
+    tried, events, outcome, _, _, calls = dual_loop_oracle(
+        text, planned[:2], {"PatchVulnerability"}, PipelineConfig(), rescued, {}
+    )
+    assert [attempt for _, _, attempt in tried] == [1, 2, 3, 1]
+    assert (events, outcome, calls) == ([("vulnerability", "PatchVulnerability")], "accepted", {"planning": 1, "coding": 4})
+
+    tried, events, outcome, _, _, calls = dual_loop_oracle(text, planned, {"PatchVulnerability"}, PipelineConfig(), broken, {})
+    assert len(tried) == 9
+    assert (events, outcome, calls) == ([], "exhausted", {"planning": 1, "coding": 9})
