@@ -17,8 +17,9 @@ failure before any event was accepted into outcome ``"aborted"`` with
 the reason in ``error``, and :func:`trace_to_records` ends every
 document's records with its outcome.
 
-Total coding-agent work is bounded by hypothesis_k * patch_attempts per
-refine call.
+Planning keeps at most hypothesis_k hypotheses and each is taken up
+once, so a document costs at most hypothesis_k * patch_attempts
+coding-agent calls, in multi-event mode too.
 """
 
 from __future__ import annotations
@@ -128,29 +129,25 @@ def refine(
     registry: SchemaRegistry,
     config: PipelineConfig,
     backend,
-    trace: RefinementTrace | None = None,
+    trace: RefinementTrace,
     judge: Callable[[str, str], JudgeResult] | None = None,
 ) -> EventObject | None:
     """Run the dual loop until an event verifies or the pool runs out.
 
     Takes ``pool`` front to back and consumes it in place: a hypothesis
     is removed when it is taken up, so the caller's list holds exactly
-    the ones not taken, also after a backend failure.  Returns the
-    accepted event, or None once the pool or the ``hypothesis_k`` budget
-    is spent, with the trace's outcome ``"exhausted"``.  Hypotheses
-    whose event type is not in the registry are consumed without costing
-    any coding calls.  Each coding attempt is appended to
-    ``trace.attempts`` as its trace record before verification.  A
-    backend failure raises with nothing attached; ``trace`` keeps what
-    was recorded up to it.  ``judge`` is the document's T1 judge from
-    :func:`document_judge`; without one, each call builds its own.
+    the ones not taken, also after a backend failure.  Every hypothesis
+    may be tried, because ``hypothesis_k`` is planning's cut, not a
+    budget here.  Returns the accepted event, or None once the pool is
+    spent, with the trace's outcome ``"exhausted"``.  Hypotheses whose
+    event type is not in the registry are consumed without costing any
+    coding calls.  Each coding attempt is appended to ``trace.attempts``
+    as its trace record before verification.  A backend failure raises
+    with nothing attached; ``trace`` keeps what was recorded up to it.
+    ``judge`` is the document's T1 judge from :func:`document_judge`;
+    None means no semantic judge, as for :func:`~eventagents.verify.verify`.
     """
-    if trace is None:
-        trace = RefinementTrace()
-    if judge is None:
-        judge = document_judge(config.mode, backend, text, trace.notes)
-    hypotheses_tried = 0
-    while pool and hypotheses_tried < config.hypothesis_k:
+    while pool:
         hypothesis = pool.pop(0)
         schema = registry.get(hypothesis.event_type)
         if schema is None:
@@ -158,7 +155,6 @@ def refine(
                 f"hypothesis ({hypothesis.trigger!r}, {hypothesis.event_type!r}) skipped: unknown event type"
             )
             continue
-        hypotheses_tried += 1
         diagnostic_line = None
         for attempt in range(1, config.patch_attempts + 1):
             code_text = run_coding_agent(backend, hypothesis, schema, text, diagnostic=diagnostic_line)
@@ -269,15 +265,11 @@ def extract_document(
             trace.outcome = "no-hypotheses"
             return [], trace
         judge = document_judge(config.mode, backend, text, trace.notes)
-        while True:
-            event = refine(hypotheses, text, registry, config, backend, trace=trace, judge=judge)
-            if event is None:
-                break
+        cap = config.event_cap if config.multi_event else 1
+        while (event := refine(hypotheses, text, registry, config, backend, trace, judge)) is not None:
             events.append(event)
-            if not config.multi_event or len(events) >= config.event_cap:
-                break
             hypotheses = [h for h in hypotheses if (h.trigger, h.event_type) != (event.trigger, event.event_type)]
-            if not hypotheses:
+            if len(events) == cap or not hypotheses:
                 break
             trace.notes.append(
                 f"multi-event: continuing after accepting ({event.trigger!r}, {event.event_type!r})"

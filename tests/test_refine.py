@@ -204,7 +204,7 @@ class TestRefine:
             )
         ))
         outcome = refine(
-            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend
+            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, RefinementTrace()
         )
         assert isinstance(outcome, EventObject)
         assert [c.template_id for c in backend.calls] == ["coding"] * 3
@@ -233,36 +233,33 @@ class TestRefine:
     def test_hypothesis_budget_caps_backtracking(
         self, patch_registry, patchvuln_schema, tuesday_text
     ):
-        first = hyp("patched", confidence=0.9)
-        second = hyp("vulnerability", confidence=0.5)
+        # Planning cuts to hypothesis_k; refine keeps no budget of its own.
         backend = Recorder(ScriptedBackend(
-            script(
-                self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY),
+            single_schema_fixture(
+                patchvuln_schema,
+                tuesday_text,
+                TestExtractDocument.EXEMPLAR,
+                TestExtractDocument.PLANNING,
+                [("patched", BROKEN_REPLY, "")],
             )
         ))
-        pool = [first, second]
-        outcome = refine(
-            pool,
-            tuesday_text,
-            patch_registry,
-            self.config(hypothesis_k=1, patch_attempts=1),
-            backend,
-            None,
-        )
-        assert outcome is None
-        assert backend.calls and len(backend.calls) == 1
-        assert pool == [second]
+        config = self.config(hypothesis_k=1, patch_attempts=1, exemplar_k=1)
+        events, trace = extract(tuesday_text, patch_registry, config, backend)
+        assert events == [] and trace.outcome == "exhausted"
+        assert template_counts(backend)["coding"] == 1
+        assert [a["trigger"] for a in trace.attempts] == ["patched"]
 
     def test_equal_duplicates_are_consumed_one_at_a_time(
         self, patch_registry, patchvuln_schema, tuesday_text
     ):
-        backend = Recorder(ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY))))
+        # An accepted hypothesis ends the search, so each call takes one entry.
+        backend = Recorder(ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY))))
         duplicate = hyp("patched")
         pool = [duplicate, hyp("patched")]
-        config = self.config(hypothesis_k=1, patch_attempts=1)
-        assert refine(pool, tuesday_text, patch_registry, config, backend) is None
+        config = self.config(patch_attempts=1)
+        assert refine(pool, tuesday_text, patch_registry, config, backend, RefinementTrace()) is not None
         assert pool == [duplicate] and len(backend.calls) == 1
-        assert refine(pool, tuesday_text, patch_registry, config, backend) is None
+        assert refine(pool, tuesday_text, patch_registry, config, backend, RefinementTrace()) is not None
         assert pool == [] and len(backend.calls) == 2
 
     def test_untried_hypotheses_stay_in_the_callers_list(
@@ -277,7 +274,7 @@ class TestRefine:
             )
         )
         pool = [first, second, third]
-        outcome = refine(pool, tuesday_text, patch_registry, self.config(patch_attempts=1), backend)
+        outcome = refine(pool, tuesday_text, patch_registry, self.config(patch_attempts=1), backend, RefinementTrace())
         assert outcome.trigger == "vulnerability"
         # The exhausted and the accepted hypothesis are both consumed.
         assert pool == [third]
@@ -297,7 +294,7 @@ class TestRefine:
         second = hyp("vulnerability", confidence=0.5)
         pool = [hyp("patched"), second]
         with pytest.raises(BackendError):
-            refine(pool, tuesday_text, patch_registry, self.config(), ScriptedBackend({}))
+            refine(pool, tuesday_text, patch_registry, self.config(), ScriptedBackend({}), RefinementTrace())
         assert pool == [second]
 
     def test_backend_failure_raises_and_attaches_nothing(self, patch_registry, tuesday_text):
@@ -603,6 +600,10 @@ class TestJudgeMemo:
     def config(self, **kwargs):
         return PipelineConfig(mode="llm", **kwargs)
 
+    def llm_judge(self, backend, text, trace):
+        """The document's llm-mode judge, as extract_document builds it."""
+        return document_judge("llm", backend, text, trace.notes)
+
     def coding(self, schema, text, trigger, reply, diagnostic=""):
         return (coding_prompt(schema, trigger, text, diagnostic=diagnostic), reply)
 
@@ -618,7 +619,8 @@ class TestJudgeMemo:
         ))
         trace = RefinementTrace()
         outcome = refine(
-            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
+            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace,
+            self.llm_judge(backend, tuesday_text, trace),
         )
         assert outcome is None
         assert [a["diagnostic"] for a in trace.attempts] == [self.REJECTED] * 3
@@ -665,7 +667,8 @@ class TestJudgeMemo:
         ))
         trace = RefinementTrace()
         outcome = refine(
-            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace
+            [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace,
+            self.llm_judge(backend, tuesday_text, trace),
         )
         assert isinstance(outcome, EventObject)
         assert trace.attempts[0]["diagnostic"] == BROKEN_DIAGNOSTIC
@@ -682,18 +685,22 @@ class TestJudgeMemo:
             judge = document_judge("llm", backend, tuesday_text, []) if share else None
             for _ in range(2):
                 pool = [hyp("patched")]
-                refine(pool, tuesday_text, patch_registry, self.config(), backend, judge=judge)
+                refine(pool, tuesday_text, patch_registry, self.config(), backend, RefinementTrace(), judge)
             return template_counts(backend)["semantic_judge"]
 
         assert two_refines(share=True) == 1
-        assert two_refines(share=False) == 2
+        # Without a judge T1 checks only the text, as verify does.
+        assert two_refines(share=False) == 0
 
     def test_failed_judge_call_keeps_the_paid_attempt(self, patch_registry, patchvuln_schema, tuesday_text):
         # The coding reply is scripted, the judge prompt that verifies it is not.
         backend = Recorder(ScriptedBackend(script(self.coding(patchvuln_schema, tuesday_text, "patched", VALID_REPLY))))
         trace = RefinementTrace()
         with pytest.raises(BackendError):
-            refine([hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace)
+            refine(
+                [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace,
+                self.llm_judge(backend, tuesday_text, trace),
+            )
         assert [(a["attempt"], a["code"], a["verdict"], a["diagnostic"]) for a in trace.attempts] == [
             (1, VALID_REPLY, None, None)
         ]
@@ -713,7 +720,10 @@ class TestJudgeMemo:
         ))
         trace = RefinementTrace()
         with pytest.raises(BackendError):
-            refine([hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace)
+            refine(
+                [hyp("patched")], tuesday_text, patch_registry, self.config(), backend, trace,
+                self.llm_judge(backend, tuesday_text, trace),
+            )
         assert template_counts(backend) == {"coding": 2, "semantic_judge": 1}
         assert len(trace.attempts) == 2
         assert trace.attempts[0]["diagnostic"] == empty_diagnostic
@@ -757,7 +767,7 @@ class TestJudgeMemo:
         ))
         pool = [hyp("patched", confidence=0.9), hyp("vulnerability", confidence=0.5)]
         trace = RefinementTrace()
-        outcome = refine(pool, text, patch_registry, self.config(), backend, trace)
+        outcome = refine(pool, text, patch_registry, self.config(), backend, trace, self.llm_judge(backend, text, trace))
         assert isinstance(outcome, EventObject) and outcome.trigger == "vulnerability"
         assert len(trace.attempts) == 4
         assert template_counts(backend) == {"coding": 4, "semantic_judge": 2}
@@ -774,7 +784,7 @@ class TestJudgeMemo:
         backend = Recorder(ScriptedBackend(script(*entries, *judges)))
         pool = [hyp(t, confidence=0.9 - 0.1 * i) for i, t in enumerate(triggers)]
         trace = RefinementTrace()
-        outcome = refine(pool, text, patch_registry, self.config(), backend, trace)
+        outcome = refine(pool, text, patch_registry, self.config(), backend, trace, self.llm_judge(backend, text, trace))
         assert outcome is None
         assert len(trace.attempts) == 9
         assert template_counts(backend) == {"coding": 9, "semantic_judge": 3}
