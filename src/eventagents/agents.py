@@ -146,11 +146,13 @@ def run_planning_agent(
     ``head`` is the run's definitions and exemplar block, from
     :func:`~eventagents.prompts.planning_head`.  Missing confidences
     default to 1 - (rank-1)/n in reply order, which preserves the
-    model's implicit ranking.  The result is the first hypothesis_k in
-    the one best-first order: confidence, then the earliest
-    case-insensitive mention in ``text`` (none comes last), then trigger
-    text, then reply order.  A malformed reply earns exactly one retry
-    with a format reminder before the call fails.
+    model's implicit ranking.  The result is the first hypothesis_k
+    distinct (trigger, event type) pairs in the one best-first order:
+    confidence, then the earliest case-insensitive mention in ``text``
+    (none comes last), then trigger text, then reply order.  A pair's
+    first entry in that order stands for it; pairs that differ in case
+    are distinct.  A malformed reply earns exactly one retry with a
+    format reminder before the call fails.
     """
     if not text:
         raise ValueError("text must be non-empty")
@@ -172,7 +174,10 @@ def run_planning_agent(
         return (-h.confidence, offset < 0, offset, h.trigger)
 
     hypotheses.sort(key=rank)  # stable: reply order breaks the ties left
-    return hypotheses[:hypothesis_k]
+    distinct: dict[tuple[str, str], TriggerHypothesis] = {}
+    for h in hypotheses:
+        distinct.setdefault((h.trigger, h.event_type), h)
+    return list(distinct.values())[:hypothesis_k]
 
 
 def run_coding_agent(

@@ -511,6 +511,21 @@ class TestExtractDocument:
         assert events == [] and trace.outcome == "exhausted"
         assert [a["trigger"] for a in trace.attempts] == tried
 
+    @pytest.mark.parametrize("hypothesis_k", [2, 3])
+    def test_a_repeated_pair_takes_one_slot(self, ransom_schema, hypothesis_k):
+        # "demanded"/Ransom is planned twice: it is tried once, and "ransom"
+        # keeps its place among the first hypothesis_k pairs.
+        text = "Hackers demanded a ransom."
+        planning = json.dumps([{"trigger": t, "event_type": "Ransom"} for t in ("demanded", "demanded", "ransom")])
+        empty = "[T3] line 1, col 1: empty input (at source)"
+        coding = [(trigger, "", diagnostic) for trigger in ("demanded", "ransom") for diagnostic in ("", empty)]
+        backend = Recorder(ScriptedBackend(single_schema_fixture(ransom_schema, text, self.EXEMPLAR, planning, coding)))
+        config = self.config(hypothesis_k=hypothesis_k)
+        events, trace = extract(text, SchemaRegistry([ransom_schema]), config, backend)
+        assert events == [] and trace.outcome == "exhausted"
+        assert [a["trigger"] for a in trace.attempts] == ["demanded"] * 3 + ["ransom"] * 3
+        assert template_counts(backend)["coding"] == 6
+
     def test_an_accepted_hypothesis_is_not_tried_again(self, databreach_schema):
         # The coder's mention differs from the planned trigger in case only,
         # so no later entry matches the accepted event's (trigger, type).
