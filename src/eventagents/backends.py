@@ -24,7 +24,7 @@ import time
 import urllib.parse
 from typing import IO, TYPE_CHECKING, Any
 
-from .errors import ConfigError, EventAgentsError, has_surrogate
+from .errors import ConfigError, EventAgentsError, has_surrogate, json_fault
 from .records import FrozenRecord, set_field
 
 if TYPE_CHECKING:
@@ -592,8 +592,8 @@ def _retry_after(value: str | None, cap: float) -> float:
 def _extract_content(data: bytes) -> str:
     try:
         body = json.loads(data)
-    except (ValueError, RecursionError) as exc:
-        raise BackendError(f"backend response is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, oversized integers, deep nesting
+        raise BackendError(f"backend response is not valid JSON: {json_fault(exc, located=True)}") from exc
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
@@ -656,7 +656,7 @@ def load_scripted_fixture(source: bytes) -> dict[str, str | list[str]]:
     try:
         data = json.loads(source.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, oversized integers, deep nesting
-        raise ConfigError(f"malformed scripted fixture: {exc}") from exc
+        raise ConfigError(f"malformed scripted fixture: {json_fault(exc, located=True)}") from exc
     if not isinstance(data, dict):
         raise ConfigError("scripted fixture must be a JSON object mapping fingerprints to replies")
     _check_replies(data)

@@ -138,7 +138,7 @@ def _load_config_file(path: str) -> dict:
     try:
         data = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # also oversized integers and deep nesting
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        raise ConfigError(f"config file {path} is not valid JSON: {json_fault(exc, located=True)}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     backend_names = {key: name for name, key in _BACKEND_KEYS.items()}

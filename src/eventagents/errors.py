@@ -24,10 +24,17 @@ def has_surrogate(text: str) -> bool:
     return not text.isascii() and _SURROGATE.search(text) is not None
 
 
-def json_fault(exc: ValueError | RecursionError) -> str:
-    """What a failed ``json.loads`` found, in words that name no part of Python."""
+def json_fault(exc: ValueError | RecursionError, located: bool = False) -> str:
+    """What a failed ``json.loads`` found, in words that name no part of Python.
+
+    A syntax error is the decoder's message, followed with ``located`` by
+    its position, as in ``Expecting value: line 1 column 32 (char 31)``;
+    bytes that are not UTF-8 keep the codec's message.
+    """
     if isinstance(exc, json.JSONDecodeError):
-        return exc.msg
+        return str(exc) if located else exc.msg
+    if isinstance(exc, UnicodeDecodeError):
+        return str(exc)
     if isinstance(exc, RecursionError):
         return "nesting too deep"
     return "number literal out of range"  # more digits than int() converts

@@ -32,7 +32,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import EventAgentsError
+from .errors import EventAgentsError, json_fault
 from .records import FrozenRecord, set_field
 
 
@@ -158,7 +158,7 @@ def load_ontology(source: bytes) -> SchemaRegistry:
     try:
         document = json.loads(text)
     except (ValueError, RecursionError) as exc:  # also oversized integers and deep nesting
-        raise OntologyError(f"malformed ontology document: {exc}") from exc
+        raise OntologyError(f"malformed ontology document: {json_fault(exc, located=True)}") from exc
     if not isinstance(document, list):
         raise OntologyError("ontology document must be an array of event type declarations")
 

@@ -352,7 +352,7 @@ class TestHttpBackend:
     def test_non_json_response_body(self, http_server):
         _ScriptedHandler.script = [(200, "<html>oops</html>")]
         backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=0))
-        with pytest.raises(BackendError, match="not valid JSON"):
+        with pytest.raises(BackendError, match=r"^backend response is not valid JSON: Expecting value: line 1 column 1 \(char 0\)$"):
             backend.complete(make_request())
 
     def test_content_with_a_lone_surrogate(self, http_server):
@@ -370,8 +370,21 @@ class TestHttpBackend:
     def test_deeply_nested_response_body(self, http_server):
         _ScriptedHandler.script = [(200, "[" * 100000)]
         backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=0))
-        with pytest.raises(BackendError, match="not valid JSON"):
+        with pytest.raises(BackendError, match="^backend response is not valid JSON: nesting too deep$"):
             backend.complete(make_request())
+
+    def test_oversized_integer_in_response_body(self, http_server):
+        _ScriptedHandler.script = [(200, '{"n": ' + "7" * 5000 + "}")]
+        backend = HttpBackend(BackendConfig(endpoint=endpoint_of(http_server), retries=0))
+        with pytest.raises(BackendError, match="^backend response is not valid JSON: number literal out of range$"):
+            backend.complete(make_request())
+
+    def test_response_body_that_is_not_utf8(self):
+        with pytest.raises(
+            BackendError,
+            match="^backend response is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte$",
+        ):
+            eventagents.backends._extract_content(b"\xff")
 
     def test_connection_failure_retries_then_raises(self):
         # Nothing listens on this port; both attempts are transport failures.

@@ -1072,19 +1072,10 @@ class TestHostileJsonFiles:
         "bad-utf8": b'{"n": "\xff"}',
     }
 
-    @pytest.mark.parametrize("payload", sorted(PAYLOADS))
-    @pytest.mark.parametrize(
-        "reader, code, fragment",
-        [
-            ("ontology", 1, "ontology document"),
-            ("predictions", 1, "hostile-predictions.json"),
-            ("fixture", 2, "malformed scripted fixture"),
-            ("config", 2, "config file"),
-        ],
-    )
-    def test_reader_fails_cleanly(self, capsys, tmp_path, reader, code, fragment, payload):
+    def run_reader(self, capsys, tmp_path, reader, payload):
+        """Exit status and stderr of the command that reads ``payload`` as ``reader``."""
         hostile = tmp_path / f"hostile-{reader}.json"
-        hostile.write_bytes(self.PAYLOADS[payload])
+        hostile.write_bytes(payload)
         ontology = write_ontology(tmp_path)
         corpus = write_corpus(tmp_path, [TEXT_1])
         argv = {
@@ -1097,8 +1088,45 @@ class TestHostileJsonFiles:
             "config": ("extract", "--print-config", "--config", str(hostile)),
         }[reader]
         status, _, err = run_cli(capsys, *argv)
+        return status, err
+
+    @pytest.mark.parametrize("payload", sorted(PAYLOADS))
+    @pytest.mark.parametrize(
+        "reader, code, fragment",
+        [
+            ("ontology", 1, "ontology document"),
+            ("predictions", 1, "hostile-predictions.json"),
+            ("fixture", 2, "malformed scripted fixture"),
+            ("config", 2, "config file"),
+        ],
+    )
+    def test_reader_fails_cleanly(self, capsys, tmp_path, reader, code, fragment, payload):
+        status, err = self.run_reader(capsys, tmp_path, reader, self.PAYLOADS[payload])
         assert status == code
         assert err.startswith("error: ") and fragment in err
+
+    @pytest.mark.parametrize(
+        "payload, fault",
+        [
+            (PAYLOADS["deep-nesting"], "nesting too deep"),
+            (PAYLOADS["huge-integer"], "number literal out of range"),
+            (b'{"n": }', "Expecting value: line 1 column 7 (char 6)"),
+        ],
+        ids=["deep-nesting", "huge-integer", "syntax"],
+    )
+    @pytest.mark.parametrize(
+        "reader, code, prefix",
+        [
+            ("ontology", 1, "malformed ontology document: "),
+            ("fixture", 2, "malformed scripted fixture: "),
+            ("config", 2, "config file {path} is not valid JSON: "),
+        ],
+        ids=["ontology", "fixture", "config"],
+    )
+    def test_reader_names_the_fault_in_its_own_words(self, capsys, tmp_path, reader, code, prefix, payload, fault):
+        status, err = self.run_reader(capsys, tmp_path, reader, payload)
+        assert status == code
+        assert err == "error: " + prefix.format(path=tmp_path / f"hostile-{reader}.json") + fault + "\n"
 
 
 class TestUnencodableText:
