@@ -9,6 +9,7 @@ escapes that decode to lone surrogates.
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -229,6 +230,7 @@ def test_a_smaller_hypothesis_k_tries_a_prefix(planning, hypothesis_k):
 # A mention and whether it occurs in TEXT as words; planned triggers come
 # from the same table, so they tie in position and differ only in case.
 MENTIONS = {"demanded": True, "Demanded": True, "ransom": True, "breach": True, "Friday": True, "absent": False, "zzz": False}
+MENTIONS.update({mention.swapcase(): found for mention, found in MENTIONS.items()})
 KNOWN_TYPES = ("Ransom", "Databreach")
 # Arguments that pass or fail the type check, per event type.
 ARGUMENTS = {
@@ -251,12 +253,17 @@ PLANNED = st.tuples(
 @st.composite
 def coding_reply(draw, trigger, event_type):
     """One coding reply for a hypothesis, as text and as the oracle reads
-    it: unparseable or empty, a T2 fault, the wrong event type, or valid
-    with the planned or another mention."""
+    it: valid with the planned mention, the planned mention in another
+    case, or another mention; a T2 fault; the wrong event type; or
+    unparseable or empty."""
     kind = draw(st.integers(0, 7))  # hypothesis favours 0, so valid replies come first
     if kind == 7:
         return draw(st.sampled_from(UNPARSEABLE)), None
-    mention = draw(st.sampled_from(list(MENTIONS))) if kind in (4, 5) else trigger
+    mention = trigger
+    if kind == 3:
+        mention = trigger.swapcase()
+    elif kind == 4:
+        mention = draw(st.sampled_from(list(MENTIONS)))
     reply_type = event_type if event_type in KNOWN_TYPES else KNOWN_TYPES[0]
     if kind == 6:
         reply_type = KNOWN_TYPES[1 - KNOWN_TYPES.index(reply_type)]
@@ -291,10 +298,30 @@ class TableBackend:
         return reply
 
 
+def run_and_expect(config, planned, replies, judge, fail_at):
+    """What ``extract_document`` does with one case through a table
+    backend, and what the reference loop says it should do."""
+    planning = json.dumps([{"trigger": t, "event_type": e, "confidence": c} for t, e, c in planned])
+    backend = TableBackend(
+        planning, {pair: [code for code, _ in codes] for pair, codes in replies.items()}, judge, fail_at
+    )
+    events, trace = extract_document(TEXT, REGISTRY, config, backend, RunContext(planning_head(REGISTRY), ()))
+    actual = (
+        [(a["trigger"], a["event_type"], a["attempt"]) for a in trace.attempts],
+        [(event.trigger, event.event_type) for event in events],
+        trace.outcome,
+        trace.notes,
+        trace.error,
+        backend.answered,
+    )
+    reads = {pair: [read for _, read in codes] for pair, codes in replies.items()}
+    return actual, dual_loop_oracle(TEXT, planned, KNOWN_TYPES, config, reads, judge, fail_at)
+
+
 @settings(max_examples=500, deadline=None)
 @given(
     CONFIGS,
-    st.lists(PLANNED, min_size=1, max_size=5),
+    st.lists(PLANNED, min_size=3, max_size=6),
     st.fixed_dictionaries({(m, t): JUDGE_ANSWERS for m in MENTIONS for t in KNOWN_TYPES}),
     st.data(),
 )
@@ -304,24 +331,38 @@ def test_extract_document_follows_the_reference_loop(config, planned, judge, dat
         for trigger, event_type, _ in planned
     }
     reads = {pair: [read for _, read in codes] for pair, codes in replies.items()}
-    # The failing call, if any, is one the document makes.
+    # The failing call, if any, is one the document makes, counted from
+    # its last, so that multi-event continuations fail often.
     calls = sum(dual_loop_oracle(TEXT, planned, KNOWN_TYPES, config, reads, judge)[5].values())
-    fail_at = data.draw(st.none() | st.integers(0, calls - 1))
-    planning = json.dumps([{"trigger": t, "event_type": e, "confidence": c} for t, e, c in planned])
-    backend = TableBackend(
-        planning, {pair: [code for code, _ in codes] for pair, codes in replies.items()}, judge, fail_at
-    )
-    events, trace = extract_document(TEXT, REGISTRY, config, backend, RunContext(planning_head(REGISTRY), ()))
+    fail_at = data.draw(st.none() | st.integers(1, calls).map(lambda back: calls - back))
+    actual, expected = run_and_expect(config, planned, replies, judge, fail_at)
+    assert actual == expected
 
-    expected = dual_loop_oracle(TEXT, planned, KNOWN_TYPES, config, reads, judge, fail_at)
-    assert (
-        [(a["trigger"], a["event_type"], a["attempt"]) for a in trace.attempts],
-        [(event.trigger, event.event_type) for event in events],
-        trace.outcome,
-        trace.notes,
-        trace.error,
-        backend.answered,
-    ) == expected
+
+# Valid Ransom and Databreach replies, as text and as the oracle reads them.
+def valid(mention, event_type):
+    return f"{event_type}(mention={json.dumps(mention)}{ARGUMENTS[event_type, True]})", (mention, event_type, True, True)
+
+
+@pytest.mark.parametrize(
+    "planned, replies, fail_at",
+    [
+        # The coder names the accepted trigger in another case; the
+        # accepted hypothesis must still leave the pool.
+        ([("Demanded", "Ransom", 0.9)], {("Demanded", "Ransom"): [valid("demanded", "Ransom")] * 2}, None),
+        # The continuation's coding call fails; the accepted event stays.
+        (
+            [("demanded", "Ransom", 0.9), ("breach", "Databreach", 0.5)],
+            {("demanded", "Ransom"): [valid("demanded", "Ransom")], ("breach", "Databreach"): [valid("breach", "Databreach")]},
+            2,
+        ),
+    ],
+    ids=["accepted-case-variant", "failed-continuation"],
+)
+def test_extract_document_follows_the_reference_loop_in_multi_event_mode(planned, replies, fail_at):
+    config = PipelineConfig(patch_attempts=1, multi_event=True, event_cap=2)
+    actual, expected = run_and_expect(config, planned, replies, {}, fail_at)
+    assert actual == expected
 
 
 def test_the_reference_loop_gives_criterion_2s_counts():

@@ -249,6 +249,22 @@ class TestRefine:
         assert template_counts(backend)["coding"] == 1
         assert [a["trigger"] for a in trace.attempts] == ["patched"]
 
+    def test_the_whole_pool_is_tried_whatever_hypothesis_k(self, patch_registry, patchvuln_schema, tuesday_text):
+        # hypothesis_k is planning's cut: refine tries every hypothesis it is given.
+        rescue = 'PatchVulnerability(mention="vulnerability", time=["Tuesday"])'
+        backend = Recorder(ScriptedBackend(
+            script(
+                self.coding(patchvuln_schema, tuesday_text, "patched", BROKEN_REPLY),
+                self.coding(patchvuln_schema, tuesday_text, "vulnerability", rescue),
+            )
+        ))
+        pool = [hyp("patched", event_type="Earthquake"), hyp("patched"), hyp("vulnerability")]
+        trace = RefinementTrace()
+        outcome = refine(pool, tuesday_text, patch_registry, self.config(hypothesis_k=1, patch_attempts=1), backend, trace)
+        assert outcome.trigger == "vulnerability"
+        assert [a["trigger"] for a in trace.attempts] == ["patched", "vulnerability"]
+        assert len(backend.calls) == 2 and pool == []
+
     def test_equal_duplicates_are_consumed_one_at_a_time(
         self, patch_registry, patchvuln_schema, tuesday_text
     ):
