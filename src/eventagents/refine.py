@@ -138,7 +138,8 @@ def refine(
     is removed when it is taken up, so the caller's list holds exactly
     the ones not taken, also after a backend failure.  Every hypothesis
     may be tried, because ``hypothesis_k`` is planning's cut, not a
-    budget here.  Returns the accepted event, or None once the pool is
+    budget here: the ``hypothesis_k * patch_attempts`` bound on coding
+    calls holds per document, not per call.  Returns the accepted event, or None once the pool is
     spent, with the trace's outcome ``"exhausted"``.  Hypotheses whose
     event type is not in the registry are consumed without costing any
     coding calls.  Each coding attempt is appended to ``trace.attempts``

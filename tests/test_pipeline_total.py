@@ -339,8 +339,8 @@ def test_extract_document_follows_the_reference_loop(config, planned, judge, dat
     assert actual == expected
 
 
-# Valid Ransom and Databreach replies, as text and as the oracle reads them.
 def valid(mention, event_type):
+    """A coding reply that verifies in strict mode, as text and as the oracle reads it."""
     return f"{event_type}(mention={json.dumps(mention)}{ARGUMENTS[event_type, True]})", (mention, event_type, True, True)
 
 
