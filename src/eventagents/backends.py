@@ -24,7 +24,7 @@ import time
 import urllib.parse
 from typing import IO, TYPE_CHECKING, Any
 
-from .errors import ConfigError, EventAgentsError, has_surrogate, json_fault
+from .errors import ConfigError, EventAgentsError, has_surrogate, load_json
 from .records import FrozenRecord, set_field
 
 if TYPE_CHECKING:
@@ -590,10 +590,7 @@ def _retry_after(value: str | None, cap: float) -> float:
 
 
 def _extract_content(data: bytes) -> str:
-    try:
-        body = json.loads(data)
-    except (ValueError, RecursionError) as exc:  # also bad UTF-8, oversized integers, deep nesting
-        raise BackendError(f"backend response is not valid JSON: {json_fault(exc, located=True)}") from exc
+    body = load_json(data, BackendError, "backend response is not valid JSON", located=True)
     try:
         content = body["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
@@ -654,9 +651,10 @@ def _check_replies(mapping: dict[str, Any]) -> None:
 def load_scripted_fixture(source: bytes) -> dict[str, str | list[str]]:
     """Read a scripted-backend fixture document: the bytes of a UTF-8 JSON object."""
     try:
-        data = json.loads(source.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also bad UTF-8, oversized integers, deep nesting
-        raise ConfigError(f"malformed scripted fixture: {json_fault(exc, located=True)}") from exc
+        text = source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"malformed scripted fixture: {exc}") from None
+    data = load_json(text, ConfigError, "malformed scripted fixture", located=True)
     if not isinstance(data, dict):
         raise ConfigError("scripted fixture must be a JSON object mapping fingerprints to replies")
     _check_replies(data)

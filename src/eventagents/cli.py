@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 from .backends import BackendConfig, HttpBackend, ScriptedBackend, load_scripted_fixture
 from .corpus import Document, dataset_stats, load_corpus, sample_split
-from .errors import ConfigError, EventAgentsError, has_surrogate, json_fault
+from .errors import ConfigError, EventAgentsError, has_surrogate, json_lines, load_json
 from .events import EventObject, event_payload, parse_event_code
 from .metrics import EvaluationError, MetricsReport, mean_of_reports, mean_table, score
 from .records import FrozenRecord, set_field
@@ -135,10 +135,7 @@ def _load_config_file(path: str) -> dict:
         raw = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    try:
-        data = json.loads(raw)
-    except (ValueError, RecursionError) as exc:  # also oversized integers and deep nesting
-        raise ConfigError(f"config file {path} is not valid JSON: {json_fault(exc, located=True)}") from None
+    data = load_json(raw, ConfigError, f"config file {path} is not valid JSON", located=True)
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     backend_names = {key: name for name, key in _BACKEND_KEYS.items()}
@@ -347,13 +344,7 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise EvaluationError(f"cannot read predictions file {path}: {exc}") from None
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise EvaluationError(f"{path}: line {line_no}: malformed record: {json_fault(exc)}") from None
+    for line_no, record in json_lines(text, EvaluationError, f"{path}: "):
         if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
             raise EvaluationError(f"{path}: line {line_no}: record needs a string 'doc_id'")
         raw_events = record.get("events", [])

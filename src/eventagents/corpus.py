@@ -18,12 +18,11 @@ empty argument lists, which is how trigger-only corpora are represented.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from typing import Sequence
 
-from .errors import EventAgentsError, has_surrogate, json_fault
+from .errors import EventAgentsError, has_surrogate, json_lines
 from .records import FrozenRecord, set_field
 
 _WHITESPACE_TOKEN_RE = re.compile(r"\S+")
@@ -166,13 +165,7 @@ def load_corpus(source: bytes) -> list[Document]:
         raise CorpusError(f"corpus is not valid UTF-8: {exc}") from exc
     documents: list[Document] = []
     seen_ids: set[str] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise CorpusError(f"line {line_no}: malformed record: {json_fault(exc)}") from None
+    for line_no, raw in json_lines(text, CorpusError):
         if not isinstance(raw, dict):
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         document = _load_record(line_no, raw)

@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections.abc import Iterator
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -38,3 +39,20 @@ def json_fault(exc: ValueError | RecursionError, located: bool = False) -> str:
     if isinstance(exc, RecursionError):
         return "nesting too deep"
     return "number literal out of range"  # more digits than int() converts
+
+
+def load_json(source: str | bytes, error: type[Exception], what: str, located: bool = False):
+    """``json.loads(source)``; on a failure, ``error`` reads ``what``, a
+    colon and the :func:`json_fault` wording."""
+    try:
+        return json.loads(source)
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8, oversized integers, deep nesting
+        raise error(f"{what}: {json_fault(exc, located)}") from None
+
+
+def json_lines(text: str, error: type[Exception], where: str = "") -> Iterator[tuple[int, object]]:
+    """``(line number, value)`` of each non-blank JSON Lines record, a
+    malformed one raising ``error`` with ``where`` and its line number."""
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield line_no, load_json(line, error, f"{where}line {line_no}: malformed record")

@@ -26,13 +26,12 @@ optional ``value_type`` (default ``string``) and ``multiplicity``
 
 from __future__ import annotations
 
-import json
 import re
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import EventAgentsError, json_fault
+from .errors import EventAgentsError, load_json
 from .records import FrozenRecord, set_field
 
 
@@ -155,10 +154,7 @@ def load_ontology(source: bytes) -> SchemaRegistry:
         text = source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise OntologyError(f"ontology document is not valid UTF-8: {exc}") from exc
-    try:
-        document = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # also oversized integers and deep nesting
-        raise OntologyError(f"malformed ontology document: {json_fault(exc, located=True)}") from exc
+    document = load_json(text, OntologyError, "malformed ontology document", located=True)
     if not isinstance(document, list):
         raise OntologyError("ontology document must be an array of event type declarations")
 
