@@ -52,7 +52,14 @@ def load_json(source: str | bytes, error: type[Exception], what: str, located: b
 
 def json_lines(text: str, error: type[Exception], where: str = "") -> Iterator[tuple[int, object]]:
     """``(line number, value)`` of each non-blank JSON Lines record, a
-    malformed one raising ``error`` with ``where`` and its line number."""
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    malformed one raising ``error`` with ``where`` and its line number.
+
+    A line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere else, so a
+    string may hold U+2028, U+2029 or U+0085 raw; JSON forbids a raw CR
+    or LF inside one.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if line.strip():
             yield line_no, load_json(line, error, f"{where}line {line_no}: malformed record")

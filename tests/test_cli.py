@@ -10,7 +10,7 @@ import pytest
 from conftest import script
 from eventagents import EventSchema, RoleSpec, SchemaRegistry
 from eventagents.backends import BackendConfig, ScriptedBackend
-from eventagents.cli import RunConfig, main
+from eventagents.cli import RunConfig, _write_line, main
 from eventagents.prompts import coding_prompt, planning_head, planning_prompt, planning_retry_prompt, retrieval_prompt
 from eventagents.refine import PipelineConfig
 
@@ -540,6 +540,7 @@ class TestEval:
                 [dict(PERFECT_EVENT, confidence=0.9)],
                 "unexpected field 'confidence'",
             ),
+            ({}, "preds.jsonl: line 1: 'events' must be an array\n"),
         ],
     )
     def test_bad_prediction_events(self, capsys, tmp_path, events, fragment):
@@ -580,6 +581,18 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", str(path), "--corpus", gold)
         assert code == 1
         assert err == f"error: {path}: line 1: malformed record: {problem}\n"
+
+    def test_reads_back_separators_that_extract_writes_raw(self, capsys, tmp_path):
+        gold = gold_eval_corpus(tmp_path)
+        path = tmp_path / "preds.jsonl"
+        event = dict(PERFECT_EVENT, arguments={"time": ["Tuesday", "a\u2028b\u2029c\x85d"]})
+        with open(path, "w", encoding="utf-8") as file:
+            _write_line(file, {"doc_id": "d1", "events": [event]})
+        assert "\u2028" in path.read_text(encoding="utf-8")
+        code, out, err = run_cli(capsys, "eval", str(path), "--corpus", gold, "--out", str(tmp_path / "report.json"))
+        assert (code, err) == (0, "")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert (report["TC"]["f1"], report["AC"]["num_pred"]) == (1.0, 2)
 
     def test_missing_predictions_file(self, capsys, tmp_path):
         gold = gold_eval_corpus(tmp_path)

@@ -184,6 +184,20 @@ class TestLoadCorpus:
         assert load_corpus(b"") == []
         assert load_corpus(b"\n\n") == []
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+    def test_a_record_may_hold_a_unicode_line_separator_raw(self, separator):
+        text = f"Hackers demanded{separator}a ransom."
+        source = json.dumps({"id": "d1", "text": text}, ensure_ascii=False).encode("utf-8")
+        assert separator.encode("utf-8") in source
+        assert load_corpus(source) == [Document("d1", text, None)]
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r", "\n"])
+    def test_a_malformed_record_after_a_raw_separator_keeps_its_line_number(self, newline):
+        first = json.dumps(record(text="Hackers demanded\u2028a ransom."), ensure_ascii=False)
+        source = newline.join([first, "", "{broken", ""]).encode("utf-8")
+        with pytest.raises(CorpusError, match="^line 3: malformed record: "):
+            load_corpus(source)
+
 
 def whitespace_tokens(text: str) -> list[list[int]]:
     """[start, end] of each maximal run of non-space characters."""

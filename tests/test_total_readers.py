@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from eventagents import SchemaRegistry, TriggerHypothesis
 from eventagents.agents import PlanningError, run_planning_agent
 from eventagents.backends import load_scripted_fixture
-from eventagents.cli import _load_predictions
+from eventagents.cli import _load_predictions, _write_line
 from eventagents.corpus import CorpusError, load_corpus
 from eventagents.errors import ConfigError
+from eventagents.events import EventObject, event_payload
 from eventagents.metrics import EvaluationError
 from eventagents.prompts import planning_head
 from eventagents.schemas import EventSchema, OntologyError, RoleSpec, load_ontology
@@ -173,6 +174,33 @@ def test_load_predictions_is_total(tmp_path):
             assert isinstance(_load_predictions(str(path)), dict)
         except EvaluationError:
             pass
+
+    check()
+
+
+# Text that extract may write, weighted towards the characters that end a
+# line for str.splitlines() but may stand raw inside a JSON string.
+SEPARATORS = st.sampled_from(["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", " "])
+WRITTEN_TEXT = st.text(SEPARATORS | st.characters(blacklist_categories=("Cs",)), max_size=6)
+WRITTEN_VALUE = WRITTEN_TEXT | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+WRITTEN_EVENT = st.builds(
+    EventObject,
+    WRITTEN_TEXT.filter(bool),
+    WRITTEN_TEXT,
+    st.dictionaries(WRITTEN_TEXT.filter(bool), st.lists(WRITTEN_VALUE, max_size=3), max_size=3),
+)
+
+
+def test_load_predictions_returns_what_extract_writes(tmp_path):
+    path = tmp_path / "predictions.jsonl"
+
+    @settings(deadline=None)
+    @given(st.dictionaries(WRITTEN_TEXT, st.lists(WRITTEN_EVENT, max_size=2), max_size=3))
+    def check(events_by_doc):
+        with open(path, "w", encoding="utf-8") as file:
+            for doc_id, events in events_by_doc.items():
+                _write_line(file, {"doc_id": doc_id, "events": [event_payload(event) for event in events]})
+        assert _load_predictions(str(path)) == events_by_doc
 
     check()
 
