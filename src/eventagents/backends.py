@@ -57,14 +57,20 @@ class ChatMessage(FrozenRecord):
 
 def _split_url(url: str) -> urllib.parse.SplitResult | None:
     """``url`` split into parts; None unless it names a host that the
-    resolver can encode and any port is numeric."""
+    resolver can encode and any port is a number from 1 to 65535."""
     try:
         parts = urllib.parse.urlsplit(url)
-        parts.port
+        port = parts.port
         (parts.hostname or "").encode("idna")  # as the resolver and TLS will
     except ValueError:  # a malformed IPv6 host, a non-numeric port, or a host label empty or over 63 characters
         return None
-    return parts if parts.hostname else None
+    return parts if parts.hostname and port != 0 else None
+
+
+def _without_credentials(url: str) -> str:
+    """``url`` as an error message may repeat it: without a
+    ``user:password@`` part, whether or not ``scheme://`` precedes it."""
+    return re.sub(r"^((?:[^:/?#]*://|[^/?#@]*/+)?)[^/?#]*@", r"\1", url)
 
 
 class BackendConfig(FrozenRecord):
@@ -86,13 +92,13 @@ class BackendConfig(FrozenRecord):
                 "backend endpoint must not carry credentials (user:password@host); "
                 "name the variable holding the bearer token with api_key_env"
             )
-        parts = _split_url(endpoint)
+        parts, shown = _split_url(endpoint), _without_credentials(endpoint)
         if parts is None or parts.scheme not in ("http", "https"):
-            raise ConfigError(f"backend endpoint must be an http:// or https:// URL, got {endpoint!r}")
+            raise ConfigError(f"backend endpoint must be an http:// or https:// URL, got {shown!r}")
         if not re.fullmatch(r"[!-~]+", endpoint):
-            raise ConfigError(f"backend endpoint must be printable ASCII without spaces, got {endpoint!r}")
+            raise ConfigError(f"backend endpoint must be printable ASCII without spaces, got {shown!r}")
         if "#" in endpoint:
-            raise ConfigError(f"backend endpoint must not have a fragment, got {endpoint!r}")
+            raise ConfigError(f"backend endpoint must not have a fragment, got {shown!r}")
         # Negated comparisons so that NaN fails them too.
         if not 0 <= temperature < math.inf:
             raise ConfigError("temperature must be a finite number >= 0")
@@ -576,8 +582,7 @@ def _proxy_for(scheme: str, host: str) -> urllib.parse.SplitResult | None:
         return None
     parts = _split_url(proxy if "://" in proxy else f"http://{proxy}")
     if parts is None:
-        shown = re.sub(r"^((?:[^:/?#]*://)?)[^/?#]*@", r"\1", proxy)  # without user:password@
-        raise ConfigError(f"{scheme} proxy {shown!r} is not a valid URL")
+        raise ConfigError(f"{scheme} proxy {_without_credentials(proxy)!r} is not a valid URL")
     return parts
 
 
