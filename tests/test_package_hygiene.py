@@ -1,6 +1,6 @@
 """Package hygiene: the public name list is exact, no private
-module-level name is left behind without a reader, and no module
-imports ``dataclasses``."""
+module-level name is left behind without a reader, no module imports
+``dataclasses``, and outside JSON is read in one place."""
 
 import ast
 from pathlib import Path
@@ -118,3 +118,44 @@ def test_scan_flags_every_form_of_dataclasses_import():
         "text = '@dataclass'\n"
     )
     assert _dataclasses_imports(source) == [1, 2, 3, 5]
+
+
+def _json_loads_uses(source: str) -> list[int]:
+    """Line numbers of the references to ``json.loads`` and of the
+    statements that import it by name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            found = node.attr == "loads" and isinstance(node.value, ast.Name) and node.value.id == "json"
+        elif isinstance(node, ast.ImportFrom):
+            found = node.module == "json" and any(alias.name == "loads" for alias in node.names)
+        else:
+            continue
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_json_loads_is_called_only_where_a_fault_has_its_own_meaning():
+    # errors.load_json and errors.json_lines word every reader's fault;
+    # planning turns a fault into its retry, object notation into a
+    # parse failure with a position.
+    found = {
+        str(path.relative_to(PACKAGE_DIR)): _json_loads_uses(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+    }
+    assert sorted(name for name, lines in found.items() if lines) == ["agents.py", "errors.py", "events.py"]
+
+
+def test_scan_flags_every_use_of_json_loads():
+    source = (
+        "import json\n"
+        "data = json.loads(text)\n"
+        "from json import loads\n"
+        "from json import dumps, loads as parse\n"
+        "read = json.loads\n"
+        "text = json.dumps(data)\n"
+        "value = other.loads(text)\n"
+        "note = 'json.loads'\n"
+    )
+    assert _json_loads_uses(source) == [2, 3, 4, 5]
