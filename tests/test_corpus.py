@@ -183,6 +183,7 @@ class TestLoadCorpus:
     def test_empty_corpus(self):
         assert load_corpus(b"") == []
         assert load_corpus(b"\n\n") == []
+        assert load_corpus(b" \n\t\r\n") == []
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
     def test_a_record_may_hold_a_unicode_line_separator_raw(self, separator):
