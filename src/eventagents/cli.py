@@ -65,7 +65,6 @@ _OPTIONS: dict[str, tuple[type, object, str | None]] = {
     "runs": (int, 3, "number of extraction runs"),
     "sample": (int, None, "uniformly subsample the corpus to this many documents"),
     "scripted_fixture": (str, None, "scripted-backend fixture file (offline deterministic runs)"),
-    "multi_event": (bool, _PIPELINE.multi_event, None),
     "event_cap": (int, _PIPELINE.event_cap, None),
 }
 
@@ -120,9 +119,6 @@ def _check_file_value(key: str, name: str, value):
     elif kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config file key {key!r} must be a number")
-    elif kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"config file key {key!r} must be a boolean")
     elif not isinstance(value, str):
         raise ConfigError(f"config file key {key!r} must be a string")
     elif has_surrogate(value):

@@ -19,7 +19,7 @@ document's records with its outcome.
 
 Planning keeps at most hypothesis_k hypotheses and each is taken up
 once, so a document costs at most hypothesis_k * patch_attempts
-coding-agent calls, in multi-event mode too.
+coding-agent calls, with an ``event_cap`` above 1 too.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ class PipelineConfig(FrozenRecord):
         patch_attempts: int = 3,
         mode: str = MODE_STRICT,
         exemplar_k: int = 3,
-        multi_event: bool = False,
-        event_cap: int = 5,
+        event_cap: int = 1,
     ):
         for name, value in (("hypothesis_k", hypothesis_k), ("patch_attempts", patch_attempts)):
             if value < 1:
@@ -71,7 +70,6 @@ class PipelineConfig(FrozenRecord):
         set_field(self, "patch_attempts", patch_attempts)
         set_field(self, "mode", mode)
         set_field(self, "exemplar_k", exemplar_k)
-        set_field(self, "multi_event", multi_event)
         set_field(self, "event_cap", event_cap)
 
 
@@ -243,10 +241,10 @@ def extract_document(
 
     ``context`` comes from :func:`build_run_context` over the same
     registry.  Every document comes back as ``(events, trace)``: no
-    :class:`EventAgentsError` is raised.  At most one event is returned
-    unless the multi-event extension is on, in which case refinement
+    :class:`EventAgentsError` is raised.  At most ``event_cap`` events
+    are returned: after each accepted event below the cap, refinement
     re-runs with accepted (trigger, type) pairs excluded until the pool
-    empties or the event cap is reached.  Empty planning output is a
+    empties.  Empty planning output is a
     normal empty extraction, not an error.  Blank text (before any
     backend call) and a planning, coding or judge failure return no
     events and an ``"aborted"`` trace whose ``error`` says why, unless a
@@ -266,11 +264,10 @@ def extract_document(
             trace.outcome = "no-hypotheses"
             return [], trace
         judge = document_judge(config.mode, backend, text, trace.notes)
-        cap = config.event_cap if config.multi_event else 1
         while (event := refine(hypotheses, text, registry, config, backend, trace, judge)) is not None:
             events.append(event)
             hypotheses = [h for h in hypotheses if (h.trigger, h.event_type) != (event.trigger, event.event_type)]
-            if len(events) == cap or not hypotheses:
+            if len(events) == config.event_cap or not hypotheses:
                 break
             trace.notes.append(
                 f"multi-event: continuing after accepting ({event.trigger!r}, {event.event_type!r})"

@@ -344,7 +344,7 @@ def write_llm_inputs(directory: Path) -> None:
     )
     (directory / "fixture.json").write_text(json.dumps(fixture, indent=2) + "\n", encoding="utf-8")
     (directory / "config.json").write_text(
-        json.dumps({"mode": "llm", "multi_event": True}, indent=2) + "\n", encoding="utf-8"
+        json.dumps({"mode": "llm", "event_cap": 5}, indent=2) + "\n", encoding="utf-8"
     )
 
 

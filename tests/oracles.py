@@ -466,12 +466,11 @@ def dual_loop_oracle(text, planned, known_types, config, coding, judge, fail_at=
     events: list[tuple[str, str]] = []
     notes: list[str] = []
     answers: dict[tuple[str, str], bool | None] = {}
-    cap = config.event_cap if config.multi_event else 1
     try:
         call("planning")
         if not pool:
             return tried, events, "no-hypotheses", ["planning produced no hypotheses"], None, calls
-        while pool and len(events) < cap:
+        while pool and len(events) < config.event_cap:
             if events:
                 notes.append(f"multi-event: continuing after accepting {events[-1]!r}")
             accepted = None

@@ -118,8 +118,7 @@ class TestConfigResolution:
         assert data["workers"] == 1
         assert data["seed"] == 0
         assert data["sample"] is None
-        assert data["multi_event"] is False
-        assert data["event_cap"] == 5
+        assert data["event_cap"] == 1
         assert data["backend"] == {
             "endpoint": "http://localhost:8000/v1",
             "model": "llama3-8b-instruct",
@@ -162,12 +161,13 @@ class TestConfigResolution:
     def test_multi_event_knobs_are_config_file_only(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("EVENTAGENTS_EVENT_CAP", "9")
         config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps({"multi_event": True, "event_cap": 2}))
+        config_path.write_text(json.dumps({"event_cap": 2}))
         data = self.print_config(capsys, "--config", str(config_path))
-        assert data["multi_event"] is True
         assert data["event_cap"] == 2
         plain = self.print_config(capsys)
-        assert plain["event_cap"] == 5  # the environment variable is not consulted
+        assert plain["event_cap"] == 1  # the environment variable is not consulted
+        code, _, _ = run_cli(capsys, "extract", "--print-config", "--event-cap", "2")
+        assert code == 2  # and there is no flag
 
     def test_invalid_environment_value(self, capsys, monkeypatch):
         monkeypatch.setenv("EVENTAGENTS_RUNS", "three")
@@ -186,7 +186,8 @@ class TestConfigResolution:
             ({"runs": True}, "config file key 'runs' must be an integer"),
             ({"backend": {"temperature": "hot"}}, "config file key 'backend.temperature' must be a number"),
             ({"backend": {"temperature": True}}, "config file key 'backend.temperature' must be a number"),
-            ({"multi_event": "yes"}, "config file key 'multi_event' must be a boolean"),
+            # multi_event was folded into event_cap.
+            ({"multi_event": True}, "unknown config file key 'multi_event'"),
             ({"mode": 3}, "config file key 'mode' must be a string"),
             ({"mode": None}, "config file key 'mode' must be a string"),
             ({"runs": None}, "config file key 'runs' must be an integer"),
@@ -267,10 +268,9 @@ class TestConfigResolution:
         ("runs", ("runs",), 2),
         ("sample", ("sample",), 10),
         ("scripted_fixture", ("scripted_fixture",), "f.json"),
-        ("multi_event", ("multi_event",), True),
         ("event_cap", ("event_cap",), 2),
     ]
-    FILE_ONLY = {"multi_event", "event_cap"}
+    FILE_ONLY = {"event_cap"}
 
     @pytest.mark.parametrize("name, path, value", FIELDS, ids=[f[0] for f in FIELDS])
     def test_each_field_is_set_by_flag_environment_and_file(

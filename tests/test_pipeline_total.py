@@ -122,7 +122,6 @@ CONFIGS = st.builds(
     patch_attempts=st.integers(1, 3),
     mode=st.sampled_from(["strict", "llm"]),
     exemplar_k=st.integers(1, 2),
-    multi_event=st.booleans(),
     event_cap=st.integers(1, 3),
 )
 
@@ -360,7 +359,7 @@ def valid(mention, event_type):
     ids=["accepted-case-variant", "failed-continuation"],
 )
 def test_extract_document_follows_the_reference_loop_in_multi_event_mode(planned, replies, fail_at):
-    config = PipelineConfig(patch_attempts=1, multi_event=True, event_cap=2)
+    config = PipelineConfig(patch_attempts=1, event_cap=2)
     actual, expected = run_and_expect(config, planned, replies, {}, fail_at)
     assert actual == expected
 

@@ -42,8 +42,7 @@ class TestConfigs:
     def test_pipeline_defaults(self):
         config = PipelineConfig()
         assert config.exemplar_k == 3
-        assert config.multi_event is False
-        assert config.event_cap == 5
+        assert config.event_cap == 1
 
     # One case per checked field, in the order the checks run.
     VALIDATION = [
@@ -472,7 +471,7 @@ class TestExtractDocument:
             )
         )
         events, trace = extract(
-            tuesday_text, patch_registry, self.config(multi_event=True), backend
+            tuesday_text, patch_registry, self.config(event_cap=5), backend
         )
         assert [e.trigger for e in events] == ["patched", "vulnerability"]
         assert any(note.startswith("multi-event: continuing") for note in trace.notes)
@@ -496,7 +495,7 @@ class TestExtractDocument:
             )
         )
         events, trace = extract(
-            tuesday_text, patch_registry, self.config(multi_event=True), backend
+            tuesday_text, patch_registry, self.config(event_cap=5), backend
         )
         # The lower-confidence duplicate of the accepted pair is never tried.
         assert [e.trigger for e in events] == ["patched", "vulnerability"]
@@ -551,7 +550,7 @@ class TestExtractDocument:
         backend = Recorder(ScriptedBackend(
             single_schema_fixture(databreach_schema, text, self.EXEMPLAR, planning, [("Breach", reply, "")])
         ))
-        config = self.config(multi_event=True, event_cap=5)
+        config = self.config(event_cap=5)
         events, trace = extract(text, SchemaRegistry([databreach_schema]), config, backend)
         assert [e.trigger for e in events] == ["breach"]
         assert template_counts(backend)["coding"] == 1
@@ -569,7 +568,7 @@ class TestExtractDocument:
             )
         )
         events, trace = extract(
-            tuesday_text, patch_registry, self.config(multi_event=True), backend
+            tuesday_text, patch_registry, self.config(event_cap=5), backend
         )
         assert [e.trigger for e in events] == ["patched"]
         assert trace.outcome == "accepted"
@@ -584,19 +583,21 @@ class TestExtractDocument:
         assert records[-1] == {"doc_id": "d1", "outcome": "accepted"}
 
     def test_multi_event_respects_cap(self, patch_registry, patchvuln_schema, tuesday_text):
+        # "vulnerability" would verify too, but the cap stops the search first.
+        rescue = 'PatchVulnerability(mention="vulnerability", time=["Tuesday"])'
         backend = ScriptedBackend(
             single_schema_fixture(
                 patchvuln_schema,
                 tuesday_text,
                 self.EXEMPLAR,
                 self.PLANNING,
-                [("patched", VALID_REPLY, "")],
+                [("patched", VALID_REPLY, ""), ("vulnerability", rescue, "")],
             )
         )
-        events, _ = extract(
-            tuesday_text, patch_registry, self.config(multi_event=True, event_cap=1), backend
-        )
-        assert len(events) == 1
+        events, trace = extract(tuesday_text, patch_registry, self.config(event_cap=1), backend)
+        assert [e.trigger for e in events] == ["patched"]
+        assert [a["trigger"] for a in trace.attempts] == ["patched"]
+        assert not any(note.startswith("multi-event:") for note in trace.notes)
 
     def test_default_is_single_event(self, patch_registry, patchvuln_schema, tuesday_text):
         backend = Recorder(ScriptedBackend(
