@@ -634,10 +634,6 @@ class ScriptedBackend:
                 )
             value = self._mapping[fp]
             if isinstance(value, list):
-                if not value:
-                    raise BackendError(
-                        f"scripted reply list for template {request.template_id!r} is empty"
-                    )
                 index = self._counters.get(fp, 0)
                 self._counters[fp] = index + 1
                 return value[min(index, len(value) - 1)]
@@ -647,6 +643,8 @@ class ScriptedBackend:
 def _check_replies(mapping: dict[str, Any]) -> None:
     for key, value in mapping.items():
         replies = value if isinstance(value, list) else [value]
+        if not replies:
+            raise ConfigError(f"scripted fixture entry {key!r} is an empty list")
         if not all(isinstance(reply, str) for reply in replies):
             raise ConfigError(f"scripted fixture entry {key!r} must be a string or list of strings")
         if any(map(has_surrogate, replies)):
@@ -656,7 +654,7 @@ def _check_replies(mapping: dict[str, Any]) -> None:
 def load_scripted_fixture(source: bytes) -> dict[str, str | list[str]]:
     """Read a scripted-backend fixture document: the bytes of a UTF-8 JSON object."""
     try:
-        text = source.decode("utf-8")
+        text = source.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"malformed scripted fixture: {exc}") from None
     data = load_json(text, ConfigError, "malformed scripted fixture", located=True)

@@ -128,7 +128,7 @@ def _check_file_value(key: str, name: str, value):
 
 def _load_config_file(path: str) -> dict:
     try:
-        raw = Path(path).read_text(encoding="utf-8")
+        raw = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     data = load_json(raw, ConfigError, f"config file {path} is not valid JSON", located=True)
@@ -337,7 +337,7 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
 def _load_predictions(path: str) -> dict[str, list[EventObject]]:
     predictions: dict[str, list[EventObject]] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except (OSError, UnicodeDecodeError) as exc:
         raise EvaluationError(f"cannot read predictions file {path}: {exc}") from None
     for line_no, record in json_lines(text, EvaluationError, f"{path}: "):
@@ -351,6 +351,8 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
             raise EvaluationError(f"{path}: line {line_no}: duplicate doc_id {doc_id!r}")
         events = []
         for raw_event in raw_events:
+            if not isinstance(raw_event, dict):
+                raise EvaluationError(f"{path}: line {line_no}: bad event for {doc_id!r}: event must be an object")
             code = parse_event_code(json.dumps(raw_event, ensure_ascii=False))
             if code.failure is not None or code.extra_fields:
                 problem = code.failure.message if code.failure else f"unexpected field {code.extra_fields[0]!r}"
@@ -366,7 +368,11 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     documents = load_corpus(Path(config.corpus).read_bytes())
     reports: list[MetricsReport] = []
     for path in args.predictions:
-        reports.append(score(_load_predictions(path), documents))
+        predictions = _load_predictions(path)
+        try:
+            reports.append(score(predictions, documents))
+        except EvaluationError as exc:  # an unknown document id
+            raise EvaluationError(f"{path}: {exc}") from None
 
     for path, report in zip(args.predictions, reports):
         if len(reports) > 1:

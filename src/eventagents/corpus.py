@@ -160,7 +160,7 @@ def load_corpus(source: bytes) -> list[Document]:
     predictions are keyed by id.
     """
     try:
-        text = source.decode("utf-8")
+        text = source.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"corpus is not valid UTF-8: {exc}") from exc
     documents: list[Document] = []

@@ -151,7 +151,7 @@ def load_ontology(source: bytes) -> SchemaRegistry:
     Declaration order of event types and roles is preserved.
     """
     try:
-        text = source.decode("utf-8")
+        text = source.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OntologyError(f"ontology document is not valid UTF-8: {exc}") from exc
     document = load_json(text, OntologyError, "malformed ontology document", located=True)

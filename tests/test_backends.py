@@ -1250,11 +1250,14 @@ class TestScriptedBackend:
         assert "no scripted reply for template 'coding'" in str(exc_info.value)
         assert request.fingerprint() in str(exc_info.value)
 
-    def test_empty_reply_list_rejected_at_use(self):
-        request = make_request()
-        backend = ScriptedBackend({request.fingerprint(): []})
-        with pytest.raises(BackendError, match="reply list .* is empty"):
-            backend.complete(request)
+    def test_empty_reply_list_rejected_at_load(self):
+        message = "scripted fixture entry 'fp' is an empty list"
+        with pytest.raises(ConfigError) as exc_info:
+            ScriptedBackend({"ok": "reply", "fp": []})
+        assert str(exc_info.value) == message
+        with pytest.raises(ConfigError) as exc_info:
+            load_scripted_fixture(b'{"ok": "reply", "fp": []}')
+        assert str(exc_info.value) == message
 
     def test_invalid_fixture_values_rejected(self):
         with pytest.raises(ConfigError):

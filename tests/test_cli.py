@@ -541,6 +541,10 @@ class TestEval:
                 "unexpected field 'confidence'",
             ),
             ({}, "preds.jsonl: line 1: 'events' must be an array\n"),
+            *(
+                ([entry], "preds.jsonl: line 1: bad event for 'd1': event must be an object\n")
+                for entry in (1, 'Ransom(mention="x")', [], None, True)
+            ),
         ],
     )
     def test_bad_prediction_events(self, capsys, tmp_path, events, fragment):
@@ -556,6 +560,13 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", preds, "--corpus", gold)
         assert code == 1
         assert "unknown document id 'ghost'" in err
+
+    def test_unknown_doc_id_names_its_prediction_file(self, capsys, tmp_path):
+        gold = gold_eval_corpus(tmp_path)
+        run1 = write_predictions(tmp_path, "run1.jsonl", {"d1": []})
+        run2 = write_predictions(tmp_path, "run2.jsonl", {"zz": []})
+        code, out, err = run_cli(capsys, "eval", run1, run2, "--corpus", gold)
+        assert (code, out, err) == (1, "", f"error: {run2}: predictions reference unknown document id 'zz'\n")
 
     def test_duplicate_doc_id_in_predictions(self, capsys, tmp_path):
         gold = gold_eval_corpus(tmp_path)

@@ -6,15 +6,17 @@ reach the checks behind the first few, and any key may instead hold an
 arbitrary JSON value or be missing.
 """
 
+import codecs
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eventagents import SchemaRegistry, TriggerHypothesis
 from eventagents.agents import PlanningError, run_planning_agent
 from eventagents.backends import load_scripted_fixture
-from eventagents.cli import _load_predictions, _write_line
+from eventagents.cli import _load_config_file, _load_predictions, _write_line
 from eventagents.corpus import CorpusError, load_corpus
 from eventagents.errors import ConfigError
 from eventagents.events import EventObject, event_payload
@@ -203,6 +205,36 @@ def test_load_predictions_returns_what_extract_writes(tmp_path):
         assert _load_predictions(str(path)) == events_by_doc
 
     check()
+
+
+def read_file(reader):
+    """``reader`` of a path, as a reader of bytes written to a file."""
+
+    def read(source, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(source)
+        return reader(str(path))
+
+    return read
+
+
+# Each reader of a file: how it reads bytes, a document it accepts, and its error.
+FILE_READERS = {
+    "ontology": (lambda source, _: list(load_ontology(source)), [{"event_type": "Ransom", "roles": []}], OntologyError),
+    "corpus": (lambda source, _: load_corpus(source), {"id": "d1", "text": TEXT}, CorpusError),
+    "fixture": (lambda source, _: load_scripted_fixture(source), {"fp": "reply"}, ConfigError),
+    "config": (read_file(_load_config_file), {"runs": 2}, ConfigError),
+    "predictions": (read_file(_load_predictions), {"doc_id": "d1", "events": []}, EvaluationError),
+}
+
+
+@pytest.mark.parametrize("name", FILE_READERS)
+def test_one_leading_byte_order_mark_is_dropped(tmp_path, name):
+    read, document, error = FILE_READERS[name]
+    source = json.dumps(document).encode("utf-8")
+    assert read(codecs.BOM_UTF8 + source, tmp_path) == read(source, tmp_path)
+    with pytest.raises(error):
+        read(codecs.BOM_UTF8 * 2 + source, tmp_path)
 
 
 @settings(deadline=None)
