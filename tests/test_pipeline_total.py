@@ -1,8 +1,8 @@
 """The whole per-document pipeline stays total and bounded under hostile replies.
 
 ``extract_document`` is driven with random and near-valid replies for
-every prompt template, in strict and llm mode, with the multi-event
-extension on and off.  Replies are valid text, as every backend
+every prompt template, in strict and llm mode, at an event cap of 1
+and above.  Replies are valid text, as every backend
 guarantees, but the JSON inside them may carry ``\\ud800``-style
 escapes that decode to lone surrogates.
 """

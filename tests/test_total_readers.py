@@ -235,6 +235,9 @@ def test_one_leading_byte_order_mark_is_dropped(tmp_path, name):
     assert read(codecs.BOM_UTF8 + source, tmp_path) == read(source, tmp_path)
     with pytest.raises(error):
         read(codecs.BOM_UTF8 * 2 + source, tmp_path)
+    # A codec fault keeps its position in the file, counting the mark.
+    with pytest.raises(error, match="byte 0xff in position 4: "):
+        read(codecs.BOM_UTF8 + b'"\xff"', tmp_path)
 
 
 @settings(deadline=None)
