@@ -244,14 +244,14 @@ def extract_document(
     :class:`EventAgentsError` is raised.  At most ``event_cap`` events
     are returned: after each accepted event below the cap, refinement
     re-runs with accepted (trigger, type) pairs excluded until the pool
-    empties.  Empty planning output is a
-    normal empty extraction, not an error.  Blank text (before any
-    backend call) and a planning, coding or judge failure return no
-    events and an ``"aborted"`` trace whose ``error`` says why, unless a
-    multi-event continuation fails after an event was accepted: then the
-    accepted events are returned, the outcome is ``"accepted"``, and a
-    trace note names the failure.  The semantic judge is asked each
-    (trigger, event type) question at most once per call.
+    empties.  Empty planning output is a normal empty extraction, not an
+    error.  Blank text (before any backend call) and a planning, coding
+    or judge failure return no events and an ``"aborted"`` trace whose
+    ``error`` says why, unless a continuation fails after an event was
+    accepted: then the accepted events are returned, the outcome is
+    ``"accepted"``, and a trace note names the failure.  The semantic
+    judge is asked each (trigger, event type) question at most once per
+    call.
     """
     if not text.strip():
         return [], RefinementTrace(outcome="aborted", error="document text is empty")
