@@ -653,11 +653,7 @@ def _check_replies(mapping: dict[str, Any]) -> None:
 
 def load_scripted_fixture(source: bytes) -> dict[str, str | list[str]]:
     """Read a scripted-backend fixture document: the bytes of a UTF-8 JSON object."""
-    try:
-        text = source.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"malformed scripted fixture: {exc}") from None
-    data = load_json(text, ConfigError, "malformed scripted fixture", located=True)
+    data = load_json(source, ConfigError, "malformed scripted fixture", located=True)
     if not isinstance(data, dict):
         raise ConfigError("scripted fixture must be a JSON object mapping fingerprints to replies")
     _check_replies(data)

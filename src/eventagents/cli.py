@@ -128,8 +128,8 @@ def _check_file_value(key: str, name: str, value):
 
 def _load_config_file(path: str) -> dict:
     try:
-        raw = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
-    except (OSError, UnicodeDecodeError) as exc:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     data = load_json(raw, ConfigError, f"config file {path} is not valid JSON", located=True)
     if not isinstance(data, dict):
@@ -337,10 +337,10 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
 def _load_predictions(path: str) -> dict[str, list[EventObject]]:
     predictions: dict[str, list[EventObject]] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
-    except (OSError, UnicodeDecodeError) as exc:
+        source = Path(path).read_bytes()
+    except OSError as exc:
         raise EvaluationError(f"cannot read predictions file {path}: {exc}") from None
-    for line_no, record in json_lines(text, EvaluationError, f"{path}: "):
+    for line_no, record in json_lines(source, EvaluationError, f"{path}: "):
         if not isinstance(record, dict) or not isinstance(record.get("doc_id"), str):
             raise EvaluationError(f"{path}: line {line_no}: record needs a string 'doc_id'")
         raw_events = record.get("events", [])

@@ -159,13 +159,9 @@ def load_corpus(source: bytes) -> list[Document]:
     records with their document id.  Duplicate ids are rejected because
     predictions are keyed by id.
     """
-    try:
-        text = source.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise CorpusError(f"corpus is not valid UTF-8: {exc}") from exc
     documents: list[Document] = []
     seen_ids: set[str] = set()
-    for line_no, raw in json_lines(text, CorpusError):
+    for line_no, raw in json_lines(source, CorpusError):
         if not isinstance(raw, dict):
             raise CorpusError(f"line {line_no}: record must be a JSON object")
         document = _load_record(line_no, raw)

@@ -33,6 +33,8 @@ def json_fault(exc: ValueError | RecursionError, located: bool = False) -> str:
     bytes that are not UTF-8 keep the codec's message.
     """
     if isinstance(exc, json.JSONDecodeError):
+        if exc.msg.startswith("Unexpected UTF-8 BOM"):
+            return "more than one byte order mark"
         return str(exc) if located else exc.msg
     if isinstance(exc, UnicodeDecodeError):
         return str(exc)
@@ -41,25 +43,23 @@ def json_fault(exc: ValueError | RecursionError, located: bool = False) -> str:
     return "number literal out of range"  # more digits than int() converts
 
 
-def load_json(source: str | bytes, error: type[Exception], what: str, located: bool = False):
-    """``json.loads(source)``; on a failure, ``error`` reads ``what``, a
-    colon and the :func:`json_fault` wording."""
+def load_json(source: bytes, error: type[Exception], what: str, located: bool = False):
+    """Parse a file, record or reply body: strict UTF-8, one leading byte
+    order mark dropped.  On a failure ``error`` reads ``what``, a colon
+    and the :func:`json_fault` wording."""
     try:
-        return json.loads(source)
+        return json.loads(source.decode("utf-8").removeprefix("\ufeff"))
     except (ValueError, RecursionError) as exc:  # also bad UTF-8, oversized integers, deep nesting
         raise error(f"{what}: {json_fault(exc, located)}") from None
 
 
-def json_lines(text: str, error: type[Exception], where: str = "") -> Iterator[tuple[int, object]]:
-    """``(line number, value)`` of each non-blank JSON Lines record, a
-    malformed one raising ``error`` with ``where`` and its line number.
-
-    A line ends at ``\n``, ``\r\n`` or ``\r`` and nowhere else, so a
-    string may hold U+2028, U+2029 or U+0085 raw; JSON forbids a raw CR
-    or LF inside one.
+def json_lines(source: bytes, error: type[Exception], where: str = "") -> Iterator[tuple[int, object]]:
+    """``(line number, value)`` of each JSON Lines record, read by
+    :func:`load_json` and raising ``error`` with ``where`` and its line
+    number.  A line ends at ``\n``, ``\r\n`` or ``\r`` only, so a string
+    may hold U+2028, U+2029 or U+0085 raw; a line of ASCII whitespace,
+    after one leading byte order mark, is skipped.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if line.strip():
+    for line_no, line in enumerate(source.splitlines(), start=1):
+        if line.removeprefix(b"\xef\xbb\xbf").strip():
             yield line_no, load_json(line, error, f"{where}line {line_no}: malformed record")

@@ -150,11 +150,7 @@ def load_ontology(source: bytes) -> SchemaRegistry:
 
     Declaration order of event types and roles is preserved.
     """
-    try:
-        text = source.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise OntologyError(f"ontology document is not valid UTF-8: {exc}") from exc
-    document = load_json(text, OntologyError, "malformed ontology document", located=True)
+    document = load_json(source, OntologyError, "malformed ontology document", located=True)
     if not isinstance(document, list):
         raise OntologyError("ontology document must be an array of event type declarations")
 

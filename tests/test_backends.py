@@ -386,6 +386,23 @@ class TestHttpBackend:
         ):
             eventagents.backends._extract_content(b"\xff")
 
+    @pytest.mark.parametrize(
+        "body, fault",
+        [
+            (completion_body("ok").encode("utf-16"), "byte 0xff in position 0: invalid start byte"),
+            (completion_body("ok").encode("utf-32"), "byte 0xff in position 0: invalid start byte"),
+            (
+                completion_body("?").replace("?", "\ud800").encode("utf-8", "surrogatepass"),
+                "byte 0xed in position 38: invalid continuation byte",
+            ),
+        ],
+        ids=["utf-16", "utf-32", "encoded-surrogate"],
+    )
+    def test_response_body_is_read_as_utf8_only(self, body, fault):
+        with pytest.raises(BackendError) as caught:
+            eventagents.backends._extract_content(body)
+        assert str(caught.value) == f"backend response is not valid JSON: 'utf-8' codec can't decode {fault}"
+
     def test_connection_failure_retries_then_raises(self):
         # Nothing listens on this port; both attempts are transport failures.
         backend = HttpBackend(

@@ -1,6 +1,6 @@
 """Package hygiene: the public name list is exact, no private
 module-level name is left behind without a reader, no module imports
-``dataclasses``, and outside JSON is read in one place."""
+``dataclasses``, and outside JSON is decoded and read in one place."""
 
 import ast
 from pathlib import Path
@@ -159,3 +159,61 @@ def test_scan_flags_every_use_of_json_loads():
         "note = 'json.loads'\n"
     )
     assert _json_loads_uses(source) == [2, 3, 4, 5]
+
+
+def _decoding_sites(source: str) -> list[tuple[int, str]]:
+    """``(line, kind)`` of each place that decodes outside text itself:
+    a byte order mark or the ``utf-8-sig`` codec is a "mark"; a
+    ``read_text`` reference or a handler of ``UnicodeDecodeError`` is a
+    "decode"."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (str, bytes)):
+            text = node.value.decode("latin-1") if isinstance(node.value, bytes) else node.value
+            codec = text.lower().replace("_", "-")
+            if "\ufeff" in text or "\xef\xbb\xbf" in text or "utf-8-sig" in codec or "utf8-sig" in codec:
+                sites.append((node.lineno, "mark"))
+        elif isinstance(node, ast.Attribute) and node.attr in ("BOM", "BOM_UTF8"):
+            sites.append((node.lineno, "mark"))
+        elif isinstance(node, ast.Attribute) and node.attr == "read_text":
+            sites.append((node.lineno, "decode"))
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = {name.id for name in ast.walk(node.type) if isinstance(name, ast.Name)}
+            if caught & {"UnicodeDecodeError", "UnicodeError"}:
+                sites.append((node.lineno, "decode"))
+    return sorted(sites)
+
+
+def test_outside_json_is_decoded_only_by_errors_load_json():
+    # errors.load_json holds the one rule: strict UTF-8, one leading mark
+    # dropped; every other reader hands it bytes.
+    found = {
+        str(path.relative_to(PACKAGE_DIR)): _decoding_sites(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE_DIR.rglob("*.py"))
+    }
+    assert sorted(name for name, sites in found.items() if any(kind == "mark" for _, kind in sites)) == ["errors.py"]
+    assert {name: sites for name, sites in found.items() if any(kind == "decode" for _, kind in sites)} == {}
+
+
+def test_scan_flags_every_own_decoding_of_outside_text():
+    source = (
+        "text = raw.decode('utf-8').removeprefix('\\ufeff')\n"
+        "text = raw.decode('UTF_8_SIG')\n"
+        "raw = raw.removeprefix(b'\\xef\\xbb\\xbf')\n"
+        "raw = raw.removeprefix(codecs.BOM_UTF8)\n"
+        "text = path.read_text(encoding='utf-8')\n"
+        "try:\n"
+        "    pass\n"
+        "except (OSError, UnicodeDecodeError) as exc:\n"
+        "    pass\n"
+        "except UnicodeError:\n"
+        "    pass\n"
+        "text = raw.decode('utf-8')\n"
+        "note = 'read_text'\n"
+        "try:\n"
+        "    pass\n"
+        "except ValueError:\n"
+        "    pass\n"
+    )
+    expected = [(1, "mark"), (2, "mark"), (3, "mark"), (4, "mark"), (5, "decode"), (8, "decode"), (10, "decode")]
+    assert _decoding_sites(source) == expected

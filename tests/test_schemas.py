@@ -94,7 +94,9 @@ class TestLoadOntology:
     def test_rejects_non_utf8_bytes(self):
         with pytest.raises(OntologyError) as exc_info:
             load_ontology(b"\xff\xfe[]")
-        assert "not valid UTF-8" in str(exc_info.value)
+        assert str(exc_info.value) == (
+            "malformed ontology document: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+        )
 
 
 class TestSchemaObjects:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from eventagents import SchemaRegistry, TriggerHypothesis
 from eventagents.agents import PlanningError, run_planning_agent
-from eventagents.backends import load_scripted_fixture
+from eventagents.backends import BackendError, _extract_content, load_scripted_fixture
 from eventagents.cli import _load_config_file, _load_predictions, _write_line
 from eventagents.corpus import CorpusError, load_corpus
 from eventagents.errors import ConfigError
@@ -235,9 +235,95 @@ def test_one_leading_byte_order_mark_is_dropped(tmp_path, name):
     assert read(codecs.BOM_UTF8 + source, tmp_path) == read(source, tmp_path)
     with pytest.raises(error):
         read(codecs.BOM_UTF8 * 2 + source, tmp_path)
-    # A codec fault keeps its position in the file, counting the mark.
+    # A codec fault keeps its position in its document or record, counting the mark.
     with pytest.raises(error, match="byte 0xff in position 4: "):
         read(codecs.BOM_UTF8 + b'"\xff"', tmp_path)
+
+
+# Every reader of outside JSON, the reply body of a backend among them.
+READERS = {
+    **FILE_READERS,
+    "reply": (lambda source, _: _extract_content(source), {"choices": [{"message": {"content": "r"}}]}, BackendError),
+}
+# What each reader's fault reads before the fault's own words.
+FAULT_PREFIXES = {
+    "ontology": "malformed ontology document: ",
+    "corpus": "line {line}: malformed record: ",
+    "fixture": "malformed scripted fixture: ",
+    "config": "config file {path} is not valid JSON: ",
+    "predictions": "{path}: line {line}: malformed record: ",
+    "reply": "backend response is not valid JSON: ",
+}
+
+
+def fault_of(name, source, tmp_path):
+    """The message of the error ``READERS[name]`` raises on ``source``."""
+    read, _, error = READERS[name]
+    with pytest.raises(error) as caught:
+        read(source, tmp_path)
+    return str(caught.value)
+
+
+def worded(name, fault, tmp_path, line=1):
+    """``fault`` as reader ``name`` words it for ``line`` of the file ``read_file`` writes."""
+    return FAULT_PREFIXES[name].format(path=tmp_path / "input", line=line) + fault
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_a_second_byte_order_mark_is_named_in_plain_words(tmp_path, name):
+    source = codecs.BOM_UTF8 * 2 + json.dumps(READERS[name][1]).encode("utf-8")
+    assert fault_of(name, source, tmp_path) == worded(name, "more than one byte order mark", tmp_path)
+
+
+@pytest.mark.parametrize("name", ["corpus", "config", "predictions"])
+def test_a_codec_fault_is_worded_like_any_other_fault_of_its_reader(tmp_path, name):
+    fault = "'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"
+    assert fault_of(name, codecs.BOM_UTF8 + b'"\xff"', tmp_path) == worded(name, fault, tmp_path)
+
+
+def test_a_config_fault_position_counts_the_files_own_characters(tmp_path):
+    fault = "Expecting value: line 2 column 1 (char 10)"
+    assert fault_of("config", b'{"runs":\r\n}', tmp_path) == worded("config", fault, tmp_path)
+
+
+# The two JSON Lines readers, each with its record for a document id.
+RECORDS = {
+    "corpus": lambda doc_id: {"id": doc_id, "text": TEXT},
+    "predictions": lambda doc_id: {"doc_id": doc_id, "events": []},
+}
+
+
+def jsonl(*lines):
+    return b"\n".join(json.dumps(line).encode("utf-8") if isinstance(line, dict) else line for line in lines)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_mark_at_the_start_of_a_later_record_is_dropped(tmp_path, name):
+    read, record = READERS[name][0], RECORDS[name]
+    expected = read(jsonl(record("d1"), record("d2")), tmp_path)
+    assert read(jsonl(record("d1"), codecs.BOM_UTF8 + jsonl(record("d2"))), tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_mark_on_a_line_of_its_own_is_a_blank_line(tmp_path, name):
+    read, record = READERS[name][0], RECORDS[name]
+    assert read(jsonl(codecs.BOM_UTF8, record("d1")), tmp_path) == read(jsonl(record("d1")), tmp_path)
+
+
+@pytest.mark.parametrize("space", ["\u2028", "\xa0"], ids=["U+2028", "U+00A0"])
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_line_of_non_ascii_whitespace_is_a_malformed_record(tmp_path, name, space):
+    source = jsonl(RECORDS[name]("d1"), space.encode("utf-8"), RECORDS[name]("d2"))
+    assert fault_of(name, source, tmp_path) == worded(name, "Expecting value", tmp_path, line=2)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_decoded_in_line_order_from_their_own_start(tmp_path, name):
+    fault = "'utf-8' codec can't decode byte 0xff in position 8: invalid start byte"
+    bad_byte = b'{"id": "\xff"}'
+    assert fault_of(name, jsonl(RECORDS[name]("d1"), bad_byte), tmp_path) == worded(name, fault, tmp_path, line=2)
+    fault = "Expecting property name enclosed in double quotes"
+    assert fault_of(name, jsonl(b"{broken", bad_byte), tmp_path) == worded(name, fault, tmp_path)
 
 
 @settings(deadline=None)
