@@ -294,6 +294,7 @@ RECORDS = {
 
 
 def jsonl(*lines):
+    """JSON Lines bytes: each dict as its JSON, each bytes line as it is."""
     return b"\n".join(json.dumps(line).encode("utf-8") if isinstance(line, dict) else line for line in lines)
 
 
