@@ -36,10 +36,12 @@ class TriggerHypothesis(FrozenRecord):
     """A candidate (trigger span, event type) pair from planning."""
 
     def __init__(self, trigger: str, event_type: str, confidence: float, rationale: str = ""):
-        if not trigger:
-            raise ValueError("hypothesis trigger must be non-empty")
-        if not event_type:
-            raise ValueError("hypothesis event_type must be non-empty")
+        if not isinstance(trigger, str) or not trigger:
+            raise ValueError("hypothesis trigger must be a non-empty string")
+        if not isinstance(event_type, str) or not event_type:
+            raise ValueError("hypothesis event_type must be a non-empty string")
+        if not isinstance(rationale, str):
+            raise ValueError("hypothesis rationale must be a string")
         if not 0.0 <= confidence <= 1.0:
             raise ValueError(f"confidence {confidence} outside [0, 1]")
         set_field(self, "trigger", trigger)
@@ -107,31 +109,20 @@ def _parse_planning_reply(reply: str) -> list[TriggerHypothesis] | None:
     for rank, entry in enumerate(data, start=1):
         if not isinstance(entry, dict):
             return None
-        trigger = entry.get("trigger")
-        event_type = entry.get("event_type")
         confidence = entry.get("confidence")
-        rationale = entry.get("rationale", "")
-        if not isinstance(trigger, str) or not trigger:
-            return None
-        if not isinstance(event_type, str) or not event_type:
-            return None
-        if not isinstance(rationale, str):
-            return None
-        if any(map(has_surrogate, (trigger, event_type, rationale))):
-            return None
         if confidence is None:
             confidence = 1.0 - (rank - 1) / len(data)
         elif isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
             return None
-        hypotheses.append(
-            TriggerHypothesis(
-                trigger=trigger,
-                event_type=event_type,
-                # Clamp before converting: float() overflows on huge integers.
-                confidence=float(min(1.0, max(0.0, confidence))),
-                rationale=rationale,
-            )
-        )
+        trigger, event_type, rationale = entry.get("trigger"), entry.get("event_type"), entry.get("rationale", "")
+        try:
+            # Clamp before converting: float() overflows on huge integers.
+            hypothesis = TriggerHypothesis(trigger, event_type, float(min(1.0, max(0.0, confidence))), rationale)
+        except ValueError:
+            return None
+        if any(map(has_surrogate, (trigger, event_type, rationale))):
+            return None
+        hypotheses.append(hypothesis)
     return hypotheses
 
 

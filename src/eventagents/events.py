@@ -39,24 +39,46 @@ from .schemas import _IDENT_RE, EventSchema, SchemaRegistry
 EVENT_FIELDS = ("event_type", "trigger", "arguments")
 
 
+def _is_scalar(value: Any) -> bool:
+    """A string, boolean or number JSON can carry: not NaN, an infinity, or
+    an integer longer than Python writes as decimal text."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, int):
+        try:
+            str(value)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            return False
+        return True
+    return isinstance(value, str)
+
+
 class EventObject(Record):
-    """A fully specified event: type, trigger span text, role values."""
+    """A fully specified event: type, trigger span text, role values.
+
+    The constructor refuses what object notation refuses, in its words,
+    so every event can be written as JSON.
+    """
 
     def __init__(self, event_type: str, trigger: str, arguments: dict[str, list]):
         if not isinstance(event_type, str) or not event_type:
-            raise ValueError("event_type must be a non-empty string")
+            raise ValueError("'event_type' must be a non-empty string")
         if not isinstance(trigger, str):
-            raise ValueError("trigger must be a string")
+            raise ValueError("'trigger' must be a string")
         if not isinstance(arguments, dict):
-            raise ValueError("arguments must map role names to value lists")
+            raise ValueError("'arguments' must be an object")
         for role, values in arguments.items():
-            if not isinstance(role, str) or not role:
-                raise ValueError("argument role names must be non-empty strings")
+            if not isinstance(role, str):
+                raise ValueError(f"argument role name {role!r} is not a string")
+            if not role:
+                raise ValueError("argument role names must be non-empty")
             if not isinstance(values, list):
                 raise ValueError(f"values of role {role!r} must be a list")
             for value in values:
-                if not isinstance(value, (str, int, float, bool)):
-                    raise ValueError(f"role {role!r} holds an unsupported value {value!r}")
+                if isinstance(value, list):
+                    raise ValueError(f"nested lists are not allowed in role {role!r}")
+                if not _is_scalar(value):
+                    raise ValueError(f"values of role {role!r} must be strings, numbers or booleans")
         self.event_type = event_type
         self.trigger = trigger
         self.arguments = arguments
@@ -121,7 +143,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<lparen>\()|(?P<rparen>\))|(?P<lbracket>\[)|(?P<rbracket>\])|(?P<comma>,)|(?P<equals>=)"
     rf"""|(?P<string>"(?:[^"\\\n]|{_VALID_ESCAPE})*"|'(?:[^'\\\n]|{_VALID_ESCAPE})*')"""
     rf"""|(?P<open_string>["'](?:[^\\\n]|{_VALID_ESCAPE})*)"""
-    r"|(?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<number>-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
     rf"|(?P<ident>{_IDENT_RE.pattern})"
     r"|(?P<other>[\s\S])"
 )
@@ -153,8 +175,11 @@ def _show(tok: _Token) -> str:
 
 def _as_number(tok: _Token) -> int | float:
     text = tok.text
+    is_float = "." in text or "e" in text or "E" in text
+    if not is_float and text.lstrip("-").startswith("0") and text.strip("-0"):
+        raise _ParseError("leading zeros in integer literals are not allowed", tok.pos)
     try:
-        value = float(text) if "." in text or "e" in text or "E" in text else int(text)
+        value = float(text) if is_float else int(text)
     except ValueError:  # more digits than int() converts
         value = None
     if not _is_scalar(value):
@@ -242,13 +267,6 @@ class _ConstructorParser:
         raise _ParseError(f"expected a value, got {_show(tok)}", tok.pos)
 
 
-def _is_scalar(value: Any) -> bool:
-    """A string, boolean or number JSON can carry (NaN and infinities cannot)."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return isinstance(value, (str, int, bool))
-
-
 def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
     try:
         data = json.loads(source)
@@ -260,41 +278,19 @@ def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
     for key in EVENT_FIELDS:
         if key not in data:
             raise _ParseError(f"missing required field {key!r}", 0)
-    event_type = data["event_type"]
-    trigger = data["trigger"]
-    raw_arguments = data["arguments"]
-    if not isinstance(event_type, str) or not event_type:
-        raise _ParseError("'event_type' must be a non-empty string", 0)
-    if not isinstance(trigger, str):
-        raise _ParseError("'trigger' must be a string", 0)
-    if not isinstance(raw_arguments, dict):
-        raise _ParseError("'arguments' must be an object", 0)
-    arguments: dict[str, list] = {}
-    for role, value in raw_arguments.items():
-        if not role:
-            raise _ParseError("argument role names must be non-empty", 0)
-        if isinstance(value, list):
-            for item in value:
-                if isinstance(item, list):
-                    raise _ParseError(f"nested lists are not allowed in role {role!r}", 0)
-                if not _is_scalar(item):
-                    raise _ParseError(
-                        f"values of role {role!r} must be strings, numbers or booleans", 0
-                    )
-            arguments[role] = list(value)
-        elif _is_scalar(value):
-            arguments[role] = [value]
-        else:
-            raise _ParseError(
-                f"values of role {role!r} must be strings, numbers or booleans", 0
-            )
-    strings = [*data, event_type, trigger, *arguments]
+    arguments = data["arguments"]
+    if isinstance(arguments, dict):
+        arguments = {role: value if isinstance(value, list) else [value] for role, value in arguments.items()}
+    try:
+        event = EventObject(data["event_type"], data["trigger"], arguments)
+    except ValueError as exc:
+        raise _ParseError(str(exc), 0) from None
+    strings = [*data, event.event_type, event.trigger, *arguments]
     strings += [value for values in arguments.values() for value in values if isinstance(value, str)]
     for value in strings:
         if has_surrogate(value):
             raise _ParseError(f"string {value!r} holds a lone surrogate, which UTF-8 cannot encode", 0)
-    extras = tuple(k for k in data if k not in EVENT_FIELDS)
-    return EventObject(event_type=event_type, trigger=trigger, arguments=arguments), extras
+    return event, tuple(k for k in data if k not in EVENT_FIELDS)
 
 
 def order_arguments(arguments: dict[str, list], schema: EventSchema) -> dict[str, list]:
@@ -327,7 +323,7 @@ def parse_event_code(source: str, registry: SchemaRegistry | None = None) -> Cod
     if registry is not None:
         schema = registry.get(event.event_type)
         if schema is not None:
-            event = EventObject(event.event_type, event.trigger, order_arguments(event.arguments, schema))
+            event.arguments = order_arguments(event.arguments, schema)
     return CodeObject(raw_source=source, parsed=event, extra_fields=extras)
 
 

@@ -11,8 +11,10 @@ failure only:
   never calls a model.
 * T2 (type): every argument role is declared by the schema, every value
   matches the role's value type, and multiplicity constraints hold.
-* T3 (structural): the source parsed, the object carries exactly the
-  fields event_type/trigger/arguments, and it serializes cleanly.
+* T3 (structural): the source parsed, and the object carries exactly
+  the fields event_type/trigger/arguments.  What the object holds needs
+  no check here: :class:`~eventagents.events.EventObject` refuses
+  anything JSON cannot carry.
 
 Check order for parsed objects is T1, T2, T3.  Source that does not
 parse cannot be inspected at all, so it short-circuits straight to a T3
@@ -32,7 +34,7 @@ import json
 import re
 from typing import Callable
 
-from .events import CodeObject, serialize_event
+from .events import CodeObject
 from .records import FrozenRecord, set_field
 from .schemas import EventSchema, Multiplicity, SCALAR_TYPE_NAMES, ValueType
 
@@ -168,15 +170,11 @@ def check_types(code: CodeObject, schema: EventSchema) -> Diagnostic | None:
 
 
 def check_structure(code: CodeObject) -> Diagnostic | None:
-    """T3: parse success, exact field set, serializability."""
+    """T3: parsed, exact field set."""
     if code.failure is not None:
         return Diagnostic("T3", code.failure.describe(), "source")
     if code.extra_fields:
         return Diagnostic("T3", f"unexpected field {code.extra_fields[0]!r}", code.extra_fields[0])
-    try:
-        serialize_event(code.parsed)
-    except (TypeError, ValueError) as exc:
-        return Diagnostic("T3", f"event is not serializable: {exc}", "arguments")
     return None
 
 

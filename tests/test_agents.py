@@ -5,6 +5,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Recorder, script
 from eventagents import (
@@ -20,7 +22,8 @@ from eventagents import (
     run_planning_agent,
     run_retrieval_agent,
 )
-from eventagents.agents import PlanningError, extract_code_block
+from eventagents.agents import PlanningError, _parse_planning_reply, extract_code_block
+from eventagents.errors import has_surrogate
 from eventagents.refine import build_run_context
 from eventagents.prompts import (
     coding_prompt,
@@ -589,10 +592,48 @@ class TestSemanticJudge:
 
 
 class TestHypothesisValidation:
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            TriggerHypothesis("", "Ransom", 0.5)
-        with pytest.raises(ValueError):
-            TriggerHypothesis("demanded", "", 0.5)
-        with pytest.raises(ValueError):
-            TriggerHypothesis("demanded", "Ransom", 1.5)
+    @pytest.mark.parametrize(
+        "trigger, event_type, confidence, rationale, message",
+        [
+            ("", "Ransom", 0.5, "", "hypothesis trigger must be a non-empty string"),
+            (None, "Ransom", 0.5, "", "hypothesis trigger must be a non-empty string"),
+            ("demanded", "", 0.5, "", "hypothesis event_type must be a non-empty string"),
+            ("demanded", ["Ransom"], 0.5, "", "hypothesis event_type must be a non-empty string"),
+            ("demanded", "Ransom", 0.5, 4, "hypothesis rationale must be a string"),
+            ("demanded", "Ransom", 1.5, "", "confidence 1.5 outside [0, 1]"),
+        ],
+    )
+    def test_bounds(self, trigger, event_type, confidence, rationale, message):
+        with pytest.raises(ValueError) as excinfo:
+            TriggerHypothesis(trigger, event_type, confidence, rationale)
+        assert str(excinfo.value) == message
+
+
+# One planning entry's fields, well and badly typed, surrogates included.
+_FIELD = st.one_of(st.text(max_size=3), st.none(), st.integers(), st.lists(st.text(max_size=1), max_size=1))
+
+
+@st.composite
+def _planning_entries(draw):
+    entry = {key: draw(_FIELD) for key in ("trigger", "event_type", "rationale") if draw(st.booleans())}
+    if draw(st.booleans()):
+        entry["confidence"] = draw(st.none() | st.floats(0, 1))
+    return entry
+
+
+class TestPlanningReplyAgreement:
+    @settings(deadline=None, max_examples=300)
+    @given(_planning_entries())
+    def test_an_entry_is_kept_exactly_when_the_class_accepts_it(self, drawn):
+        # The reader sees the entry as JSON decodes it: an escaped surrogate
+        # pair becomes one character, a lone surrogate stays.
+        entry = json.loads(json.dumps(drawn))
+        trigger, event_type, rationale = entry.get("trigger"), entry.get("event_type"), entry.get("rationale", "")
+        confidence = entry.get("confidence")
+        try:
+            expected = [TriggerHypothesis(trigger, event_type, 1.0 if confidence is None else confidence, rationale)]
+        except ValueError:
+            expected = None
+        if expected and any(map(has_surrogate, (trigger, event_type, rationale))):
+            expected = None
+        assert _parse_planning_reply(json.dumps([drawn])) == expected

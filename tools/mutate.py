@@ -1,17 +1,19 @@
 """Mutation probe: which one-token changes to a module do the tests miss?
 
-    python tools/mutate.py MODULE.py [MODULE.py ...] [--lines N ...] [-- PYTEST-ARGS]
+    python tools/mutate.py MODULE.py[:N,N...] [MODULE.py[:N,N...] ...] [-- PYTEST-ARGS]
 
 Each mutant makes one change to one module: it flips one comparison at
 its boundary (``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``in``/``not in``,
 ``is``/``is not``), swaps ``and`` and ``or``, drops a ``not``, or adds 1
-to an integer literal.  ``--lines`` keeps the mutants on those lines.
+to an integer literal.  Line numbers after a module's name, as in
+``events.py:140,141``, keep that module's mutants on those lines.
 The tests run on a copy of the repository in a temporary directory
 (``TMPDIR`` chooses where), so the working tree is never changed;
 PYTEST-ARGS default to the whole suite.  A mutant that every test
 passes is printed as a survivor.  A MODULE that is not a file inside
-the repository ends the probe with exit status 2 before anything is
-copied.  Only the standard library is used.
+the repository, or a line number that is not a number, ends the probe
+with exit status 2 before anything is copied.  Only the standard
+library is used.
 """
 
 import ast
@@ -69,10 +71,25 @@ def passes(copy: Path, pytest_args: list[str]) -> bool:
     return subprocess.run(command, cwd=copy, env=env, capture_output=True).returncode == 0
 
 
-def main(argv: list[str]) -> int:
+def split_args(argv: list[str]) -> tuple[dict[str, set[int]], list[str]]:
+    """Each module's line set (empty: every line), and the pytest arguments.
+
+    A line number that ``int()`` cannot read raises ``ValueError``.
+    """
     argv, pytest_args = (argv[: argv.index("--")], argv[argv.index("--") + 1 :]) if "--" in argv else (argv, [])
-    modules = argv[: argv.index("--lines")] if "--lines" in argv else argv
-    lines = {int(n) for n in argv[len(modules) + 1 :]}
+    modules = {}
+    for arg in argv:
+        module, _, numbers = arg.partition(":")
+        modules[module] = {int(n) for n in numbers.split(",") if n}
+    return modules, pytest_args
+
+
+def main(argv: list[str]) -> int:
+    try:
+        modules, pytest_args = split_args(argv)
+    except ValueError as exc:
+        print(f"error: bad line number: {exc}", file=sys.stderr)
+        return 2
     for module in modules:
         path = Path(module).resolve()
         inside = ROOT in path.parents
@@ -83,7 +100,7 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as scratch:
         copy = Path(scratch) / "repo"
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
-        for module in modules:
+        for module, lines in modules.items():
             # Relative to the repository, so that only the copy is ever written.
             target = copy / Path(module).resolve().relative_to(ROOT)
             source = (ROOT / target.relative_to(copy)).read_text(encoding="utf-8")
