@@ -104,8 +104,9 @@ class BackendConfig(FrozenRecord):
             raise ConfigError("temperature must be a finite number >= 0")
         if max_tokens < 1:
             raise ConfigError("max_tokens must be >= 1")
-        if not 0 < timeout < math.inf:
-            raise ConfigError("timeout must be a finite number > 0")
+        # The longest wait a socket or a sleep accepts; Retry-After is capped at the timeout.
+        if not 0 < timeout <= threading.TIMEOUT_MAX:
+            raise ConfigError(f"timeout must be a number > 0 and at most {threading.TIMEOUT_MAX:.0f} seconds")
         if not 0 <= retries <= MAX_RETRIES:
             raise ConfigError(f"retries must be between 0 and {MAX_RETRIES}")
         set_field(self, "endpoint", endpoint)

@@ -235,12 +235,18 @@ def _same_file(path: Path, name: str) -> bool:
         return False
 
 
-def _refuse_inputs(args: argparse.Namespace, config: RunConfig, outputs: Sequence[Path]) -> None:
-    """Refuse an output path that is a file the command reads, under its
-    own name, a symbolic link or a hard link, before anything is written.
-    A missing input matches nothing: reading it fails before any write."""
+def _refuse_outputs(args: argparse.Namespace, config: RunConfig, outputs: Sequence[Path]) -> None:
+    """Refuse an output path that cannot be written, before anything is
+    written: one whose parent is not a directory, one that is a directory,
+    or one that is a file the command reads, under its own name, a symbolic
+    link or a hard link.  A missing input matches nothing: reading it fails
+    before any write."""
     names = (config.ontology, config.corpus, config.scripted_fixture, args.config, *getattr(args, "predictions", ()))
     for path in outputs:
+        if not path.parent.is_dir():
+            raise EventAgentsError(f"cannot write {path}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise EventAgentsError(f"cannot write {path}: it is a directory")
         if any(_same_file(path, name) for name in names if name is not None):
             raise EventAgentsError(f"cannot write {path}: it is an input of this run")
 
@@ -268,6 +274,15 @@ def _document_map(workers: int):
 
 
 def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
+    pred_paths = [_run_path(config.out, run_index, config.runs) for run_index in range(1, config.runs + 1)]
+    # Refuse an unwritable --out before anything is read, not after a run.
+    out_paths = [
+        path
+        for pred_path in pred_paths
+        for final_path in (pred_path, _trace_path(pred_path))
+        for path in (final_path, _partial_path(final_path))
+    ]
+    _refuse_outputs(args, config, out_paths)
     registry = load_ontology(Path(config.ontology).read_bytes())
     documents = load_corpus(Path(config.corpus).read_bytes())
     if config.sample is not None:
@@ -279,20 +294,6 @@ def cmd_extract(args: argparse.Namespace, config: RunConfig) -> int:
     fixture = None
     if config.scripted_fixture is not None:
         fixture = load_scripted_fixture(Path(config.scripted_fixture).read_bytes())
-    pred_paths = [_run_path(config.out, run_index, config.runs) for run_index in range(1, config.runs + 1)]
-    # Refuse an unwritable --out before the first backend call, not after a run.
-    out_paths = [
-        path
-        for pred_path in pred_paths
-        for final_path in (pred_path, _trace_path(pred_path))
-        for path in (final_path, _partial_path(final_path))
-    ]
-    for path in out_paths:
-        if not path.parent.is_dir():
-            raise EventAgentsError(f"cannot write {path}: {path.parent} is not a directory")
-        if path.is_dir():
-            raise EventAgentsError(f"cannot write {path}: it is a directory")
-    _refuse_inputs(args, config, out_paths)
 
     for run_index, pred_path in enumerate(pred_paths, start=1):
         trace_path = _trace_path(pred_path)
@@ -364,7 +365,7 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
 
 def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
     if config.out:
-        _refuse_inputs(args, config, [Path(config.out)])
+        _refuse_outputs(args, config, [Path(config.out)])
     documents = load_corpus(Path(config.corpus).read_bytes())
     reports: list[MetricsReport] = []
     for path in args.predictions:
@@ -395,7 +396,7 @@ def cmd_eval(args: argparse.Namespace, config: RunConfig) -> int:
 
 def cmd_stats(args: argparse.Namespace, config: RunConfig) -> int:
     if config.out:
-        _refuse_inputs(args, config, [Path(config.out)])
+        _refuse_outputs(args, config, [Path(config.out)])
     documents = load_corpus(Path(config.corpus).read_bytes())
     stats = dataset_stats(documents)
     lines = [

@@ -34,7 +34,7 @@ from typing import Any, NamedTuple
 
 from .errors import has_surrogate, json_fault
 from .records import FrozenRecord, Record, set_field
-from .schemas import _IDENT_RE, EventSchema, SchemaRegistry
+from .schemas import _IDENT_RE, MENTION_FIELD, EventSchema, SchemaRegistry
 
 EVENT_FIELDS = ("event_type", "trigger", "arguments")
 
@@ -232,11 +232,11 @@ class _ConstructorParser:
         trailing = self.peek()
         if trailing.kind != "eof":
             raise _ParseError(f"unexpected trailing content {_show(trailing)}", trailing.pos)
-        if "mention" not in kwargs:
-            raise _ParseError("missing required keyword 'mention'", rparen.pos)
-        mention = kwargs.pop("mention")
+        if MENTION_FIELD not in kwargs:
+            raise _ParseError(f"missing required keyword {MENTION_FIELD!r}", rparen.pos)
+        mention = kwargs.pop(MENTION_FIELD)
         if not isinstance(mention, str):
-            raise _ParseError("keyword 'mention' must be a string literal", name.pos)
+            raise _ParseError(f"keyword {MENTION_FIELD!r} must be a string literal", name.pos)
         arguments = {k: v if isinstance(v, list) else [v] for k, v in kwargs.items()}
         return EventObject(event_type=name.text, trigger=mention, arguments=arguments)
 

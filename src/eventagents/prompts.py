@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .backends import ChatMessage, PromptRequest
 from .records import FrozenRecord, set_field
-from .schemas import EventSchema, SchemaRegistry, render_schema_as_code
+from .schemas import MENTION_FIELD, EventSchema, SchemaRegistry, render_schema_as_code
 
 RETRIEVAL = "retrieval"
 PLANNING = "planning"
@@ -155,7 +155,7 @@ def coding_prompt(
         parts.append(f"Rationale: {rationale}")
     parts.append(
         "Return only one of: a single constructor call such as "
-        f'{schema.event_type}(mention="{trigger}", ...) using the class above, '
+        f'{schema.event_type}({MENTION_FIELD}="{trigger}", ...) using the class above, '
         "or a JSON object with exactly the keys 'event_type', 'trigger' and "
         "'arguments'. No imports, no explanation."
     )

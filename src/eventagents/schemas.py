@@ -73,36 +73,46 @@ def _is_ident(name: str) -> bool:
 
 
 class RoleSpec(FrozenRecord):
-    """One argument role: its name, expected value type and multiplicity."""
+    """One argument role: its name, expected value type and multiplicity.
+
+    ``value_type`` and ``multiplicity`` take an enum member or its ontology
+    spelling (``"integer"``, ``"optional-scalar"``); the role stores the member.
+    """
 
     def __init__(
         self,
         name: str,
-        value_type: ValueType = ValueType.STRING,
-        multiplicity: Multiplicity = Multiplicity.LIST,
+        value_type: ValueType | str = ValueType.STRING,
+        multiplicity: Multiplicity | str = Multiplicity.LIST,
     ):
-        if not name:
-            raise ValueError("role name must be non-empty")
+        if not isinstance(name, str) or not name:
+            raise ValueError("role has no usable 'name'")
         if not _is_ident(name):
             raise ValueError(f"role name {name!r} is not a valid identifier (hyphens allowed)")
         if name == MENTION_FIELD:
             raise ValueError(f"role name {MENTION_FIELD!r} is reserved for the trigger field")
         set_field(self, "name", name)
-        set_field(self, "value_type", value_type)
-        set_field(self, "multiplicity", multiplicity)
+        for field, kind, value in (("value_type", ValueType, value_type), ("multiplicity", Multiplicity, multiplicity)):
+            try:
+                set_field(self, field, kind(value))
+            except ValueError:
+                raise ValueError(f"unknown {field} {value!r} for role {name!r}") from None
 
 
 class EventSchema(FrozenRecord):
-    """An event type plus its ordered argument roles."""
+    """An event type plus its ordered argument roles; ``roles`` is read
+    only once the event type has passed its checks."""
 
-    def __init__(self, event_type: str, roles: tuple[RoleSpec, ...] = ()):
-        if not event_type:
-            raise ValueError("event_type must be non-empty")
+    def __init__(self, event_type: str, roles: Iterable[RoleSpec] = ()):
+        if not isinstance(event_type, str) or not event_type:
+            raise ValueError("no usable 'event_type'")
         if not _is_ident(event_type):
             raise ValueError(f"event type {event_type!r} is not a valid identifier")
         roles = tuple(roles)
         seen = set()
         for role in roles:
+            if not isinstance(role, RoleSpec):
+                raise ValueError(f"role {role!r} of event type {event_type!r} is not a RoleSpec")
             if role.name in seen:
                 raise ValueError(f"duplicate role name {role.name!r} in event type {event_type!r}")
             seen.add(role.name)
@@ -148,49 +158,31 @@ class SchemaRegistry:
 def load_ontology(source: bytes) -> SchemaRegistry:
     """Load an ontology document, the bytes of a UTF-8 file, into a registry.
 
-    Declaration order of event types and roles is preserved.
+    Declaration order of event types and roles is preserved.  The JSON
+    shape is checked here; each declaration is then built through
+    :class:`EventSchema` and :class:`RoleSpec`, whose refusal becomes
+    ``declaration #N: <their message>``.
     """
     document = load_json(source, OntologyError, "malformed ontology document", located=True)
     if not isinstance(document, list):
         raise OntologyError("ontology document must be an array of event type declarations")
 
     schemas = []
-    for i, entry in enumerate(document):
+    for number, entry in enumerate(document, start=1):
         if not isinstance(entry, dict):
-            raise OntologyError(f"declaration #{i + 1} is not an object")
-        event_type = entry.get("event_type")
-        if not isinstance(event_type, str) or not event_type:
-            raise OntologyError(f"declaration #{i + 1} has no usable 'event_type'")
+            raise OntologyError(f"declaration #{number} is not an object")
         raw_roles = entry.get("roles", [])
-        if not isinstance(raw_roles, list):
-            raise OntologyError(f"'roles' of event type {event_type!r} must be an array")
-        roles = []
-        for raw in raw_roles:
-            if not isinstance(raw, dict) or not isinstance(raw.get("name"), str) or not raw["name"]:
-                raise OntologyError(f"event type {event_type!r} has a role without a usable 'name'")
-            name = raw["name"]
-            vt_name = raw.get("value_type", ValueType.STRING.value)
-            try:
-                value_type = ValueType(vt_name)
-            except ValueError:
-                raise OntologyError(
-                    f"unknown value_type {vt_name!r} for role {name!r} in event type {event_type!r}"
-                ) from None
-            mult_name = raw.get("multiplicity", Multiplicity.LIST.value)
-            try:
-                multiplicity = Multiplicity(mult_name)
-            except ValueError:
-                raise OntologyError(
-                    f"unknown multiplicity {mult_name!r} for role {name!r} in event type {event_type!r}"
-                ) from None
-            try:
-                roles.append(RoleSpec(name, value_type, multiplicity))
-            except ValueError as exc:
-                raise OntologyError(f"event type {event_type!r}: {exc}") from None
+        if not isinstance(raw_roles, list) or not all(isinstance(raw, dict) for raw in raw_roles):
+            raise OntologyError(f"declaration #{number}: 'roles' must be an array of objects")
+        # A generator, so that EventSchema checks the event type before any role.
+        roles = (
+            RoleSpec(raw.get("name"), raw.get("value_type", "string"), raw.get("multiplicity", "list"))
+            for raw in raw_roles
+        )
         try:
-            schemas.append(EventSchema(event_type, tuple(roles)))
+            schemas.append(EventSchema(entry.get("event_type"), roles))
         except ValueError as exc:
-            raise OntologyError(str(exc)) from None
+            raise OntologyError(f"declaration #{number}: {exc}") from None
     return SchemaRegistry(schemas)
 
 

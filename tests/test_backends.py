@@ -419,6 +419,7 @@ class TestHttpBackend:
             (429, "Wed, 21 Oct 2015 07:28:00 GMT", 30.0, 0.1),  # HTTP-date: plain backoff
             (429, "0.5", 30.0, 0.1),
             (500, "1", 30.0, 0.1),  # only 429 and 503 carry Retry-After
+            (503, "9" * 400, threading.TIMEOUT_MAX, threading.TIMEOUT_MAX),  # the longest sleep accepted
         ],
     )
     def test_retry_after_raises_the_backoff(self, http_server, monkeypatch, status, retry_after, timeout, slept):
@@ -1114,6 +1115,9 @@ class TestBackendConfig:
             {"temperature": float("inf")},
             {"timeout": float("inf")},
             {"timeout": float("nan")},
+            {"timeout": 1e300},
+            {"timeout": 10**400},
+            {"timeout": threading.TIMEOUT_MAX + 1},
             {"max_tokens": 0},
             {"timeout": 0},
             {"retries": -1},

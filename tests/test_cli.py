@@ -1035,6 +1035,73 @@ class TestOutputNamesAnInput:
         assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
+class TestUnwritableOut:
+    """``eval`` and ``stats`` refuse an ``--out`` they cannot write in
+    ``extract``'s words; all three refuse it before reading anything."""
+
+    def argv(self, tmp_path, command, corpus):
+        argv = [command, "--corpus", corpus]
+        if command == "eval":
+            argv.append(write_predictions(tmp_path, "preds.jsonl", {"d1": [PERFECT_EVENT]}))
+        return argv
+
+    @pytest.mark.parametrize("command", ["eval", "stats"])
+    @pytest.mark.parametrize("fault", ["missing-parent", "directory"])
+    def test_refused_before_anything_is_printed(self, capsys, tmp_path, command, fault):
+        argv = self.argv(tmp_path, command, write_corpus(tmp_path, [TEXT_1]))
+        if fault == "missing-parent":
+            out = tmp_path / "missing" / "report.json"
+            message = f"cannot write {out}: {out.parent} is not a directory"
+        else:
+            out = tmp_path / "report.json"
+            out.mkdir()
+            message = f"cannot write {out}: it is a directory"
+        before = sorted(tmp_path.rglob("*"))
+        code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout, stderr) == (1, "", f"error: {message}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", ["extract", "eval", "stats"])
+    def test_checked_before_anything_is_read(self, capsys, tmp_path, command):
+        out = tmp_path / "missing" / "report.json"
+        argv = self.argv(tmp_path, command, str(tmp_path / "no-corpus.jsonl"))
+        if command == "extract":
+            argv += ["--ontology", str(tmp_path / "no-ontology.json"), "--runs", "1"]
+        code, stdout, stderr = run_cli(capsys, *argv, "--out", str(out))
+        assert (code, stdout, stderr) == (1, "", f"error: cannot write {out}: {out.parent} is not a directory\n")
+
+
+class TestTimeoutBound:
+    """A timeout longer than a socket or a sleep accepts is a configuration
+    error from every source, not a crash at the first connection."""
+
+    ERROR = f"error: timeout must be a number > 0 and at most {threading.TIMEOUT_MAX:.0f} seconds\n"
+
+    @pytest.mark.parametrize("source", ["flag", "variable", "file-number", "file-401-digit-integer"])
+    def test_oversized_timeout_exits_2(self, capsys, tmp_path, monkeypatch, source):
+        out = tmp_path / "preds.jsonl"
+        argv = ["extract", "--ontology", write_ontology(tmp_path), "--corpus", write_corpus(tmp_path, [TEXT_1])]
+        argv += ["--out", str(out), "--runs", "1"]
+        if source == "flag":
+            argv += ["--timeout", "1e300"]
+        elif source == "variable":
+            monkeypatch.setenv("EVENTAGENTS_TIMEOUT", "1e300")
+        else:
+            value = "1e300" if source == "file-number" else "1" + "0" * 400
+            config = tmp_path / "config.json"
+            config.write_text(f'{{"backend": {{"timeout": {value}}}}}', encoding="utf-8")
+            argv += ["--config", str(config)]
+        code, stdout, stderr = run_cli(capsys, *argv)
+        assert (code, stdout, stderr) == (2, "", self.ERROR)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["1e9", repr(threading.TIMEOUT_MAX)])
+    def test_long_timeouts_within_the_bound_are_kept(self, capsys, value):
+        code, stdout, _ = run_cli(capsys, "extract", "--print-config", "--timeout", value)
+        assert code == 0
+        assert json.loads(stdout)["backend"]["timeout"] == float(value)
+
+
 RANSOM = EventSchema("Ransom", tuple(RoleSpec(n) for n in ("price", "victim")))
 PATCH_EXEMPLARS = [EXEMPLAR, "The maker patched two bugs.", "A fix was patched in."]
 RANSOM_EXEMPLARS = ["Attackers demanded a ransom.", "The firm paid a ransom.", "A ransom note arrived."]

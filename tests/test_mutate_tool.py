@@ -1,10 +1,14 @@
-"""The argument split of ``tools/mutate.py``: each module its own line set.
+"""``tools/mutate.py``: the argument split (each module its own line set)
+and the call negation operator.
 
 The tool lives outside the package, so it is loaded from its file.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 MUTATE_PATH = Path(__file__).resolve().parents[1] / "tools" / "mutate.py"
 
@@ -41,3 +45,35 @@ def test_a_module_outside_the_repository_ends_the_probe(capsys, tmp_path):
     outside.write_text("x = 1\n", encoding="utf-8")
     assert mutate.main([f"{outside}:1"]) == 2
     assert capsys.readouterr().err == f"error: {outside} is outside the repository\n"
+
+
+def negated_calls(source):
+    """Each "call -> not call" mutant of ``source``, unparsed."""
+    counter = mutate.Mutator()
+    counter.visit(ast.parse(source))
+    return [
+        ast.unparse(mutate.Mutator(index).visit(ast.parse(source)))
+        for index, (_, change) in enumerate(counter.sites)
+        if change == "call -> not call"
+    ]
+
+
+@pytest.mark.parametrize(
+    "source, mutants",
+    [
+        ("if isinstance(name, str):\n    pass", ["if not isinstance(name, str):\n    pass"]),
+        ("while more():\n    pass", ["while not more():\n    pass"]),
+        ("assert ok(x)", ["assert not ok(x)"]),
+        ("y = a and f() or g()", ["y = a and (not f()) or g()", "y = a and f() or not g()"]),
+        ("y = not f()", ["y = not not f()"]),
+        ("if a.startswith('0') and b:\n    pass", ["if not a.startswith('0') and b:\n    pass"]),
+    ],
+    ids=["if", "while", "assert", "and-or-operands", "not-operand", "method-call"],
+)
+def test_a_call_used_as_a_condition_gets_a_not(source, mutants):
+    assert negated_calls(source) == mutants
+
+
+@pytest.mark.parametrize("source", ["y = f()", "if x == f():\n    pass", "y = [f() for _ in z]", "if x:\n    f()"])
+def test_a_call_that_is_not_a_condition_is_left_alone(source):
+    assert negated_calls(source) == []

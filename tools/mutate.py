@@ -4,9 +4,12 @@
 
 Each mutant makes one change to one module: it flips one comparison at
 its boundary (``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``in``/``not in``,
-``is``/``is not``), swaps ``and`` and ``or``, drops a ``not``, or adds 1
-to an integer literal.  Line numbers after a module's name, as in
-``events.py:140,141``, keep that module's mutants on those lines.
+``is``/``is not``), swaps ``and`` and ``or``, drops a ``not``, adds 1
+to an integer literal, or puts a ``not`` in front of a call used as a
+condition (the test of an ``if``, ``while`` or ``assert``, an operand
+of ``and``/``or``, or the operand of ``not``).  Line numbers after a
+module's name, as in ``events.py:140,141``, keep that module's mutants
+on those lines.
 The tests run on a copy of the repository in a temporary directory
 (``TMPDIR`` chooses where), so the working tree is never changed;
 PYTEST-ARGS default to the whole suite.  A mutant that every test
@@ -47,17 +50,32 @@ class Mutator(ast.NodeTransformer):
                 node.ops[i] = flipped()
         return node
 
+    def negated(self, node):
+        """A condition, with a ``not`` in front if it is the target call."""
+        if isinstance(node, ast.Call) and self.hit(node, "call -> not call"):
+            return ast.UnaryOp(ast.Not(), node)
+        return node
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        node.test = self.negated(node.test)
+        return node
+
+    visit_While = visit_Assert = visit_If
+
     def visit_BoolOp(self, node):
         self.generic_visit(node)
+        node.values = [self.negated(value) for value in node.values]
         if self.hit(node, "and <-> or"):
             node.op = ast.Or() if isinstance(node.op, ast.And) else ast.And()
         return node
 
     def visit_UnaryOp(self, node):
         self.generic_visit(node)
-        if isinstance(node.op, ast.Not) and self.hit(node, "drop not"):
-            return node.operand
-        return node
+        if not isinstance(node.op, ast.Not):
+            return node
+        node.operand = self.negated(node.operand)
+        return node.operand if self.hit(node, "drop not") else node
 
     def visit_Constant(self, node):
         if type(node.value) is int and self.hit(node, f"{node.value} -> {node.value + 1}"):
