@@ -12,7 +12,7 @@ import json
 import re
 from typing import Callable
 
-from .errors import EventAgentsError, has_surrogate
+from .errors import EventAgentsError, refuse_surrogates
 from .prompts import (
     PlanningHead,
     coding_prompt,
@@ -44,6 +44,7 @@ class TriggerHypothesis(FrozenRecord):
             raise ValueError("hypothesis rationale must be a string")
         if not 0.0 <= confidence <= 1.0:
             raise ValueError(f"confidence {confidence} outside [0, 1]")
+        refuse_surrogates(trigger, event_type, rationale)
         set_field(self, "trigger", trigger)
         set_field(self, "event_type", event_type)
         set_field(self, "confidence", confidence)
@@ -119,8 +120,6 @@ def _parse_planning_reply(reply: str) -> list[TriggerHypothesis] | None:
             # Clamp before converting: float() overflows on huge integers.
             hypothesis = TriggerHypothesis(trigger, event_type, float(min(1.0, max(0.0, confidence))), rationale)
         except ValueError:
-            return None
-        if any(map(has_surrogate, (trigger, event_type, rationale))):
             return None
         hypotheses.append(hypothesis)
     return hypotheses

@@ -611,9 +611,9 @@ def _extract_content(data: bytes) -> str:
 class ScriptedBackend:
     """Deterministic backend replaying canned replies keyed by fingerprint.
 
-    A fixture maps each fingerprint to either one reply or a list of
-    replies; lists are consumed in order per fingerprint (the last entry
-    repeats once exhausted), which lets one prompt issued several times
+    A fixture maps each fingerprint to a list of replies, consumed in
+    order (the last entry repeats once exhausted), or to one reply, kept
+    as a one-element list; a list lets one prompt issued several times
     return distinct texts.  Unknown fingerprints raise, naming the
     template, so an unnoticed prompt change cannot silently pass tests.
     A served request is not kept: a run holds the fixture and one
@@ -622,23 +622,21 @@ class ScriptedBackend:
 
     def __init__(self, mapping: dict[str, str | list[str]]):
         _check_replies(mapping)
-        self._mapping = dict(mapping)
+        self._replies = {fp: value if isinstance(value, list) else [value] for fp, value in mapping.items()}
         self._counters: dict[str, int] = {}
         self._lock = threading.Lock()
 
     def complete(self, request: PromptRequest) -> str:
         fp = request.fingerprint()
         with self._lock:
-            if fp not in self._mapping:
+            if fp not in self._replies:
                 raise BackendError(
                     f"no scripted reply for template {request.template_id!r} (fingerprint {fp})"
                 )
-            value = self._mapping[fp]
-            if isinstance(value, list):
-                index = self._counters.get(fp, 0)
-                self._counters[fp] = index + 1
-                return value[min(index, len(value) - 1)]
-            return value
+            replies = self._replies[fp]
+            index = self._counters.get(fp, 0)
+            self._counters[fp] = index + 1
+            return replies[min(index, len(replies) - 1)]
 
 
 def _check_replies(mapping: dict[str, Any]) -> None:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 from .backends import BackendConfig, HttpBackend, ScriptedBackend, load_scripted_fixture
 from .corpus import Document, dataset_stats, load_corpus, sample_split
 from .errors import ConfigError, EventAgentsError, has_surrogate, json_lines, load_json
-from .events import EventObject, event_payload, parse_event_code
+from .events import EventObject, event_from_object, event_payload
 from .metrics import EvaluationError, MetricsReport, mean_of_reports, mean_table, score
 from .records import FrozenRecord, set_field
 from .refine import MODES, PipelineConfig, build_run_context, extract_document, trace_to_records
@@ -352,13 +352,13 @@ def _load_predictions(path: str) -> dict[str, list[EventObject]]:
             raise EvaluationError(f"{path}: line {line_no}: duplicate doc_id {doc_id!r}")
         events = []
         for raw_event in raw_events:
-            if not isinstance(raw_event, dict):
-                raise EvaluationError(f"{path}: line {line_no}: bad event for {doc_id!r}: event must be an object")
-            code = parse_event_code(json.dumps(raw_event, ensure_ascii=False))
-            if code.failure is not None or code.extra_fields:
-                problem = code.failure.message if code.failure else f"unexpected field {code.extra_fields[0]!r}"
-                raise EvaluationError(f"{path}: line {line_no}: bad event for {doc_id!r}: {problem}")
-            events.append(code.parsed)
+            try:
+                event, extras = event_from_object(raw_event)
+                if extras:
+                    raise ValueError(f"unexpected field {extras[0]!r}")
+            except ValueError as exc:
+                raise EvaluationError(f"{path}: line {line_no}: bad event for {doc_id!r}: {exc}") from None
+            events.append(event)
         predictions[doc_id] = events
     return predictions
 

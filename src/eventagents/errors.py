@@ -25,6 +25,13 @@ def has_surrogate(text: str) -> bool:
     return not text.isascii() and _SURROGATE.search(text) is not None
 
 
+def refuse_surrogates(*texts: str) -> None:
+    """Raise ``ValueError`` naming the first of ``texts`` that holds a surrogate code point."""
+    for text in texts:
+        if has_surrogate(text):
+            raise ValueError(f"string {text!r} holds a lone surrogate, which UTF-8 cannot encode")
+
+
 def json_fault(exc: ValueError | RecursionError, located: bool = False) -> str:
     """What a failed ``json.loads`` found, in words that name no part of Python.
 

@@ -32,8 +32,8 @@ import math
 import re
 from typing import Any, NamedTuple
 
-from .errors import has_surrogate, json_fault
-from .records import FrozenRecord, Record, set_field
+from .errors import json_fault, refuse_surrogates
+from .records import FrozenRecord, set_field
 from .schemas import _IDENT_RE, MENTION_FIELD, EventSchema, SchemaRegistry
 
 EVENT_FIELDS = ("event_type", "trigger", "arguments")
@@ -53,35 +53,38 @@ def _is_scalar(value: Any) -> bool:
     return isinstance(value, str)
 
 
-class EventObject(Record):
+class EventObject(FrozenRecord):
     """A fully specified event: type, trigger span text, role values.
 
-    The constructor refuses what object notation refuses, in its words,
-    so every event can be written as JSON.
+    A role takes a list of values or one scalar, kept as a one-element
+    list.  The constructor refuses what object notation refuses, in its
+    words, then a lone surrogate, so every event can be written as UTF-8
+    JSON.  The event keeps its own copy of the dict and its lists.
     """
 
-    def __init__(self, event_type: str, trigger: str, arguments: dict[str, list]):
+    def __init__(self, event_type: str, trigger: str, arguments: dict[str, Any]):
         if not isinstance(event_type, str) or not event_type:
             raise ValueError("'event_type' must be a non-empty string")
         if not isinstance(trigger, str):
             raise ValueError("'trigger' must be a string")
         if not isinstance(arguments, dict):
             raise ValueError("'arguments' must be an object")
+        arguments = {role: list(values) if isinstance(values, list) else [values] for role, values in arguments.items()}
         for role, values in arguments.items():
             if not isinstance(role, str):
                 raise ValueError(f"argument role name {role!r} is not a string")
             if not role:
                 raise ValueError("argument role names must be non-empty")
-            if not isinstance(values, list):
-                raise ValueError(f"values of role {role!r} must be a list")
             for value in values:
                 if isinstance(value, list):
                     raise ValueError(f"nested lists are not allowed in role {role!r}")
                 if not _is_scalar(value):
                     raise ValueError(f"values of role {role!r} must be strings, numbers or booleans")
-        self.event_type = event_type
-        self.trigger = trigger
-        self.arguments = arguments
+        strings = [value for values in arguments.values() for value in values if isinstance(value, str)]
+        refuse_surrogates(event_type, trigger, *arguments, *strings)
+        set_field(self, "event_type", event_type)
+        set_field(self, "trigger", trigger)
+        set_field(self, "arguments", arguments)
 
 
 class ParseFailure(FrozenRecord):
@@ -96,7 +99,7 @@ class ParseFailure(FrozenRecord):
         return f"line {self.line}, col {self.col}: {self.message}"
 
 
-class CodeObject(Record):
+class CodeObject(FrozenRecord):
     """Generated source text together with its parse outcome.
 
     ``extra_fields`` records unexpected top-level keys seen in object
@@ -112,16 +115,15 @@ class CodeObject(Record):
     ):
         if (parsed is None) == (failure is None):
             raise ValueError("exactly one of parsed/failure must be set")
-        self.raw_source = raw_source
-        self.parsed = parsed
-        self.failure = failure
-        self.extra_fields = extra_fields
+        set_field(self, "raw_source", raw_source)
+        set_field(self, "parsed", parsed)
+        set_field(self, "failure", failure)
+        set_field(self, "extra_fields", extra_fields)
 
 
-class _ParseError(Exception):
+class _ParseError(ValueError):
     def __init__(self, message: str, pos: int):
         super().__init__(message)
-        self.message = message
         self.pos = pos
 
 
@@ -237,8 +239,7 @@ class _ConstructorParser:
         mention = kwargs.pop(MENTION_FIELD)
         if not isinstance(mention, str):
             raise _ParseError(f"keyword {MENTION_FIELD!r} must be a string literal", name.pos)
-        arguments = {k: v if isinstance(v, list) else [v] for k, v in kwargs.items()}
-        return EventObject(event_type=name.text, trigger=mention, arguments=arguments)
+        return EventObject(name.text, mention, kwargs)
 
     def parse_value(self, allow_list: bool) -> Any:
         tok = self.advance()
@@ -267,30 +268,26 @@ class _ConstructorParser:
         raise _ParseError(f"expected a value, got {_show(tok)}", tok.pos)
 
 
+def event_from_object(data) -> tuple[EventObject, tuple[str, ...]]:
+    """A decoded object notation's event and unexpected keys; a fault raises ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError("event must be an object")
+    for key in EVENT_FIELDS:
+        if key not in data:
+            raise ValueError(f"missing required field {key!r}")
+    event = EventObject(data["event_type"], data["trigger"], data["arguments"])
+    extras = tuple(key for key in data if key not in EVENT_FIELDS)
+    refuse_surrogates(*extras)
+    return event, extras
+
+
 def _parse_object_notation(source: str) -> tuple[EventObject, tuple[str, ...]]:
     try:
         data = json.loads(source)
     except (ValueError, RecursionError) as exc:
         position = exc.pos if isinstance(exc, json.JSONDecodeError) else 0
         raise _ParseError(f"malformed object notation: {json_fault(exc)}", position) from None
-    # parse_event_code sends only text whose first non-blank character is
-    # "{", so what parsed is an object.
-    for key in EVENT_FIELDS:
-        if key not in data:
-            raise _ParseError(f"missing required field {key!r}", 0)
-    arguments = data["arguments"]
-    if isinstance(arguments, dict):
-        arguments = {role: value if isinstance(value, list) else [value] for role, value in arguments.items()}
-    try:
-        event = EventObject(data["event_type"], data["trigger"], arguments)
-    except ValueError as exc:
-        raise _ParseError(str(exc), 0) from None
-    strings = [*data, event.event_type, event.trigger, *arguments]
-    strings += [value for values in arguments.values() for value in values if isinstance(value, str)]
-    for value in strings:
-        if has_surrogate(value):
-            raise _ParseError(f"string {value!r} holds a lone surrogate, which UTF-8 cannot encode", 0)
-    return event, tuple(k for k in data if k not in EVENT_FIELDS)
+    return event_from_object(data)
 
 
 def order_arguments(arguments: dict[str, list], schema: EventSchema) -> dict[str, list]:
@@ -316,14 +313,15 @@ def parse_event_code(source: str, registry: SchemaRegistry | None = None) -> Cod
         else:
             event = _ConstructorParser(_scan(source)).parse()
             extras = ()
-    except _ParseError as exc:
-        line = source.count("\n", 0, exc.pos) + 1
-        col = exc.pos - source.rfind("\n", 0, exc.pos)
-        return CodeObject(raw_source=source, failure=ParseFailure(exc.message, line, col))
+    except ValueError as exc:  # a refusal of the event itself has no position: offset 0
+        pos = exc.pos if isinstance(exc, _ParseError) else 0
+        line = source.count("\n", 0, pos) + 1
+        col = pos - source.rfind("\n", 0, pos)
+        return CodeObject(raw_source=source, failure=ParseFailure(str(exc), line, col))
     if registry is not None:
         schema = registry.get(event.event_type)
         if schema is not None:
-            event.arguments = order_arguments(event.arguments, schema)
+            event = EventObject(event.event_type, event.trigger, order_arguments(event.arguments, schema))
     return CodeObject(raw_source=source, parsed=event, extra_fields=extras)
 
 

@@ -135,6 +135,8 @@ class SchemaRegistry:
     def __init__(self, schemas: Iterable[EventSchema] = ()):
         self._schemas: dict[str, EventSchema] = {}
         for schema in schemas:
+            if not isinstance(schema, EventSchema):
+                raise ValueError(f"schema {schema!r} is not an EventSchema")
             if schema.event_type in self._schemas:
                 raise OntologyError(f"duplicate event type {schema.event_type!r}")
             self._schemas[schema.event_type] = schema

@@ -44,6 +44,47 @@ class TestEventObject:
         EventObject("A", "t", {"x": ["v", 1, 2.5, True]})
         EventObject("A", "", {"x": []})
 
+    def test_a_scalar_is_kept_as_a_one_element_list(self):
+        assert EventObject("A", "t", {"x": "not-a-list", "n": 3}).arguments == {"x": ["not-a-list"], "n": [3]}
+
+    @pytest.mark.parametrize(
+        "event_type, trigger, arguments, lone",
+        [
+            ("A\ud800", "t", {}, "A\ud800"),
+            ("A", "t\udc00", {}, "t\udc00"),
+            ("A", "t", {"x\ud800": ["v"]}, "x\ud800"),
+            ("A", "t", {"x": ["v", "w\udfff"]}, "w\udfff"),
+        ],
+        ids=["event-type", "trigger", "role-name", "value"],
+    )
+    def test_refuses_a_lone_surrogate(self, event_type, trigger, arguments, lone):
+        with pytest.raises(ValueError) as excinfo:
+            EventObject(event_type, trigger, arguments)
+        assert str(excinfo.value) == f"string {lone!r} holds a lone surrogate, which UTF-8 cannot encode"
+
+    def test_a_shape_fault_is_reported_before_a_lone_surrogate(self):
+        with pytest.raises(ValueError) as excinfo:
+            EventObject("A", "t\ud800", {"x": [None]})
+        assert str(excinfo.value) == "values of role 'x' must be strings, numbers or booleans"
+
+    def test_keeps_its_own_copy_of_the_arguments(self):
+        arguments = {"x": [1], "y": "v"}
+        event = EventObject("A", "t", arguments)
+        arguments["x"].append(float("nan"))
+        arguments["z"] = [2]
+        assert event == EventObject("A", "t", {"x": [1], "y": ["v"]})
+        assert serialize_event(event) == '{"event_type": "A", "trigger": "t", "arguments": {"x": [1], "y": ["v"]}}'
+
+    def test_fields_cannot_be_assigned_and_the_event_is_unhashable(self):
+        event = EventObject("A", "t", {})
+        with pytest.raises(AttributeError):
+            event.trigger = "x"
+        with pytest.raises(AttributeError):
+            event.arguments = {"x": [1]}
+        with pytest.raises(TypeError):
+            hash(event)
+        assert event == EventObject("A", "t", {})
+
     # The constructor words each refusal as object notation does, so a
     # parse fault and a refused hand-built event read alike.
     @pytest.mark.parametrize(
@@ -55,7 +96,7 @@ class TestEventObject:
             ("A", "t", [("x", ["v"])], "'arguments' must be an object"),
             ("A", "t", {"": ["v"]}, "argument role names must be non-empty"),
             ("A", "t", {1: ["v"]}, "argument role name 1 is not a string"),
-            ("A", "t", {"x": "not-a-list"}, "values of role 'x' must be a list"),
+            ("A", "t", {"x": ("v",)}, "values of role 'x' must be strings, numbers or booleans"),
             ("A", "t", {"x": [["v"]]}, "nested lists are not allowed in role 'x'"),
             ("A", "t", {"x": [None]}, "values of role 'x' must be strings, numbers or booleans"),
             ("A", "t", {"x": [{"v": 1}]}, "values of role 'x' must be strings, numbers or booleans"),
@@ -170,6 +211,8 @@ class TestConstructorForm:
             ('A(mention="t", y=\u0661\u0662\u0663)', "unexpected character '\u0661'"),
             ('A(mention="t", y=\uff11)', "unexpected character '\uff11'"),
             ('A(mention="t", y=1\u0663)', "unexpected character '\u0663'"),
+            # Text no backend reply holds; EventObject refuses it.
+            ('A(mention="t", x="\ud800")', "string '\\ud800' holds a lone surrogate, which UTF-8 cannot encode"),
         ],
     )
     def test_rejections(self, source, message):
@@ -292,6 +335,11 @@ class TestObjectNotationForm:
             (
                 '{"event_type": "A", "trigger": "t", "arguments": {}, "\\ud800": 1}',
                 "string '\\ud800' holds a lone surrogate, which UTF-8 cannot encode",
+            ),
+            pytest.param(
+                '{"\\ud800": 1, "event_type": "A", "trigger": "t\\udc00", "arguments": {}}',
+                "string 't\\udc00' holds a lone surrogate, which UTF-8 cannot encode",
+                id="event-before-unexpected-key",
             ),
             pytest.param(
                 '{"event_type": "A", "trigger": "t", "arguments": {"n": 1%s}}' % ("0" * 5000),
@@ -424,9 +472,9 @@ class TestParserIsTotal:
 
 
 # Values for the fields of a drawn event, well and badly shaped: what JSON
-# carries, and NaN, the infinities, None, objects and nested lists.
-# Text holds no surrogate code point, which only the parser refuses.
-_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3)
+# carries, and NaN, the infinities, None, objects, nested lists, scalars
+# in place of a role's list, and lone surrogates.
+_TEXT = st.text(st.characters() | st.just("\ud800"), max_size=3)
 _ITEMS = st.one_of(
     _TEXT,
     st.integers(),
@@ -438,7 +486,7 @@ _ITEMS = st.one_of(
 )
 _FIELDS = st.one_of(_TEXT, st.none(), st.integers(), st.lists(_TEXT, max_size=1))
 _ARGUMENTS = st.one_of(
-    st.dictionaries(st.one_of(st.just(""), _TEXT), st.lists(_ITEMS, max_size=3), max_size=3),
+    st.dictionaries(st.one_of(st.just(""), _TEXT), st.lists(_ITEMS, max_size=3) | _ITEMS, max_size=3),
     _FIELDS,
 )
 

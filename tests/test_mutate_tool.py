@@ -67,13 +67,21 @@ def negated_calls(source):
         ("y = a and f() or g()", ["y = a and (not f()) or g()", "y = a and f() or not g()"]),
         ("y = not f()", ["y = not not f()"]),
         ("if a.startswith('0') and b:\n    pass", ["if not a.startswith('0') and b:\n    pass"]),
+        ("y = v if isinstance(v, list) else [v]", ["y = v if not isinstance(v, list) else [v]"]),
+        ("y = [v for v in z if ok(v) if f()]", ["y = [v for v in z if not ok(v) if f()]", "y = [v for v in z if ok(v) if not f()]"]),
+        ("y = {k: v for k, v in z if ok(k)}", ["y = {k: v for k, v in z if not ok(k)}"]),
     ],
-    ids=["if", "while", "assert", "and-or-operands", "not-operand", "method-call"],
+    ids=[
+        "if", "while", "assert", "and-or-operands", "not-operand", "method-call",
+        "conditional-expression", "comprehension-filters", "dict-comprehension-filter",
+    ],
 )
 def test_a_call_used_as_a_condition_gets_a_not(source, mutants):
     assert negated_calls(source) == mutants
 
 
-@pytest.mark.parametrize("source", ["y = f()", "if x == f():\n    pass", "y = [f() for _ in z]", "if x:\n    f()"])
+@pytest.mark.parametrize(
+    "source", ["y = f()", "if x == f():\n    pass", "y = [f() for _ in z]", "if x:\n    f()", "y = f() if x else g()"]
+)
 def test_a_call_that_is_not_a_condition_is_left_alone(source):
     assert negated_calls(source) == []

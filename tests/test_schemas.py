@@ -173,10 +173,13 @@ class TestSchemaObjects:
             (lambda: EventSchema(123), "no usable 'event_type'"),
             (lambda: EventSchema(""), "no usable 'event_type'"),
             (lambda: EventSchema("A", ["x"]), "role 'x' of event type 'A' is not a RoleSpec"),
+            (lambda: SchemaRegistry(["x"]), "schema 'x' is not an EventSchema"),
+            (lambda: SchemaRegistry([EventSchema("A"), 3]), "schema 3 is not an EventSchema"),
         ],
         ids=[
             "misspelt-value-type", "unknown-multiplicity", "upper-case-spelling", "unhashable-value-type",
             "integer-name", "no-name", "empty-name", "integer-event-type", "empty-event-type", "role-not-a-RoleSpec",
+            "registry-of-a-string", "registry-element-not-an-EventSchema",
         ],
     )
     def test_refuses_with_value_error(self, build, message):

@@ -18,8 +18,8 @@ from eventagents.agents import PlanningError, run_planning_agent
 from eventagents.backends import BackendError, _extract_content, load_scripted_fixture
 from eventagents.cli import _load_config_file, _load_predictions, _write_line
 from eventagents.corpus import CorpusError, load_corpus
-from eventagents.errors import ConfigError
-from eventagents.events import EventObject, event_payload
+from eventagents.errors import ConfigError, json_lines, load_json
+from eventagents.events import EventObject, event_payload, parse_event_code
 from eventagents.metrics import EvaluationError
 from eventagents.prompts import planning_head
 from eventagents.schemas import EventSchema, OntologyError, RoleSpec, load_ontology
@@ -165,6 +165,17 @@ def test_load_scripted_fixture_is_total(source):
         "".join(replies).encode("utf-8")
 
 
+def parser_verdict(raw_event) -> tuple[EventObject | None, str | None]:
+    """What parsing an event's object notation as a coding reply makes of
+    it: the event, or why eval refuses it."""
+    if not isinstance(raw_event, dict):
+        return None, "event must be an object"
+    code = parse_event_code(json.dumps(raw_event))
+    if code.failure is not None:
+        return None, code.failure.message
+    return code.parsed, f"unexpected field {code.extra_fields[0]!r}" if code.extra_fields else None
+
+
 def test_load_predictions_is_total(tmp_path):
     path = tmp_path / "predictions.jsonl"
 
@@ -173,9 +184,18 @@ def test_load_predictions_is_total(tmp_path):
     def check(source):
         path.write_bytes(source)
         try:
-            assert isinstance(_load_predictions(str(path)), dict)
-        except EvaluationError:
-            pass
+            predictions = _load_predictions(str(path))
+        except EvaluationError as exc:
+            head, bad_event, problem = str(exc).partition(": bad event for ")
+            if bad_event:
+                line_no = int(head.rpartition("line ")[2])
+                record = load_json(source.splitlines()[line_no - 1], ValueError, "")
+                refusals = [why for _, why in map(parser_verdict, record["events"]) if why]
+                assert problem == f"{record['doc_id']!r}: {refusals[0]}"
+            return
+        assert isinstance(predictions, dict)
+        for _, record in json_lines(source, ValueError):
+            assert predictions[record["doc_id"]] == [event for event, _ in map(parser_verdict, record.get("events", []))]
 
     check()
 

@@ -6,8 +6,9 @@ Each mutant makes one change to one module: it flips one comparison at
 its boundary (``<``/``<=``, ``>``/``>=``, ``==``/``!=``, ``in``/``not in``,
 ``is``/``is not``), swaps ``and`` and ``or``, drops a ``not``, adds 1
 to an integer literal, or puts a ``not`` in front of a call used as a
-condition (the test of an ``if``, ``while`` or ``assert``, an operand
-of ``and``/``or``, or the operand of ``not``).  Line numbers after a
+condition (the test of an ``if``, ``while``, ``assert`` or conditional
+expression, a comprehension's ``if`` filter, an operand of
+``and``/``or``, or the operand of ``not``).  Line numbers after a
 module's name, as in ``events.py:140,141``, keep that module's mutants
 on those lines.
 The tests run on a copy of the repository in a temporary directory
@@ -61,7 +62,12 @@ class Mutator(ast.NodeTransformer):
         node.test = self.negated(node.test)
         return node
 
-    visit_While = visit_Assert = visit_If
+    visit_While = visit_Assert = visit_IfExp = visit_If
+
+    def visit_comprehension(self, node):
+        self.generic_visit(node)
+        node.ifs = [self.negated(test) for test in node.ifs]
+        return node
 
     def visit_BoolOp(self, node):
         self.generic_visit(node)
